@@ -15,7 +15,10 @@
 //! server with a concurrently publishing trainer) and
 //! `BENCH_registry.json` (the multi-tenant facade: registry feed+tick
 //! steps/s vs a bare trainer, facade classify throughput, and the
-//! evict+reload spill round-trip rate across a 64-tenant fleet) so
+//! evict+reload spill round-trip rate across a 64-tenant fleet) and
+//! `BENCH_pipeline.json` (the paper's Fig. 1 path on a populated scene
+//! clip: frames/s through `process_frame` plus classify, and the time per
+//! frame of each stage, which sum to the frame total) so
 //! the perf trajectory of the repo is tracked by numbers rather than prose.
 //! CI runs it in `--smoke` mode to keep the reporter itself from rotting;
 //! committed snapshots come from full runs.
@@ -43,12 +46,12 @@
 //!   --baseline       per-runner baseline file override, repeatable; the file
 //!                    name decides which report it replaces (a name containing
 //!                    "train" overrides BENCH_train.json, "recognition",
-//!                    "large", "serve" or "registry" the others) — point this
+//!                    "large", "serve", "registry" or "pipeline" the others) — point this
 //!                    at e.g. baselines/ci-runner/BENCH_train.json to gate a
 //!                    specific runner against its own committed numbers
 //!   --only           measure (and check, and write) only the named report:
 //!                    one of "train", "recognition", "large", "serve",
-//!                    "registry"; repeatable — the default is all five
+//!                    "registry", "pipeline"; repeatable — the default is all six
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -56,6 +59,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use bsom_bench::bench_dataset;
+use bsom_bench::pipeline::{measure_pipeline, PipelineBenchReport};
 use bsom_engine::{
     compare_checkpoint_throughput, compare_dispatch_throughput, compare_large_map_throughput,
     compare_recognition_throughput, compare_registry_throughput, compare_training_throughput,
@@ -168,6 +172,19 @@ struct RegistryBenchReport {
     registry_step_overhead: f64,
 }
 
+/// The `BENCH_pipeline.json` document: the paper's Fig. 1 path — frame in,
+/// identities out — on the populated scene clip of `bsom_bench::pipeline`.
+#[derive(Debug, Serialize, Deserialize)]
+struct PipelineBenchDocument {
+    /// `"smoke"` or `"full"` — a smoke run still makes at least three
+    /// passes over the clip.
+    mode: String,
+    /// Seconds of wall clock requested for the passes.
+    min_duration_seconds: f64,
+    /// Frames/s end to end and the per-stage breakdown.
+    pipeline: PipelineBenchReport,
+}
+
 /// Which reports to measure, check and write — `--only` narrows the set.
 #[derive(Clone, Copy)]
 struct Selection {
@@ -176,6 +193,7 @@ struct Selection {
     large: bool,
     serve: bool,
     registry: bool,
+    pipeline: bool,
 }
 
 /// One named figure compared against its committed baseline: an absolute
@@ -288,6 +306,7 @@ fn main() -> ExitCode {
                     large: false,
                     serve: false,
                     registry: false,
+                    pipeline: false,
                 });
                 match args.next().as_deref() {
                     Some("train") => selection.train = true,
@@ -295,10 +314,11 @@ fn main() -> ExitCode {
                     Some("large") => selection.large = true,
                     Some("serve") => selection.serve = true,
                     Some("registry") => selection.registry = true,
+                    Some("pipeline") => selection.pipeline = true,
                     other => {
                         eprintln!(
                             "--only requires one of \"train\", \"recognition\", \"large\", \
-                             \"serve\", \"registry\" (got {other:?})"
+                             \"serve\", \"registry\", \"pipeline\" (got {other:?})"
                         );
                         return ExitCode::FAILURE;
                     }
@@ -334,12 +354,14 @@ fn main() -> ExitCode {
                         lower.contains("large"),
                         lower.contains("serve"),
                         lower.contains("registry"),
+                        lower.contains("pipeline"),
                     ];
                     if keys.iter().filter(|&&k| k).count() != 1 {
                         eprintln!(
                             "--baseline file name must contain exactly one of \"train\", \
-                             \"recognition\", \"large\", \"serve\" or \"registry\" so the \
-                             reporter knows which report it overrides: {file}"
+                             \"recognition\", \"large\", \"serve\", \"registry\" or \
+                             \"pipeline\" so the reporter knows which report it overrides: \
+                             {file}"
                         );
                         return ExitCode::FAILURE;
                     }
@@ -380,6 +402,7 @@ fn main() -> ExitCode {
         large: true,
         serve: true,
         registry: true,
+        pipeline: true,
     });
     let mode = if smoke { "smoke" } else { "full" };
     let min_duration = if smoke {
@@ -539,6 +562,18 @@ fn main() -> ExitCode {
         }
     });
 
+    // --- The Fig. 1 path end to end on the populated scene clip.
+    let pipeline_report = selection.pipeline.then(|| {
+        println!("bench_report: measuring the frame-to-prediction pipeline ({mode})...");
+        let pipeline = measure_pipeline(min_duration);
+        println!("{pipeline}");
+        PipelineBenchDocument {
+            mode: mode.to_string(),
+            min_duration_seconds: min_duration.as_secs_f64(),
+            pipeline,
+        }
+    });
+
     // --- Regression gate against the committed baselines.
     if check {
         let mut figures: Vec<CheckedFigure> = Vec::new();
@@ -632,6 +667,26 @@ fn main() -> ExitCode {
                     "BENCH_registry.json",
                 );
                 let baseline: RegistryBenchReport = match load_baseline(&path) {
+                    Ok(report) => report,
+                    Err(error) => {
+                        eprintln!("bench_report: {error}");
+                        return ExitCode::FAILURE;
+                    }
+                };
+                checked_paths.push(path.display().to_string());
+                Some((fresh, baseline))
+            }
+            None => None,
+        };
+        let pipeline_pair = match &pipeline_report {
+            Some(fresh) => {
+                let path = resolve_baseline(
+                    &baseline_dir,
+                    &baseline_overrides,
+                    "pipeline",
+                    "BENCH_pipeline.json",
+                );
+                let baseline: PipelineBenchDocument = match load_baseline(&path) {
                     Ok(report) => report,
                     Err(error) => {
                         eprintln!("bench_report: {error}");
@@ -856,6 +911,15 @@ fn main() -> ExitCode {
                 },
             ]);
         }
+        if let Some((pipeline_report, pipeline_baseline)) = &pipeline_pair {
+            // The end-to-end frame rate; the stage times are recorded to
+            // explain it, not gated one by one.
+            figures.push(CheckedFigure {
+                name: "pipeline frames/s",
+                baseline: pipeline_baseline.pipeline.frames_per_second,
+                fresh: pipeline_report.pipeline.frames_per_second,
+            });
+        }
         let regressions = check_figures(&figures, noise_band);
         if regressions > 0 {
             eprintln!(
@@ -885,6 +949,9 @@ fn main() -> ExitCode {
     }
     if let Some(report) = &registry_report {
         outputs.push(("BENCH_registry.json", serde_json::to_string_pretty(report)));
+    }
+    if let Some(report) = &pipeline_report {
+        outputs.push(("BENCH_pipeline.json", serde_json::to_string_pretty(report)));
     }
     for (name, json) in outputs {
         let path = out_dir.join(name);

@@ -4,10 +4,13 @@
 //! `benches/` regenerates the workload behind one table or figure of the
 //! paper (see DESIGN.md §"Experiment and ablation index"); this library only holds the
 //! common dataset/map builders so the individual benches stay small and the
-//! fixtures stay identical across them.
+//! fixtures stay identical across them. [`pipeline`] holds the populated
+//! scene that `fig6_pipeline` and `bench_report --only pipeline` share.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+
+pub mod pipeline;
 
 use bsom_dataset::{DatasetConfig, SurveillanceDataset};
 use bsom_som::{BSom, BSomConfig, CSom, CSomConfig, SelfOrganizingMap, TrainSchedule};

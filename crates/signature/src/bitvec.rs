@@ -7,7 +7,7 @@
 //! operations, mirroring the bitwise nature of the FPGA datapath.
 
 use std::fmt;
-use std::ops::{BitAnd, BitOr, BitXor, Not};
+use std::ops::{BitAnd, BitOr, BitXor, Not, Range};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -267,6 +267,51 @@ impl BinaryVector {
         Ok(BinaryVector { words, len })
     }
 
+    /// Builds a vector of `len` bits from packed words without failing: the
+    /// buffer is truncated or zero-padded to `len.div_ceil(64)` words and
+    /// every bit beyond `len` is cleared, so the
+    /// [`as_words`](Self::as_words) invariant always holds. This is the
+    /// constructor for in-process word producers (mask and signature
+    /// packers); untrusted input goes through [`from_words`](Self::from_words),
+    /// which rejects bad packing instead of repairing it.
+    pub(crate) fn from_words_masked(mut words: Vec<u64>, len: usize) -> Self {
+        words.resize(len.div_ceil(WORD_BITS), 0);
+        let mut v = BinaryVector { words, len };
+        v.mask_tail();
+        v
+    }
+
+    /// Sets every bit in `range` to one, a word at a time. The range is
+    /// clipped to the vector's length, so a range past the end sets nothing
+    /// beyond it.
+    pub(crate) fn set_ones(&mut self, range: Range<usize>) {
+        let end = range.end.min(self.len);
+        let mut start = range.start;
+        while start < end {
+            let offset = start % WORD_BITS;
+            let span = (end - start).min(WORD_BITS - offset);
+            let ones = if span == WORD_BITS {
+                u64::MAX
+            } else {
+                ((1u64 << span) - 1) << offset
+            };
+            self.words[start / WORD_BITS] |= ones;
+            start += span;
+        }
+    }
+
+    /// Iterator over the maximal runs of one bits inside `range`, as
+    /// half-open index ranges in increasing order. Runs are found a word at
+    /// a time with `trailing_zeros`, and a run touching either end of
+    /// `range` is cut there. The range is clipped to the vector's length.
+    pub(crate) fn one_runs(&self, range: Range<usize>) -> OneRuns<'_> {
+        OneRuns {
+            words: &self.words,
+            next: range.start,
+            end: range.end.min(self.len),
+        }
+    }
+
     /// Mutable access to the packed words for the in-crate word-parallel
     /// update kernels. Callers must keep every bit beyond `len` zero — the
     /// invariant [`as_words`](Self::as_words) documents; `crate`-private so
@@ -375,6 +420,43 @@ impl Iterator for Iter<'_> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
+/// Iterator over the runs of one bits of a [`BinaryVector`]; see
+/// [`BinaryVector::one_runs`].
+#[derive(Debug, Clone)]
+pub(crate) struct OneRuns<'a> {
+    words: &'a [u64],
+    next: usize,
+    end: usize,
+}
+
+impl OneRuns<'_> {
+    /// The first index in `from..self.end` whose bit differs from `skip`
+    /// (`0` finds a one, `u64::MAX` a zero), skipping whole words of `skip`.
+    fn first_not(&self, from: usize, skip: u64) -> Option<usize> {
+        let mut index = from;
+        while index < self.end {
+            let bits = (self.words[index / WORD_BITS] ^ skip) >> (index % WORD_BITS);
+            if bits != 0 {
+                let found = index + bits.trailing_zeros() as usize;
+                return (found < self.end).then_some(found);
+            }
+            index = (index / WORD_BITS + 1) * WORD_BITS;
+        }
+        None
+    }
+}
+
+impl Iterator for OneRuns<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        let start = self.first_not(self.next, 0)?;
+        let stop = self.first_not(start, u64::MAX).unwrap_or(self.end);
+        self.next = stop;
+        Some(start..stop)
+    }
+}
+
 impl<'a> IntoIterator for &'a BinaryVector {
     type Item = bool;
     type IntoIter = Iter<'a>;
@@ -442,6 +524,62 @@ mod tests {
         assert!(BinaryVector::from_words(vec![], 1).is_err());
         // Tail bits beyond len set.
         assert!(BinaryVector::from_words(vec![u64::MAX, u64::MAX], 100).is_err());
+    }
+
+    #[test]
+    fn from_words_masked_repairs_count_and_tail() {
+        let v = BinaryVector::from_words_masked(vec![u64::MAX, u64::MAX, 7], 100);
+        assert_eq!(v, BinaryVector::ones(100));
+        assert_eq!(v.as_words()[1], (1u64 << 36) - 1);
+        let short = BinaryVector::from_words_masked(vec![5], 130);
+        assert_eq!(short.as_words(), &[5, 0, 0]);
+        assert!(BinaryVector::from_words_masked(vec![1], 0)
+            .as_words()
+            .is_empty());
+    }
+
+    #[test]
+    fn set_ones_fills_across_word_boundaries_and_clips() {
+        let mut v = BinaryVector::zeros(200);
+        v.set_ones(60..130);
+        assert_eq!(v.count_ones(), 70);
+        assert!(!v.bit(59) && v.bit(60) && v.bit(64) && v.bit(129) && !v.bit(130));
+        v.set_ones(190..500);
+        assert_eq!(v.count_ones(), 80);
+        assert_eq!(v.as_words()[3] >> 8, 0, "tail bits stay clear");
+        v.set_ones(300..400);
+        v.set_ones(10..10);
+        assert_eq!(v.count_ones(), 80);
+    }
+
+    #[test]
+    fn one_runs_match_a_bit_by_bit_scan() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let v = BinaryVector::random(len, &mut rng);
+            for (start, end) in [(0, len), (0, len + 9), (len / 3, len / 2 + 1), (5, 3)] {
+                let mut expected = Vec::new();
+                let mut run: Option<usize> = None;
+                for i in start..end.min(len).max(start) {
+                    match (v.bit(i), run) {
+                        (true, None) => run = Some(i),
+                        (false, Some(s)) => {
+                            expected.push(s..i);
+                            run = None;
+                        }
+                        _ => {}
+                    }
+                }
+                if let Some(s) = run {
+                    expected.push(s..end.min(len));
+                }
+                let runs: Vec<_> = v.one_runs(start..end).collect();
+                assert_eq!(runs, expected, "len {len}, range {start}..{end}");
+            }
+        }
+        let full = BinaryVector::ones(130);
+        assert_eq!(full.one_runs(0..130).collect::<Vec<_>>(), vec![0..130]);
+        assert_eq!(full.one_runs(64..100).collect::<Vec<_>>(), vec![64..100]);
     }
 
     #[test]

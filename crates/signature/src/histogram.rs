@@ -140,7 +140,7 @@ impl ColorHistogram {
     /// Converts the histogram to a binary signature using an explicit
     /// threshold instead of the mean. Used by the binarisation ablation.
     pub fn to_signature_with_threshold(&self, threshold: f64) -> BinaryVector {
-        BinaryVector::from_bits(self.bins.iter().map(|&c| f64::from(c) >= threshold))
+        pack_at_threshold(&self.bins, threshold)
     }
 
     /// The median bin value, used by the median-threshold ablation.
@@ -221,7 +221,22 @@ pub fn binarize_at_mean(bins: &[u32]) -> BinaryVector {
     }
     let total: u64 = bins.iter().map(|&c| u64::from(c)).sum();
     let mean = total as f64 / bins.len() as f64;
-    BinaryVector::from_bits(bins.iter().map(|&c| f64::from(c) >= mean))
+    pack_at_threshold(bins, mean)
+}
+
+/// The threshold-and-pack step of Eq. 2, shared by every binarisation: bit
+/// `i` is set where `f64::from(bins[i]) >= threshold`, packed 64 bins to a
+/// word.
+fn pack_at_threshold(bins: &[u32], threshold: f64) -> BinaryVector {
+    let words = bins
+        .chunks(64)
+        .map(|chunk| {
+            chunk.iter().enumerate().fold(0u64, |word, (bit, &count)| {
+                word | (u64::from(f64::from(count) >= threshold) << bit)
+            })
+        })
+        .collect();
+    BinaryVector::from_words_masked(words, bins.len())
 }
 
 #[cfg(test)]
@@ -342,6 +357,19 @@ mod tests {
         let bits = binarize_at_mean(&bins);
         for (i, &b) in bins.iter().enumerate() {
             assert_eq!(bits.bit(i), f64::from(b) >= mean, "bin {i}");
+        }
+    }
+
+    #[test]
+    fn packing_matches_bitwise_thresholding_at_every_length() {
+        for len in [1usize, 16, 63, 64, 65, 130, HISTOGRAM_BINS] {
+            let bins: Vec<u32> = (0..len as u32).map(|i| (i * 37 + 11) % 23).collect();
+            for threshold in [0.0, 5.0, 11.5, 22.0, 23.0] {
+                let bits = pack_at_threshold(&bins, threshold);
+                let expected =
+                    BinaryVector::from_bits(bins.iter().map(|&c| f64::from(c) >= threshold));
+                assert_eq!(bits, expected, "len {len}, threshold {threshold}");
+            }
         }
     }
 

@@ -7,6 +7,8 @@
 //! vision, dataset and FPGA crates share one representation, not to be a
 //! general imaging library.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::bitvec::BinaryVector;
@@ -193,11 +195,12 @@ impl RgbImage {
                 pixels: self.pixels.len(),
             });
         }
+        // Only the silhouette's runs are visited, so the cost follows the
+        // object's area rather than the frame's. The range also bounds the
+        // runs by the pixel buffer, whatever a deserialized mask holds.
         let mut hist = ColorHistogram::new();
-        for (x, y, colour) in self.enumerate_pixels() {
-            if mask.get(x, y).unwrap_or(false) {
-                hist.add_pixel(colour);
-            }
+        for run in mask.as_mask().as_vector().one_runs(0..self.pixels.len()) {
+            hist.extend(self.pixels[run].iter().copied());
         }
         Ok(hist)
     }
@@ -250,6 +253,19 @@ impl BinaryImage {
         })
     }
 
+    /// Builds an image from row-major packed words, 64 pixels to a word
+    /// (pixel `(x, y)` is bit `(y·width + x) % 64` of word
+    /// `(y·width + x) / 64`, so rows straddle words). Never fails: the
+    /// buffer is truncated or zero-padded to the image's word count and the
+    /// bits past the last pixel are cleared.
+    pub fn from_row_major_words(width: usize, height: usize, words: Vec<u64>) -> Self {
+        BinaryImage {
+            width,
+            height,
+            bits: BinaryVector::from_words_masked(words, width * height),
+        }
+    }
+
     /// Frames a 768-bit signature as the paper's 32 × 24 binary image.
     ///
     /// # Errors
@@ -289,6 +305,30 @@ impl BinaryImage {
         if x < self.width && y < self.height {
             self.bits.set(y * self.width + x, value);
         }
+    }
+
+    /// Sets the pixels `x` of row `y`, a word at a time. The run is clipped
+    /// at the row end and a row past the bottom is ignored, like
+    /// [`set`](Self::set).
+    pub fn set_run(&mut self, y: usize, x: Range<usize>) {
+        if y < self.height {
+            let row = y * self.width;
+            self.bits
+                .set_ones(row + x.start.min(self.width)..row + x.end.min(self.width));
+        }
+    }
+
+    /// The maximal runs of set pixels in row `y`, as half-open `x` ranges
+    /// from left to right; empty for a row past the bottom.
+    pub fn row_runs(&self, y: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let (row, end) = if y < self.height {
+            (y * self.width, (y + 1) * self.width)
+        } else {
+            (0, 0)
+        };
+        self.bits
+            .one_runs(row..end)
+            .map(move |run| run.start - row..run.end - row)
     }
 
     /// Number of set (foreground) pixels.
@@ -361,6 +401,12 @@ impl Silhouette {
     /// Marks the pixel at `(x, y)` as foreground.
     pub fn mark(&mut self, x: usize, y: usize) {
         self.0.set(x, y, true);
+    }
+
+    /// Marks the pixels `x` of row `y` as foreground; see
+    /// [`BinaryImage::set_run`].
+    pub fn mark_run(&mut self, y: usize, x: Range<usize>) {
+        self.0.set_run(y, x);
     }
 
     /// Number of foreground pixels — the object's area. The paper filters
@@ -486,6 +532,60 @@ mod tests {
         img.set(0, 0, true);
         img.set(2, 1, true);
         assert_eq!(img.to_ascii(), "#..\n..#\n");
+    }
+
+    #[test]
+    fn set_run_crosses_word_boundaries() {
+        // Row 0 of a 100-wide image spans words 0 and 1; row 1 starts
+        // inside word 1 and crosses into word 3.
+        let mut img = BinaryImage::new(100, 3);
+        img.set_run(0, 60..70);
+        img.set_run(1, 20..100);
+        assert_eq!(img.count_ones(), 90);
+        assert_eq!(img.row_runs(0).collect::<Vec<_>>(), vec![60..70]);
+        assert_eq!(img.row_runs(1).collect::<Vec<_>>(), vec![20..100]);
+        assert_eq!(img.get(59, 0), Some(false));
+        assert_eq!(img.get(69, 0), Some(true));
+        assert_eq!(img.get(99, 1), Some(true));
+        assert_eq!(img.get(0, 2), Some(false), "the run stops at its row end");
+    }
+
+    #[test]
+    fn set_run_is_clipped_at_the_row_end() {
+        let mut img = BinaryImage::new(65, 2);
+        img.set_run(0, 60..1000);
+        img.set_run(1, 70..80);
+        assert_eq!(img.count_ones(), 5);
+        assert_eq!(img.row_runs(0).collect::<Vec<_>>(), vec![60..65]);
+        assert_eq!(img.row_runs(1).count(), 0);
+    }
+
+    #[test]
+    fn out_of_range_rows_are_ignored() {
+        let mut s = Silhouette::new(8, 4);
+        s.mark_run(4, 0..8);
+        s.mark_run(usize::MAX, 0..8);
+        assert_eq!(s.area(), 0);
+        s.mark_run(3, 2..5);
+        assert_eq!(s.area(), 3);
+        assert_eq!(s.as_mask().row_runs(9).count(), 0);
+        assert_eq!(s.as_mask().row_runs(3).collect::<Vec<_>>(), vec![2..5]);
+    }
+
+    #[test]
+    fn row_major_words_keep_the_tail_clear() {
+        // 10 x 7 = 70 pixels: two words, the second with 6 valid bits.
+        let img = BinaryImage::from_row_major_words(10, 7, vec![u64::MAX, u64::MAX, 1]);
+        assert_eq!(img.count_ones(), 70);
+        assert_eq!(img.as_vector().as_words(), &[u64::MAX, 0b11_1111]);
+        let mut expected = BinaryImage::new(10, 7);
+        for y in 0..7 {
+            expected.set_run(y, 0..10);
+        }
+        assert_eq!(img, expected);
+        let short = BinaryImage::from_row_major_words(10, 7, vec![1 << 13]);
+        assert_eq!(short.count_ones(), 1);
+        assert_eq!(short.get(3, 1), Some(true));
     }
 
     #[test]

@@ -104,20 +104,17 @@ impl BackgroundModel {
         if frame.width() != self.width || frame.height() != self.height {
             return;
         }
+        let pixels = frame.pixels().iter();
         if !self.initialised {
-            for (x, y, c) in frame.enumerate_pixels() {
-                self.estimate[y * self.width + x] =
-                    [f64::from(c.r), f64::from(c.g), f64::from(c.b)];
+            for (e, c) in self.estimate.iter_mut().zip(pixels) {
+                *e = [f64::from(c.r), f64::from(c.g), f64::from(c.b)];
             }
             self.initialised = true;
             return;
         }
-        let alpha = self.config.learning_rate;
-        for (x, y, c) in frame.enumerate_pixels() {
-            let e = &mut self.estimate[y * self.width + x];
-            e[0] = (1.0 - alpha) * e[0] + alpha * f64::from(c.r);
-            e[1] = (1.0 - alpha) * e[1] + alpha * f64::from(c.g);
-            e[2] = (1.0 - alpha) * e[2] + alpha * f64::from(c.b);
+        let blend = Blend::new(self.config.learning_rate);
+        for (e, &c) in self.estimate.iter_mut().zip(pixels) {
+            *e = blend.apply(*e, c);
         }
     }
 
@@ -126,32 +123,75 @@ impl BackgroundModel {
     /// foreground pixels update only if `update_foreground` is set).
     ///
     /// A frame of the wrong size yields an empty (all-background) mask.
+    ///
+    /// The mask is written 64 pixels to a word in row-major pixel order, so
+    /// rows straddle words (see DESIGN.md §"The packed vision front end").
     pub fn segment(&mut self, frame: &RgbImage) -> BinaryImage {
-        let mut mask = BinaryImage::new(self.width, self.height);
         if frame.width() != self.width || frame.height() != self.height {
-            return mask;
+            return BinaryImage::new(self.width, self.height);
         }
         if !self.initialised {
             // With no background knowledge, treat the first frame as
             // background rather than declaring everything foreground.
             self.observe_background(frame);
-            return mask;
+            return BinaryImage::new(self.width, self.height);
         }
-        let alpha = self.config.learning_rate;
-        for (x, y, c) in frame.enumerate_pixels() {
-            let e = &mut self.estimate[y * self.width + x];
-            let bg = Rgb::new(e[0] as u8, e[1] as u8, e[2] as u8);
-            let is_foreground = bg.distance_sq(c) > self.config.foreground_threshold;
-            if is_foreground {
-                mask.set(x, y, true);
-            }
-            if !is_foreground || self.config.update_foreground {
-                e[0] = (1.0 - alpha) * e[0] + alpha * f64::from(c.r);
-                e[1] = (1.0 - alpha) * e[1] + alpha * f64::from(c.g);
-                e[2] = (1.0 - alpha) * e[2] + alpha * f64::from(c.b);
-            }
+        let BackgroundConfig {
+            learning_rate,
+            foreground_threshold,
+            update_foreground,
+        } = self.config;
+        let blend = Blend::new(learning_rate);
+        let words = frame
+            .pixels()
+            .chunks(64)
+            .zip(self.estimate.chunks_mut(64))
+            .map(|(pixels, estimates)| {
+                let mut word = 0u64;
+                for (bit, (&c, e)) in pixels.iter().zip(estimates).enumerate() {
+                    let bg = Rgb::new(e[0] as u8, e[1] as u8, e[2] as u8);
+                    let foreground = bg.distance_sq(c) > foreground_threshold;
+                    word |= u64::from(foreground) << bit;
+                    // Blend every pixel and select the result instead of
+                    // branching on the mask bit.
+                    let blended = blend.apply(*e, c);
+                    *e = if foreground && !update_foreground {
+                        *e
+                    } else {
+                        blended
+                    };
+                }
+                word
+            })
+            .collect();
+        BinaryImage::from_row_major_words(self.width, self.height, words)
+    }
+}
+
+/// The running-average update `(1 − α)·e + α·c` of one pixel's estimate.
+///
+/// `α·c` is read from a table of the 256 possible products, so a pixel costs
+/// one multiply and one add per channel; the f64 operations and their order
+/// are those of the expression.
+struct Blend {
+    keep: f64,
+    gain: [f64; 256],
+}
+
+impl Blend {
+    fn new(alpha: f64) -> Self {
+        Blend {
+            keep: 1.0 - alpha,
+            gain: std::array::from_fn(|v| alpha * v as f64),
         }
-        mask
+    }
+
+    fn apply(&self, e: [f64; 3], c: Rgb) -> [f64; 3] {
+        [
+            self.keep * e[0] + self.gain[usize::from(c.r)],
+            self.keep * e[1] + self.gain[usize::from(c.g)],
+            self.keep * e[2] + self.gain[usize::from(c.b)],
+        ]
     }
 }
 

@@ -93,65 +93,60 @@ impl Blob {
 /// Blobs are returned ordered by component id; no size filtering is applied
 /// here — callers decide whether to apply [`Blob::is_noise`] (the paper does,
 /// the tests sometimes want the raw blobs).
+///
+/// Everything is accumulated per run: area and bounding box from the run's
+/// ends, the centroid from exact integer coordinate sums, and the silhouette
+/// a word range at a time.
 pub fn extract_blobs(labels: &ComponentLabels) -> Vec<Blob> {
-    let count = labels.component_count();
-    if count == 0 {
-        return Vec::new();
-    }
     struct Accumulator {
         area: usize,
-        min_x: usize,
-        min_y: usize,
-        max_x: usize,
-        max_y: usize,
-        sum_x: f64,
-        sum_y: f64,
+        bbox: BoundingBox,
+        sum_x: u64,
+        sum_y: u64,
         silhouette: Silhouette,
     }
-    let mut accs: Vec<Accumulator> = (0..count)
+    let mut accs: Vec<Accumulator> = (0..labels.component_count())
         .map(|_| Accumulator {
             area: 0,
-            min_x: usize::MAX,
-            min_y: usize::MAX,
-            max_x: 0,
-            max_y: 0,
-            sum_x: 0.0,
-            sum_y: 0.0,
+            bbox: BoundingBox {
+                min_x: usize::MAX,
+                min_y: usize::MAX,
+                max_x: 0,
+                max_y: 0,
+            },
+            sum_x: 0,
+            sum_y: 0,
             silhouette: Silhouette::new(labels.width(), labels.height()),
         })
         .collect();
 
-    for y in 0..labels.height() {
-        for x in 0..labels.width() {
-            let l = labels.label(x, y);
-            if l == 0 {
-                continue;
-            }
-            let acc = &mut accs[(l - 1) as usize];
-            acc.area += 1;
-            acc.min_x = acc.min_x.min(x);
-            acc.min_y = acc.min_y.min(y);
-            acc.max_x = acc.max_x.max(x);
-            acc.max_y = acc.max_y.max(y);
-            acc.sum_x += x as f64;
-            acc.sum_y += y as f64;
-            acc.silhouette.mark(x, y);
-        }
+    for run in labels.runs() {
+        let acc = &mut accs[run.component as usize - 1];
+        let (len, first, last) = (run.x.len(), run.x.start, run.x.end - 1);
+        acc.area += len;
+        acc.bbox.min_x = acc.bbox.min_x.min(first);
+        acc.bbox.min_y = acc.bbox.min_y.min(run.y);
+        acc.bbox.max_x = acc.bbox.max_x.max(last);
+        acc.bbox.max_y = acc.bbox.max_y.max(run.y);
+        // first + (first + 1) + … + last; one of the two factors is even.
+        acc.sum_x += ((first + last) * len / 2) as u64;
+        acc.sum_y += (run.y * len) as u64;
+        acc.silhouette.mark_run(run.y, run.x.clone());
     }
 
     accs.into_iter()
-        .enumerate()
-        .filter(|(_, a)| a.area > 0)
-        .map(|(i, a)| Blob {
-            component: (i + 1) as u32,
+        .zip(1..)
+        .map(|(a, component)| Blob {
+            component,
             area: a.area,
-            bbox: BoundingBox {
-                min_x: a.min_x,
-                min_y: a.min_y,
-                max_x: a.max_x,
-                max_y: a.max_y,
-            },
-            centroid: (a.sum_x / a.area as f64, a.sum_y / a.area as f64),
+            bbox: a.bbox,
+            // The sums are exact integers, so converting them once gives the
+            // same f64 as adding the coordinates pixel by pixel (exact below
+            // 2^53).
+            centroid: (
+                a.sum_x as f64 / a.area as f64,
+                a.sum_y as f64 / a.area as f64,
+            ),
             silhouette: a.silhouette,
         })
         .collect()

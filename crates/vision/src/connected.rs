@@ -1,20 +1,37 @@
-//! Two-pass connected-components labelling.
+//! Run-based connected-components labelling.
 //!
 //! The paper's segmentation stage groups foreground pixels into objects with
 //! connected-components analysis (their reference \[2\] accelerates this on
-//! FPGA; here a classic two-pass union–find implementation suffices, since in
-//! this reproduction the stage runs on the CPU side exactly as in the paper's
-//! §I pipeline description).
+//! FPGA; here it runs on the CPU side exactly as in the paper's §I pipeline
+//! description). The mask is read as maximal horizontal runs of set pixels,
+//! found a word at a time, and union–find joins the runs of adjacent rows
+//! that touch — the row-by-row shape of a streaming FPGA labeller (DESIGN.md
+//! §"The packed vision front end").
+
+use std::ops::Range;
 
 use bsom_signature::BinaryImage;
 
-/// The result of labelling a foreground mask: one `u32` label per pixel
-/// (0 = background, labels are 1-based and contiguous).
+/// A maximal horizontal run of foreground pixels in one mask row, with the
+/// component it belongs to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Run {
+    /// The row of the run.
+    pub(crate) y: usize,
+    /// The run's columns, end exclusive.
+    pub(crate) x: Range<usize>,
+    /// The 1-based component label.
+    pub(crate) component: u32,
+}
+
+/// The result of labelling a foreground mask: the mask's row runs, each with
+/// its component (labels are 1-based and contiguous; background is 0).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentLabels {
     width: usize,
     height: usize,
-    labels: Vec<u32>,
+    /// Row-major: by row, then left to right within a row.
+    runs: Vec<Run>,
     component_count: usize,
 }
 
@@ -37,149 +54,96 @@ impl ComponentLabels {
     /// The label at `(x, y)`: 0 for background, otherwise a 1-based component
     /// id. Out-of-bounds coordinates return 0.
     pub fn label(&self, x: usize, y: usize) -> u32 {
-        if x >= self.width || y >= self.height {
-            return 0;
+        // The runs are row-major and disjoint, so the first run not wholly
+        // before (x, y) is the only one that can hold it.
+        let next = self.runs.partition_point(|r| (r.y, r.x.end) <= (y, x));
+        match self.runs.get(next) {
+            Some(run) if run.y == y && run.x.start <= x => run.component,
+            _ => 0,
         }
-        self.labels[y * self.width + x]
-    }
-
-    /// The raw label buffer in row-major order.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.labels
     }
 
     /// Pixel count of every component, indexed by `label - 1`.
     pub fn component_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.component_count];
-        for &l in &self.labels {
-            if l > 0 {
-                sizes[(l - 1) as usize] += 1;
-            }
+        for run in &self.runs {
+            sizes[run.component as usize - 1] += run.x.len();
         }
         sizes
     }
+
+    /// The runs in row-major order.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
+    }
 }
 
-/// Union–find with path compression and union by size.
-#[derive(Debug)]
-struct UnionFind {
-    parent: Vec<u32>,
-    size: Vec<u32>,
+/// Root of `run`'s set, halving the path on the way up.
+fn find(parent: &mut [usize], mut run: usize) -> usize {
+    while parent[run] != run {
+        parent[run] = parent[parent[run]];
+        run = parent[run];
+    }
+    run
 }
 
-impl UnionFind {
-    fn new() -> Self {
-        // Slot 0 is reserved for background and never unioned.
-        UnionFind {
-            parent: vec![0],
-            size: vec![0],
-        }
-    }
-
-    fn make_set(&mut self) -> u32 {
-        let id = self.parent.len() as u32;
-        self.parent.push(id);
-        self.size.push(1);
-        id
-    }
-
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let grandparent = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = grandparent;
-            x = grandparent;
-        }
-        x
-    }
-
-    fn union(&mut self, a: u32, b: u32) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return;
-        }
-        let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[small as usize] = big;
-        self.size[big as usize] += self.size[small as usize];
-    }
+/// Joins the sets of runs `a` and `b` under the smaller root, so every
+/// root is the first run of its component in row-major order.
+fn union(parent: &mut [usize], a: usize, b: usize) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    parent[ra.max(rb)] = ra.min(rb);
 }
 
 /// Labels the connected components of a binary foreground mask using
 /// 8-connectivity (a diagonal touch joins two pixels into one object, which
 /// is the conventional choice for silhouettes).
 ///
-/// Returns per-pixel labels with component ids renumbered contiguously from 1
-/// in first-encounter order.
+/// Component ids are contiguous from 1 in first-encounter order over the
+/// pixels in row-major order.
 pub fn label_components(mask: &BinaryImage) -> ComponentLabels {
-    let width = mask.width();
-    let height = mask.height();
-    let mut labels = vec![0u32; width * height];
-    let mut uf = UnionFind::new();
-
-    // First pass: provisional labels + equivalences.
-    for y in 0..height {
-        for x in 0..width {
-            if !mask.get(x, y).unwrap_or(false) {
-                continue;
+    let mut runs: Vec<Run> = Vec::new();
+    let mut parent: Vec<usize> = Vec::new();
+    let mut above = 0..0;
+    for y in 0..mask.height() {
+        let row_start = runs.len();
+        // The runs of the row above are sorted too, so one forward sweep
+        // finds every touching pair.
+        let mut first = above.start;
+        for x in mask.row_runs(y) {
+            let run = runs.len();
+            // Under 8-connectivity a run above touches this one when the
+            // columns, each widened by one pixel, overlap.
+            while first < above.end && runs[first].x.end < x.start {
+                first += 1;
             }
-            // Previously-visited 8-neighbours: W, NW, N, NE.
-            let mut neighbour_labels = [0u32; 4];
-            let mut count = 0;
-            let mut push = |l: u32| {
-                if l != 0 {
-                    neighbour_labels[count] = l;
-                    count += 1;
-                }
-            };
-            if x > 0 {
-                push(labels[y * width + x - 1]);
+            parent.push(run);
+            for touching in (first..above.end).take_while(|&a| runs[a].x.start <= x.end) {
+                union(&mut parent, touching, run);
             }
-            if y > 0 {
-                if x > 0 {
-                    push(labels[(y - 1) * width + x - 1]);
-                }
-                push(labels[(y - 1) * width + x]);
-                if x + 1 < width {
-                    push(labels[(y - 1) * width + x + 1]);
-                }
-            }
-            let label = if count == 0 {
-                uf.make_set()
-            } else {
-                let min = *neighbour_labels[..count].iter().min().unwrap();
-                for &l in &neighbour_labels[..count] {
-                    uf.union(min, l);
-                }
-                min
-            };
-            labels[y * width + x] = label;
+            runs.push(Run { y, x, component: 0 });
         }
+        above = row_start..runs.len();
     }
 
-    // Second pass: resolve equivalences and renumber contiguously.
-    let mut remap: Vec<u32> = vec![0; uf.parent.len()];
-    let mut next = 0u32;
-    for l in labels.iter_mut() {
-        if *l == 0 {
-            continue;
-        }
-        let root = uf.find(*l);
-        if remap[root as usize] == 0 {
-            next += 1;
-            remap[root as usize] = next;
-        }
-        *l = remap[root as usize];
+    // A root is its component's first run, which holds the component's
+    // first pixel, so numbering roots in run order is numbering in
+    // first-encounter pixel order.
+    let mut component_count = 0u32;
+    for run in 0..runs.len() {
+        let root = find(&mut parent, run);
+        runs[run].component = if root == run {
+            component_count += 1;
+            component_count
+        } else {
+            runs[root].component
+        };
     }
 
     ComponentLabels {
-        width,
-        height,
-        labels,
-        component_count: next as usize,
+        width: mask.width(),
+        height: mask.height(),
+        runs,
+        component_count: component_count as usize,
     }
 }
 
@@ -204,7 +168,7 @@ mod tests {
         let mask = BinaryImage::new(10, 10);
         let labels = label_components(&mask);
         assert_eq!(labels.component_count(), 0);
-        assert!(labels.as_slice().iter().all(|&l| l == 0));
+        assert!((0..10).all(|y| (0..10).all(|x| labels.label(x, y) == 0)));
         assert!(labels.component_sizes().is_empty());
     }
 
@@ -259,10 +223,9 @@ mod tests {
         let mask = mask_from_rows(&["#.#.#.#", ".......", "#.#.#.#"]);
         let labels = label_components(&mask);
         assert_eq!(labels.component_count(), 8);
-        let mut seen: Vec<u32> = labels
-            .as_slice()
-            .iter()
-            .copied()
+        let mut seen: Vec<u32> = (0..3)
+            .flat_map(|y| (0..7).map(move |x| (x, y)))
+            .map(|(x, y)| labels.label(x, y))
             .filter(|&l| l > 0)
             .collect();
         seen.sort_unstable();

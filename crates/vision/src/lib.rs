@@ -14,10 +14,15 @@
 //!   "person" appearance models, static furniture that partially occludes
 //!   them, lighting drift and camera jitter.
 //! * [`background`] — running-average background subtraction producing
-//!   per-frame foreground masks.
-//! * [`connected`] — two-pass connected-components labelling (union–find).
-//! * [`blob`] — blob extraction, bounding boxes, the paper's < 768-pixel
-//!   noise filter, and silhouette/histogram extraction.
+//!   per-frame foreground masks, written 64 pixels to a packed word.
+//! * [`connected`] — run-based connected-components labelling: row runs
+//!   found a word at a time, joined by union–find over the runs.
+//! * [`blob`] — blob extraction from the runs, bounding boxes, the paper's
+//!   < 768-pixel noise filter, and silhouette/histogram extraction.
+//!
+//! Every stage works on whole mask words or runs, and is held bit-identical
+//! to the per-pixel front end it replaced by the oracle suite in
+//! `tests/packed_vision.rs` (DESIGN.md §"The packed vision front end").
 //! * [`tracker`] — a greedy centroid tracker that maintains object identities
 //!   across frames.
 //! * [`pipeline`] — the end-to-end composition from frames to labelled
