@@ -17,8 +17,9 @@
 //! steps/s vs a bare trainer, facade classify throughput, and the
 //! evict+reload spill round-trip rate across a 64-tenant fleet) and
 //! `BENCH_pipeline.json` (the paper's Fig. 1 path on a populated scene
-//! clip: frames/s through `process_frame` plus classify, and the time per
-//! frame of each stage, which sum to the frame total) so
+//! clip, with every kernel forced to scalar and then to the widest
+//! lowering: frames/s through `process_frame` plus classify, and the time
+//! per frame of each stage, which sum to the frame total) so
 //! the perf trajectory of the repo is tracked by numbers rather than prose.
 //! CI runs it in `--smoke` mode to keep the reporter itself from rotting;
 //! committed snapshots come from full runs.
@@ -912,13 +913,21 @@ fn main() -> ExitCode {
             ]);
         }
         if let Some((pipeline_report, pipeline_baseline)) = &pipeline_pair {
-            // The end-to-end frame rate; the stage times are recorded to
+            // The end-to-end frame rate with the kernels forced to scalar and
+            // to the widest lowering; the stage times are recorded to
             // explain it, not gated one by one.
-            figures.push(CheckedFigure {
-                name: "pipeline frames/s",
-                baseline: pipeline_baseline.pipeline.frames_per_second,
-                fresh: pipeline_report.pipeline.frames_per_second,
-            });
+            figures.extend([
+                CheckedFigure {
+                    name: "pipeline.scalar frames/s",
+                    baseline: pipeline_baseline.pipeline.scalar.frames_per_second,
+                    fresh: pipeline_report.pipeline.scalar.frames_per_second,
+                },
+                CheckedFigure {
+                    name: "pipeline.widest frames/s",
+                    baseline: pipeline_baseline.pipeline.widest.frames_per_second,
+                    fresh: pipeline_report.pipeline.widest.frames_per_second,
+                },
+            ]);
         }
         let regressions = check_figures(&figures, noise_band);
         if regressions > 0 {

@@ -12,8 +12,8 @@ use std::fmt;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use bsom_engine::{EngineConfig, SomService};
-use bsom_signature::{BinaryImage, BinaryVector, RgbImage};
+use bsom_engine::{EngineConfig, Recognizer, SomService};
+use bsom_signature::{force_dispatch, BinaryImage, BinaryVector, Dispatch, RgbImage};
 use bsom_som::{BSom, BSomConfig, LabelledSom, SelfOrganizingMap, TrainSchedule};
 use bsom_vision::blob::{extract_blobs, Blob};
 use bsom_vision::pipeline::PipelineConfig;
@@ -161,17 +161,13 @@ impl PipelineStageTimes {
     }
 }
 
-/// The `BENCH_pipeline.json` figures: the paper's Fig. 1 path on the
-/// populated fixture clip, end to end and stage by stage.
+/// The Fig. 1 path's figures with every kernel forced onto one dispatch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PipelineBenchReport {
-    /// Frames per pass over the clip.
-    pub clip_frames: usize,
+pub struct PipelineDispatchFigures {
+    /// The forced dispatch's name.
+    pub dispatch: String,
     /// Passes made over the clip, each way.
     pub passes: usize,
-    /// Tracked objects per frame; each costs one histogram, one signature
-    /// and a place in the frame's classify batch.
-    pub objects_per_frame: f64,
     /// Frames per second through `Recognizer::process_frames`, one frame
     /// per call, over the fastest pass — the gated figure.
     pub frames_per_second: f64,
@@ -182,19 +178,50 @@ pub struct PipelineBenchReport {
     pub frame_us: f64,
 }
 
-impl fmt::Display for PipelineBenchReport {
+impl fmt::Display for PipelineDispatchFigures {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "pipeline: {:.0} frames/s through process_frame + classify \
-             ({} frames x {} passes, {:.2} objects/frame)",
-            self.frames_per_second, self.clip_frames, self.passes, self.objects_per_frame
+            "pipeline ({}): {:.0} frames/s through process_frame + classify ({} passes)",
+            self.dispatch, self.frames_per_second, self.passes
         )?;
-        write!(f, "pipeline stages of a {:.1} us frame:", self.frame_us)?;
+        write!(
+            f,
+            "pipeline ({}) stages of a {:.1} us frame:",
+            self.dispatch, self.frame_us
+        )?;
         for (name, us) in self.stage_us.named() {
             write!(f, " {name} {us:.1} us")?;
         }
         Ok(())
+    }
+}
+
+/// The `BENCH_pipeline.json` figures: the paper's Fig. 1 path on the
+/// populated fixture clip, end to end and stage by stage, with the kernels
+/// forced to the scalar walk and to the widest lowering the machine has.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PipelineBenchReport {
+    /// Frames per pass over the clip.
+    pub clip_frames: usize,
+    /// Tracked objects per frame; each costs one histogram, one signature
+    /// and a place in the frame's classify batch.
+    pub objects_per_frame: f64,
+    /// Every kernel on [`Dispatch::Scalar`].
+    pub scalar: PipelineDispatchFigures,
+    /// Every kernel on [`Dispatch::detect`].
+    pub widest: PipelineDispatchFigures,
+}
+
+impl fmt::Display for PipelineBenchReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "pipeline: {} frames per pass, {:.2} objects/frame",
+            self.clip_frames, self.objects_per_frame
+        )?;
+        writeln!(f, "{}", self.scalar)?;
+        write!(f, "{}", self.widest)
     }
 }
 
@@ -213,10 +240,12 @@ impl Laps {
     }
 }
 
-/// Measures the fixture clip through the Fig. 1 path: frames/s through
+/// Measures the fixture clip through the Fig. 1 path twice, with every
+/// kernel forced to [`Dispatch::Scalar`] and then to [`Dispatch::detect`]
+/// (the override is cleared afterwards): frames/s through
 /// `Recognizer::process_frames`, and the per-stage breakdown from passes
 /// that compose the public stage calls themselves. Each pass starts from a
-/// fresh pipeline; at least three are made, and more until
+/// fresh pipeline; at least three are made per dispatch, and more until
 /// `min_duration` has passed.
 ///
 /// # Panics
@@ -226,8 +255,27 @@ pub fn measure_pipeline(min_duration: Duration) -> PipelineBenchReport {
     let scene = PopulatedScene::render();
     let service = enrolled_service();
     let mut recognizer = service.recognizer();
-    let frames = scene.frames();
+    let (scalar, objects_per_frame) =
+        measure_dispatch(Dispatch::Scalar, &scene, &mut recognizer, min_duration);
+    let (widest, _) = measure_dispatch(Dispatch::detect(), &scene, &mut recognizer, min_duration);
+    PipelineBenchReport {
+        clip_frames: scene.frames().len(),
+        objects_per_frame,
+        scalar,
+        widest,
+    }
+}
 
+/// One dispatch's figures and the tracked objects per frame, with every
+/// kernel forced onto `dispatch` for the measurement.
+fn measure_dispatch(
+    dispatch: Dispatch,
+    scene: &PopulatedScene,
+    recognizer: &mut Recognizer,
+    min_duration: Duration,
+) -> (PipelineDispatchFigures, f64) {
+    force_dispatch(Some(dispatch)).expect("scalar and the detected dispatch always run");
+    let frames = scene.frames();
     let mut fastest = Duration::MAX;
     let mut passes = 0;
     let started = Instant::now();
@@ -298,13 +346,14 @@ pub fn measure_pipeline(min_duration: Duration) -> PipelineBenchReport {
         }
     }
 
+    force_dispatch(None).expect("clearing the override always succeeds");
+
     let timed_frames = (passes * frames.len()).max(1) as f64;
     let per_frame = |d: Duration| d.as_secs_f64() * 1e6 / timed_frames;
     let [segment, label, extract, tracker, histogram, signature, classify] = laps.stages;
-    PipelineBenchReport {
-        clip_frames: frames.len(),
+    let figures = PipelineDispatchFigures {
+        dispatch: dispatch.name().to_string(),
         passes,
-        objects_per_frame: objects as f64 / timed_frames,
         frames_per_second: frames.len() as f64 / fastest.as_secs_f64(),
         stage_us: PipelineStageTimes {
             segment_us: per_frame(segment),
@@ -316,5 +365,6 @@ pub fn measure_pipeline(min_duration: Duration) -> PipelineBenchReport {
             classify_us: per_frame(classify),
         },
         frame_us: per_frame(total),
-    }
+    };
+    (figures, objects as f64 / timed_frames)
 }

@@ -10,6 +10,11 @@
 //! `std::arch` paths for AVX2, AVX-512 and NEON, selected at runtime behind
 //! `is_x86_feature_detected!`-style gates.
 //!
+//! The same dispatch carries the vision front end's one per-pixel kernel,
+//! [`segment_background`]: the background-differencing test and running
+//! average over `f64` estimate planes, with an AVX-512 arm that takes eight
+//! pixels per step (see its docs for the exactness argument).
+//!
 //! ## Lane layout and the tail rule
 //!
 //! Every lowering walks the neuron axis (row kernels) or the word axis
@@ -76,6 +81,8 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
+
+use crate::Rgb;
 
 /// Environment variable forcing the kernel dispatch for the whole process:
 /// a [`Dispatch`] name (`scalar`, `lanes4`, `lanes8`, `avx2`, `avx512`,
@@ -441,6 +448,171 @@ pub fn force_dispatch(dispatch: Option<Dispatch>) -> Result<(), UnavailableDispa
             FORCED.store(requested as u8, Ordering::Relaxed);
             Ok(())
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Background segmentation: the per-pixel step of the vision front end.
+// ---------------------------------------------------------------------------
+
+/// One frame of running-average background differencing over per-channel
+/// `f64` estimate planes (`planes` = red, green, blue; entry `i` of each is
+/// pixel `i`'s estimate), written 64 pixels to a row-major mask word.
+///
+/// Pixel `i` is foreground when the squared RGB distance between
+/// `pixels[i]` and its estimate truncated with `as u8` exceeds
+/// `foreground_threshold`; its mask bit is bit `i % 64` of word `i / 64`,
+/// and bits past the last pixel are zero. Every estimate then becomes
+/// `(1 − α)·e + α·c` per channel (`α` = `learning_rate`), except that
+/// foreground pixels keep theirs when `hold_foreground` is set.
+///
+/// Runs the [`active_dispatch`]; see [`segment_background_with`] for the
+/// lowerings and why they agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if a plane's length differs from `pixels.len()`.
+pub fn segment_background(
+    pixels: &[Rgb],
+    planes: [&mut [f64]; 3],
+    learning_rate: f64,
+    foreground_threshold: u32,
+    hold_foreground: bool,
+) -> Vec<u64> {
+    segment_background_with(
+        active_dispatch(),
+        pixels,
+        planes,
+        learning_rate,
+        foreground_threshold,
+        hold_foreground,
+    )
+}
+
+/// [`segment_background`] through one **explicit** [`Dispatch`] lowering.
+///
+/// [`Dispatch::Avx512`] takes eight pixels per step; every other dispatch
+/// runs the scalar reference walk. The AVX-512 arm equals the scalar walk
+/// bit for bit, the mask words and every estimate's `to_bits()`:
+///
+/// * the truncated estimate is `max(e, 0)` (which yields 0 for NaN), then
+///   `min(…, 255)`, then rounded toward zero — the saturating `as u8`;
+/// * the squared distance and the `> threshold` test run in `f64`, where
+///   they are exact: every value is an integer of at most 3·255²;
+/// * the blend is `keep·e + α·c` as a separate multiply and add, the same
+///   two roundings as the scalar walk (never a fused multiply-add);
+/// * the 64-pixel words go through the wide arm and a tail of fewer than 64
+///   pixels through the scalar walk.
+///
+/// In debug builds the AVX-512 arm is shadow-checked against the scalar
+/// walk.
+///
+/// # Panics
+///
+/// Panics if a plane's length differs from `pixels.len()` or if `dispatch`
+/// is not [available](Dispatch::is_available) on the running machine.
+pub fn segment_background_with(
+    dispatch: Dispatch,
+    pixels: &[Rgb],
+    planes: [&mut [f64]; 3],
+    learning_rate: f64,
+    foreground_threshold: u32,
+    hold_foreground: bool,
+) -> Vec<u64> {
+    for plane in &planes {
+        assert_eq!(
+            plane.len(),
+            pixels.len(),
+            "one estimate per pixel in every plane"
+        );
+    }
+    assert!(
+        dispatch.is_available(),
+        "{}",
+        UnavailableDispatch {
+            requested: dispatch
+        }
+    );
+    let step = SegmentStep::new(learning_rate, foreground_threshold, hold_foreground);
+    let [red, green, blue] = planes;
+    #[cfg(debug_assertions)]
+    let shadow = (dispatch == Dispatch::Avx512).then(|| {
+        let mut copies = [red.to_vec(), green.to_vec(), blue.to_vec()];
+        let [r, g, b] = &mut copies;
+        let mut words = vec![0u64; pixels.len().div_ceil(64)];
+        segment_background_scalar(pixels, [r, g, b], &step, &mut words);
+        (words, copies)
+    });
+    let mut words = vec![0u64; pixels.len().div_ceil(64)];
+    segment_background_dispatch(dispatch, pixels, [red, green, blue], &step, &mut words);
+    #[cfg(debug_assertions)]
+    if let Some((shadow_words, shadow_planes)) = shadow {
+        let bits = |plane: &[f64]| plane.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        debug_assert!(
+            words == shadow_words
+                && [&*red, &*green, &*blue]
+                    .iter()
+                    .zip(&shadow_planes)
+                    .all(|(plane, shadow)| bits(plane) == bits(shadow)),
+            "{dispatch} background lowering diverged from the scalar walk"
+        );
+    }
+    words
+}
+
+/// The per-frame constants of the background step: `1 − α` once, and the
+/// 256 products `α·v` the scalar walk reads `α·c` from (the AVX-512 arm
+/// multiplies `α·c` in registers — the same products).
+struct SegmentStep {
+    alpha: f64,
+    keep: f64,
+    gain: [f64; 256],
+    threshold: u32,
+    hold: bool,
+}
+
+impl SegmentStep {
+    fn new(alpha: f64, threshold: u32, hold: bool) -> Self {
+        SegmentStep {
+            alpha,
+            keep: 1.0 - alpha,
+            gain: std::array::from_fn(|v| alpha * v as f64),
+            threshold,
+            hold,
+        }
+    }
+}
+
+/// Scalar background step: the reference walk every lowering must match.
+/// `words` holds one word per 64 pixels.
+fn segment_background_scalar(
+    pixels: &[Rgb],
+    [red, green, blue]: [&mut [f64]; 3],
+    step: &SegmentStep,
+    words: &mut [u64],
+) {
+    let chunks = pixels
+        .chunks(64)
+        .zip(red.chunks_mut(64))
+        .zip(green.chunks_mut(64))
+        .zip(blue.chunks_mut(64));
+    for (word, (((pixels, red), green), blue)) in words.iter_mut().zip(chunks) {
+        let mut bits = 0u64;
+        for (i, &c) in pixels.iter().enumerate() {
+            let e = [red[i], green[i], blue[i]];
+            let bg = Rgb::new(e[0] as u8, e[1] as u8, e[2] as u8);
+            let foreground = bg.distance_sq(c) > step.threshold;
+            bits |= u64::from(foreground) << i;
+            // Blend every pixel and select the result instead of branching
+            // on the mask bit.
+            let blended = [
+                step.keep * e[0] + step.gain[usize::from(c.r)],
+                step.keep * e[1] + step.gain[usize::from(c.g)],
+                step.keep * e[2] + step.gain[usize::from(c.b)],
+            ];
+            [red[i], green[i], blue[i]] = if foreground && step.hold { e } else { blended };
+        }
+        *word = bits;
     }
 }
 
@@ -854,6 +1026,79 @@ mod x86 {
             &mut committed[wide..],
         );
     }
+
+    /// The background step eight pixels at a time: each 64-pixel word is
+    /// eight groups of eight `f64` lanes per channel.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F at runtime; the dispatcher checks availability
+    /// first. Every lane load and store goes through a checked slice, so a
+    /// plane shorter than `pixels` panics instead of reading past its end
+    /// (the public entry asserts the lengths before calling in).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn segment_background_avx512(
+        pixels: &[super::Rgb],
+        mut planes: [&mut [f64]; 3],
+        step: &super::SegmentStep,
+        words: &mut [u64],
+    ) {
+        let whole = pixels.len() / 64;
+        let keep = _mm512_set1_pd(step.keep);
+        let alpha = _mm512_set1_pd(step.alpha);
+        let threshold = _mm512_set1_pd(f64::from(step.threshold));
+        let zero = _mm512_setzero_pd();
+        let top = _mm512_set1_pd(255.0);
+        for (w, word) in words[..whole].iter_mut().enumerate() {
+            let mut channels = [[0u8; 64]; 3];
+            for (i, c) in pixels[w * 64..w * 64 + 64].iter().enumerate() {
+                channels[0][i] = c.r;
+                channels[1][i] = c.g;
+                channels[2][i] = c.b;
+            }
+            let mut bits = 0u64;
+            for group in 0..8 {
+                let at = w * 64 + group * 8;
+                let mut distance = zero;
+                let mut estimates = [zero; 3];
+                let mut blended = [zero; 3];
+                for (k, (plane, bytes)) in planes.iter().zip(&channels).enumerate() {
+                    let c = _mm512_cvtepi32_pd(_mm256_cvtepu8_epi32(_mm_loadl_epi64(
+                        bytes[group * 8..group * 8 + 8].as_ptr().cast(),
+                    )));
+                    let e = _mm512_loadu_pd(plane[at..at + 8].as_ptr());
+                    // `as u8`: vmaxpd returns its second operand when either
+                    // is NaN, so NaN and negatives become 0, then the clamp
+                    // to 255 and the truncation toward zero.
+                    let bg = _mm512_roundscale_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(
+                        _mm512_min_pd(_mm512_max_pd(e, zero), top),
+                    );
+                    let d = _mm512_sub_pd(bg, c);
+                    distance = _mm512_add_pd(distance, _mm512_mul_pd(d, d));
+                    blended[k] = _mm512_add_pd(_mm512_mul_pd(keep, e), _mm512_mul_pd(alpha, c));
+                    estimates[k] = e;
+                }
+                let foreground = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(distance, threshold);
+                let held = if step.hold { foreground } else { 0 };
+                for (k, plane) in planes.iter_mut().enumerate() {
+                    _mm512_storeu_pd(
+                        plane[at..at + 8].as_mut_ptr(),
+                        _mm512_mask_blend_pd(held, blended[k], estimates[k]),
+                    );
+                }
+                bits |= u64::from(foreground) << (group * 8);
+            }
+            *word = bits;
+        }
+        let tail = whole * 64;
+        let [red, green, blue] = planes;
+        super::segment_background_scalar(
+            &pixels[tail..],
+            [&mut red[tail..], &mut green[tail..], &mut blue[tail..]],
+            step,
+            &mut words[whole..],
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -925,13 +1170,13 @@ mod neon {
 // The dispatchers: one match per kernel, hardware arms behind availability.
 // ---------------------------------------------------------------------------
 //
-// SAFETY (all three): the hardware arms are reachable only through the
-// public kernel entry points in `batch`, which assert
-// `dispatch.is_available()` before calling in — the runtime feature gate the
-// `target_feature` contracts require. Variants foreign to the compiled
-// architecture (e.g. `Neon` on x86-64) are never available, so the fallback
-// arm is unreachable through the public API; it routes to the scalar
-// reference to stay safe even if reached.
+// SAFETY (every hardware arm): the hardware arms are reachable only through
+// the public kernel entry points (in `batch`, and `segment_background_with`),
+// which assert `dispatch.is_available()` before calling in — the runtime
+// feature gate the `target_feature` contracts require. Variants foreign to
+// the compiled architecture (e.g. `Neon` on x86-64) are never available, so
+// the fallback arm is unreachable through the public API; it routes to the
+// scalar reference to stay safe even if reached.
 
 pub(crate) fn masked_hamming_words_dispatch(
     dispatch: Dispatch,
@@ -943,10 +1188,13 @@ pub(crate) fn masked_hamming_words_dispatch(
         Dispatch::Scalar => masked_hamming_scalar(value, care, input),
         Dispatch::Lanes4 => masked_hamming_lanes::<4>(value, care, input),
         Dispatch::Lanes8 => masked_hamming_lanes::<8>(value, care, input),
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => unsafe { x86::masked_hamming_avx2(value, care, input) },
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => unsafe { x86::masked_hamming_avx512(value, care, input) },
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "aarch64")]
         Dispatch::Neon => unsafe { neon::masked_hamming_neon(value, care, input) },
         #[allow(unreachable_patterns)]
@@ -965,10 +1213,13 @@ pub(crate) fn accumulate_row_dispatch(
         Dispatch::Scalar => accumulate_row_scalar(values, cares, input, distances),
         Dispatch::Lanes4 => accumulate_row_lanes::<4>(values, cares, input, distances),
         Dispatch::Lanes8 => accumulate_row_lanes::<8>(values, cares, input, distances),
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => unsafe { x86::accumulate_row_avx2(values, cares, input, distances) },
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => unsafe { x86::accumulate_row_avx512(values, cares, input, distances) },
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "aarch64")]
         Dispatch::Neon => unsafe { neon::accumulate_row_neon(values, cares, input, distances) },
         #[allow(unreachable_patterns)]
@@ -1019,6 +1270,7 @@ pub(crate) fn update_window_word_dispatch(
             relaxed,
             committed,
         ),
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => unsafe {
             x86::update_window_avx2(
@@ -1032,6 +1284,7 @@ pub(crate) fn update_window_word_dispatch(
                 committed,
             )
         },
+        // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx512 => unsafe {
             x86::update_window_avx512(
@@ -1070,6 +1323,24 @@ pub(crate) fn update_window_word_dispatch(
             relaxed,
             committed,
         ),
+    }
+}
+
+/// The background step has one wide arm; every other dispatch runs the
+/// scalar walk.
+fn segment_background_dispatch(
+    dispatch: Dispatch,
+    pixels: &[Rgb],
+    planes: [&mut [f64]; 3],
+    step: &SegmentStep,
+    words: &mut [u64],
+) {
+    match dispatch {
+        // SAFETY: availability asserted by the public entry (note above),
+        // which also asserts that every plane holds one estimate per pixel.
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Avx512 => unsafe { x86::segment_background_avx512(pixels, planes, step, words) },
+        _ => segment_background_scalar(pixels, planes, step, words),
     }
 }
 

@@ -61,8 +61,8 @@ pub use error::SignatureError;
 pub use histogram::{ColorHistogram, BINS_PER_CHANNEL, HISTOGRAM_BINS};
 pub use image::{BinaryImage, Rgb, RgbImage, Silhouette, SIGNATURE_HEIGHT, SIGNATURE_WIDTH};
 pub use lanes::{
-    active_dispatch, force_dispatch, validate_env_dispatch, Dispatch, DispatchEnvError, Lanes,
-    UnavailableDispatch,
+    active_dispatch, force_dispatch, segment_background, segment_background_with,
+    validate_env_dispatch, Dispatch, DispatchEnvError, Lanes, UnavailableDispatch,
 };
 pub use tristate::{update_word, TriStateVector, Trit, UpdateDelta, WordUpdate};
 

@@ -21,6 +21,11 @@
 //!   xorshift64* stream** as the word-at-a-time draws — including through
 //!   [`TriStateVector::stochastic_update`]'s chunked walk versus the
 //!   historical word-at-a-time loop, replayed here verbatim;
+//! * the background segmentation kernel ([`segment_background_with`]): mask
+//!   words and every estimate's bits, on estimate planes mixed with NaN,
+//!   ±∞, −0.0, negatives and values above 255, at learning rates and
+//!   thresholds inside and outside the usual range, and at every pixel count
+//!   from 0 to 200 (tails around 8 and 64);
 //! * the mismatched-slice panics, which must fire identically through every
 //!   dispatch (mirroring `masked_hamming_words_rejects_mismatched_slices`);
 //! * the `ForceDispatch` override itself: forcing routes the default entry
@@ -32,8 +37,8 @@ use bsom_signature::lanes::{active_dispatch, force_dispatch, Dispatch};
 use bsom_signature::{
     accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, draw_broadcast_masks,
     draw_broadcast_masks_lanes, masked_hamming_words, masked_hamming_words_with,
-    select_winner_tournament, update_window_word_with, update_word, BinaryVector, MaskPlan,
-    TriStateVector,
+    segment_background, segment_background_with, select_winner_tournament, update_window_word_with,
+    update_word, BinaryVector, MaskPlan, Rgb, TriStateVector,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -61,6 +66,123 @@ fn planes(raw: &[(u64, u64)]) -> (Vec<u64>, Vec<u64>) {
     (values, cares)
 }
 
+/// Learning rates of the background kernel: the usual range, both ends,
+/// values outside it that push estimates below 0 and above 255, and NaN.
+const LEARNING_RATES: [f64; 7] = [0.0, 0.05, 0.3, 1.0, -0.5, 1.5, f64::NAN];
+
+/// Foreground thresholds: nothing, a one-level change, the default, and
+/// never.
+const THRESHOLDS: [u32; 4] = [0, 1, 900, u32::MAX];
+
+/// One estimate plane: mostly values in [0, 255], mixed with the values
+/// where `as u8` saturates or truncates unusually.
+fn estimate_plane(len: usize, rng: &mut StdRng) -> Vec<f64> {
+    const SPECIAL: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        -0.75,
+        -300.5,
+        255.0,
+        255.5,
+        1e12,
+    ];
+    (0..len)
+        .map(|_| {
+            if rng.gen_bool(0.25) {
+                SPECIAL[rng.gen_range(0..SPECIAL.len())]
+            } else {
+                rng.gen::<f64>() * 255.0
+            }
+        })
+        .collect()
+}
+
+/// A frame for `planes`: arbitrary pixels, and pixels within one level per
+/// channel of their truncated estimate, whose distances sit at the small
+/// thresholds.
+fn frame_for(planes: &[Vec<f64>; 3], rng: &mut StdRng) -> Vec<Rgb> {
+    (0..planes[0].len())
+        .map(|i| {
+            if rng.gen_bool(0.3) {
+                let mut near = |e: f64| (e as u8).saturating_add(rng.gen_range(0..2));
+                Rgb::new(near(planes[0][i]), near(planes[1][i]), near(planes[2][i]))
+            } else {
+                Rgb::new(rng.gen(), rng.gen(), rng.gen())
+            }
+        })
+        .collect()
+}
+
+/// Two frames of the background kernel through `dispatch` from `planes`:
+/// each frame's mask words, then the final estimates' bits.
+fn segment_bits(
+    dispatch: Dispatch,
+    frames: &[Vec<Rgb>; 2],
+    planes: &[Vec<f64>; 3],
+    learning_rate: f64,
+    threshold: u32,
+    hold: bool,
+) -> (Vec<Vec<u64>>, [Vec<u64>; 3]) {
+    let mut planes = planes.clone();
+    let words = frames
+        .iter()
+        .map(|pixels| {
+            let [red, green, blue] = &mut planes;
+            segment_background_with(
+                dispatch,
+                pixels,
+                [red, green, blue],
+                learning_rate,
+                threshold,
+                hold,
+            )
+        })
+        .collect();
+    (
+        words,
+        planes.map(|plane| plane.iter().map(|e| e.to_bits()).collect()),
+    )
+}
+
+/// Asserts that every available dispatch runs the background kernel to the
+/// scalar walk's mask words and estimate bits.
+fn assert_segmentation_identical(len: usize, rng: &mut StdRng) {
+    let planes = [
+        estimate_plane(len, rng),
+        estimate_plane(len, rng),
+        estimate_plane(len, rng),
+    ];
+    let frames = [frame_for(&planes, rng), frame_for(&planes, rng)];
+    let learning_rate = LEARNING_RATES[rng.gen_range(0..LEARNING_RATES.len())];
+    let threshold = THRESHOLDS[rng.gen_range(0..THRESHOLDS.len())];
+    let hold = rng.gen();
+    let reference = segment_bits(
+        Dispatch::Scalar,
+        &frames,
+        &planes,
+        learning_rate,
+        threshold,
+        hold,
+    );
+    for word in reference.0.iter().flat_map(|words| words.last()) {
+        assert_eq!(
+            word >> ((len - 1) % 64) >> 1,
+            0,
+            "no bits past the last pixel"
+        );
+    }
+    for dispatch in Dispatch::available() {
+        assert_eq!(
+            segment_bits(dispatch, &frames, &planes, learning_rate, threshold, hold),
+            reference,
+            "{len} pixels, α {learning_rate}, threshold {threshold}, hold {hold}, {dispatch}"
+        );
+    }
+}
+
 proptest! {
     /// `masked_hamming_words` agrees with the scalar walk through every
     /// available lowering, for arbitrary word counts.
@@ -78,6 +200,16 @@ proptest! {
                 reference
             );
         }
+    }
+
+    /// The background kernel's masks and estimates are bit-identical
+    /// through every lowering.
+    #[test]
+    fn background_segmentation_is_bit_identical_across_dispatches(
+        len in 0usize..201,
+        seed in any::<u64>(),
+    ) {
+        assert_segmentation_identical(len, &mut StdRng::seed_from_u64(seed));
     }
 
     /// The row kernel accumulates identically through every lowering,
@@ -289,10 +421,17 @@ proptest! {
 
 /// The tail/remainder sweep: word counts of 0, 1, lane−1, lane, lane+1 and
 /// non-multiples for every lane width in play (2, 4, 8), through every
-/// kernel and every available lowering.
+/// kernel and every available lowering — and for the background kernel,
+/// every pixel count from 0 to 200: whole 64-pixel words, groups of 8 and
+/// every tail the scalar walk finishes.
 #[test]
 fn tail_word_counts_are_bit_identical_through_every_kernel() {
     let mut rng = StdRng::seed_from_u64(0x7A11);
+    for len in 0..=200 {
+        for _ in 0..4 {
+            assert_segmentation_identical(len, &mut rng);
+        }
+    }
     for n in [
         0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 31, 32, 33,
     ] {
@@ -432,6 +571,18 @@ fn mismatched_slices_panic_under_every_dispatch() {
             },
             "one relax counter per neuron",
         );
+        let pixels = [Rgb::BLACK; 3];
+        for short in 0..3 {
+            panics_with(
+                || {
+                    let mut planes = [vec![0.0; 3], vec![0.0; 3], vec![0.0; 3]];
+                    planes[short].pop();
+                    let [red, green, blue] = &mut planes;
+                    segment_background_with(dispatch, &pixels, [red, green, blue], 0.05, 900, true);
+                },
+                "one estimate per pixel in every plane",
+            );
+        }
     }
 }
 
@@ -473,6 +624,19 @@ fn unavailable_dispatch_is_rejected_loudly() {
         },
         "not available",
     );
+    panics_with(
+        || {
+            segment_background_with(
+                foreign,
+                &[Rgb::BLACK],
+                [&mut [0.0], &mut [0.0], &mut [0.0]],
+                0.05,
+                900,
+                true,
+            );
+        },
+        "not available",
+    );
 }
 
 /// Forcing routes the *default* entry points: under a forced lowering the
@@ -497,6 +661,22 @@ fn force_dispatch_routes_the_default_entry_points() {
         accumulate_masked_hamming_row(&values, &cares, inputs[0], &mut forced);
         let mut explicit = vec![0u32; 11];
         accumulate_masked_hamming_row_with(dispatch, &values, &cares, inputs[0], &mut explicit);
+        assert_eq!(forced, explicit);
+        let pixels: Vec<Rgb> = (0..70)
+            .map(|_| Rgb::new(rng.gen(), rng.gen(), rng.gen()))
+            .collect();
+        let planes = [(); 3].map(|_| {
+            (0..70)
+                .map(|_| rng.gen::<f64>() * 255.0)
+                .collect::<Vec<_>>()
+        });
+        let mut forced = planes.clone();
+        let mut explicit = planes.clone();
+        let [r, g, b] = &mut forced;
+        let forced_words = segment_background(&pixels, [r, g, b], 0.05, 900, true);
+        let [r, g, b] = &mut explicit;
+        let explicit_words = segment_background_with(dispatch, &pixels, [r, g, b], 0.05, 900, true);
+        assert_eq!(forced_words, explicit_words);
         assert_eq!(forced, explicit);
     }
     force_dispatch(None).expect("clearing always succeeds");

@@ -6,8 +6,13 @@
 //! `B ← (1 − α)·B + α·I` on frames (or regions) considered background, with a
 //! pixel flagged as foreground when its squared colour distance from the
 //! estimate exceeds a threshold.
+//!
+//! The estimate is three `f64` planes, one per channel, and the per-pixel
+//! step is the dispatched [`segment_background`] kernel, whose AVX-512 arm
+//! takes eight pixels at a time bit-identically to its scalar walk (DESIGN.md
+//! §"The packed vision front end").
 
-use bsom_signature::{BinaryImage, Rgb, RgbImage};
+use bsom_signature::{segment_background, BinaryImage, Rgb, RgbImage};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the running-average background model.
@@ -39,9 +44,13 @@ pub struct BackgroundModel {
     config: BackgroundConfig,
     width: usize,
     height: usize,
-    /// Background estimate per pixel per channel, stored as f64 for the
-    /// running average.
-    estimate: Vec<[f64; 3]>,
+    /// Background estimate of the red channel per pixel, row-major, stored
+    /// as f64 for the running average.
+    red: Vec<f64>,
+    /// Background estimate of the green channel, laid out as `red`.
+    green: Vec<f64>,
+    /// Background estimate of the blue channel, laid out as `red`.
+    blue: Vec<f64>,
     initialised: bool,
 }
 
@@ -52,7 +61,9 @@ impl BackgroundModel {
             config,
             width,
             height,
-            estimate: vec![[0.0; 3]; width * height],
+            red: vec![0.0; width * height],
+            green: vec![0.0; width * height],
+            blue: vec![0.0; width * height],
             initialised: false,
         }
     }
@@ -88,8 +99,12 @@ impl BackgroundModel {
         let mut img = RgbImage::new(self.width, self.height);
         for y in 0..self.height {
             for x in 0..self.width {
-                let e = self.estimate[y * self.width + x];
-                img.set(x, y, Rgb::new(e[0] as u8, e[1] as u8, e[2] as u8));
+                let i = y * self.width + x;
+                img.set(
+                    x,
+                    y,
+                    Rgb::new(self.red[i] as u8, self.green[i] as u8, self.blue[i] as u8),
+                );
             }
         }
         img
@@ -104,18 +119,17 @@ impl BackgroundModel {
         if frame.width() != self.width || frame.height() != self.height {
             return;
         }
-        let pixels = frame.pixels().iter();
         if !self.initialised {
-            for (e, c) in self.estimate.iter_mut().zip(pixels) {
-                *e = [f64::from(c.r), f64::from(c.g), f64::from(c.b)];
+            for (i, c) in frame.pixels().iter().enumerate() {
+                self.red[i] = f64::from(c.r);
+                self.green[i] = f64::from(c.g);
+                self.blue[i] = f64::from(c.b);
             }
             self.initialised = true;
             return;
         }
-        let blend = Blend::new(self.config.learning_rate);
-        for (e, &c) in self.estimate.iter_mut().zip(pixels) {
-            *e = blend.apply(*e, c);
-        }
+        // The segmentation step with nothing held back; its mask is unused.
+        self.step(frame, false);
     }
 
     /// Segments a frame: returns the foreground mask and updates the model
@@ -136,62 +150,20 @@ impl BackgroundModel {
             self.observe_background(frame);
             return BinaryImage::new(self.width, self.height);
         }
-        let BackgroundConfig {
-            learning_rate,
-            foreground_threshold,
-            update_foreground,
-        } = self.config;
-        let blend = Blend::new(learning_rate);
-        let words = frame
-            .pixels()
-            .chunks(64)
-            .zip(self.estimate.chunks_mut(64))
-            .map(|(pixels, estimates)| {
-                let mut word = 0u64;
-                for (bit, (&c, e)) in pixels.iter().zip(estimates).enumerate() {
-                    let bg = Rgb::new(e[0] as u8, e[1] as u8, e[2] as u8);
-                    let foreground = bg.distance_sq(c) > foreground_threshold;
-                    word |= u64::from(foreground) << bit;
-                    // Blend every pixel and select the result instead of
-                    // branching on the mask bit.
-                    let blended = blend.apply(*e, c);
-                    *e = if foreground && !update_foreground {
-                        *e
-                    } else {
-                        blended
-                    };
-                }
-                word
-            })
-            .collect();
+        let words = self.step(frame, !self.config.update_foreground);
         BinaryImage::from_row_major_words(self.width, self.height, words)
     }
-}
 
-/// The running-average update `(1 − α)·e + α·c` of one pixel's estimate.
-///
-/// `α·c` is read from a table of the 256 possible products, so a pixel costs
-/// one multiply and one add per channel; the f64 operations and their order
-/// are those of the expression.
-struct Blend {
-    keep: f64,
-    gain: [f64; 256],
-}
-
-impl Blend {
-    fn new(alpha: f64) -> Self {
-        Blend {
-            keep: 1.0 - alpha,
-            gain: std::array::from_fn(|v| alpha * v as f64),
-        }
-    }
-
-    fn apply(&self, e: [f64; 3], c: Rgb) -> [f64; 3] {
-        [
-            self.keep * e[0] + self.gain[usize::from(c.r)],
-            self.keep * e[1] + self.gain[usize::from(c.g)],
-            self.keep * e[2] + self.gain[usize::from(c.b)],
-        ]
+    /// One running-average step over the estimate planes through the
+    /// dispatched [`segment_background`] kernel; returns the mask words.
+    fn step(&mut self, frame: &RgbImage, hold_foreground: bool) -> Vec<u64> {
+        segment_background(
+            frame.pixels(),
+            [&mut self.red, &mut self.green, &mut self.blue],
+            self.config.learning_rate,
+            self.config.foreground_threshold,
+            hold_foreground,
+        )
     }
 }
 

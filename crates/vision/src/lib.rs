@@ -13,8 +13,9 @@
 //! * [`scene`] — a synthetic indoor scene renderer with nine parameterised
 //!   "person" appearance models, static furniture that partially occludes
 //!   them, lighting drift and camera jitter.
-//! * [`background`] — running-average background subtraction producing
-//!   per-frame foreground masks, written 64 pixels to a packed word.
+//! * [`background`] — running-average background subtraction over `f64`
+//!   estimate planes, producing per-frame foreground masks written 64 pixels
+//!   to a packed word by the dispatched `segment_background` kernel.
 //! * [`connected`] — run-based connected-components labelling: row runs
 //!   found a word at a time, joined by union–find over the runs.
 //! * [`blob`] — blob extraction from the runs, bounding boxes, the paper's

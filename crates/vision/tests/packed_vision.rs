@@ -8,8 +8,10 @@
 //! sizes, every `Blob` field (centroid bits included), histograms and
 //! signatures, masks and background estimates — on widths whose rows
 //! straddle 64-bit words, on edge-case masks, and on whole scene clips
-//! through `SurveillancePipeline::process_frame`.
+//! through `SurveillancePipeline::process_frame`. Segmentation and the scene
+//! clips run under every kernel dispatch the machine offers.
 
+use bsom_signature::lanes::{force_dispatch, Dispatch};
 use bsom_signature::{BinaryImage, Rgb, RgbImage};
 use bsom_vision::blob::{extract_blobs, Blob};
 use bsom_vision::pipeline::{PipelineConfig, SurveillancePipeline};
@@ -18,10 +20,38 @@ use bsom_vision::{label_components, BackgroundConfig, BackgroundModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard};
 
 /// Row widths around the 64-bit word size: rows shorter than, equal to and
 /// longer than a word, and widths whose rows start mid-word.
 const WIDTHS: [usize; 7] = [1, 63, 64, 65, 127, 160, 200];
+
+/// Serializes the tests that force the process-wide dispatch.
+static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Exclusive use of the forced dispatch for one test; dropping it clears
+/// the override.
+struct Forced {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Forced {
+    fn lock() -> Self {
+        Forced {
+            _lock: FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
+
+    fn set(&self, dispatch: Dispatch) {
+        force_dispatch(Some(dispatch)).expect("an available dispatch");
+    }
+}
+
+impl Drop for Forced {
+    fn drop(&mut self) {
+        let _ = force_dispatch(None);
+    }
+}
 
 /// The per-pixel front end, kept as the oracle.
 mod reference {
@@ -32,14 +62,17 @@ mod reference {
     use serde::Serialize;
 
     /// The per-pixel running-average model. Its fields mirror
-    /// `BackgroundModel`'s, so the two serialise to the same JSON exactly
-    /// when their estimates are bit-identical.
+    /// `BackgroundModel`'s — one f64 estimate plane per channel — so the two
+    /// serialise to the same JSON exactly when their estimates are
+    /// bit-identical.
     #[derive(Debug, Clone, Serialize)]
     pub struct Background {
         config: BackgroundConfig,
         width: usize,
         height: usize,
-        estimate: Vec<[f64; 3]>,
+        red: Vec<f64>,
+        green: Vec<f64>,
+        blue: Vec<f64>,
         initialised: bool,
     }
 
@@ -49,17 +82,28 @@ mod reference {
                 config,
                 width,
                 height,
-                estimate: vec![[0.0; 3]; width * height],
+                red: vec![0.0; width * height],
+                green: vec![0.0; width * height],
+                blue: vec![0.0; width * height],
                 initialised: false,
             }
+        }
+
+        /// Pixel `i`'s three channel estimates.
+        fn estimate(&mut self, i: usize) -> [&mut f64; 3] {
+            [&mut self.red[i], &mut self.green[i], &mut self.blue[i]]
         }
 
         pub fn background_image(&self) -> RgbImage {
             let mut img = RgbImage::new(self.width, self.height);
             for y in 0..self.height {
                 for x in 0..self.width {
-                    let e = self.estimate[y * self.width + x];
-                    img.set(x, y, Rgb::new(e[0] as u8, e[1] as u8, e[2] as u8));
+                    let i = y * self.width + x;
+                    img.set(
+                        x,
+                        y,
+                        Rgb::new(self.red[i] as u8, self.green[i] as u8, self.blue[i] as u8),
+                    );
                 }
             }
             img
@@ -71,18 +115,18 @@ mod reference {
             }
             if !self.initialised {
                 for (x, y, c) in frame.enumerate_pixels() {
-                    self.estimate[y * self.width + x] =
-                        [f64::from(c.r), f64::from(c.g), f64::from(c.b)];
+                    let [r, g, b] = self.estimate(y * self.width + x);
+                    [*r, *g, *b] = [f64::from(c.r), f64::from(c.g), f64::from(c.b)];
                 }
                 self.initialised = true;
                 return;
             }
             let alpha = self.config.learning_rate;
             for (x, y, c) in frame.enumerate_pixels() {
-                let e = &mut self.estimate[y * self.width + x];
-                e[0] = (1.0 - alpha) * e[0] + alpha * f64::from(c.r);
-                e[1] = (1.0 - alpha) * e[1] + alpha * f64::from(c.g);
-                e[2] = (1.0 - alpha) * e[2] + alpha * f64::from(c.b);
+                let [r, g, b] = self.estimate(y * self.width + x);
+                *r = (1.0 - alpha) * *r + alpha * f64::from(c.r);
+                *g = (1.0 - alpha) * *g + alpha * f64::from(c.g);
+                *b = (1.0 - alpha) * *b + alpha * f64::from(c.b);
             }
         }
 
@@ -96,17 +140,22 @@ mod reference {
                 return mask;
             }
             let alpha = self.config.learning_rate;
+            let BackgroundConfig {
+                foreground_threshold,
+                update_foreground,
+                ..
+            } = self.config;
             for (x, y, c) in frame.enumerate_pixels() {
-                let e = &mut self.estimate[y * self.width + x];
-                let bg = Rgb::new(e[0] as u8, e[1] as u8, e[2] as u8);
-                let is_foreground = bg.distance_sq(c) > self.config.foreground_threshold;
+                let [r, g, b] = self.estimate(y * self.width + x);
+                let bg = Rgb::new(*r as u8, *g as u8, *b as u8);
+                let is_foreground = bg.distance_sq(c) > foreground_threshold;
                 if is_foreground {
                     mask.set(x, y, true);
                 }
-                if !is_foreground || self.config.update_foreground {
-                    e[0] = (1.0 - alpha) * e[0] + alpha * f64::from(c.r);
-                    e[1] = (1.0 - alpha) * e[1] + alpha * f64::from(c.g);
-                    e[2] = (1.0 - alpha) * e[2] + alpha * f64::from(c.b);
+                if !is_foreground || update_foreground {
+                    *r = (1.0 - alpha) * *r + alpha * f64::from(c.r);
+                    *g = (1.0 - alpha) * *g + alpha * f64::from(c.g);
+                    *b = (1.0 - alpha) * *b + alpha * f64::from(c.b);
                 }
             }
             mask
@@ -564,53 +613,74 @@ proptest! {
         update_foreground in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let width = WIDTHS[width_index];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let config = BackgroundConfig {
-            learning_rate: [0.0, 0.05, 0.3, 0.5, 1.0][rng.gen_range(0..5)],
-            foreground_threshold: [0, 100, 900, 5000][rng.gen_range(0..4)],
-            update_foreground,
-        };
-        let mut packed = BackgroundModel::new(width, height, config);
-        let mut reference = reference::Background::new(width, height, config);
-        let base = random_image(width, height, &mut rng);
-        for step in 0..rng.gen_range(4..12) {
-            // Drifted copies of the base frame with bright rectangles
-            // pasted in, now and then a frame of another size.
-            let drift: i16 = rng.gen_range(-12..=12);
-            let mut frame = RgbImage::from_pixels(
-                width,
-                height,
-                base.pixels().iter().map(|c| c.brightened(drift)).collect(),
-            )
-            .expect("buffer matches the size");
-            for _ in 0..rng.gen_range(0..3) {
-                let colour = Rgb::new(rng.gen(), rng.gen(), rng.gen());
-                let (x0, y0) = (rng.gen_range(0..width), rng.gen_range(0..height));
-                for y in y0..height.min(y0 + rng.gen_range(1..4)) {
-                    for x in x0..width.min(x0 + rng.gen_range(1..80)) {
-                        frame.set(x, y, colour);
-                    }
-                }
-            }
-            if rng.gen_bool(0.1) {
-                frame = RgbImage::new(width + 1, height);
-            }
-            if step > 0 && rng.gen_bool(0.2) {
-                packed.observe_background(&frame);
-                reference.observe_background(&frame);
-            } else {
-                let mask = packed.segment(&frame);
-                prop_assert_eq!(&mask, &reference.segment(&frame));
-                prop_assert_eq!(mask.as_vector().as_words().len(), (width * height).div_ceil(64));
-            }
-            prop_assert_eq!(packed.background_image(), reference.background_image());
-            prop_assert_eq!(
-                serde_json::to_string(&packed).expect("the model serialises"),
-                serde_json::to_string(&reference).expect("the model serialises")
-            );
+        let forced = Forced::lock();
+        for dispatch in Dispatch::available() {
+            forced.set(dispatch);
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert_segmentation_matches(WIDTHS[width_index], height, update_foreground, &mut rng)?;
         }
     }
+}
+
+/// Drives a packed and a reference background model through the same random
+/// frame sequence, comparing masks, background images and every estimate
+/// bit (through their serialised JSON) after each frame.
+fn assert_segmentation_matches(
+    width: usize,
+    height: usize,
+    update_foreground: bool,
+    rng: &mut StdRng,
+) -> Result<(), TestCaseError> {
+    // α outside [0, 1] drives estimates below 0 and above 255, where the
+    // `as u8` truncation saturates.
+    let config = BackgroundConfig {
+        learning_rate: [0.0, 0.05, 0.3, 0.5, 1.0, -0.5, 1.5][rng.gen_range(0..7)],
+        foreground_threshold: [0, 100, 900, 5000][rng.gen_range(0..4)],
+        update_foreground,
+    };
+    let mut packed = BackgroundModel::new(width, height, config);
+    let mut reference = reference::Background::new(width, height, config);
+    let base = random_image(width, height, rng);
+    for step in 0..rng.gen_range(4..12) {
+        // Drifted copies of the base frame with bright rectangles pasted
+        // in, now and then a frame of another size.
+        let drift: i16 = rng.gen_range(-12..=12);
+        let mut frame = RgbImage::from_pixels(
+            width,
+            height,
+            base.pixels().iter().map(|c| c.brightened(drift)).collect(),
+        )
+        .expect("buffer matches the size");
+        for _ in 0..rng.gen_range(0..3) {
+            let colour = Rgb::new(rng.gen(), rng.gen(), rng.gen());
+            let (x0, y0) = (rng.gen_range(0..width), rng.gen_range(0..height));
+            for y in y0..height.min(y0 + rng.gen_range(1..4)) {
+                for x in x0..width.min(x0 + rng.gen_range(1..80)) {
+                    frame.set(x, y, colour);
+                }
+            }
+        }
+        if rng.gen_bool(0.1) {
+            frame = RgbImage::new(width + 1, height);
+        }
+        if step > 0 && rng.gen_bool(0.2) {
+            packed.observe_background(&frame);
+            reference.observe_background(&frame);
+        } else {
+            let mask = packed.segment(&frame);
+            prop_assert_eq!(&mask, &reference.segment(&frame));
+            prop_assert_eq!(
+                mask.as_vector().as_words().len(),
+                (width * height).div_ceil(64)
+            );
+        }
+        prop_assert_eq!(packed.background_image(), reference.background_image());
+        prop_assert_eq!(
+            serde_json::to_string(&packed).expect("the model serialises"),
+            serde_json::to_string(&reference).expect("the model serialises")
+        );
+    }
+    Ok(())
 }
 
 /// The area filter `bsom_dataset::from_scene` applies at this scene scale.
@@ -618,43 +688,53 @@ fn scene_min_object_pixels(config: &SceneConfig) -> usize {
     (config.person_width * config.person_height / 4).max(64)
 }
 
-/// 300 frames of a populated small scene through `process_frame` and through
-/// the per-pixel composition, observation for observation.
+/// 300 frames of a populated small scene through the per-pixel composition
+/// and, under every dispatch, through `process_frame`, observation for
+/// observation.
 fn assert_scene_matches(seed: u64) {
     let config = SceneConfig::small();
     let min_pixels = scene_min_object_pixels(&config);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut scene = SceneSimulator::new(config.clone(), &mut rng);
-    let mut pipeline = SurveillancePipeline::with_config(
-        config.width,
-        config.height,
-        PipelineConfig {
-            min_object_pixels: Some(min_pixels),
-            ..PipelineConfig::default()
-        },
-    );
+    let background: Vec<RgbImage> = (0..10)
+        .map(|_| scene.render_background_only(&mut rng))
+        .collect();
+    let frames: Vec<RgbImage> = (0..300)
+        .map(|_| scene.render_frame(&mut rng).image)
+        .collect();
     let mut reference = reference::Pipeline::new(config.width, config.height, min_pixels);
-    for _ in 0..10 {
-        let frame = scene.render_background_only(&mut rng);
-        pipeline.observe_background(&frame);
-        reference.background.observe_background(&frame);
+    for frame in &background {
+        reference.background.observe_background(frame);
     }
-    let mut observations = 0;
-    for index in 0..300 {
-        let frame = scene.render_frame(&mut rng);
-        let packed = pipeline.process_frame(&frame.image);
-        let expected = reference.process_frame(&frame.image);
-        assert_eq!(packed, expected, "seed {seed}, frame {index}");
-        for (p, e) in packed.iter().zip(&expected) {
-            assert_eq!(p.centroid.0.to_bits(), e.centroid.0.to_bits());
-            assert_eq!(p.centroid.1.to_bits(), e.centroid.1.to_bits());
-        }
-        observations += packed.len();
-    }
+    let expected: Vec<_> = frames.iter().map(|f| reference.process_frame(f)).collect();
+    let observations: usize = expected.iter().map(Vec::len).sum();
     assert!(
         observations > 50,
         "seed {seed}: only {observations} observations"
     );
+    let forced = Forced::lock();
+    for dispatch in Dispatch::available() {
+        forced.set(dispatch);
+        let mut pipeline = SurveillancePipeline::with_config(
+            config.width,
+            config.height,
+            PipelineConfig {
+                min_object_pixels: Some(min_pixels),
+                ..PipelineConfig::default()
+            },
+        );
+        for frame in &background {
+            pipeline.observe_background(frame);
+        }
+        for (index, (frame, expected)) in frames.iter().zip(&expected).enumerate() {
+            let packed = pipeline.process_frame(frame);
+            assert_eq!(&packed, expected, "seed {seed}, frame {index}, {dispatch}");
+            for (p, e) in packed.iter().zip(expected) {
+                assert_eq!(p.centroid.0.to_bits(), e.centroid.0.to_bits());
+                assert_eq!(p.centroid.1.to_bits(), e.centroid.1.to_bits());
+            }
+        }
+    }
 }
 
 #[test]
