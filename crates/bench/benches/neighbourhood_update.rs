@@ -1,18 +1,15 @@
 //! Neighbourhood-update workload (DESIGN.md §"The neighbourhood broadcast
 //! update"): the plane-sliced window trainer — one broadcast Bernoulli mask
 //! stream applied to the whole neighbourhood address window on the packed
-//! columns — versus the retained per-neuron word-parallel path, on the
-//! paper's 40-neuron × 768-bit configuration across neighbourhood radii.
+//! columns — on the paper's 40-neuron × 768-bit configuration across
+//! neighbourhood radii.
 //!
-//! This is the acceptance micro-benchmark of the plane-sliced trainer: the
-//! window path must sustain **≥ 2x** the per-neuron path's steps/s at
-//! radius ≥ 2 (the gap grows with the radius, because the per-neuron path's
-//! RNG cost is per neuron per word while the window path's is per word).
-//! `bench_report` records the radius-4 figure in `BENCH_train.json` and the
-//! `--check` gate holds the ratio.
+//! The radius sweep shows how the cost of a step grows with the window it
+//! updates. `bench_report` records the radius-4 figure next to the
+//! bit-serial oracle in `BENCH_train.json`, and its `--check` gate holds it.
 
 use bsom_bench::bench_dataset;
-use bsom_som::{BSom, BSomConfig, NeighbourhoodSchedule, TrainSchedule};
+use bsom_som::{BSom, BSomConfig, NeighbourhoodSchedule, SelfOrganizingMap, TrainSchedule};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,12 +18,6 @@ use std::hint::black_box;
 fn neighbourhood_update(c: &mut Criterion) {
     let dataset = bench_dataset();
     let signatures = dataset.train_signatures();
-    let fresh = || {
-        BSom::new(
-            BSomConfig::paper_default(),
-            &mut StdRng::seed_from_u64(0xB50A),
-        )
-    };
 
     let mut group = c.benchmark_group("neighbourhood_update");
     group.throughput(Throughput::Elements(signatures.len() as u64));
@@ -36,26 +27,11 @@ fn neighbourhood_update(c: &mut Criterion) {
     for radius in [1usize, 2, 4] {
         let schedule = TrainSchedule::new(usize::MAX)
             .with_neighbourhood(NeighbourhoodSchedule::Constant { radius });
-
-        // The PR 3/4 baseline: word-parallel within a neuron, but the
-        // neighbourhood neurons visited one at a time, re-drawing Bernoulli
-        // mask words per neuron.
-        group.bench_function(format!("per_neuron_epoch_r{radius}"), |b| {
-            let mut som = fresh();
-            let mut t = 0usize;
-            b.iter(|| {
-                for s in &signatures {
-                    black_box(som.train_step_per_neuron(s, t, &schedule).unwrap());
-                }
-                t += 1;
-            })
-        });
-
-        // The plane-sliced window path: one broadcast mask stream per step,
-        // applied to the neighbourhood's run of packed column words.
         group.bench_function(format!("window_epoch_r{radius}"), |b| {
-            use bsom_som::SelfOrganizingMap;
-            let mut som = fresh();
+            let mut som = BSom::new(
+                BSomConfig::paper_default(),
+                &mut StdRng::seed_from_u64(0xB50A),
+            );
             let mut t = 0usize;
             b.iter(|| {
                 for s in &signatures {

@@ -1,13 +1,13 @@
 //! Machine-readable performance tracking for the hot paths.
 //!
-//! Writes `BENCH_train.json` (training steps/s across the three datapaths —
-//! bit-serial, per-neuron word-parallel, plane-sliced window — plus the
-//! speedup ratios), `BENCH_recognition.json` (signatures/s, scalar vs
+//! Writes `BENCH_train.json` (training steps/s of the bit-serial oracle and
+//! the plane-sliced window trainer, plus their speedup ratio),
+//! `BENCH_recognition.json` (signatures/s, scalar vs
 //! batched vs engine, speedups, FPGA cycle-model comparison, and the
 //! per-dispatch distance-pass figures for every SIMD lowering the machine
 //! can run) and
-//! `BENCH_large_map.json` (copy-on-write publish cadence, tournament
-//! winner-search throughput and crash-safe checkpoint write/restore
+//! `BENCH_large_map.json` (copy-on-write publish cadence, winner-search
+//! throughput and crash-safe checkpoint write/restore
 //! throughput at the 1024-neuron × 768-bit scale target) and
 //! `BENCH_serve.json` (the TCP serving front-end: wire throughput vs
 //! in-process on large batches, and the adaptive micro-batching scheduler
@@ -82,14 +82,11 @@ struct TrainBenchReport {
     mode: String,
     /// Seconds of wall clock spent per measured path.
     min_duration_seconds: f64,
-    /// The raw three-path comparison (steps/s each way) at the paper's
+    /// The raw two-path comparison (steps/s each way) at the paper's
     /// maximum neighbourhood radius.
     comparison: TrainThroughputComparison,
     /// Production (window) steps/s over bit-serial steps/s.
     speedup_window_over_bit_serial: f64,
-    /// Window steps/s over the per-neuron word-parallel path — the
-    /// neighbourhood-broadcast acceptance ratio (floor 2x at radius ≥ 2).
-    speedup_window_over_per_neuron: f64,
 }
 
 /// The `BENCH_recognition.json` document.
@@ -116,21 +113,18 @@ struct RecognitionBenchReport {
 
 /// The `BENCH_large_map.json` document: the 1024-neuron × 768-bit shape the
 /// ROADMAP scales to, gating the copy-on-write publish cost and the
-/// tournament winner-search throughput.
+/// winner-search throughput.
 #[derive(Debug, Serialize, Deserialize)]
 struct LargeMapBenchReport {
     /// `"smoke"` or `"full"`.
     mode: String,
     /// Seconds of wall clock spent per measured path.
     min_duration_seconds: f64,
-    /// Publish (CoW vs deep re-pack) and search (tournament vs linear)
-    /// costs at the large-map shape.
+    /// Publish (CoW vs deep re-pack) and winner-search costs at the
+    /// large-map shape.
     comparison: LargeMapThroughputComparison,
     /// Train-step-plus-CoW-publish cadence over a deep re-pack.
     publish_speedup_over_repack: f64,
-    /// Tournament over linear-scan search throughput (≈ 1.0: both share the
-    /// dominating distance pass).
-    tournament_vs_linear_search: f64,
     /// Crash-safe checkpoint commit and restore throughput at the same
     /// shape — the durability cost model (frame + fsync + atomic rename on
     /// the write side, decode + validate + service re-spawn on the restore
@@ -419,7 +413,7 @@ fn main() -> ExitCode {
         None
     };
 
-    // --- Training: bit-serial vs word-parallel on the paper configuration.
+    // --- Training: bit-serial vs the window trainer on the paper configuration.
     let train_report = dataset.as_ref().filter(|_| selection.train).map(|dataset| {
         println!("bench_report: measuring training throughput ({mode})...");
         let train = compare_training_throughput(
@@ -433,7 +427,6 @@ fn main() -> ExitCode {
             mode: mode.to_string(),
             min_duration_seconds: min_duration.as_secs_f64(),
             speedup_window_over_bit_serial: train.speedup(),
-            speedup_window_over_per_neuron: train.window_speedup(),
             comparison: train,
         }
     });
@@ -486,7 +479,7 @@ fn main() -> ExitCode {
             }
         });
 
-    // --- Large map: CoW publish + tournament search at 1024 x 768.
+    // --- Large map: CoW publish + winner search at 1024 x 768.
     let large_report = dataset.as_ref().filter(|_| selection.large).map(|dataset| {
         println!("bench_report: measuring large-map publish/search costs ({mode})...");
         let large_signatures: Vec<_> = dataset
@@ -515,7 +508,6 @@ fn main() -> ExitCode {
             mode: mode.to_string(),
             min_duration_seconds: min_duration.as_secs_f64(),
             publish_speedup_over_repack: large.publish_speedup_over_repack(),
-            tournament_vs_linear_search: large.tournament_vs_linear(),
             comparison: large,
             checkpoint,
         }
@@ -712,11 +704,6 @@ fn main() -> ExitCode {
                     fresh: train_report.comparison.bit_serial.patterns_per_second,
                 },
                 CheckedFigure {
-                    name: "train.per_neuron steps/s",
-                    baseline: train_baseline.comparison.per_neuron.patterns_per_second,
-                    fresh: train_report.comparison.per_neuron.patterns_per_second,
-                },
-                CheckedFigure {
                     name: "train.window steps/s",
                     baseline: train_baseline.comparison.window.patterns_per_second,
                     fresh: train_report.comparison.window.patterns_per_second,
@@ -728,11 +715,6 @@ fn main() -> ExitCode {
                     name: "train.window/bit_serial speedup",
                     baseline: train_baseline.speedup_window_over_bit_serial,
                     fresh: train_report.speedup_window_over_bit_serial,
-                },
-                CheckedFigure {
-                    name: "train.window/per_neuron speedup",
-                    baseline: train_baseline.speedup_window_over_per_neuron,
-                    fresh: train_report.speedup_window_over_per_neuron,
                 },
             ]);
         }
@@ -783,7 +765,7 @@ fn main() -> ExitCode {
         if let Some((large_report, large_baseline)) = &large_pair {
             figures.extend([
                 // The 1024-neuron scale gates: copy-on-write publish cadence
-                // under training and tournament winner-search throughput.
+                // under training and winner-search throughput.
                 CheckedFigure {
                     name: "large_map.publish publishes/s",
                     baseline: large_baseline
@@ -796,25 +778,14 @@ fn main() -> ExitCode {
                         .patterns_per_second,
                 },
                 CheckedFigure {
-                    name: "large_map.tournament searches/s",
-                    baseline: large_baseline
-                        .comparison
-                        .tournament_search
-                        .patterns_per_second,
-                    fresh: large_report
-                        .comparison
-                        .tournament_search
-                        .patterns_per_second,
+                    name: "large_map.winner searches/s",
+                    baseline: large_baseline.comparison.winner_search.patterns_per_second,
+                    fresh: large_report.comparison.winner_search.patterns_per_second,
                 },
                 CheckedFigure {
                     name: "large_map.publish/repack speedup",
                     baseline: large_baseline.publish_speedup_over_repack,
                     fresh: large_report.publish_speedup_over_repack,
-                },
-                CheckedFigure {
-                    name: "large_map.tournament/linear speedup",
-                    baseline: large_baseline.tournament_vs_linear_search,
-                    fresh: large_report.tournament_vs_linear_search,
                 },
                 // Durability costs: a regression here means checkpointing became
                 // expensive enough to change how often a deployment can afford

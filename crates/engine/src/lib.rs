@@ -29,8 +29,6 @@
 //!   shedding, trainer poisoning) and the supervision counters.
 //! * [`throughput`] / [`train`] — measured serving and training throughput
 //!   against the `bsom_fpga` cycle model, the tracked benchmark numbers.
-//! * [`RecognitionEngine`] / [`TrainEngine`] — the pre-service API, kept as
-//!   deprecated thin wrappers over the service.
 //!
 //! ## Quick example
 //!
@@ -70,14 +68,9 @@ pub mod service;
 pub mod throughput;
 pub mod train;
 
-use std::sync::Arc;
-
-use bsom_signature::RgbImage;
-use bsom_som::{BSom, LabelledSom, ObjectLabel, PackedLayer, Prediction};
-use bsom_vision::pipeline::{ObjectObservation, SurveillancePipeline};
+use bsom_som::Prediction;
+use bsom_vision::pipeline::ObjectObservation;
 use serde::{Deserialize, Serialize};
-
-use crate::service::SomSnapshot;
 
 pub use checkpoint::{
     compare_checkpoint_throughput, CheckpointError, CheckpointInfo, CheckpointThroughputComparison,
@@ -91,12 +84,7 @@ pub use throughput::{
     DispatchFigure, DispatchThroughputComparison, LargeMapThroughputComparison, MeasuredThroughput,
     ThroughputComparison,
 };
-#[allow(deprecated)]
-pub use train::TrainEngine;
-pub use train::{
-    compare_training_throughput, compare_training_throughput_at_radius, TrainReport,
-    TrainThroughputComparison,
-};
+pub use train::{compare_training_throughput, TrainReport, TrainThroughputComparison};
 
 /// Configuration for a [`SomService`].
 ///
@@ -208,122 +196,16 @@ pub struct RecognizedObject {
     pub prediction: Prediction,
 }
 
-/// A frozen serving view: classification against one pinned snapshot of a
-/// trained, labelled bSOM.
-///
-/// This is the pre-`SomService` API, kept as a thin wrapper: construction
-/// publishes snapshot v1 of a private serve-only service and pins it
-/// forever. New code should use [`SomService::serve`] and
-/// [`SomService::recognizer`], which additionally pick up snapshots
-/// published by a live [`Trainer`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use SomService::serve (or train_while_serve) and Recognizer handles"
-)]
-pub struct RecognitionEngine {
-    service: SomService,
-    snapshot: Arc<SomSnapshot>,
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for RecognitionEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecognitionEngine")
-            .field("neurons", &self.snapshot.layer().neuron_count())
-            .field("vector_len", &self.snapshot.layer().vector_len())
-            .field("workers", &self.service.worker_count())
-            .field("unknown_threshold", &self.snapshot.unknown_threshold())
-            .finish()
-    }
-}
-
-#[allow(deprecated)]
-impl RecognitionEngine {
-    /// Builds an engine from a trained, labelled classifier.
-    ///
-    /// The classifier is snapshotted (weights, labels, threshold); later
-    /// training on the original map does not affect the engine.
-    pub fn new(classifier: &LabelledSom<BSom>, config: EngineConfig) -> Self {
-        Self::from_service(SomService::serve(classifier, config))
-    }
-
-    /// Builds an engine from an already-packed layer plus per-neuron labels,
-    /// e.g. weights exported from the FPGA BlockRAM after off-line training
-    /// (paper §V-F).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels.len()` differs from the layer's neuron count.
-    pub fn from_parts(
-        layer: PackedLayer,
-        labels: Vec<Option<ObjectLabel>>,
-        unknown_threshold: Option<f64>,
-        workers: usize,
-    ) -> Self {
-        Self::from_service(SomService::from_parts(
-            layer,
-            labels,
-            unknown_threshold,
-            workers,
-        ))
-    }
-
-    fn from_service(service: SomService) -> Self {
-        let snapshot = service.snapshot();
-        RecognitionEngine { service, snapshot }
-    }
-
-    /// Number of worker threads in the pool.
-    pub fn worker_count(&self) -> usize {
-        self.service.worker_count()
-    }
-
-    /// The plane-sliced competitive layer the workers search.
-    pub fn layer(&self) -> &PackedLayer {
-        self.snapshot.layer()
-    }
-
-    /// The unknown-rejection distance threshold, if any.
-    pub fn unknown_threshold(&self) -> Option<f64> {
-        self.snapshot.unknown_threshold()
-    }
-
-    /// Classifies a batch of signatures, sharding the winner search across
-    /// the worker pool. Results are in input order; wrong-length signatures
-    /// yield [`Prediction::Unknown`], mirroring [`LabelledSom::classify`].
-    ///
-    /// Accepts anything convertible into a [`SignatureBatch`]: a slice (one
-    /// defensive copy) or an `Arc<Vec<BinaryVector>>` (zero-copy).
-    pub fn classify_batch(&self, signatures: impl Into<SignatureBatch>) -> Vec<Prediction> {
-        self.service.classify_pinned(&self.snapshot, signatures)
-    }
-
-    /// Runs a batch of frames through a [`SurveillancePipeline`] and
-    /// classifies every surviving tracked object in one sharded winner
-    /// search.
-    ///
-    /// The pipeline stays sequential (its background model and tracker are
-    /// stateful), but all signatures the batch produces — across every frame
-    /// — are classified together, which is where the batching pays off on
-    /// busy scenes.
-    pub fn process_frames(
-        &self,
-        pipeline: &mut SurveillancePipeline,
-        frames: &[RgbImage],
-    ) -> Vec<Vec<RecognizedObject>> {
-        service::recognize_frames(pipeline, frames, |signatures| {
-            self.service.classify_pinned(&self.snapshot, signatures)
-        })
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use bsom_signature::BinaryVector;
-    use bsom_som::{BSomConfig, ObjectLabel, Prediction, SelfOrganizingMap, TrainSchedule};
-    use bsom_vision::pipeline::PipelineConfig;
+    use std::sync::Arc;
+
+    use bsom_signature::{BinaryVector, RgbImage};
+    use bsom_som::{
+        BSom, BSomConfig, LabelledSom, ObjectLabel, PackedLayer, SelfOrganizingMap, TrainSchedule,
+    };
+    use bsom_vision::pipeline::{PipelineConfig, SurveillancePipeline};
     use bsom_vision::scene::{SceneConfig, SceneSimulator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -349,9 +231,9 @@ mod tests {
     fn engine_matches_scalar_classifier_on_a_batch() {
         let mut r = rng();
         let (classifier, _) = trained_classifier(&mut r);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::with_workers(3));
+        let service = SomService::serve(&classifier, EngineConfig::with_workers(3));
         let batch: Vec<BinaryVector> = (0..50).map(|_| BinaryVector::random(96, &mut r)).collect();
-        let batched = engine.classify_batch(&batch);
+        let batched = service.recognizer().classify_batch(&batch);
         assert_eq!(batched.len(), batch.len());
         for (signature, prediction) in batch.iter().zip(&batched) {
             assert_eq!(*prediction, classifier.classify(signature));
@@ -363,13 +245,15 @@ mod tests {
         let mut r = rng();
         let (classifier, patterns) = trained_classifier(&mut r);
         // Threshold 0 on a far-away probe forces Unknown.
-        let engine = RecognitionEngine::new(
+        let service = SomService::serve(
             &classifier,
             EngineConfig::with_workers(2).with_unknown_threshold(0.0),
         );
-        assert_eq!(engine.unknown_threshold(), Some(0.0));
+        assert_eq!(service.snapshot().unknown_threshold(), Some(0.0));
         let probe = !&patterns[0];
-        let out = engine.classify_batch(std::slice::from_ref(&probe));
+        let out = service
+            .recognizer()
+            .classify_batch(std::slice::from_ref(&probe));
         assert_eq!(out[0], Prediction::Unknown);
     }
 
@@ -377,9 +261,9 @@ mod tests {
     fn wrong_length_signatures_classify_as_unknown() {
         let mut r = rng();
         let (classifier, patterns) = trained_classifier(&mut r);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::with_workers(2));
+        let service = SomService::serve(&classifier, EngineConfig::with_workers(2));
         let batch = vec![BinaryVector::zeros(8), patterns[0].clone()];
-        let out = engine.classify_batch(&batch);
+        let out = service.recognizer().classify_batch(&batch);
         assert_eq!(out[0], Prediction::Unknown);
         assert_eq!(out[1], classifier.classify(&patterns[0]));
     }
@@ -388,17 +272,17 @@ mod tests {
     fn empty_batch_is_fine() {
         let mut r = rng();
         let (classifier, _) = trained_classifier(&mut r);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::with_workers(2));
-        assert!(engine.classify_batch(&[][..]).is_empty());
+        let service = SomService::serve(&classifier, EngineConfig::with_workers(2));
+        assert!(service.recognizer().classify_batch(&[][..]).is_empty());
     }
 
     #[test]
     fn more_workers_than_signatures_is_fine() {
         let mut r = rng();
         let (classifier, patterns) = trained_classifier(&mut r);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::with_workers(8));
-        assert_eq!(engine.worker_count(), 8);
-        let out = engine.classify_batch(&patterns[..2]);
+        let service = SomService::serve(&classifier, EngineConfig::with_workers(8));
+        assert_eq!(service.worker_count(), 8);
+        let out = service.recognizer().classify_batch(&patterns[..2]);
         assert_eq!(out.len(), 2);
         for (s, p) in patterns[..2].iter().zip(&out) {
             assert_eq!(*p, classifier.classify(s));
@@ -409,9 +293,9 @@ mod tests {
     fn default_config_resolves_a_positive_worker_count() {
         let mut r = rng();
         let (classifier, _) = trained_classifier(&mut r);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::default());
-        assert!(engine.worker_count() >= 1);
-        assert!(!format!("{engine:?}").is_empty());
+        let service = SomService::serve(&classifier, EngineConfig::default());
+        assert!(service.worker_count() >= 1);
+        assert!(!format!("{service:?}").is_empty());
     }
 
     #[test]
@@ -419,16 +303,15 @@ mod tests {
         let mut r = rng();
         let (classifier, _) = trained_classifier(&mut r);
         let layer = PackedLayer::from_som(classifier.map());
-        let result = std::panic::catch_unwind(|| {
-            RecognitionEngine::from_parts(layer, vec![None; 1], None, 1)
-        });
+        let result =
+            std::panic::catch_unwind(|| SomService::from_parts(layer, vec![None; 1], None, 1));
         assert!(result.is_err());
     }
 
     #[test]
     fn process_frames_classifies_every_observation() {
         let mut r = rng();
-        // A tiny engine over paper-sized signatures (the pipeline emits
+        // A tiny service over paper-sized signatures (the pipeline emits
         // 768-bit signatures).
         let data: Vec<(BinaryVector, ObjectLabel)> = (0..4)
             .map(|i| (BinaryVector::random(768, &mut r), ObjectLabel::new(i)))
@@ -437,7 +320,7 @@ mod tests {
         som.train_labelled_data(&data, TrainSchedule::new(5), &mut r)
             .unwrap();
         let classifier = LabelledSom::label(som, &data);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::with_workers(2));
+        let service = SomService::serve(&classifier, EngineConfig::with_workers(2));
 
         let scene_config = SceneConfig {
             entry_probability: 0.0,
@@ -460,14 +343,14 @@ mod tests {
         scene.spawn_person(4, true);
         let frames: Vec<RgbImage> = (0..12).map(|_| scene.render_frame(&mut r).image).collect();
 
-        let results = engine.process_frames(&mut pipeline, &frames);
+        let results = service.recognizer().process_frames(&mut pipeline, &frames);
         assert_eq!(results.len(), frames.len());
         let mut seen = 0;
         for frame in &results {
             for recognized in frame {
                 seen += 1;
                 assert_eq!(recognized.observation.signature.len(), 768);
-                // Engine verdict must agree with the scalar classifier.
+                // The service's verdict must agree with the scalar classifier.
                 assert_eq!(
                     recognized.prediction,
                     classifier.classify(&recognized.observation.signature)
@@ -482,11 +365,12 @@ mod tests {
     fn engine_survives_many_small_batches() {
         let mut r = rng();
         let (classifier, _) = trained_classifier(&mut r);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::with_workers(4));
+        let service = SomService::serve(&classifier, EngineConfig::with_workers(4));
+        let mut recognizer = service.recognizer();
         for _ in 0..20 {
             let batch: Vec<BinaryVector> =
                 (0..7).map(|_| BinaryVector::random(96, &mut r)).collect();
-            assert_eq!(engine.classify_batch(&batch).len(), 7);
+            assert_eq!(recognizer.classify_batch(&batch).len(), 7);
         }
     }
 
@@ -494,10 +378,11 @@ mod tests {
     fn zero_copy_batches_are_accepted() {
         let mut r = rng();
         let (classifier, patterns) = trained_classifier(&mut r);
-        let engine = RecognitionEngine::new(&classifier, EngineConfig::with_workers(2));
+        let service = SomService::serve(&classifier, EngineConfig::with_workers(2));
+        let mut recognizer = service.recognizer();
         let shared = Arc::new(patterns.clone());
-        let from_arc = engine.classify_batch(Arc::clone(&shared));
-        let from_slice = engine.classify_batch(&patterns[..]);
+        let from_arc = recognizer.classify_batch(Arc::clone(&shared));
+        let from_slice = recognizer.classify_batch(&patterns[..]);
         assert_eq!(from_arc, from_slice);
     }
 }

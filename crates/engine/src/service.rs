@@ -13,7 +13,7 @@
 //!   is a copy-on-write clone of that layout — word rows untouched since the
 //!   last publish are shared, not copied, so the cost is O(rows touched)
 //!   even at 1000+ neurons — plus an atomic pointer swap; no re-pack, no
-//!   pause (DESIGN.md §"Copy-on-write publication and the tournament WTA").
+//!   pause (DESIGN.md §"Copy-on-write publication and the winner search").
 //!   Publication happens on epoch boundaries
 //!   ([`Trainer::train_epochs`], [`Trainer::advance_epoch`]), on a step-count
 //!   cadence ([`EngineConfig::publish_every_steps`]), or explicitly
@@ -747,36 +747,6 @@ impl ServiceCore {
     }
 }
 
-/// Runs a frame batch through the pipeline, classifies every observation's
-/// signature in one call to `classify`, and reassembles per-frame results.
-pub(crate) fn recognize_frames(
-    pipeline: &mut SurveillancePipeline,
-    frames: &[RgbImage],
-    classify: impl FnOnce(Vec<BinaryVector>) -> Vec<Prediction>,
-) -> Vec<Vec<RecognizedObject>> {
-    let per_frame = pipeline.process_frames(frames);
-    let signatures: Vec<BinaryVector> = per_frame
-        .iter()
-        .flatten()
-        .map(|obs| obs.signature.clone())
-        .collect();
-    let mut predictions = classify(signatures).into_iter();
-    per_frame
-        .into_iter()
-        .map(|observations| {
-            observations
-                .into_iter()
-                .map(|observation| RecognizedObject {
-                    observation,
-                    prediction: predictions
-                        .next()
-                        .expect("one prediction per flattened observation"),
-                })
-                .collect()
-        })
-        .collect()
-}
-
 /// The train-while-serve facade: a versioned, atomically-swappable serving
 /// snapshot plus the worker pool that searches it.
 ///
@@ -1129,8 +1099,8 @@ impl SomService {
     }
 
     /// Classifies a batch against one **pinned** snapshot (no refresh) —
-    /// the frozen-serving path used by the legacy `RecognitionEngine`
-    /// wrapper and by A/B comparisons across versions.
+    /// the frozen-serving path for A/B comparisons across versions and for
+    /// frozen oracles built with [`from_parts`](Self::from_parts).
     pub fn classify_pinned(
         &self,
         snapshot: &SomSnapshot,
@@ -1574,17 +1544,41 @@ impl Recognizer {
     /// Runs a batch of frames through a [`SurveillancePipeline`] and
     /// classifies every surviving tracked object in one sharded winner
     /// search against the (refreshed) current snapshot.
+    ///
+    /// The pipeline stays sequential (its background model and tracker are
+    /// stateful), but all signatures the batch produces — across every frame
+    /// — are classified together, which is where the batching pays off on
+    /// busy scenes.
     pub fn process_frames(
         &mut self,
         pipeline: &mut SurveillancePipeline,
         frames: &[RgbImage],
     ) -> Vec<Vec<RecognizedObject>> {
         self.refresh();
-        let core = Arc::clone(&self.core);
-        let snapshot = Arc::clone(&self.current);
-        recognize_frames(pipeline, frames, move |signatures| {
-            core.classify_on(&snapshot, &SignatureBatch::from(signatures))
-        })
+        let per_frame = pipeline.process_frames(frames);
+        let signatures: Vec<BinaryVector> = per_frame
+            .iter()
+            .flatten()
+            .map(|obs| obs.signature.clone())
+            .collect();
+        let mut predictions = self
+            .core
+            .classify_on(&self.current, &SignatureBatch::from(signatures))
+            .into_iter();
+        per_frame
+            .into_iter()
+            .map(|observations| {
+                observations
+                    .into_iter()
+                    .map(|observation| RecognizedObject {
+                        observation,
+                        prediction: predictions
+                            .next()
+                            .expect("one prediction per flattened observation"),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 

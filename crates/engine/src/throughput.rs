@@ -131,9 +131,8 @@ pub(crate) fn measure<F: FnMut()>(
 }
 
 /// Large-map (1000+-neuron) cost model: the copy-on-write publish against
-/// the deep re-pack it replaced, and the tournament winner search against
-/// the linear reduction — the two scaling mechanisms of DESIGN.md
-/// §"Copy-on-write publication and the tournament WTA", measured at the
+/// the deep re-pack it replaced, and the winner search (DESIGN.md
+/// §"Copy-on-write publication and the winner search"), measured at the
 /// ROADMAP's scale target so `bench_report --check` can gate them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LargeMapThroughputComparison {
@@ -149,13 +148,10 @@ pub struct LargeMapThroughputComparison {
     /// O(map) publish cost the copy-on-write rows replaced, kept as the
     /// reference denominator.
     pub deep_repack: MeasuredThroughput,
-    /// Tournament winner searches per second (the production
-    /// [`bsom_som::PackedLayer::winner`] path: distance pass + sharded
-    /// comparator-tree reduction).
-    pub tournament_search: MeasuredThroughput,
-    /// Winner searches per second with the linear-scan reduction over the
-    /// same distance pass — the reference the tournament must not lose to.
-    pub linear_search: MeasuredThroughput,
+    /// Winner searches per second through
+    /// [`bsom_som::PackedLayer::winner_with_buffer`]: the distance pass plus
+    /// the `{distance, #-count, address}` reduction.
+    pub winner_search: MeasuredThroughput,
 }
 
 impl LargeMapThroughputComparison {
@@ -167,17 +163,6 @@ impl LargeMapThroughputComparison {
     pub fn publish_speedup_over_repack(&self) -> f64 {
         self.publish_under_training.patterns_per_second
             / self.deep_repack.patterns_per_second.max(f64::MIN_POSITIVE)
-    }
-
-    /// Tournament over linear-scan search throughput. Both share the
-    /// distance pass that dominates the search, so this sits near 1.0 — the
-    /// gate catches a reduction that became accidentally super-linear.
-    pub fn tournament_vs_linear(&self) -> f64 {
-        self.tournament_search.patterns_per_second
-            / self
-                .linear_search
-                .patterns_per_second
-                .max(f64::MIN_POSITIVE)
     }
 }
 
@@ -199,24 +184,18 @@ impl std::fmt::Display for LargeMapThroughputComparison {
             self.deep_repack.patterns_per_second,
             self.publish_speedup_over_repack()
         )?;
-        writeln!(
-            f,
-            "  tournament search                {:>12.0} searches/s",
-            self.tournament_search.patterns_per_second
-        )?;
         write!(
             f,
-            "  linear-scan search               {:>12.0} searches/s  (tournament = {:.2}x)",
-            self.linear_search.patterns_per_second,
-            self.tournament_vs_linear()
+            "  winner search                    {:>12.0} searches/s",
+            self.winner_search.patterns_per_second
         )
     }
 }
 
 /// Measures the large-map publish and winner-search costs on a map of the
 /// given shape: copy-on-write publish cadence under training, the deep
-/// re-pack it replaced, and tournament vs linear-scan search throughput.
-/// `min_duration` is spent on **each** of the four measurements.
+/// re-pack it replaced, and winner-search throughput. `min_duration` is
+/// spent on **each** of the three measurements.
 ///
 /// # Panics
 ///
@@ -252,7 +231,7 @@ pub fn compare_large_map_throughput(
 
     let layer = som.packed_layer().clone();
     let mut distances = vec![0u32; layer.neuron_count()];
-    let tournament_search = measure(signatures.len(), min_duration, || {
+    let winner_search = measure(signatures.len(), min_duration, || {
         for s in signatures {
             std::hint::black_box(
                 layer
@@ -262,33 +241,19 @@ pub fn compare_large_map_throughput(
         }
     });
 
-    let linear_search = measure(signatures.len(), min_duration, || {
-        for s in signatures {
-            distances.fill(0);
-            layer
-                .distances_into(s, &mut distances)
-                .expect("signature lengths match the layer");
-            std::hint::black_box(bsom_signature::select_winner(
-                &distances,
-                layer.dont_care_counts(),
-            ));
-        }
-    });
-
     LargeMapThroughputComparison {
         neurons,
         vector_len,
         publish_under_training,
         deep_repack,
-        tournament_search,
-        linear_search,
+        winner_search,
     }
 }
 
 /// One dispatch path's distance-pass throughput.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DispatchFigure {
-    /// The dispatch name (`scalar`, `lanes4`, `avx512`, …).
+    /// The dispatch name (`scalar`, `lanes8`, `avx512`, …).
     pub dispatch: String,
     /// Distance passes (full input batches against the whole layer) per
     /// second through this lowering.
@@ -530,12 +495,10 @@ mod tests {
         assert_eq!(comparison.vector_len, 256);
         assert!(comparison.publish_under_training.patterns_per_second > 0.0);
         assert!(comparison.deep_repack.patterns_per_second > 0.0);
-        assert!(comparison.tournament_search.patterns_per_second > 0.0);
-        assert!(comparison.linear_search.patterns_per_second > 0.0);
+        assert!(comparison.winner_search.patterns_per_second > 0.0);
         assert!(comparison.publish_speedup_over_repack() > 0.0);
-        assert!(comparison.tournament_vs_linear() > 0.0);
         let text = comparison.to_string();
-        assert!(text.contains("tournament search"));
+        assert!(text.contains("winner search"));
         assert!(text.contains("deep re-pack"));
         let json = serde_json::to_string(&comparison).unwrap();
         assert!(json.contains("publish_under_training"));

@@ -3,10 +3,11 @@
 //! Two properties are pinned down:
 //!
 //! 1. **Frozen equivalence** — a [`Recognizer`] holding snapshot `v_N`
-//!    returns bit-identical predictions to a frozen legacy
-//!    `RecognitionEngine` built from the same `v_N` map (from-scratch
-//!    [`PackedLayer::pack`] + the snapshot's labels and threshold), i.e. the
-//!    incremental layout, the snapshot plumbing and the sharded pool add no
+//!    returns bit-identical predictions to a frozen serve-only service built
+//!    from the same `v_N` map ([`SomService::from_parts`] over a
+//!    from-scratch [`PackedLayer::pack`] + the snapshot's labels and
+//!    threshold, classified with [`SomService::classify_pinned`]), i.e. the
+//!    incremental layout, the snapshot plumbing and the live refresh add no
 //!    observable behaviour.
 //! 2. **No torn layers** — with a trainer publishing concurrently while
 //!    recognizers classify, every snapshot a reader observes satisfies the
@@ -68,7 +69,7 @@ proptest! {
 
     /// Frozen equivalence at an arbitrary published version: train a random
     /// number of epochs (publishing per epoch), then compare the live
-    /// recognizer against a legacy engine rebuilt from scratch off the same
+    /// recognizer against a frozen service rebuilt from scratch off the same
     /// map state.
     #[test]
     fn recognizer_matches_a_frozen_engine_built_from_the_same_version(
@@ -96,14 +97,13 @@ proptest! {
         // the labels/threshold the snapshot was published with.
         let snapshot = service.snapshot();
         prop_assert_eq!(snapshot.layer(), &PackedLayer::pack(trainer.som()));
-        #[allow(deprecated)]
-        let frozen = bsom_engine::RecognitionEngine::from_parts(
+        let frozen = SomService::from_parts(
             PackedLayer::pack(trainer.som()),
             snapshot.neuron_labels().to_vec(),
             snapshot.unknown_threshold(),
             2,
         );
-        let oracle = frozen.classify_batch(&probes);
+        let oracle = frozen.classify_pinned(&frozen.snapshot(), &probes);
         prop_assert_eq!(live, oracle);
         assert_layer_consistent(snapshot.layer());
     }

@@ -1,6 +1,5 @@
 //! Training-datapath throughput: the plane-sliced window trainer versus the
-//! per-neuron word-parallel and bit-serial references, next to the FPGA
-//! cycle model's training figure.
+//! bit-serial reference, next to the FPGA cycle model's training figure.
 //!
 //! The recognition side of this comparison lives in `bsom-engine`'s
 //! [`throughput`](bsom_engine::throughput) module and the `fig5` experiment;
@@ -64,37 +63,25 @@ impl TrainThroughputConfig {
 pub struct TrainThroughputResult {
     /// The configuration that was measured.
     pub config: TrainThroughputConfig,
-    /// Software bit-serial vs per-neuron vs plane-sliced-window steps per
-    /// second.
+    /// Software bit-serial vs plane-sliced-window steps per second.
     pub comparison: TrainThroughputComparison,
     /// The FPGA cycle model's training throughput at the paper's clock.
     pub fpga: ThroughputReport,
     /// Production (window) steps/s over bit-serial steps/s.
     pub speedup_window_over_bit_serial: f64,
-    /// Window steps/s over the per-neuron word-parallel path — the
-    /// neighbourhood-broadcast acceptance figure.
-    pub speedup_window_over_per_neuron: f64,
     /// Window steps/s over the FPGA cycle-model figure.
     pub window_vs_fpga: f64,
 }
 
 impl TrainThroughputResult {
-    /// Renders the four training datapaths side by side.
+    /// Renders the software training datapaths and the FPGA figure side by
+    /// side.
     pub fn render(&self) -> TextTable {
         let mut table = TextTable::new(["Trainer", "Steps/s", "vs bit-serial"]);
         table.push_row([
             "bit-serial (reference)".to_owned(),
             format!("{:.0}", self.comparison.bit_serial.patterns_per_second),
             "1.00x".to_owned(),
-        ]);
-        table.push_row([
-            "word-parallel (per-neuron)".to_owned(),
-            format!("{:.0}", self.comparison.per_neuron.patterns_per_second),
-            format!(
-                "{:.2}x",
-                self.comparison.per_neuron.patterns_per_second
-                    / self.comparison.bit_serial.patterns_per_second
-            ),
         ]);
         table.push_row([
             "window (plane-sliced)".to_owned(),
@@ -140,7 +127,6 @@ pub fn run(config: &TrainThroughputConfig) -> TrainThroughputResult {
     TrainThroughputResult {
         config: *config,
         speedup_window_over_bit_serial: comparison.speedup(),
-        speedup_window_over_per_neuron: comparison.window_speedup(),
         window_vs_fpga: comparison.window.patterns_per_second / fpga.patterns_per_second,
         comparison,
         fpga,
@@ -158,13 +144,11 @@ mod tests {
         config.patterns = 8;
         let result = run(&config);
         assert!(result.comparison.bit_serial.patterns_per_second > 0.0);
-        assert!(result.comparison.per_neuron.patterns_per_second > 0.0);
         assert!(result.comparison.window.patterns_per_second > 0.0);
         assert!(result.speedup_window_over_bit_serial > 0.0);
-        assert!(result.speedup_window_over_per_neuron > 0.0);
         assert!(result.fpga.patterns_per_second > 0.0);
         let text = result.render().to_string();
-        assert!(text.contains("word-parallel"));
+        assert!(text.contains("bit-serial"));
         assert!(text.contains("window"));
         assert!(text.contains("FPGA cycle model"));
         let json = serde_json::to_string(&result).unwrap();

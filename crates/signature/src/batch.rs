@@ -212,7 +212,9 @@ pub fn accumulate_masked_hamming_row_with(
 /// Selects the winner from per-neuron distances using the full FPGA
 /// comparator key `{distance, #-count, address}` (DESIGN.md §"Winner
 /// selection and the WTA tie-break key"): smallest distance first, then the
-/// most specific neuron (fewest `#`s), then the lowest address.
+/// most specific neuron (fewest `#`s), then the lowest address. One linear
+/// scan keeps the smallest [`WtaKey`], whose derived [`Ord`] is that
+/// comparator.
 ///
 /// Returns `(address, distance)` of the winner, or `None` for empty input.
 ///
@@ -225,37 +227,8 @@ pub fn select_winner(distances: &[u32], dont_care_counts: &[u32]) -> Option<(usi
         dont_care_counts.len(),
         "one #-count per neuron"
     );
-    shard_champion(distances, dont_care_counts, 0..distances.len())
-        .map(|key| (key.address, key.distance))
-}
-
-/// The champion of one neuron-axis shard: the linear `{distance, #-count,
-/// address}` scan restricted to `shard` — the leaf block of the tournament
-/// reduction, and (over the full range) the reference linear scan itself.
-///
-/// Returns `None` for an empty shard.
-///
-/// # Panics
-///
-/// Panics if `dont_care_counts.len() != distances.len()` or the shard is out
-/// of range.
-pub fn shard_champion(
-    distances: &[u32],
-    dont_care_counts: &[u32],
-    shard: std::ops::Range<usize>,
-) -> Option<WtaKey> {
-    assert_eq!(
-        distances.len(),
-        dont_care_counts.len(),
-        "one #-count per neuron"
-    );
-    assert!(
-        shard.end <= distances.len(),
-        "shard {shard:?} out of range for {} neurons",
-        distances.len()
-    );
     let mut best: Option<WtaKey> = None;
-    for i in shard {
+    for i in 0..distances.len() {
         let key = WtaKey {
             distance: distances[i],
             dont_care_count: dont_care_counts[i],
@@ -265,67 +238,7 @@ pub fn shard_champion(
             best = Some(key);
         }
     }
-    best
-}
-
-/// Tournament winner-take-all: shards the neuron axis into blocks of
-/// `shard_len`, finds each shard's champion with the linear comparator scan
-/// ([`shard_champion`]), and reduces the champions **pairwise, round by
-/// round** — the software shape of the FPGA's WTA comparator tree
-/// (DESIGN.md §"Copy-on-write publication and the tournament WTA"), where
-/// each tree level halves the field in one comparator delay.
-///
-/// Because the `{distance, #-count, address}` key ([`WtaKey`]) is totally
-/// ordered and every address is distinct, `min` over keys is associative and
-/// commutative with a unique result: the tournament returns a winner
-/// **bit-identical** to the linear scan ([`select_winner`]) for every shard
-/// size — including shard counts that do not divide the neuron count — which
-/// the `tournament_wta` proptest suite pins down on adversarial tie layouts.
-///
-/// Returns `None` for empty input.
-///
-/// # Panics
-///
-/// Panics if `shard_len == 0` or `dont_care_counts.len() != distances.len()`.
-pub fn select_winner_tournament(
-    distances: &[u32],
-    dont_care_counts: &[u32],
-    shard_len: usize,
-) -> Option<WtaKey> {
-    assert!(shard_len > 0, "a shard must hold at least one neuron");
-    assert_eq!(
-        distances.len(),
-        dont_care_counts.len(),
-        "one #-count per neuron"
-    );
-    let neurons = distances.len();
-    if neurons <= shard_len {
-        // One shard: the leaf scan is the whole tournament (and the common
-        // small-map hot path stays allocation-free).
-        return shard_champion(distances, dont_care_counts, 0..neurons);
-    }
-    // Leaf round: one champion per shard of the neuron axis.
-    let mut champions: Vec<WtaKey> = (0..neurons)
-        .step_by(shard_len)
-        .map(|start| {
-            shard_champion(
-                distances,
-                dont_care_counts,
-                start..(start + shard_len).min(neurons),
-            )
-            .expect("shards of a non-empty layer are non-empty")
-        })
-        .collect();
-    // Comparator tree: each round halves the field (an odd champion gets a
-    // bye), exactly like the FPGA's log₂-depth reduction.
-    while champions.len() > 1 {
-        let mut next = Vec::with_capacity(champions.len().div_ceil(2));
-        for pair in champions.chunks(2) {
-            next.push(pair.iter().copied().min().expect("chunks are non-empty"));
-        }
-        champions = next;
-    }
-    champions.pop()
+    best.map(|key| (key.address, key.distance))
 }
 
 /// Scans one plane-sliced row run for work the broadcast masks could do:
@@ -335,8 +248,7 @@ pub fn select_winner_tournament(
 /// (`care != lane_mask`).
 ///
 /// The window update uses this to skip ladder draws for words where a
-/// transition is impossible — the window-level analogue of the per-neuron
-/// skip in `TriStateVector::stochastic_update`.
+/// transition is impossible.
 ///
 /// # Panics
 ///
@@ -729,40 +641,6 @@ mod tests {
             WtaKey { address: 2, ..base } < base,
             "address breaks full ties"
         );
-    }
-
-    #[test]
-    fn tournament_matches_linear_scan_on_boundary_ties() {
-        // Nine neurons, shard length 4: shards {0..4}, {4..8}, {8..9} with a
-        // full three-way tie straddling both shard boundaries (3, 4, 8).
-        let distances = [7, 7, 9, 2, 2, 7, 9, 9, 2];
-        let counts = [1, 1, 1, 5, 5, 1, 1, 1, 5];
-        let linear = select_winner(&distances, &counts).unwrap();
-        for shard_len in 1..=distances.len() + 2 {
-            let key = select_winner_tournament(&distances, &counts, shard_len).unwrap();
-            assert_eq!((key.address, key.distance), linear, "shard_len {shard_len}");
-            assert_eq!(key.dont_care_count, counts[key.address]);
-        }
-        assert_eq!(linear.0, 3, "lowest address among the tied keys");
-    }
-
-    #[test]
-    fn tournament_handles_empty_input_and_rejects_zero_shards() {
-        assert_eq!(select_winner_tournament(&[], &[], 4), None);
-        let r = std::panic::catch_unwind(|| select_winner_tournament(&[1], &[0], 0));
-        assert!(r.is_err(), "shard_len 0 must panic");
-    }
-
-    #[test]
-    fn shard_champion_respects_the_range() {
-        let distances = [0, 5, 5, 1];
-        let counts = [0, 2, 1, 9];
-        let key = shard_champion(&distances, &counts, 1..3).unwrap();
-        // Neuron 0 (global best) is outside the shard; 2 beats 1 on #-count.
-        assert_eq!(key.address, 2);
-        assert_eq!(key.distance, 5);
-        assert_eq!(key.dont_care_count, 1);
-        assert_eq!(shard_champion(&distances, &counts, 2..2), None);
     }
 
     #[test]

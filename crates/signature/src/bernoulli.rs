@@ -247,14 +247,6 @@ impl MaskPlan {
         MaskPlan { kind, numerator }
     }
 
-    /// The plan that never sets a bit (probability 0), free of draws.
-    pub fn never() -> Self {
-        MaskPlan {
-            kind: PlanKind::Never,
-            numerator: 0,
-        }
-    }
-
     /// The quantised probability the plan actually realises.
     pub fn probability(&self) -> f64 {
         self.numerator as f64 / (1u64 << MASK_DEPTH) as f64
@@ -286,22 +278,6 @@ impl MaskPlan {
             }
         }
     }
-
-    /// Draws `N` consecutive mask words — the lane-batched entry of the
-    /// wide kernels (see [`crate::lanes`]).
-    ///
-    /// Lane `k` of the result is **exactly** the `k`-th sequential
-    /// [`draw`](MaskPlan::draw): the ladder folds the same digits over the
-    /// same xorshift64* words in the same order. This is a *contract*, not
-    /// an implementation detail — the generator is a serial recurrence, so
-    /// the only stream-preserving batching is sequential word-order
-    /// drawing, and every wide lowering hoists its draws through this entry
-    /// so the RNG stream is identical under every dispatch (pinned down by
-    /// the `simd_equivalence` suite).
-    #[inline]
-    pub fn draw_lanes<const N: usize>(&self, state: &mut u64) -> [u64; N] {
-        std::array::from_fn(|_| self.draw(state))
-    }
 }
 
 /// The shared Bernoulli mask pair for one 64-bit word index of a
@@ -331,11 +307,6 @@ pub struct BroadcastMasks {
 ///   relax only ever reads lanes where the care bit is set and commit only
 ///   lanes where it is clear, so the applied decisions come from disjoint —
 ///   hence still independent — bits of the shared word.
-///
-/// The per-neuron word-parallel path (`TriStateVector::stochastic_update`)
-/// and the plane-sliced window path draw through this same function, which
-/// is what keeps them bit-identical whenever neither consumes randomness
-/// (both probabilities 0 or 1).
 #[inline]
 pub fn draw_broadcast_masks(
     relax: &MaskPlan,
@@ -355,28 +326,6 @@ pub fn draw_broadcast_masks(
         relax: if needs_relax { relax.draw(state) } else { 0 },
         commit: if needs_commit { commit.draw(state) } else { 0 },
     }
-}
-
-/// Lane-batched [`draw_broadcast_masks`]: the mask pairs for `N`
-/// consecutive word indices, given each word's (relax, commit) needs.
-///
-/// Word `k` draws exactly as the `k`-th sequential [`draw_broadcast_masks`]
-/// call would — same shared-draw coalescing, same skip rules, same
-/// word-order xorshift64* consumption — so a kernel that hoists `N` word
-/// draws out of its wide loop consumes a stream identical to the
-/// word-at-a-time walk (the RNG-stream identity the `simd_equivalence`
-/// suite asserts across full train runs).
-#[inline]
-pub fn draw_broadcast_masks_lanes<const N: usize>(
-    relax: &MaskPlan,
-    commit: &MaskPlan,
-    needs_relax: &[bool; N],
-    needs_commit: &[bool; N],
-    state: &mut u64,
-) -> [BroadcastMasks; N] {
-    std::array::from_fn(|k| {
-        draw_broadcast_masks(relax, commit, needs_relax[k], needs_commit[k], state)
-    })
 }
 
 /// The per-neuron gate of the broadcast update: all-ones for a neuron that
@@ -454,7 +403,6 @@ mod tests {
         assert_eq!(state, 7);
         assert_eq!(never.draws_per_word(), 0);
         assert_eq!(always.draws_per_word(), 0);
-        assert_eq!(MaskPlan::never(), never);
         assert_eq!(never.probability(), 0.0);
         assert_eq!(always.probability(), 1.0);
     }
@@ -573,7 +521,7 @@ mod tests {
 
     #[test]
     fn broadcast_masks_degenerate_plans_never_touch_state() {
-        let never = MaskPlan::never();
+        let never = MaskPlan::from_probability(0.0);
         let always = MaskPlan::from_probability(1.0);
         let mut state = 42u64;
         let masks = draw_broadcast_masks(&always, &never, true, true, &mut state);

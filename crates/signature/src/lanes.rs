@@ -30,9 +30,9 @@
 //!
 //! ### Worked example
 //!
-//! An 11-word row under [`Dispatch::Lanes4`]: words `0..4` and `4..8` are two
-//! wide iterations (`(value ^ input) & care` then a per-lane popcount, four
-//! lanes at a time); words `8..11` fall to the scalar loop. The running
+//! An 11-word row under [`Dispatch::Lanes8`]: words `0..8` are one wide
+//! iteration (`(value ^ input) & care` then a per-lane popcount, eight lanes
+//! at a time); words `8..11` fall to the scalar loop. The running
 //! distances are the same `u32` additions in the same per-neuron order as the
 //! scalar walk, so the result is equal *as bits*, not merely numerically.
 //!
@@ -43,8 +43,8 @@
 //! [`Dispatch::Lanes8`]). The active path can be **forced** — for testing
 //! every lowering on any machine, and for the CI matrix — two ways:
 //!
-//! * the `BSOM_DISPATCH` environment variable (read once per process):
-//!   `scalar`, `lanes4`, `lanes8`, `avx2`, `avx512`, `neon`, or
+//! * the `BSOM_DISPATCH` environment variable (read once per process): the
+//!   [`name`](Dispatch::name) of any entry of [`Dispatch::ALL`], or
 //!   `widest`/`auto` for [`Dispatch::detect`]. An unknown name or a lowering
 //!   the machine cannot run **panics** at first use — a mistyped CI matrix
 //!   leg must fail loudly, not silently measure the wrong kernel;
@@ -55,9 +55,10 @@
 //! Forcing never changes results: every lowering is bit-identical to the
 //! scalar reference (enforced by debug shadow-checks in the public kernels
 //! and by the `simd_equivalence` differential suite), and no lowering ever
-//! touches the RNG — mask drawing stays word-sequential by contract (see
-//! [`MaskPlan::draw_lanes`](crate::bernoulli::MaskPlan::draw_lanes)), so the
-//! xorshift64* stream is the same under every dispatch.
+//! touches the RNG — the window update's masks are drawn once per word index
+//! by [`draw_broadcast_masks`](crate::bernoulli::draw_broadcast_masks),
+//! outside every kernel, so the xorshift64* stream is the same under every
+//! dispatch.
 //!
 //! ```rust
 //! use bsom_signature::lanes::Dispatch;
@@ -85,15 +86,15 @@ use std::sync::OnceLock;
 use crate::Rgb;
 
 /// Environment variable forcing the kernel dispatch for the whole process:
-/// a [`Dispatch`] name (`scalar`, `lanes4`, `lanes8`, `avx2`, `avx512`,
-/// `neon`) or `widest`/`auto` for [`Dispatch::detect`]. Read once, at the
-/// first kernel call; [`force_dispatch`] overrides it.
+/// the [`name`](Dispatch::name) of any entry of [`Dispatch::ALL`], or
+/// `widest`/`auto` for [`Dispatch::detect`]. Read once, at the first kernel
+/// call; [`force_dispatch`] overrides it.
 pub const DISPATCH_ENV: &str = "BSOM_DISPATCH";
 
 /// A portable wide-lane bundle of `N` packed 64-bit words — the register
-/// shape of the generic lowerings ([`Dispatch::Lanes4`] /
-/// [`Dispatch::Lanes8`]), which the compiler is free to map onto whatever
-/// vector unit the target has.
+/// shape of the generic lowerings ([`Dispatch::Lanes8`], and the 2-wide
+/// window update of [`Dispatch::Neon`]), which the compiler is free to map
+/// onto whatever vector unit the target has.
 ///
 /// All operations are element-wise over the `N` lanes; none of them cross
 /// lanes, which is what makes the wide kernels bit-identical to the scalar
@@ -181,19 +182,17 @@ impl<const N: usize> std::ops::Not for Lanes<N> {
 pub enum Dispatch {
     /// The per-`u64` reference walk every other path must match bit for bit.
     Scalar = 0,
-    /// Portable [`Lanes<4>`] kernels (AVX2-shaped, any hardware).
-    Lanes4 = 1,
     /// Portable [`Lanes<8>`] kernels (AVX-512-shaped, any hardware).
-    Lanes8 = 2,
+    Lanes8 = 1,
     /// Hand-written AVX2 lowering (x86-64, 4 × 64-bit lanes, nibble-LUT
     /// popcount via `vpshufb` + `vpsadbw`).
-    Avx2 = 3,
+    Avx2 = 2,
     /// Hand-written AVX-512 lowering (x86-64, 8 × 64-bit lanes, requires
     /// `avx512f` + `avx512vpopcntdq` for the native `vpopcntq`).
-    Avx512 = 4,
+    Avx512 = 3,
     /// Hand-written NEON lowering (aarch64, 2 × 64-bit lanes, `cnt` +
     /// pairwise-add popcount).
-    Neon = 5,
+    Neon = 4,
 }
 
 /// The sentinel the forced-dispatch cell holds when no override is active
@@ -210,22 +209,19 @@ static ENV_DEFAULT: OnceLock<Dispatch> = OnceLock::new();
 
 impl Dispatch {
     /// Every dispatch variant, in widening order.
-    pub const ALL: [Dispatch; 6] = [
+    pub const ALL: [Dispatch; 5] = [
         Dispatch::Scalar,
-        Dispatch::Lanes4,
         Dispatch::Lanes8,
         Dispatch::Avx2,
         Dispatch::Avx512,
         Dispatch::Neon,
     ];
 
-    /// The stable lower-case name (`scalar`, `lanes4`, `lanes8`, `avx2`,
-    /// `avx512`, `neon`) used by `BSOM_DISPATCH`, the CI matrix and the
-    /// bench reports.
+    /// The stable lower-case name (`scalar`, `lanes8`, `avx2`, `avx512`,
+    /// `neon`) used by `BSOM_DISPATCH`, the CI matrix and the bench reports.
     pub fn name(self) -> &'static str {
         match self {
             Dispatch::Scalar => "scalar",
-            Dispatch::Lanes4 => "lanes4",
             Dispatch::Lanes8 => "lanes8",
             Dispatch::Avx2 => "avx2",
             Dispatch::Avx512 => "avx512",
@@ -247,7 +243,7 @@ impl Dispatch {
     /// architecture *and* the runtime CPUID/auxval feature gate.
     pub fn is_available(self) -> bool {
         match self {
-            Dispatch::Scalar | Dispatch::Lanes4 | Dispatch::Lanes8 => true,
+            Dispatch::Scalar | Dispatch::Lanes8 => true,
             #[cfg(target_arch = "x86_64")]
             Dispatch::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -305,7 +301,7 @@ impl std::fmt::Display for UnavailableDispatch {
             f,
             "dispatch `{}` is not available on this machine (available: {})",
             self.requested.name(),
-            available_names()
+            names(Dispatch::available())
         )
     }
 }
@@ -343,8 +339,8 @@ impl std::fmt::Display for DispatchEnvError {
         match self {
             DispatchEnvError::Unknown { value } => write!(
                 f,
-                "{DISPATCH_ENV}={value}: unknown dispatch \
-                 (expected scalar, lanes4, lanes8, avx2, avx512, neon, widest or auto)"
+                "{DISPATCH_ENV}={value}: unknown dispatch (expected {}, widest or auto)",
+                names(Dispatch::ALL)
             ),
             DispatchEnvError::Unavailable { value, requested } => write!(
                 f,
@@ -394,11 +390,11 @@ pub fn validate_env_dispatch() -> Result<Dispatch, DispatchEnvError> {
     }
 }
 
-/// Comma-separated [`Dispatch::available`] names, for error messages.
-fn available_names() -> String {
-    Dispatch::available()
-        .iter()
-        .map(|d| d.name())
+/// Comma-separated names of `dispatches`, for error messages.
+fn names(dispatches: impl IntoIterator<Item = Dispatch>) -> String {
+    dispatches
+        .into_iter()
+        .map(Dispatch::name)
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -1186,7 +1182,6 @@ pub(crate) fn masked_hamming_words_dispatch(
 ) -> usize {
     match dispatch {
         Dispatch::Scalar => masked_hamming_scalar(value, care, input),
-        Dispatch::Lanes4 => masked_hamming_lanes::<4>(value, care, input),
         Dispatch::Lanes8 => masked_hamming_lanes::<8>(value, care, input),
         // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
@@ -1211,7 +1206,6 @@ pub(crate) fn accumulate_row_dispatch(
 ) {
     match dispatch {
         Dispatch::Scalar => accumulate_row_scalar(values, cares, input, distances),
-        Dispatch::Lanes4 => accumulate_row_lanes::<4>(values, cares, input, distances),
         Dispatch::Lanes8 => accumulate_row_lanes::<8>(values, cares, input, distances),
         // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
@@ -1241,16 +1235,6 @@ pub(crate) fn update_window_word_dispatch(
 ) {
     match dispatch {
         Dispatch::Scalar => update_window_scalar(
-            values,
-            cares,
-            input,
-            relax_mask,
-            commit_mask,
-            gates,
-            relaxed,
-            committed,
-        ),
-        Dispatch::Lanes4 => update_window_lanes::<4>(
             values,
             cares,
             input,
@@ -1382,11 +1366,24 @@ mod tests {
         }
         assert_eq!(Dispatch::from_name("widest"), None);
         assert_eq!(Dispatch::from_name("avx1024"), None);
+        assert_eq!(Dispatch::from_name("lanes4"), None);
+    }
+
+    #[test]
+    fn unknown_dispatch_error_lists_exactly_the_lowerings() {
+        let error = DispatchEnvError::Unknown {
+            value: "lanes4".to_string(),
+        };
+        assert_eq!(
+            error.to_string(),
+            "BSOM_DISPATCH=lanes4: unknown dispatch \
+             (expected scalar, lanes8, avx2, avx512, neon, widest or auto)"
+        );
     }
 
     #[test]
     fn portable_paths_are_always_available_and_detect_returns_available() {
-        for dispatch in [Dispatch::Scalar, Dispatch::Lanes4, Dispatch::Lanes8] {
+        for dispatch in [Dispatch::Scalar, Dispatch::Lanes8] {
             assert!(dispatch.is_available());
         }
         let widest = Dispatch::detect();

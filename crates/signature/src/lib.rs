@@ -48,14 +48,10 @@ pub mod tristate;
 
 pub use batch::{
     accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, batch_masked_hamming,
-    masked_hamming_words, masked_hamming_words_with, select_winner, select_winner_tournament,
-    shard_champion, update_window_word, update_window_word_with, window_word_needs,
-    window_word_would_change, WtaKey,
+    masked_hamming_words, masked_hamming_words_with, select_winner, update_window_word,
+    update_window_word_with, window_word_needs, window_word_would_change, WtaKey,
 };
-pub use bernoulli::{
-    draw_broadcast_masks, draw_broadcast_masks_lanes, gate_word, BroadcastMasks, CoinThreshold,
-    MaskPlan,
-};
+pub use bernoulli::{draw_broadcast_masks, gate_word, BroadcastMasks, CoinThreshold, MaskPlan};
 pub use bitvec::BinaryVector;
 pub use error::SignatureError;
 pub use histogram::{ColorHistogram, BINS_PER_CHANNEL, HISTOGRAM_BINS};
@@ -64,7 +60,7 @@ pub use lanes::{
     active_dispatch, force_dispatch, segment_background, segment_background_with,
     validate_env_dispatch, Dispatch, DispatchEnvError, Lanes, UnavailableDispatch,
 };
-pub use tristate::{update_word, TriStateVector, Trit, UpdateDelta, WordUpdate};
+pub use tristate::{update_word, TriStateVector, Trit, WordUpdate};
 
 /// Number of bits in a full-size appearance signature (768 = 3 × 256 bins).
 ///

@@ -17,7 +17,6 @@ use std::fmt;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::bernoulli::MaskPlan;
 use crate::bitvec::BinaryVector;
 use crate::error::SignatureError;
 
@@ -76,23 +75,6 @@ pub fn update_word(
         care: (care & !relaxed) | committed,
         relaxed,
         committed,
-    }
-}
-
-/// Net change of one stochastic update: how many trits relaxed to `#` and
-/// how many committed to concrete values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct UpdateDelta {
-    /// Trits that went concrete → `#`.
-    pub relaxed: usize,
-    /// Trits that went `#` → concrete.
-    pub committed: usize,
-}
-
-impl UpdateDelta {
-    /// Signed change in the vector's `#`-count.
-    pub fn dont_care_delta(&self) -> i64 {
-        self.relaxed as i64 - self.committed as i64
     }
 }
 
@@ -437,122 +419,6 @@ impl TriStateVector {
         self.iter().map(Trit::to_char).collect()
     }
 
-    /// Applies one word-parallel stochastic tri-state update against `input`
-    /// (DESIGN.md §"The word-parallel trainer"): per 64-bit plane word, a
-    /// relax mask and a commit mask are drawn from the given
-    /// [`MaskPlan`]s — advancing `state` — and folded in with
-    /// [`update_word`]. Returns how many trits relaxed and committed, so
-    /// callers can maintain `#`-counts incrementally.
-    ///
-    /// Words with nothing to do consume no randomness: a word with no
-    /// concrete mismatch skips its relax draw and a fully concrete word
-    /// skips its commit draw (degenerate plans never draw at all). The RNG
-    /// consumption is therefore data-dependent but still deterministic for
-    /// a given state, and it differs from flipping one scalar coin per bit —
-    /// the two paths are distributionally equivalent, not stream-identical.
-    ///
-    /// The word axis is walked in lane-width chunks through the
-    /// lane-batched draw entry
-    /// ([`draw_broadcast_masks_lanes`](crate::bernoulli::draw_broadcast_masks_lanes)),
-    /// which consumes the xorshift64* stream in exact word order — so the
-    /// chunked walk is stream- and bit-identical to the historical
-    /// word-at-a-time loop (asserted by the `simd_equivalence` suite).
-    ///
-    /// The final partial word is handled internally: beyond-length lanes
-    /// never relax, commit, or contribute to the deltas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.len()`.
-    pub fn stochastic_update(
-        &mut self,
-        input: &BinaryVector,
-        relax: &MaskPlan,
-        commit: &MaskPlan,
-        state: &mut u64,
-    ) -> UpdateDelta {
-        /// Words per lane-batched draw (the AVX2-shaped lane width; the
-        /// draw order makes the chunking invisible to the RNG stream).
-        const DRAW_LANES: usize = 4;
-        assert_eq!(
-            self.len(),
-            input.len(),
-            "stochastic_update requires equal lengths ({} vs {})",
-            self.len(),
-            input.len()
-        );
-        let len = self.len();
-        let mut delta = UpdateDelta::default();
-        let values = self.value.as_mut_words();
-        let cares = self.care.as_mut_words();
-        let inputs = input.as_words();
-        // Valid-lane mask: all ones except in the final partial word.
-        let lane_mask_at = |w: usize| {
-            if (w + 1) * 64 <= len {
-                u64::MAX
-            } else {
-                (1u64 << (len % 64)) - 1
-            }
-        };
-        // Applies the drawn mask pair to word `w` and accumulates deltas.
-        let apply = |w: usize,
-                     masks: crate::bernoulli::BroadcastMasks,
-                     values: &mut [u64],
-                     cares: &mut [u64],
-                     delta: &mut UpdateDelta| {
-            let updated = update_word(
-                values[w],
-                cares[w],
-                inputs[w],
-                masks.relax,
-                masks.commit & lane_mask_at(w),
-            );
-            values[w] = updated.value;
-            cares[w] = updated.care;
-            delta.relaxed += updated.relaxed.count_ones() as usize;
-            delta.committed += updated.committed.count_ones() as usize;
-        };
-        let wide = inputs.len() - inputs.len() % DRAW_LANES;
-        let mut w = 0;
-        while w < wide {
-            // Skip draws that cannot change anything; the plane invariants
-            // (tail care/value bits zero) make these checks exact. The
-            // shared-draw case (relax == commit, both needed) is handled
-            // per word by the broadcast drawing rule — see
-            // [`crate::bernoulli::draw_broadcast_masks`].
-            let mut needs_relax = [false; DRAW_LANES];
-            let mut needs_commit = [false; DRAW_LANES];
-            for k in 0..DRAW_LANES {
-                needs_relax[k] = (values[w + k] ^ inputs[w + k]) & cares[w + k] != 0;
-                needs_commit[k] = cares[w + k] != lane_mask_at(w + k);
-            }
-            let masks = crate::bernoulli::draw_broadcast_masks_lanes::<DRAW_LANES>(
-                relax,
-                commit,
-                &needs_relax,
-                &needs_commit,
-                state,
-            );
-            for (k, &lane_masks) in masks.iter().enumerate() {
-                apply(w + k, lane_masks, values, cares, &mut delta);
-            }
-            w += DRAW_LANES;
-        }
-        for w in wide..inputs.len() {
-            let needs_relax = (values[w] ^ inputs[w]) & cares[w] != 0;
-            let needs_commit = cares[w] != lane_mask_at(w);
-            let masks = crate::bernoulli::draw_broadcast_masks(
-                relax,
-                commit,
-                needs_relax,
-                needs_commit,
-                state,
-            );
-            apply(w, masks, values, cares, &mut delta);
-        }
-        delta
-    }
-
     /// Overwrites plane word `w` with an updated (value, care) pair — the
     /// write-back half of the plane-sliced neighbourhood update, which runs
     /// on packed column words and then mirrors them into the per-neuron
@@ -859,73 +725,6 @@ mod tests {
         assert_eq!(up.care, w.care_plane().as_words()[0]);
         assert_eq!(up.relaxed, 0);
         assert_eq!(up.committed, 0);
-    }
-
-    #[test]
-    fn stochastic_update_undamped_matches_bitwise_rule_per_position() {
-        let mut rng = StdRng::seed_from_u64(0x0DD);
-        for len in [63usize, 64, 70, 128, 768] {
-            let mut w = TriStateVector::random_with_dont_care(len, 0.3, &mut rng);
-            let before = w.clone();
-            let x = BinaryVector::random(len, &mut rng);
-            let mut state = 0x1357_9BDF_u64;
-            let always = MaskPlan::from_probability(1.0);
-            let delta = w.stochastic_update(&x, &always, &always, &mut state);
-            assert_eq!(state, 0x1357_9BDF, "undamped update draws nothing");
-            for k in 0..len {
-                let expected = match before.trit(k) {
-                    Trit::DontCare => Trit::from_bit(x.bit(k)),
-                    t if t.matches(x.bit(k)) => t,
-                    _ => Trit::DontCare,
-                };
-                assert_eq!(w.trit(k), expected, "len {len}, position {k}");
-            }
-            assert_eq!(delta.committed, before.count_dont_care());
-            assert_eq!(
-                w.count_dont_care() as i64,
-                before.count_dont_care() as i64 + delta.dont_care_delta()
-            );
-        }
-    }
-
-    #[test]
-    fn stochastic_update_keeps_the_tail_clean() {
-        let mut rng = StdRng::seed_from_u64(0x7A11);
-        // 70 bits: 6 valid lanes in the second word, 58 tail lanes.
-        let mut w = TriStateVector::all_dont_care(70);
-        let x = BinaryVector::random(70, &mut rng);
-        let always = MaskPlan::from_probability(1.0);
-        let mut state = 3u64;
-        let delta = w.stochastic_update(&x, &always, &always, &mut state);
-        assert_eq!(delta.committed, 70, "every valid lane commits");
-        assert_eq!(w.count_dont_care(), 0);
-        let tail_mask = !((1u64 << 6) - 1);
-        assert_eq!(w.care_plane().as_words()[1] & tail_mask, 0);
-        assert_eq!(w.value_plane().as_words()[1] & tail_mask, 0);
-    }
-
-    #[test]
-    fn stochastic_update_probability_zero_is_identity_and_free() {
-        let mut rng = StdRng::seed_from_u64(0xF00);
-        let mut w = TriStateVector::random_with_dont_care(130, 0.4, &mut rng);
-        let before = w.clone();
-        let x = BinaryVector::random(130, &mut rng);
-        let never = MaskPlan::never();
-        let mut state = 11u64;
-        let delta = w.stochastic_update(&x, &never, &never, &mut state);
-        assert_eq!(w, before);
-        assert_eq!(delta, UpdateDelta::default());
-        assert_eq!(state, 11);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn stochastic_update_rejects_length_mismatch() {
-        let mut w = TriStateVector::all_dont_care(8);
-        let x = BinaryVector::zeros(9);
-        let plan = MaskPlan::from_probability(0.5);
-        let mut state = 1u64;
-        let _ = w.stochastic_update(&x, &plan, &plan, &mut state);
     }
 
     #[test]

@@ -2,25 +2,19 @@
 //! §"Wide-lane kernels and dispatch").
 //!
 //! Every dispatch path selectable on this machine — scalar, the portable
-//! lanes-4/lanes-8 kernels, and each `std::arch` lowering the runner's CPU
-//! exposes — is driven against the scalar reference walk and must agree
-//! **bit for bit**:
+//! lanes-8 kernels, and each `std::arch` lowering the runner's CPU exposes —
+//! is driven against the scalar reference walk and must agree **bit for
+//! bit**:
 //!
 //! * distance kernels ([`masked_hamming_words_with`],
 //!   [`accumulate_masked_hamming_row_with`]) on arbitrary planes, on
-//!   tie-heavy WTA tables in the style of the `tournament_wta` suite (where
-//!   a one-count distance error flips the winner), and on every
-//!   tail/remainder word count around each lane width (0, 1, lane−1, lane,
-//!   lane+1, non-multiples — the classic SIMD off-by-one surface);
+//!   tie-heavy WTA tables (where a one-count distance error flips the
+//!   [`select_winner`] key), and on every tail/remainder word count around
+//!   each lane width (0, 1, lane−1, lane, lane+1, non-multiples — the
+//!   classic SIMD off-by-one surface);
 //! * the window update kernel ([`update_window_word_with`]) on
 //!   invariant-respecting plane runs, including its per-neuron relax/commit
 //!   flip counters (the feed of the incremental `#`-count maintenance);
-//! * the lane-batched mask drawing entries
-//!   ([`MaskPlan::draw_lanes`](bsom_signature::MaskPlan),
-//!   [`draw_broadcast_masks_lanes`]), which must consume the **same
-//!   xorshift64* stream** as the word-at-a-time draws — including through
-//!   [`TriStateVector::stochastic_update`]'s chunked walk versus the
-//!   historical word-at-a-time loop, replayed here verbatim;
 //! * the background segmentation kernel ([`segment_background_with`]): mask
 //!   words and every estimate's bits, on estimate planes mixed with NaN,
 //!   ±∞, −0.0, negatives and values above 255, at learning rates and
@@ -35,10 +29,9 @@
 
 use bsom_signature::lanes::{active_dispatch, force_dispatch, Dispatch};
 use bsom_signature::{
-    accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, draw_broadcast_masks,
-    draw_broadcast_masks_lanes, masked_hamming_words, masked_hamming_words_with,
-    segment_background, segment_background_with, select_winner_tournament, update_window_word_with,
-    update_word, BinaryVector, MaskPlan, Rgb, TriStateVector,
+    accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, masked_hamming_words,
+    masked_hamming_words_with, segment_background, segment_background_with, select_winner,
+    update_window_word_with, Rgb,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -276,17 +269,15 @@ proptest! {
         }
     }
 
-    /// Tie-heavy WTA tables in the `tournament_wta` style: plane words from
-    /// tiny domains make near-universal distance ties, so the winner key is
-    /// decided by `#`-count and address — any per-dispatch distance skew
-    /// would flip the full `{distance, #-count, address}` key. The winner
-    /// must be identical through every lowering for every adversarial
-    /// shard width.
+    /// Tie-heavy WTA tables: plane words from tiny domains make
+    /// near-universal distance ties, so the winner key is decided by
+    /// `#`-count and address — any per-dispatch distance skew would flip the
+    /// full `{distance, #-count, address}` key. The winner must be identical
+    /// through every lowering.
     #[test]
     fn tie_heavy_wta_winners_survive_every_dispatch(
         rows in prop::collection::vec((0u64..4, 0u64..4, 0u32..3), 1..96),
         input in 0u64..4,
-        shard_seed in any::<usize>(),
     ) {
         let neurons = rows.len();
         // One plane word per neuron drawn from a two-bit domain; care bits
@@ -294,128 +285,18 @@ proptest! {
         let cares: Vec<u64> = rows.iter().map(|&(c, _, _)| c).collect();
         let values: Vec<u64> = rows.iter().map(|&(c, v, _)| v & c).collect();
         let counts: Vec<u32> = rows.iter().map(|&(_, _, n)| n).collect();
-        let shard_len = match shard_seed % 4 {
-            0 => 1,
-            1 => 2 + (shard_seed / 4) % neurons.max(2),
-            2 => neurons,
-            _ => neurons + 1 + (shard_seed / 4) % (neurons + 2),
-        };
         let mut reference = vec![0u32; neurons];
         accumulate_masked_hamming_row_with(
             Dispatch::Scalar, &values, &cares, input, &mut reference,
         );
-        let reference_key = select_winner_tournament(&reference, &counts, shard_len);
+        let reference_winner = select_winner(&reference, &counts);
         for dispatch in Dispatch::available() {
             let mut distances = vec![0u32; neurons];
             accumulate_masked_hamming_row_with(
                 dispatch, &values, &cares, input, &mut distances,
             );
-            prop_assert_eq!(
-                select_winner_tournament(&distances, &counts, shard_len),
-                reference_key
-            );
+            prop_assert_eq!(select_winner(&distances, &counts), reference_winner);
         }
-    }
-
-    /// `draw_lanes` consumes the same xorshift64* stream as sequential
-    /// `draw` calls: identical words, identical final state.
-    #[test]
-    fn lane_batched_draws_are_stream_identical(
-        probability in 0.0f64..1.05,
-        seed in 1u64..u64::MAX,
-    ) {
-        let plan = MaskPlan::from_probability(probability);
-        let mut batched_state = seed;
-        let batched: [u64; 8] = plan.draw_lanes(&mut batched_state);
-        let mut sequential_state = seed;
-        for &word in &batched {
-            prop_assert_eq!(word, plan.draw(&mut sequential_state));
-        }
-        prop_assert_eq!(batched_state, sequential_state);
-    }
-
-    /// `draw_broadcast_masks_lanes` replays the word-at-a-time drawing rule
-    /// exactly: same shared-draw coalescing, same skips, same stream.
-    #[test]
-    fn lane_batched_broadcast_masks_are_stream_identical(
-        relax_p in 0.0f64..1.05,
-        commit_p in 0.0f64..1.05,
-        share in any::<bool>(),
-        needs in prop::collection::vec((any::<bool>(), any::<bool>()), 4),
-        seed in 1u64..u64::MAX,
-    ) {
-        let relax = MaskPlan::from_probability(relax_p);
-        // Half the cases share one plan (the coalesced single-draw rule).
-        let commit = if share { relax.clone() } else { MaskPlan::from_probability(commit_p) };
-        let needs_relax: [bool; 4] = std::array::from_fn(|k| needs[k].0);
-        let needs_commit: [bool; 4] = std::array::from_fn(|k| needs[k].1);
-        let mut batched_state = seed;
-        let batched = draw_broadcast_masks_lanes::<4>(
-            &relax, &commit, &needs_relax, &needs_commit, &mut batched_state,
-        );
-        let mut sequential_state = seed;
-        for k in 0..4 {
-            let expected = draw_broadcast_masks(
-                &relax, &commit, needs_relax[k], needs_commit[k], &mut sequential_state,
-            );
-            prop_assert_eq!(batched[k], expected);
-        }
-        prop_assert_eq!(batched_state, sequential_state);
-    }
-
-    /// `TriStateVector::stochastic_update`'s lane-chunked walk versus the
-    /// historical word-at-a-time loop, replayed verbatim: identical planes,
-    /// identical deltas, identical final RNG state — across vector lengths
-    /// with partial tails and word counts on both sides of the chunk width.
-    #[test]
-    fn stochastic_update_chunking_is_stream_identical(
-        len_seed in 0usize..8,
-        dont_care in 0.0f64..1.0,
-        relax_p in 0.0f64..1.05,
-        commit_p in 0.0f64..1.05,
-        seed in 1u64..u64::MAX,
-        weight_seed in any::<u64>(),
-    ) {
-        // 1–6 words, aligned and partial tails, both sides of the 4-word
-        // chunk the update walks in.
-        let len = [37, 64, 130, 190, 192, 256, 300, 384][len_seed];
-        let mut rng = StdRng::seed_from_u64(weight_seed);
-        let mut vector = TriStateVector::random_with_dont_care(len, dont_care, &mut rng);
-        let input = BinaryVector::random(len, &mut rng);
-        let relax = MaskPlan::from_probability(relax_p);
-        let commit = MaskPlan::from_probability(commit_p);
-
-        // The historical word-at-a-time reference loop.
-        let mut ref_values = vector.value_plane().as_words().to_vec();
-        let mut ref_cares = vector.care_plane().as_words().to_vec();
-        let mut ref_state = seed;
-        let mut ref_relaxed = 0usize;
-        let mut ref_committed = 0usize;
-        for (w, &x) in input.as_words().iter().enumerate() {
-            let lane_mask = if (w + 1) * 64 <= len {
-                u64::MAX
-            } else {
-                (1u64 << (len % 64)) - 1
-            };
-            let needs_relax = (ref_values[w] ^ x) & ref_cares[w] != 0;
-            let needs_commit = ref_cares[w] != lane_mask;
-            let masks =
-                draw_broadcast_masks(&relax, &commit, needs_relax, needs_commit, &mut ref_state);
-            let updated =
-                update_word(ref_values[w], ref_cares[w], x, masks.relax, masks.commit & lane_mask);
-            ref_values[w] = updated.value;
-            ref_cares[w] = updated.care;
-            ref_relaxed += updated.relaxed.count_ones() as usize;
-            ref_committed += updated.committed.count_ones() as usize;
-        }
-
-        let mut state = seed;
-        let delta = vector.stochastic_update(&input, &relax, &commit, &mut state);
-        prop_assert_eq!(state, ref_state);
-        prop_assert_eq!(delta.relaxed, ref_relaxed);
-        prop_assert_eq!(delta.committed, ref_committed);
-        prop_assert_eq!(vector.value_plane().as_words(), ref_values.as_slice());
-        prop_assert_eq!(vector.care_plane().as_words(), ref_cares.as_slice());
     }
 }
 

@@ -51,21 +51,16 @@
 //! WTA key needs are maintained incrementally from the popcount deltas of
 //! each masked write — `winner` never re-popcounts a care plane.
 //!
-//! Two slower datapaths are retained on purpose:
+//! One slower datapath is retained on purpose:
+//! [`BSom::train_step_bit_serial`], the original per-trit loop with one
+//! scalar coin per bit. It is the training oracle of the
+//! `word_update_equivalence` and `window_update_equivalence` proptests and
+//! the baseline of the `train_throughput` bench.
 //!
-//! * [`BSom::train_step_per_neuron`] — the PR 3/4 word-parallel path that
-//!   visits neighbourhood neurons one at a time, re-drawing masks per
-//!   neuron. It is the baseline the `neighbourhood_update` bench measures
-//!   the window speedup from and one reference of the
-//!   `window_update_equivalence` proptests.
-//! * [`BSom::train_step_bit_serial`] — the original per-trit loop with one
-//!   scalar coin per bit, reference for the `word_update_equivalence`
-//!   proptests and baseline of the `train_throughput` bench.
-//!
-//! The three paths consume the shared xorshift64* state differently, so for
+//! The two paths consume the shared xorshift64* state differently, so for
 //! interior probabilities they agree *in distribution*, not bit for bit;
-//! for probabilities 0 and 1 none of them consumes randomness and all three
-//! are bit-identical.
+//! for probabilities 0 and 1 neither consumes randomness and the two are
+//! bit-identical.
 
 use bsom_signature::bernoulli::{gate_word, CoinThreshold, MaskPlan};
 use bsom_signature::{BinaryVector, TriStateVector, Trit};
@@ -172,8 +167,8 @@ impl Default for BSomConfig {
 
 /// Precompiled stochastic-update machinery, derived from the configured
 /// probabilities once instead of per coin flip: whole-word Bernoulli mask
-/// plans for the word-parallel trainer and integer comparison thresholds for
-/// the bit-serial reference path. Rebuilt whenever the probabilities change;
+/// plans for the window trainer and integer comparison thresholds for the
+/// bit-serial reference path. Rebuilt whenever the probabilities change;
 /// never serialized (it is a pure function of the config).
 #[derive(Debug, Clone, PartialEq)]
 struct UpdateTables {
@@ -181,8 +176,6 @@ struct UpdateTables {
     relax_plan: MaskPlan,
     /// Mask plan realising `commit_probability` 64 lanes at a time.
     commit_plan: MaskPlan,
-    /// The draw-free probability-0 plan used for relax-only neighbours.
-    no_commit_plan: MaskPlan,
     /// Integer coin threshold for `relax_probability` (bit-serial path).
     relax_coin: CoinThreshold,
     /// Integer coin threshold for `commit_probability` (bit-serial path).
@@ -194,7 +187,6 @@ impl UpdateTables {
         UpdateTables {
             relax_plan: MaskPlan::from_probability(config.relax_probability),
             commit_plan: MaskPlan::from_probability(config.commit_probability),
-            no_commit_plan: MaskPlan::never(),
             relax_coin: CoinThreshold::from_probability(config.relax_probability),
             commit_coin: CoinThreshold::from_probability(config.commit_probability),
         }
@@ -461,46 +453,6 @@ impl BSom {
             .all(|(n, &c)| n.count_dont_care() == c as usize)
     }
 
-    /// Applies the word-parallel stochastically damped tri-state update to
-    /// neuron `neuron_index` for the given input: agreeing bits are kept,
-    /// disagreeing bits relax to `#` under a Bernoulli(relax) mask word, and
-    /// `#` bits commit to the input under a Bernoulli(commit) mask word
-    /// (suppressed entirely for relax-only neighbour updates). The cached
-    /// `#`-count is updated from the popcount delta of the masked write.
-    fn update_neuron(&mut self, neuron_index: usize, input: &BinaryVector, commit: bool) {
-        let BSom {
-            neurons,
-            rng_state,
-            dont_care_counts,
-            tables,
-            packed,
-            ..
-        } = self;
-        let commit_plan = if commit {
-            &tables.commit_plan
-        } else {
-            &tables.no_commit_plan
-        };
-        let delta = neurons[neuron_index].stochastic_update(
-            input,
-            &tables.relax_plan,
-            commit_plan,
-            rng_state,
-        );
-        let count = &mut dont_care_counts[neuron_index];
-        *count = (i64::from(*count) + delta.dont_care_delta()) as u32;
-        debug_assert_eq!(
-            *count as usize,
-            neurons[neuron_index].count_dont_care(),
-            "incremental #-count cache out of sync for neuron {neuron_index}"
-        );
-        packed.apply_neuron_update(neuron_index, &neurons[neuron_index], *count);
-        debug_assert!(
-            packed.neuron_matches(neuron_index, &neurons[neuron_index]),
-            "packed layer out of sync for neuron {neuron_index}"
-        );
-    }
-
     /// The plane-sliced neighbourhood update: one broadcast mask stream
     /// applied to the contiguous window `[lo, hi]` of packed neuron columns
     /// in a single pass ([`PackedLayer::apply_window_update`]), with the
@@ -554,48 +506,6 @@ impl BSom {
                 "packed layer out of sync for neuron {idx}"
             );
         }
-    }
-
-    /// One training step through the **per-neuron word-parallel datapath**:
-    /// the same winner search, neighbourhood policy and word-parallel update
-    /// kernel as [`SelfOrganizingMap::train_step`], but the neighbourhood
-    /// neurons are visited one at a time, each drawing its own Bernoulli
-    /// mask words — the PR 3/4 trainer, retained as the baseline the
-    /// `neighbourhood_update` bench measures the plane-sliced window path
-    /// against and as one reference of the `window_update_equivalence`
-    /// proptests.
-    ///
-    /// The window path draws one broadcast mask stream for the whole
-    /// neighbourhood, so the two paths consume the shared RNG state
-    /// differently: for interior probabilities they agree *in distribution*
-    /// (and flip-count statistics), and for probabilities 0 and 1 — where
-    /// neither consumes randomness — they are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SomError::InputLengthMismatch`] if the input length differs
-    /// from the configured vector length.
-    pub fn train_step_per_neuron(
-        &mut self,
-        input: &BinaryVector,
-        t: usize,
-        schedule: &TrainSchedule,
-    ) -> Result<Winner, SomError> {
-        let winner = self.winner(input)?;
-        let radius = schedule.radius_at(t);
-        let neighbourhood = line_neighbourhood(winner.index, radius, self.config.neurons);
-        for idx in neighbourhood {
-            if idx == winner.index {
-                self.update_neuron(idx, input, true);
-                continue;
-            }
-            match self.config.neighbour_rule {
-                NeighbourRule::SameAsWinner => self.update_neuron(idx, input, true),
-                NeighbourRule::RelaxOnly => self.update_neuron(idx, input, false),
-                NeighbourRule::WinnerOnly => {}
-            }
-        }
-        Ok(winner)
     }
 
     /// The pre-word-parallel update: walk all bits of the neuron with one
@@ -989,28 +899,8 @@ mod tests {
     #[test]
     fn bit_serial_and_word_parallel_agree_exactly_for_undamped_probabilities() {
         // With p = 1 neither path consumes randomness, so the two datapaths
-        // must produce bit-identical maps (the proptest suite broadens this).
-        let mut r = rng();
-        let config = BSomConfig::new(6, 70).with_update_probabilities(1.0, 1.0);
-        let word = BSom::new(config, &mut r);
-        let mut serial = word.clone();
-        let mut word = word;
-        let schedule = TrainSchedule::new(8);
-        for t in 0..8 {
-            let input = BinaryVector::random(70, &mut r);
-            let ww = word.train_step(&input, t, &schedule).unwrap();
-            let ws = serial.train_step_bit_serial(&input, t, &schedule).unwrap();
-            assert_eq!(ww.index, ws.index);
-        }
-        assert_eq!(word, serial);
-    }
-
-    #[test]
-    fn window_and_per_neuron_paths_agree_exactly_for_undamped_probabilities() {
-        // With p = 1 neither the broadcast window path nor the per-neuron
-        // word-parallel path consumes randomness, so the two must produce
-        // bit-identical maps under every neighbour rule (the
-        // `window_update_equivalence` proptest suite broadens this).
+        // must produce bit-identical maps under every neighbour rule (the
+        // proptest suites broaden this).
         for rule in [
             NeighbourRule::SameAsWinner,
             NeighbourRule::RelaxOnly,
@@ -1020,20 +910,75 @@ mod tests {
             let config = BSomConfig::new(6, 70)
                 .with_update_probabilities(1.0, 1.0)
                 .with_neighbour_rule(rule);
-            let reference = BSom::new(config, &mut r);
-            let mut per_neuron = reference.clone();
-            let mut window = reference;
+            let word = BSom::new(config, &mut r);
+            let mut serial = word.clone();
+            let mut word = word;
             let schedule = TrainSchedule::new(8);
             for t in 0..8 {
                 let input = BinaryVector::random(70, &mut r);
+                let ww = word.train_step(&input, t, &schedule).unwrap();
+                let ws = serial.train_step_bit_serial(&input, t, &schedule).unwrap();
+                assert_eq!(ww.index, ws.index, "rule {rule:?}");
+            }
+            assert_eq!(word, serial, "rule {rule:?}");
+            assert_eq!(word.dont_care_counts(), serial.dont_care_counts());
+        }
+    }
+
+    #[test]
+    fn window_and_per_neuron_paths_agree_exactly_for_undamped_probabilities() {
+        // With p = 1 the broadcast window path consumes no randomness, so it
+        // must match visiting the neighbourhood one neuron at a time with the
+        // word update kernel and all-ones masks, under every neighbour rule
+        // (the `window_update_equivalence` proptest suite broadens this).
+        const LEN: usize = 70;
+        for rule in [
+            NeighbourRule::SameAsWinner,
+            NeighbourRule::RelaxOnly,
+            NeighbourRule::WinnerOnly,
+        ] {
+            let mut r = rng();
+            let config = BSomConfig::new(6, LEN)
+                .with_update_probabilities(1.0, 1.0)
+                .with_neighbour_rule(rule);
+            let mut window = BSom::new(config, &mut r);
+            let mut per_neuron = window.clone();
+            let schedule = TrainSchedule::new(8);
+            for t in 0..8 {
+                let input = BinaryVector::random(LEN, &mut r);
                 let ww = window.train_step(&input, t, &schedule).unwrap();
-                let wp = per_neuron
-                    .train_step_per_neuron(&input, t, &schedule)
-                    .unwrap();
+                let wp = per_neuron.winner(&input).unwrap();
                 assert_eq!(ww.index, wp.index, "rule {rule:?}");
+                let radius = schedule.radius_at(t);
+                for idx in line_neighbourhood(wp.index, radius, per_neuron.neuron_count()) {
+                    let commit = match rule {
+                        _ if idx == wp.index => true,
+                        NeighbourRule::SameAsWinner => true,
+                        NeighbourRule::RelaxOnly => false,
+                        NeighbourRule::WinnerOnly => continue,
+                    };
+                    let mut weight = per_neuron.neuron(idx).unwrap().clone();
+                    for (w, &x) in input.as_words().iter().enumerate() {
+                        let valid = if (w + 1) * 64 <= LEN {
+                            !0
+                        } else {
+                            (1u64 << (LEN % 64)) - 1
+                        };
+                        let u = bsom_signature::update_word(
+                            weight.value_plane().as_words()[w],
+                            weight.care_plane().as_words()[w],
+                            x,
+                            !0,
+                            if commit { valid } else { 0 },
+                        );
+                        weight.set_plane_word(w, u.value, u.care);
+                    }
+                    per_neuron.set_neuron(idx, weight).unwrap();
+                }
             }
             assert_eq!(window, per_neuron, "rule {rule:?}");
             assert_eq!(window.dont_care_counts(), per_neuron.dont_care_counts());
+            assert_eq!(window.packed_layer(), per_neuron.packed_layer());
         }
     }
 

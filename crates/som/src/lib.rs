@@ -63,6 +63,6 @@ pub use classifier::{evaluate, ConfusionMatrix, Evaluation, Prediction};
 pub use csom::{CSom, CSomConfig, NeighbourhoodKernel};
 pub use error::SomError;
 pub use labeling::{LabelledSom, ObjectLabel};
-pub use packed::{BatchWinner, PackedLayer, WTA_SHARD_LEN};
+pub use packed::{BatchWinner, PackedLayer};
 pub use schedule::{NeighbourhoodSchedule, TrainSchedule};
 pub use som_trait::{SelfOrganizingMap, Winner};

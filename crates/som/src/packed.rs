@@ -24,17 +24,17 @@
 //! words, so rows untouched since the last publish stay physically shared
 //! between consecutive snapshots and a publish allocates O(rows touched
 //! since the last publish) (DESIGN.md §"Copy-on-write publication and the
-//! tournament WTA"). [`shared_row_count`](PackedLayer::shared_row_count)
+//! winner search"). [`shared_row_count`](PackedLayer::shared_row_count)
 //! exposes the sharing for tests and diagnostics.
 //!
-//! ## The tournament winner search
+//! ## The winner search
 //!
 //! [`PackedLayer::winner`] reduces the distance vector with
-//! [`select_winner_tournament`]: shard champions over
-//! [`WTA_SHARD_LEN`]-neuron shards, folded pairwise through the
-//! `{distance, #-count, address}` comparator key — the software shape of the
-//! FPGA comparator tree, bit-identical to the linear scan (the
-//! `tournament_wta` suite proves it, boundary ties included).
+//! [`select_winner`]: one linear scan for the smallest `{distance, #-count,
+//! address}` key — the comparator of the FPGA's WTA tree, which
+//! `bsom_fpga::blocks::wta` models cycle for cycle. The `packed_equivalence`
+//! suite holds it to an independent per-neuron oracle, ties across the
+//! [`DISTANCE_BLOCK_NEURONS`] block edge included.
 //!
 //! ## The incremental-layout invariant
 //!
@@ -72,23 +72,13 @@ use std::sync::Arc;
 
 use bsom_signature::bernoulli::{draw_broadcast_masks, MaskPlan};
 use bsom_signature::{
-    accumulate_masked_hamming_row, select_winner_tournament, update_window_word, window_word_needs,
+    accumulate_masked_hamming_row, select_winner, update_window_word, window_word_needs,
     window_word_would_change, BinaryVector, TriStateVector,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::bsom::BSom;
 use crate::error::SomError;
-
-/// Shard width of the tournament winner search, in neurons.
-///
-/// Each shard is one leaf comparator of the FPGA tree; 64 keeps a leaf scan
-/// inside one cache line of distances while giving a 1024-neuron map a
-/// 16-leaf tournament. Any positive value yields the identical winner
-/// ([`select_winner_tournament`] is proptest-proven bit-identical to the
-/// linear scan for arbitrary shard widths); this constant only picks the
-/// performance point.
-pub const WTA_SHARD_LEN: usize = 64;
 
 /// Neuron-axis block width of the cache-blocked distance pass.
 ///
@@ -303,8 +293,7 @@ impl PackedLayer {
     ///
     /// RNG cost is per *window word*, not per neuron — updating a 9-neuron
     /// neighbourhood draws exactly as many mask words as updating one
-    /// neuron, which is where the plane-sliced trainer's speedup over the
-    /// per-neuron path comes from.
+    /// neuron.
     ///
     /// # Panics
     ///
@@ -570,10 +559,8 @@ impl PackedLayer {
     }
 
     /// Batched winner search: one sequential pass over the input words
-    /// against the plane-sliced layer, then the tournament `{distance,
-    /// #-count, address}` reduction over [`WTA_SHARD_LEN`]-neuron shards —
-    /// bit-identical to the linear scan (the `tournament_wta` suite), but
-    /// shaped like the FPGA comparator tree.
+    /// against the plane-sliced layer, then the `{distance, #-count,
+    /// address}` reduction of [`select_winner`].
     ///
     /// # Errors
     ///
@@ -601,12 +588,12 @@ impl PackedLayer {
     ) -> Result<BatchWinner, SomError> {
         distances.fill(0);
         self.distances_into(input, distances)?;
-        let key = select_winner_tournament(distances, &self.dont_care_counts, WTA_SHARD_LEN)
+        let (index, distance) = select_winner(distances, &self.dont_care_counts)
             .expect("a constructed PackedLayer is never empty");
         Ok(BatchWinner {
-            index: key.address,
-            distance: key.distance,
-            dont_care_count: key.dont_care_count,
+            index,
+            distance,
+            dont_care_count: self.dont_care_counts[index],
         })
     }
 

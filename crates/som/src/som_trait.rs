@@ -143,7 +143,7 @@ pub trait SelfOrganizingMap {
 
 /// Fisher–Yates shuffle, used to reorder the training set every epoch.
 ///
-/// Public so that external epoch loops (e.g. `bsom-engine`'s `TrainEngine`)
+/// Public so that external epoch loops (e.g. `bsom-engine`'s `Trainer`)
 /// reorder exactly like [`SelfOrganizingMap::train`] — one `gen_range` per
 /// swap, highest index first — and stay bit-compatible with it for a given
 /// RNG stream.

@@ -1,5 +1,5 @@
 //! Property suite for **copy-on-write snapshot publication** (DESIGN.md
-//! §"Copy-on-write publication and the tournament WTA").
+//! §"Copy-on-write publication and the winner search").
 //!
 //! A publish is a [`PackedLayer`] clone: a spine of `Arc`-per-word-row
 //! pointers, never a deep copy. Three properties are pinned down:

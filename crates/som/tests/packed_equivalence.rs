@@ -1,8 +1,12 @@
-//! Property suite pinning the batch/scalar winner-search equivalence
-//! (DESIGN.md §"The batched engine layout"): for arbitrary layers and inputs
-//! — including engineered ties — the plane-sliced [`PackedLayer`] search must
-//! return a bit-identical `{winner, distance}` to the per-neuron
-//! [`BSom::winner`] reference loop, and identical full distance vectors.
+//! Property suite pinning the winner search (DESIGN.md §"The batched engine
+//! layout" and §"Winner selection and the WTA tie-break key"): for arbitrary
+//! layers and inputs — including engineered ties — the plane-sliced
+//! [`PackedLayer`] search and [`BSom::winner`] must return identical full
+//! distance vectors and the winner of an **independent oracle** written
+//! here: per-neuron [`TriStateVector::hamming`] and
+//! [`TriStateVector::count_dont_care`], reduced by the minimum over
+//! `(distance, #-count, address)`. `BSom` delegates to the packed layer, so
+//! comparing the two alone would compare the search with itself.
 
 use bsom_signature::{BinaryVector, TriStateVector, Trit};
 use bsom_som::{BSom, PackedLayer, SelfOrganizingMap};
@@ -44,7 +48,24 @@ fn tie_heavy_layer(len: usize) -> impl Strategy<Value = Vec<TriStateVector>> {
     })
 }
 
-/// Asserts full scalar/batched agreement for one layer and one input.
+/// The reference winner `(address, distance, #-count)`: every neuron scored
+/// on its own tri-state vector, the smallest `(distance, #-count, address)`
+/// tuple winning. Shares no code with the packed search.
+fn oracle_winner(weights: &[TriStateVector], input: &BinaryVector) -> (usize, u32, u32) {
+    let (distance, dont_care_count, address) = weights
+        .iter()
+        .enumerate()
+        .map(|(address, w)| {
+            let distance = w.hamming(input).expect("oracle inputs match the layer");
+            (distance as u32, w.count_dont_care() as u32, address)
+        })
+        .min()
+        .expect("non-empty layer");
+    (address, distance, dont_care_count)
+}
+
+/// Asserts full scalar/batched agreement for one layer and one input, and
+/// that both return the oracle's winner.
 fn assert_equivalent(
     weights: Vec<TriStateVector>,
     input: &BinaryVector,
@@ -64,12 +85,12 @@ fn assert_equivalent(
 
     let scalar = som.winner(input).unwrap();
     let batched = packed.winner(input).unwrap();
-    prop_assert_eq!(batched.index, scalar.index);
-    prop_assert_eq!(batched.distance as f64, scalar.distance);
-    prop_assert_eq!(
-        batched.dont_care_count as usize,
-        weights[batched.index].count_dont_care()
-    );
+    let (index, distance, dont_care_count) = oracle_winner(&weights, input);
+    prop_assert_eq!(batched.index, index);
+    prop_assert_eq!(batched.distance, distance);
+    prop_assert_eq!(batched.dont_care_count, dont_care_count);
+    prop_assert_eq!(scalar.index, index);
+    prop_assert_eq!(scalar.distance, f64::from(distance));
     Ok(())
 }
 
@@ -81,7 +102,7 @@ proptest! {
     }
 
     /// Tie-heavy layers: duplicated neurons force the `{distance, #-count,
-    /// address}` tie-break to decide, and it must decide identically.
+    /// address}` tie-break to decide, and it must decide like the oracle.
     #[test]
     fn tie_breaks_are_bit_identical(weights in tie_heavy_layer(64), input in binary_vector(64)) {
         assert_equivalent(weights, &input)?;
@@ -99,23 +120,13 @@ proptest! {
         assert_equivalent(weights, &input)?;
     }
 
-    /// The layer's tournament winner equals a linear scan over its own
-    /// distance vector — the integration-level restatement of the
-    /// `tournament_wta` suite, on layers wide enough (> [`WTA_SHARD_LEN`]
-    /// neurons) to force a genuine multi-shard reduction.
+    /// Wide layers (60–160 neurons) agree with the oracle too.
     #[test]
-    fn layer_tournament_winner_equals_linear_scan(
+    fn wide_layer_winner_matches_the_oracle(
         weights in prop::collection::vec(tristate_vector(96), 60..160),
         input in binary_vector(96),
     ) {
-        let packed = PackedLayer::from_neurons(&weights).expect("non-empty layer");
-        let distances = packed.distances(&input).unwrap();
-        let (index, distance) =
-            bsom_signature::select_winner(&distances, packed.dont_care_counts()).unwrap();
-        let winner = packed.winner(&input).unwrap();
-        prop_assert_eq!(winner.index, index);
-        prop_assert_eq!(winner.distance, distance);
-        prop_assert_eq!(winner.dont_care_count, packed.dont_care_counts()[index]);
+        assert_equivalent(weights, &input)?;
     }
 
     /// A batched call over many inputs equals one-at-a-time calls.
@@ -129,5 +140,56 @@ proptest! {
         for (input, batched) in inputs.iter().zip(&batch) {
             prop_assert_eq!(*batched, packed.winner(input).unwrap());
         }
+    }
+}
+
+/// A deterministic 2,100-neuron × 70-bit map with equal-distance neurons
+/// planted on both sides of the 1,024-neuron block edge of the distance
+/// pass: for input `x`, neurons 1023 and 1024 tie on distance and the
+/// `#`-count decides (towards the higher address); for `!x`, neurons 1022
+/// and 1025 tie on distance and `#`-count, and the address decides.
+#[test]
+fn ties_across_the_distance_block_edge_follow_the_full_key() {
+    const NEURONS: usize = 2_100;
+    const LEN: usize = 70;
+    let x = BinaryVector::from_bits((0..LEN).map(|k| k % 3 == 0));
+    let not_x = !&x;
+    // `base` with bits `flips` inverted and bits `dont_cares` set to `#`.
+    let plant = |base: &BinaryVector, flips: &[usize], dont_cares: std::ops::Range<usize>| {
+        let mut w = TriStateVector::from_binary(base);
+        for &k in flips {
+            w.set(k, Trit::from_bit(!base.bit(k)));
+        }
+        for k in dont_cares {
+            w.set(k, Trit::DontCare);
+        }
+        w
+    };
+    // Every other neuron is concrete and 35 bits from both inputs.
+    let mut weights: Vec<TriStateVector> = (0..NEURONS)
+        .map(|i| {
+            let flips: Vec<usize> = (0..LEN).filter(|k| (k + i) % 2 == 0).collect();
+            plant(&x, &flips, 0..0)
+        })
+        .collect();
+    weights[1023] = plant(&x, &[1, 2], 40..46);
+    weights[1024] = plant(&x, &[1, 2], 40..43);
+    weights[1022] = plant(&not_x, &[5], 50..54);
+    weights[1025] = plant(&not_x, &[6], 60..64);
+
+    let packed = PackedLayer::from_neurons(&weights).unwrap();
+    let som = BSom::from_weights(weights.clone()).unwrap();
+    for (input, expected) in [(&x, (1024, 2, 3)), (&not_x, (1022, 1, 4))] {
+        assert_eq!(oracle_winner(&weights, input), expected);
+        let batched = packed.winner(input).unwrap();
+        assert_eq!(
+            (batched.index, batched.distance, batched.dont_care_count),
+            expected
+        );
+        let scalar = som.winner(input).unwrap();
+        assert_eq!(
+            (scalar.index, scalar.distance),
+            (expected.0, f64::from(expected.1))
+        );
     }
 }

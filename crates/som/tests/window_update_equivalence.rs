@@ -1,16 +1,16 @@
 //! Property suite pinning the plane-sliced neighbourhood update to the
-//! per-neuron word-parallel path (DESIGN.md §"The neighbourhood broadcast
+//! bit-serial training oracle (DESIGN.md §"The neighbourhood broadcast
 //! update").
 //!
 //! The window path draws **one** broadcast mask stream per training step and
 //! shares it across every neuron in the neighbourhood address window; the
-//! per-neuron path re-draws masks for each neuron. The two therefore consume
-//! the shared xorshift64* state differently, and the equivalence guarantee
-//! is two-tiered, exactly like the word-parallel-vs-bit-serial suite:
+//! bit-serial path flips one scalar coin per bit per neuron. The two
+//! therefore consume the shared xorshift64* state differently, and the
+//! equivalence guarantee is two-tiered:
 //!
 //! * for probabilities 0 and 1 neither path consumes randomness, so
 //!   [`BSom::train_step`](bsom_som::SelfOrganizingMap::train_step) (window)
-//!   and [`BSom::train_step_per_neuron`](bsom_som::BSom::train_step_per_neuron)
+//!   and [`BSom::train_step_bit_serial`](bsom_som::BSom::train_step_bit_serial)
 //!   must produce **bit-identical** maps — weights, cached `#`-counts, RNG
 //!   state and all, under every neighbour rule;
 //! * for interior probabilities every transition the window path makes must
@@ -29,7 +29,7 @@
 //! final partial word is always in play.
 
 use bsom_signature::{BinaryVector, TriStateVector, Trit};
-use bsom_som::{BSom, BSomConfig, NeighbourRule, PackedLayer, SelfOrganizingMap, TrainSchedule};
+use bsom_som::{BSom, NeighbourRule, PackedLayer, SelfOrganizingMap, TrainSchedule};
 use proptest::prelude::*;
 
 /// The longest vector the raw strategies generate; tests truncate to the
@@ -76,7 +76,7 @@ fn build_inputs(raw: &[Vec<bool>], len: usize) -> Vec<BinaryVector> {
         .collect()
 }
 
-/// Runs `inputs` through the window path and the per-neuron path on
+/// Runs `inputs` through the window path and the bit-serial path on
 /// identically constructed maps and asserts full bit-identity, plus the
 /// packed-layout invariant on the window-path map.
 fn assert_bit_identical(
@@ -90,25 +90,25 @@ fn assert_bit_identical(
         .expect("non-empty layer")
         .with_update_probabilities(relax, commit)
         .with_neighbour_rule(rule);
-    let mut per_neuron = reference.clone();
+    let mut serial = reference.clone();
     let mut window = reference;
     let schedule = TrainSchedule::new(inputs.len().max(1));
     for (t, input) in inputs.iter().enumerate() {
         let ww = window.train_step(input, t, &schedule).expect("length ok");
-        let wp = per_neuron
-            .train_step_per_neuron(input, t, &schedule)
+        let ws = serial
+            .train_step_bit_serial(input, t, &schedule)
             .expect("length ok");
-        prop_assert!(ww.index == wp.index, "winners diverged at step {}", t);
-        prop_assert_eq!(ww.distance, wp.distance);
+        prop_assert!(ww.index == ws.index, "winners diverged at step {}", t);
+        prop_assert_eq!(ww.distance, ws.distance);
     }
-    prop_assert!(window == per_neuron, "maps diverged");
-    prop_assert_eq!(window.dont_care_counts(), per_neuron.dont_care_counts());
+    prop_assert!(window == serial, "maps diverged");
+    prop_assert_eq!(window.dont_care_counts(), serial.dont_care_counts());
     prop_assert_eq!(window.packed_layer(), &PackedLayer::pack(&window));
     Ok(())
 }
 
 proptest! {
-    /// Undamped rule (p = 1 for both transitions): the window and per-neuron
+    /// Undamped rule (p = 1 for both transitions): the window and bit-serial
     /// paths must be bit-identical across whole training runs, partial tail
     /// word included, for every neighbour rule.
     #[test]
@@ -296,41 +296,4 @@ fn interior_probability_window_flip_counts_track_p() {
             );
         }
     }
-}
-
-/// The two word-parallel datapaths must agree on long-run weight
-/// *statistics*, not just single-step legality: train two identically-seeded
-/// maps through each path on the same small dataset and compare total
-/// `#`-mass within a tolerance.
-#[test]
-fn long_run_dont_care_mass_is_statistically_consistent() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(0xD00D_BE11);
-    let len = 190;
-    let config = BSomConfig::new(6, len);
-    let som = BSom::new(config, &mut rng);
-    let data: Vec<BinaryVector> = (0..8)
-        .map(|_| BinaryVector::random(len, &mut rng))
-        .collect();
-    let schedule = TrainSchedule::new(40);
-
-    let mut window = som.clone();
-    let mut per_neuron = som;
-    for t in 0..40 {
-        for input in &data {
-            window.train_step(input, t, &schedule).unwrap();
-            per_neuron
-                .train_step_per_neuron(input, t, &schedule)
-                .unwrap();
-        }
-    }
-    let total = (6 * len) as f64;
-    let window_mass = window.total_dont_care() as f64 / total;
-    let per_neuron_mass = per_neuron.total_dont_care() as f64 / total;
-    assert!(
-        (window_mass - per_neuron_mass).abs() < 0.15,
-        "steady-state #-mass diverged: window {window_mass:.3} vs per-neuron {per_neuron_mass:.3}"
-    );
-    assert_eq!(window.packed_layer(), &PackedLayer::pack(&window));
 }

@@ -126,8 +126,9 @@ impl SurveillancePipeline {
     ///
     /// The pipeline itself is stateful (background model, tracker), so frames
     /// are consumed sequentially; the value of the batch form is downstream —
-    /// `bsom_engine::RecognitionEngine` feeds the flattened signatures of a
-    /// whole batch through its sharded winner search in one go.
+    /// `bsom_engine::Recognizer::process_frames` feeds the flattened
+    /// signatures of a whole batch through its sharded winner search in one
+    /// go.
     pub fn process_frames(&mut self, frames: &[RgbImage]) -> Vec<Vec<ObjectObservation>> {
         frames.iter().map(|f| self.process_frame(f)).collect()
     }
