@@ -3,9 +3,10 @@
 //! Writes `BENCH_train.json` (training steps/s of the bit-serial oracle and
 //! the plane-sliced window trainer, plus their speedup ratio),
 //! `BENCH_recognition.json` (signatures/s, scalar vs
-//! batched vs engine, speedups, FPGA cycle-model comparison, and the
+//! batched vs engine, speedups, FPGA cycle-model comparison, the
 //! per-dispatch distance-pass figures for every SIMD lowering the machine
-//! can run) and
+//! can run, and the ungated inline-vs-pool classify crossover sweep that
+//! sets `INLINE_CLASSIFY_MAX_NEURON_WORDS`) and
 //! `BENCH_large_map.json` (copy-on-write publish cadence, winner-search
 //! throughput and crash-safe checkpoint write/restore
 //! throughput at the 1024-neuron × 768-bit scale target) and
@@ -62,14 +63,15 @@ use std::time::Duration;
 use bsom_bench::bench_dataset;
 use bsom_bench::pipeline::{measure_pipeline, PipelineBenchReport};
 use bsom_engine::{
-    compare_checkpoint_throughput, compare_dispatch_throughput, compare_large_map_throughput,
-    compare_recognition_throughput, compare_registry_throughput, compare_training_throughput,
-    CheckpointThroughputComparison, DispatchThroughputComparison, EngineConfig,
-    LargeMapThroughputComparison, RegistryThroughputComparison, SomService, ThroughputComparison,
-    TrainThroughputComparison,
+    compare_checkpoint_throughput, compare_dispatch_throughput, compare_inline_crossover,
+    compare_large_map_throughput, compare_recognition_throughput, compare_registry_throughput,
+    compare_training_throughput, CheckpointThroughputComparison, DispatchThroughputComparison,
+    EngineConfig, InlineCrossover, LargeMapThroughputComparison, RegistryThroughputComparison,
+    SomService, ThroughputComparison, TrainThroughputComparison,
 };
 use bsom_fpga::FpgaConfig;
 use bsom_serve::bench::{measure_serve, ServeBenchConfig, ServeBenchReport};
+use bsom_signature::Dispatch;
 use bsom_som::{BSomConfig, LabelledSom, SelfOrganizingMap, TrainSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,6 +104,10 @@ struct RecognitionBenchReport {
     /// the same plane-sliced pass through every kernel lowering the machine
     /// can run (DESIGN.md §"Wide-lane kernels and dispatch").
     dispatch: DispatchThroughputComparison,
+    /// Inline vs worker-pool classify over neurons × batch size, forced
+    /// scalar first, then the widest dispatch. Ungated: the pool leg is a
+    /// thread wake-up whose cost swings widely from run to run.
+    crossover: Vec<InlineCrossover>,
     /// Single-thread plane-sliced search over the scalar loop.
     speedup_batched_over_scalar: f64,
     /// Sharded engine over the scalar loop.
@@ -468,6 +474,26 @@ fn main() -> ExitCode {
             );
             println!("{dispatch}");
 
+            // --- Inline vs pool classify: the crossover that sets the
+            // engine's inline limit, under both ends of the dispatch range.
+            println!("bench_report: measuring the inline-vs-pool classify crossover ({mode})...");
+            let crossover: Vec<InlineCrossover> = [Dispatch::Scalar, Dispatch::detect()]
+                .into_iter()
+                .map(|dispatch| {
+                    let sweep = compare_inline_crossover(
+                        &[40, 128, 512, 1024],
+                        &[1, 2, 4, 16, 64, 150],
+                        768,
+                        2,
+                        dispatch,
+                        min_duration / 5,
+                        0xC205,
+                    );
+                    println!("{sweep}");
+                    sweep
+                })
+                .collect();
+
             RecognitionBenchReport {
                 mode: mode.to_string(),
                 min_duration_seconds: min_duration.as_secs_f64(),
@@ -476,6 +502,7 @@ fn main() -> ExitCode {
                 speedup_widest_dispatch_over_scalar: dispatch.widest_speedup_over_scalar(),
                 comparison: recognition,
                 dispatch,
+                crossover,
             }
         });
 

@@ -10,9 +10,10 @@
 //! ([`bsom_som::PackedLayer`], maintained incrementally by the trainer), a
 //! [`Trainer`] handle feeds labelled signatures and publishes new snapshots
 //! on epoch or step-count boundaries, and any number of [`Recognizer`]
-//! handles keep classifying — sharded across a fixed worker-thread pool —
-//! against the snapshot they hold, picking up new versions with one atomic
-//! load at their next batch.
+//! handles keep classifying against the snapshot they hold, picking up new
+//! versions with one atomic load at their next batch. A batch whose work is
+//! at most [`INLINE_CLASSIFY_MAX_NEURON_WORDS`] runs on the calling thread;
+//! a larger one is sharded across a fixed worker-thread pool.
 //!
 //! * [`SomService`] — the facade: snapshot ownership, the worker pool,
 //!   [`serve`](SomService::serve) for frozen classifiers and
@@ -78,11 +79,14 @@ pub use checkpoint::{
 pub use error::EngineError;
 pub use registry::{MapRegistry, RegistryConfig, RegistryStats, TenantId, TickReport};
 pub use registry_bench::{compare_registry_throughput, RegistryThroughputComparison};
-pub use service::{Recognizer, ServiceHealth, SignatureBatch, SomService, Trainer};
+pub use service::{
+    Recognizer, ServiceHealth, SignatureBatch, SomService, Trainer,
+    INLINE_CLASSIFY_MAX_NEURON_WORDS,
+};
 pub use throughput::{
-    compare_dispatch_throughput, compare_large_map_throughput, compare_recognition_throughput,
-    DispatchFigure, DispatchThroughputComparison, LargeMapThroughputComparison, MeasuredThroughput,
-    ThroughputComparison,
+    compare_dispatch_throughput, compare_inline_crossover, compare_large_map_throughput,
+    compare_recognition_throughput, CrossoverCell, DispatchFigure, DispatchThroughputComparison,
+    InlineCrossover, LargeMapThroughputComparison, MeasuredThroughput, ThroughputComparison,
 };
 pub use train::{compare_training_throughput, TrainReport, TrainThroughputComparison};
 
@@ -118,7 +122,9 @@ pub struct EngineConfig {
     /// graceful-degradation lever: a blocking classify waits for space
     /// (backpressure), while [`Recognizer::try_classify_batch`] sheds the
     /// batch with [`EngineError::Overloaded`] instead
-    /// of growing the queue without bound.
+    /// of growing the queue without bound. Batches within
+    /// [`INLINE_CLASSIFY_MAX_NEURON_WORDS`] run on the calling thread and
+    /// never enter the queue.
     pub queue_capacity: Option<usize>,
 }
 
@@ -302,7 +308,7 @@ mod tests {
     fn from_parts_rejects_mismatched_labels() {
         let mut r = rng();
         let (classifier, _) = trained_classifier(&mut r);
-        let layer = PackedLayer::from_som(classifier.map());
+        let layer = PackedLayer::pack(classifier.map());
         let result =
             std::panic::catch_unwind(|| SomService::from_parts(layer, vec![None; 1], None, 1));
         assert!(result.is_err());

@@ -463,10 +463,12 @@ impl MapRegistry {
     }
 
     /// Classifies a batch against the tenant's latest published snapshot.
-    /// The winner search runs on the shared pool *outside* the registry
-    /// lock — concurrent classifies of different tenants do not serialise on
-    /// each other (only the snapshot lookup does). An evicted tenant is
-    /// transparently reloaded first.
+    /// The winner search runs *outside* the registry lock — on the calling
+    /// thread for a batch within
+    /// [`INLINE_CLASSIFY_MAX_NEURON_WORDS`](crate::INLINE_CLASSIFY_MAX_NEURON_WORDS),
+    /// on the shared pool above it — so concurrent classifies of different
+    /// tenants do not serialise on each other (only the snapshot lookup
+    /// does). An evicted tenant is transparently reloaded first.
     ///
     /// # Errors
     ///

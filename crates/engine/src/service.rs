@@ -90,6 +90,29 @@ pub(crate) fn resolve_queue_capacity(queue_capacity: Option<usize>, workers: usi
     queue_capacity.unwrap_or_else(|| (workers * 4).max(16))
 }
 
+/// The most work, in neuron-words, that a classify batch may carry and still
+/// run on the calling thread instead of the worker pool.
+///
+/// A batch's work is signatures × neurons × 64-bit word rows: the number of
+/// plane-word pairs its distance passes read. Handing a batch to the pool
+/// costs a thread wake-up and a reply (tens of µs); one 40-neuron × 768-bit
+/// signature costs about 0.3 µs inline. At or below this limit the whole
+/// batch runs through the same `winner_with_buffer` + verdict the workers
+/// run, so the answers are bit-identical either way. The value is the
+/// largest power of two at which the inline path was no slower than the
+/// 2-worker pool in the crossover sweep of `bench_report --only
+/// recognition`, under both the forced-scalar and the widest dispatch
+/// (DESIGN.md §"The batched engine layout" has the table).
+pub const INLINE_CLASSIFY_MAX_NEURON_WORDS: usize = 16_384;
+
+/// A classify batch's work in neuron-words (see
+/// [`INLINE_CLASSIFY_MAX_NEURON_WORDS`]).
+pub(crate) fn classify_work(layer: &PackedLayer, signatures: usize) -> usize {
+    signatures
+        .saturating_mul(layer.neuron_count())
+        .saturating_mul(layer.word_row_count())
+}
+
 /// Weights below this threshold are dropped from a neuron's decayed win
 /// statistics — a win this faded can never influence a majority that any
 /// fresh win participates in, and pruning keeps the per-neuron maps from
@@ -643,9 +666,11 @@ impl ServiceCore {
         )
     }
 
-    /// Computes verdicts for `range` on the calling thread — the fallback
-    /// when a shard's worker panicked or its reply was lost. The winner
-    /// search is deterministic, so this is bit-identical to the pool path.
+    /// Computes verdicts for `range` on the calling thread — the whole
+    /// batch when its work is at most [`INLINE_CLASSIFY_MAX_NEURON_WORDS`],
+    /// and the fallback when a shard's worker panicked or its reply was
+    /// lost. The winner search is deterministic, so this is bit-identical to
+    /// the pool path.
     fn classify_range_inline(
         &self,
         snapshot: &SomSnapshot,
@@ -663,8 +688,16 @@ impl ServiceCore {
         }
     }
 
-    /// Sharded winner search + verdicts against one pinned snapshot.
-    /// Infallible: shard failures (a panicked worker, a lost reply, even a
+    /// The whole batch on the calling thread: no queue slot, no hand-off.
+    fn classify_inline(&self, snapshot: &SomSnapshot, batch: &SignatureBatch) -> Vec<Prediction> {
+        let mut predictions = vec![Prediction::Unknown; batch.len()];
+        self.classify_range_inline(snapshot, batch, 0..batch.len(), &mut predictions);
+        predictions
+    }
+
+    /// Winner search + verdicts against one pinned snapshot, on the calling
+    /// thread or sharded across the pool by the batch's work. Infallible:
+    /// shard failures (a panicked worker, a lost reply, even a
     /// shutting-down pool) degrade to inline computation on the calling
     /// thread with bit-identical results.
     fn classify_on(&self, snapshot: &SomSnapshot, batch: &SignatureBatch) -> Vec<Prediction> {
@@ -674,7 +707,13 @@ impl ServiceCore {
 
     /// [`classify_on`](Self::classify_on) with an explicit admission policy.
     ///
-    /// Under [`Admission::Shed`], a full job queue rejects the whole batch
+    /// A batch whose work — signatures × neurons × word rows, in
+    /// neuron-words — is at most [`INLINE_CLASSIFY_MAX_NEURON_WORDS`] runs
+    /// on the calling thread. It takes no queue slot, so it is never shed,
+    /// and a panic in it unwinds into the caller. A larger batch is split
+    /// into one shard per worker.
+    ///
+    /// Under [`Admission::Shed`], a full job queue rejects a sharded batch
     /// with [`EngineError::Overloaded`]; shards submitted before the full
     /// one still run (workers cannot be recalled) but their replies go to a
     /// receiver this call abandons. Under [`Admission::Block`] the call
@@ -686,10 +725,20 @@ impl ServiceCore {
         batch: &SignatureBatch,
         admission: Admission,
     ) -> Result<Vec<Prediction>, EngineError> {
-        let total = batch.len();
-        if total == 0 {
-            return Ok(Vec::new());
+        if classify_work(&snapshot.layer, batch.len()) <= INLINE_CLASSIFY_MAX_NEURON_WORDS {
+            return Ok(self.classify_inline(snapshot, batch));
         }
+        self.classify_sharded(snapshot, batch, admission)
+    }
+
+    /// The pool path: one shard per worker, collected in input order.
+    fn classify_sharded(
+        &self,
+        snapshot: &SomSnapshot,
+        batch: &SignatureBatch,
+        admission: Admission,
+    ) -> Result<Vec<Prediction>, EngineError> {
+        let total = batch.len();
         let shard_len = total.div_ceil(self.workers);
         let (reply_tx, reply_rx) = mpsc::channel::<Shard>();
         // Ranges submitted to the pool whose replies are still owed.
@@ -1100,13 +1149,37 @@ impl SomService {
 
     /// Classifies a batch against one **pinned** snapshot (no refresh) —
     /// the frozen-serving path for A/B comparisons across versions and for
-    /// frozen oracles built with [`from_parts`](Self::from_parts).
+    /// frozen oracles built with [`from_parts`](Self::from_parts). Inline
+    /// or sharded by the same work rule as
+    /// [`Recognizer::classify_batch`].
     pub fn classify_pinned(
         &self,
         snapshot: &SomSnapshot,
         signatures: impl Into<SignatureBatch>,
     ) -> Vec<Prediction> {
         self.core.classify_on(snapshot, &signatures.into())
+    }
+
+    /// The calling-thread path whatever the batch's work — the inline leg
+    /// of the crossover sweep in [`crate::throughput`].
+    pub(crate) fn classify_pinned_inline(
+        &self,
+        snapshot: &SomSnapshot,
+        batch: &SignatureBatch,
+    ) -> Vec<Prediction> {
+        self.core.classify_inline(snapshot, batch)
+    }
+
+    /// The sharded pool path whatever the batch's work — the pool leg of
+    /// the crossover sweep in [`crate::throughput`].
+    pub(crate) fn classify_pinned_sharded(
+        &self,
+        snapshot: &SomSnapshot,
+        batch: &SignatureBatch,
+    ) -> Vec<Prediction> {
+        self.core
+            .classify_sharded(snapshot, batch, Admission::Block)
+            .unwrap_or_else(|_| unreachable!("blocking admission never sheds a batch"))
     }
 }
 
@@ -1503,10 +1576,12 @@ impl Recognizer {
         true
     }
 
-    /// Classifies a batch of signatures, sharding the winner search across
-    /// the service's worker pool. Refreshes to the newest snapshot first;
-    /// the whole batch then runs against that one snapshot. Results are in
-    /// input order; wrong-length signatures yield [`Prediction::Unknown`].
+    /// Classifies a batch of signatures. Refreshes to the newest snapshot
+    /// first; the whole batch then runs against that one snapshot. A batch
+    /// whose work is at most [`INLINE_CLASSIFY_MAX_NEURON_WORDS`] runs on
+    /// the calling thread; a larger one is sharded across the service's
+    /// worker pool. Results are in input order and bit-identical either
+    /// way; wrong-length signatures yield [`Prediction::Unknown`].
     pub fn classify_batch(&mut self, signatures: impl Into<SignatureBatch>) -> Vec<Prediction> {
         self.refresh();
         self.core.classify_on(&self.current, &signatures.into())
@@ -1518,7 +1593,9 @@ impl Recognizer {
     /// instead of queueing without bound — the graceful-degradation path for
     /// a live camera feed, where a stale frame is better dropped than
     /// stalled on. Check [`SomService::health`] for the queue depth that
-    /// triggered the shed.
+    /// triggered the shed. A batch within
+    /// [`INLINE_CLASSIFY_MAX_NEURON_WORDS`] runs on the calling thread, takes
+    /// no queue slot and is never shed.
     ///
     /// # Errors
     ///
@@ -1533,17 +1610,11 @@ impl Recognizer {
             .classify_with_admission(&self.current, &signatures.into(), Admission::Shed)
     }
 
-    /// Classifies one signature on the calling thread (no pool round-trip) —
-    /// the low-latency single-query path. Refreshes first.
-    pub fn classify(&mut self, signature: &BinaryVector) -> Prediction {
-        self.refresh();
-        let winner = self.current.layer().winner(signature).ok();
-        self.current.verdict(winner)
-    }
-
     /// Runs a batch of frames through a [`SurveillancePipeline`] and
-    /// classifies every surviving tracked object in one sharded winner
-    /// search against the (refreshed) current snapshot.
+    /// classifies every surviving tracked object in one winner search
+    /// against the (refreshed) current snapshot — on the calling thread or
+    /// sharded across the pool, by the same work rule as
+    /// [`classify_batch`](Self::classify_batch).
     ///
     /// The pipeline stays sequential (its background model and tracker are
     /// stateful), but all signatures the batch produces — across every frame
@@ -1610,10 +1681,19 @@ mod tests {
         let service = SomService::serve(&classifier, EngineConfig::with_workers(3));
         assert_eq!(service.version(), 1);
         let mut recognizer = service.recognizer();
-        let batch: Vec<BinaryVector> = (0..40).map(|_| BinaryVector::random(96, &mut r)).collect();
-        let out = recognizer.classify_batch(&batch);
-        for (s, p) in batch.iter().zip(&out) {
-            assert_eq!(*p, classifier.classify(s));
+        // Sizes on both sides of the inline limit: the largest batch that
+        // runs on the calling thread and the smallest that goes to the pool.
+        let per_signature = classify_work(service.snapshot().layer(), 1);
+        let at_limit = INLINE_CLASSIFY_MAX_NEURON_WORDS / per_signature;
+        for size in [1, 40, at_limit, at_limit + 1] {
+            let batch: Vec<BinaryVector> = (0..size)
+                .map(|_| BinaryVector::random(96, &mut r))
+                .collect();
+            let out = recognizer.classify_batch(&batch);
+            assert_eq!(out.len(), size);
+            for (s, p) in batch.iter().zip(&out) {
+                assert_eq!(*p, classifier.classify(s));
+            }
         }
         // Nothing publishes into a serve-only service.
         assert!(!recognizer.refresh());
@@ -1752,12 +1832,15 @@ mod tests {
         let probes: Vec<BinaryVector> = (0..10).map(|_| BinaryVector::random(96, &mut r)).collect();
         let batched = recognizer.classify_batch(&probes);
         for (probe, expected) in probes.iter().zip(&batched) {
-            assert_eq!(recognizer.classify(probe), *expected);
+            assert_eq!(
+                recognizer.classify_batch(std::slice::from_ref(probe)),
+                vec![*expected]
+            );
         }
-        // Wrong-length single queries degrade to Unknown like the batch path.
+        // A wrong-length probe classified alone is Unknown, as in a batch.
         assert_eq!(
-            recognizer.classify(&BinaryVector::zeros(8)),
-            Prediction::Unknown
+            recognizer.classify_batch(&[BinaryVector::zeros(8)][..]),
+            vec![Prediction::Unknown]
         );
     }
 

@@ -17,7 +17,8 @@ use bsom_signature::BinaryVector;
 use bsom_som::{BSom, SelfOrganizingMap};
 use serde::{Deserialize, Serialize};
 
-use crate::SomService;
+use crate::service::classify_work;
+use crate::{SignatureBatch, SomService};
 
 /// One wall-clock throughput measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -383,6 +384,160 @@ pub fn compare_dispatch_throughput(
     }
 }
 
+/// One cell of the inline-vs-pool crossover sweep: the same pinned batch
+/// classified on the calling thread and through the sharded worker pool.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CrossoverCell {
+    /// Neurons in the map.
+    pub neurons: usize,
+    /// Signatures per classify call.
+    pub batch: usize,
+    /// The call's work: batch × neurons × word rows
+    /// ([`INLINE_CLASSIFY_MAX_NEURON_WORDS`](crate::INLINE_CLASSIFY_MAX_NEURON_WORDS)'s unit).
+    pub neuron_words: usize,
+    /// The whole batch on the calling thread.
+    pub inline: MeasuredThroughput,
+    /// The batch sharded across the worker pool.
+    pub pool: MeasuredThroughput,
+}
+
+impl CrossoverCell {
+    /// Inline signatures/s over pool signatures/s: at or above 1.0 the
+    /// calling thread was no slower than the pool.
+    pub fn inline_over_pool(&self) -> f64 {
+        self.inline.patterns_per_second / self.pool.patterns_per_second.max(f64::MIN_POSITIVE)
+    }
+}
+
+/// The inline-vs-pool crossover under one kernel dispatch — the sweep that
+/// sets [`INLINE_CLASSIFY_MAX_NEURON_WORDS`](crate::INLINE_CLASSIFY_MAX_NEURON_WORDS).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct InlineCrossover {
+    /// The dispatch every kernel was forced onto.
+    pub dispatch: String,
+    /// Bits per weight vector.
+    pub vector_len: usize,
+    /// Worker threads in the pool leg.
+    pub workers: usize,
+    /// One cell per (neurons, batch), neurons outermost.
+    pub cells: Vec<CrossoverCell>,
+}
+
+impl InlineCrossover {
+    /// The largest power of two of neuron-words such that no measured cell
+    /// at or below it ran slower inline than on the pool (0 when even the
+    /// smallest cell did).
+    pub fn inline_limit(&self) -> usize {
+        let ceiling = self
+            .cells
+            .iter()
+            .filter(|cell| cell.inline_over_pool() < 1.0)
+            .map(|cell| cell.neuron_words - 1)
+            .min()
+            .unwrap_or_else(|| {
+                self.cells
+                    .iter()
+                    .map(|cell| cell.neuron_words)
+                    .max()
+                    .unwrap_or(0)
+            });
+        match ceiling.checked_ilog2() {
+            Some(exponent) => 1 << exponent,
+            None => 0,
+        }
+    }
+}
+
+impl std::fmt::Display for InlineCrossover {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        writeln!(
+            f,
+            "inline vs pool classify ({}, {} bits, {} workers)",
+            self.dispatch, self.vector_len, self.workers
+        )?;
+        writeln!(
+            f,
+            "  neurons  batch  neuron-words   inline sig/s     pool sig/s  inline/pool"
+        )?;
+        for cell in &self.cells {
+            writeln!(
+                f,
+                "  {:>7}  {:>5}  {:>12}  {:>13.0}  {:>13.0}  {:>11.2}",
+                cell.neurons,
+                cell.batch,
+                cell.neuron_words,
+                cell.inline.patterns_per_second,
+                cell.pool.patterns_per_second,
+                cell.inline_over_pool()
+            )?;
+        }
+        write!(f, "  inline limit = {} neuron-words", self.inline_limit())
+    }
+}
+
+/// Measures the calling-thread and the worker-pool classify paths for every
+/// `neurons` × `batches` cell on untrained `vector_len`-bit maps served by
+/// `workers` threads, with every kernel forced onto `dispatch`.
+/// `min_duration` is spent on each path of each cell; the two paths of a
+/// cell are measured back to back, so slow drift of the host hits both.
+///
+/// # Panics
+///
+/// Panics if `dispatch` is not available on this machine, or if `neurons`,
+/// `batches` or `vector_len` holds a zero.
+pub fn compare_inline_crossover(
+    neurons: &[usize],
+    batches: &[usize],
+    vector_len: usize,
+    workers: usize,
+    dispatch: bsom_signature::Dispatch,
+    min_duration: Duration,
+    seed: u64,
+) -> InlineCrossover {
+    use rand::SeedableRng;
+    assert!(
+        vector_len > 0 && neurons.iter().chain(batches).all(|&n| n > 0),
+        "map sizes, batch sizes and the vector length must be positive"
+    );
+    bsom_signature::force_dispatch(Some(dispatch)).expect("the swept dispatch must be available");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let largest = batches.iter().copied().max().unwrap_or(0);
+    let signatures: Vec<BinaryVector> = (0..largest)
+        .map(|_| BinaryVector::random(vector_len, &mut rng))
+        .collect();
+    let mut cells = Vec::with_capacity(neurons.len() * batches.len());
+    for &count in neurons {
+        // Untrained weights: the kernels do not branch on weight content.
+        let som = BSom::new(bsom_som::BSomConfig::new(count, vector_len), &mut rng);
+        let service =
+            SomService::from_parts(som.packed_layer().clone(), vec![None; count], None, workers);
+        let snapshot = service.snapshot();
+        for &batch in batches {
+            let shared = SignatureBatch::from(signatures[..batch].to_vec());
+            let inline = measure(batch, min_duration, || {
+                std::hint::black_box(service.classify_pinned_inline(&snapshot, &shared));
+            });
+            let pool = measure(batch, min_duration, || {
+                std::hint::black_box(service.classify_pinned_sharded(&snapshot, &shared));
+            });
+            cells.push(CrossoverCell {
+                neurons: count,
+                batch,
+                neuron_words: classify_work(snapshot.layer(), batch),
+                inline,
+                pool,
+            });
+        }
+    }
+    bsom_signature::force_dispatch(None).expect("clearing the override always succeeds");
+    InlineCrossover {
+        dispatch: dispatch.name().to_string(),
+        vector_len,
+        workers,
+        cells,
+    }
+}
+
 /// Measures scalar / batched / engine recognition throughput on `signatures`
 /// and derives the FPGA figure from `fpga_config`'s cycle model.
 ///
@@ -535,6 +690,75 @@ mod tests {
         let json = serde_json::to_string(&comparison).unwrap();
         let back: DispatchThroughputComparison = serde_json::from_str(&json).unwrap();
         assert_eq!(back, comparison);
+    }
+
+    #[test]
+    fn crossover_sweep_times_both_paths_and_derives_a_power_of_two_limit() {
+        let dispatch = bsom_signature::Dispatch::Scalar;
+        let sweep = compare_inline_crossover(
+            &[8, 24],
+            &[1, 3],
+            200,
+            2,
+            dispatch,
+            Duration::from_millis(2),
+            0xC205,
+        );
+        assert_eq!(sweep.dispatch, "scalar");
+        assert_eq!(sweep.cells.len(), 4);
+        let shapes: Vec<(usize, usize, usize)> = sweep
+            .cells
+            .iter()
+            .map(|cell| (cell.neurons, cell.batch, cell.neuron_words))
+            .collect();
+        // 200 bits are 4 word rows.
+        assert_eq!(shapes, [(8, 1, 32), (8, 3, 96), (24, 1, 96), (24, 3, 288)]);
+        for cell in &sweep.cells {
+            assert!(cell.inline.patterns_per_second > 0.0);
+            assert!(cell.pool.patterns_per_second > 0.0);
+        }
+        let limit = sweep.inline_limit();
+        assert!(limit == 0 || limit.is_power_of_two());
+        assert!(limit <= 288);
+        assert!(sweep.to_string().contains("inline limit"));
+        let json = serde_json::to_string(&sweep).unwrap();
+        let back: InlineCrossover = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, sweep);
+    }
+
+    #[test]
+    fn inline_limit_stops_below_the_first_cell_where_inline_is_slower() {
+        let figure = |per_second: f64| MeasuredThroughput {
+            patterns_per_second: per_second,
+            seconds_per_pattern: 1.0 / per_second,
+            rounds: 1,
+        };
+        let cell = |neuron_words: usize, inline: f64, pool: f64| CrossoverCell {
+            neurons: 1,
+            batch: 1,
+            neuron_words,
+            inline: figure(inline),
+            pool: figure(pool),
+        };
+        let sweep = |cells: Vec<CrossoverCell>| InlineCrossover {
+            dispatch: "scalar".to_string(),
+            vector_len: 768,
+            workers: 2,
+            cells,
+        };
+        // Slower inline at 40,000 caps the limit at 32,768 even though a
+        // larger cell happened to favour inline again.
+        let mixed = sweep(vec![
+            cell(1_000, 9.0, 1.0),
+            cell(40_000, 1.0, 2.0),
+            cell(90_000, 2.0, 1.0),
+        ]);
+        assert_eq!(mixed.inline_limit(), 32_768);
+        // A cell exactly on a power of two that is slower excludes it.
+        assert_eq!(sweep(vec![cell(4_096, 1.0, 2.0)]).inline_limit(), 2_048);
+        // Never slower: the largest power of two within the sweep.
+        assert_eq!(sweep(vec![cell(5_000, 2.0, 1.0)]).inline_limit(), 4_096);
+        assert_eq!(sweep(vec![cell(1, 1.0, 2.0)]).inline_limit(), 0);
     }
 
     // Wall-clock assertion: sound in release on an idle machine, but timing

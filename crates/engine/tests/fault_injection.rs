@@ -8,6 +8,9 @@
 //! * a worker panicking mid-job is contained — the batch still returns
 //!   bit-identical predictions, the supervisor respawns the worker, and
 //!   [`ServiceHealth`] records the panic and the respawn;
+//! * a batch within [`INLINE_CLASSIFY_MAX_NEURON_WORDS`] never reaches a
+//!   worker, and one signature more does — so the suites that arm
+//!   `worker.job` size their batches from that limit;
 //! * a checkpoint torn between temp-file write and atomic rename leaves
 //!   the previous checkpoint intact; a frame truncated at **every** byte
 //!   offset, or bit-flipped per a seeded [`FaultPlan`], is rejected with a
@@ -35,13 +38,25 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bsom_engine::faultpoint::{arm_panic, arm_sleep, hit_count, reset, FaultPlan};
-use bsom_engine::{EngineConfig, EngineError, ServiceHealth, SomService, Trainer};
+use bsom_engine::{
+    EngineConfig, EngineError, ServiceHealth, SomService, Trainer, INLINE_CLASSIFY_MAX_NEURON_WORDS,
+};
 use bsom_signature::BinaryVector;
 use bsom_som::{BSom, BSomConfig, ObjectLabel, TrainSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const VECTOR_LEN: usize = 80;
+/// Neurons in the suite's maps.
+const NEURONS: usize = 8;
+/// Classify work of one probe against the suite's maps, in neuron-words.
+const WORK_PER_PROBE: usize = NEURONS * VECTOR_LEN.div_ceil(64);
+
+/// The fewest probes whose batch the engine shards across the worker pool
+/// instead of classifying on the calling thread.
+fn pool_batch_len() -> usize {
+    INLINE_CLASSIFY_MAX_NEURON_WORDS / WORK_PER_PROBE + 1
+}
 
 /// Serializes the suite around the process-global failpoint registry and
 /// guarantees a clean registry on both entry and exit (even when the test
@@ -93,7 +108,7 @@ fn probes(seed: u64, count: usize) -> Vec<BinaryVector> {
 
 fn trained_pair(seed: u64, config: EngineConfig) -> (SomService, Trainer) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let som = BSom::new(BSomConfig::new(8, VECTOR_LEN), &mut rng);
+    let som = BSom::new(BSomConfig::new(NEURONS, VECTOR_LEN), &mut rng);
     let (service, mut trainer) =
         SomService::train_while_serve(som, TrainSchedule::new(8), &[], config);
     for (signature, label) in &training_stream(seed ^ 0xA5A5, 40) {
@@ -122,7 +137,7 @@ fn wait_for(timeout: Duration, mut condition: impl FnMut() -> bool) -> bool {
 fn worker_panic_is_contained_respawned_and_bit_identical() {
     let _harness = harness();
     let (service, _trainer) = trained_pair(0x11, EngineConfig::with_workers(2));
-    let batch = probes(0x22, 12);
+    let batch = probes(0x22, pool_batch_len());
     let mut recognizer = service.recognizer();
 
     // Fault-free reference pass (counts worker.job hits: one per shard).
@@ -164,6 +179,46 @@ fn worker_panic_is_contained_respawned_and_bit_identical() {
     // Post-recovery classifies still match the reference.
     let recovered = recognizer.classify_batch(&batch);
     assert_eq!(recovered, reference);
+}
+
+/// The work rule: a batch whose work equals the inline limit runs on the
+/// calling thread — the `worker.job` counter does not move and an armed
+/// panic stays unfired — while one signature more goes to the pool and
+/// trips the failpoint there.
+#[test]
+fn a_batch_at_the_inline_limit_never_reaches_a_worker() {
+    let _harness = harness();
+    let (service, _trainer) = trained_pair(0x1F, EngineConfig::with_workers(2));
+    let at_limit = INLINE_CLASSIFY_MAX_NEURON_WORDS / WORK_PER_PROBE;
+    assert_eq!(at_limit * WORK_PER_PROBE, INLINE_CLASSIFY_MAX_NEURON_WORDS);
+    let over = probes(0x2F, at_limit + 1);
+    assert_eq!(over.len(), pool_batch_len());
+    let mut recognizer = service.recognizer();
+    let reference = recognizer.classify_batch(&over);
+
+    let hits = hit_count("worker.job");
+    arm_panic("worker.job", hits);
+    assert_eq!(
+        recognizer.classify_batch(&over[..at_limit]),
+        reference[..at_limit]
+    );
+    assert_eq!(
+        hit_count("worker.job"),
+        hits,
+        "a batch at the limit must not reach a worker"
+    );
+    assert_eq!(service.health().worker_panics, 0);
+
+    // One signature over the limit: the pool runs it, the armed panic
+    // fires in a worker, and the lost shard is recomputed bit-identically.
+    assert_eq!(recognizer.classify_batch(&over), reference);
+    assert!(hit_count("worker.job") > hits);
+    assert!(
+        wait_for(Duration::from_secs(5), || service.health().worker_panics
+            == 1),
+        "the armed panic must fire inside a worker, health: {:?}",
+        service.health()
+    );
 }
 
 /// Acceptance (b): a checkpoint frame truncated at **every** byte offset
@@ -251,15 +306,12 @@ fn saturation_sheds_load_with_overloaded_and_recovers() {
     let _harness = harness();
     let (service, _trainer) =
         trained_pair(0x55, EngineConfig::with_workers(1).with_queue_capacity(1));
-    let batch = probes(0x66, 6);
+    let batch = probes(0x66, pool_batch_len());
     let reference = service.recognizer().classify_batch(&batch);
 
     // Park the worker inside the next job for long enough to saturate.
-    arm_sleep(
-        "worker.job",
-        hit_count("worker.job"),
-        Duration::from_millis(1500),
-    );
+    let stalled_hit = hit_count("worker.job");
+    arm_sleep("worker.job", stalled_hit, Duration::from_millis(1500));
     let sleeper = {
         let mut recognizer = service.recognizer();
         let batch = batch.clone();
@@ -269,7 +321,7 @@ fn saturation_sheds_load_with_overloaded_and_recovers() {
         wait_for(Duration::from_secs(5), || service.health().workers_alive
             == 1
             && service.health().queue_depth == 0
-            && hit_count("worker.job") >= 1),
+            && hit_count("worker.job") > stalled_hit),
         "the stalled job must be picked up first"
     );
 
@@ -297,6 +349,12 @@ fn saturation_sheds_load_with_overloaded_and_recovers() {
         }
         other => panic!("expected Overloaded under saturation, got {other:?}"),
     }
+    // A batch within the inline limit takes no queue slot: it is answered
+    // on the calling thread even while the queue is full.
+    assert_eq!(
+        recognizer.try_classify_batch(&batch[..1]).unwrap(),
+        reference[..1]
+    );
 
     // Both blocked batches complete untouched once the stall clears…
     assert_eq!(sleeper.join().expect("sleeper panicked"), reference);

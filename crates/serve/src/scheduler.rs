@@ -1,10 +1,13 @@
 //! The adaptive micro-batching scheduler.
 //!
 //! Small classify requests are cheap to compute and expensive to dispatch:
-//! every batch pays one worker-pool round trip regardless of size. The
-//! scheduler amortizes that fixed cost the way the paper's FPGA comparator
-//! pipeline amortizes per-frame overheads — requests arriving close together
-//! coalesce into **one** `classify_batch` call.
+//! every dispatch pays a scheduler wake-up and reply regardless of size, and
+//! a batch over the engine's inline limit
+//! ([`INLINE_CLASSIFY_MAX_NEURON_WORDS`](bsom_engine::INLINE_CLASSIFY_MAX_NEURON_WORDS))
+//! also pays one worker-pool round trip. The scheduler amortizes that fixed
+//! cost the way the paper's FPGA comparator pipeline amortizes per-frame
+//! overheads — requests arriving close together coalesce into **one**
+//! `classify_batch` call.
 //!
 //! The state machine (documented in DESIGN.md §"The serving front-end"):
 //!
@@ -32,7 +35,9 @@
 //! Admission control is two-staged, and both stages surface as a typed
 //! `Overloaded` wire response: the scheduler's own bounded pending queue
 //! sheds at [`MicroBatcher::submit`], and the engine's bounded job queue
-//! sheds whole batches through [`EngineError::Overloaded`].
+//! sheds whole batches through [`EngineError::Overloaded`]. A batch within
+//! the engine's inline limit runs on the scheduler thread and takes no
+//! engine queue slot, so for it the scheduler's queue is the only stage.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};

@@ -17,12 +17,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use bsom_engine::faultpoint::{arm_panic, arm_sleep, hit_count, reset};
+use bsom_engine::INLINE_CLASSIFY_MAX_NEURON_WORDS;
 use bsom_serve::bench::{bench_service, synthetic_corpus};
 use bsom_serve::wire::WireMessage;
 use bsom_serve::{SchedulerConfig, ServeClient, ServeConfig, Server};
 use bsom_som::Prediction;
 
 const VECTOR_LEN: usize = 256;
+/// 64-bit word rows per signature.
+const WORDS: usize = VECTOR_LEN.div_ceil(64);
 
 /// Serializes the suite around the process-global failpoint registry and
 /// guarantees a clean registry on both entry and exit (even when the test
@@ -48,7 +51,10 @@ impl Drop for HarnessGuard {
 fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
     let _harness = harness();
     let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
-    let (service, _trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
+    // Wide enough that the drain's one coalesced batch of every request is
+    // over the inline limit, so the flush runs on the worker pool.
+    let neurons = INLINE_CLASSIFY_MAX_NEURON_WORDS / (corpus.len() * WORDS) + 1;
+    let (service, _trainer) = bench_service(neurons, VECTOR_LEN, 7, &corpus);
     let snapshot = service.snapshot();
     let expected: Vec<Prediction> = corpus
         .iter()
@@ -136,11 +142,21 @@ fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
 fn engine_saturation_surfaces_as_wire_overload_then_recovers() {
     let _harness = harness();
     let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
-    let (service, _trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
+    let neurons = 24;
+    let (service, _trainer) = bench_service(neurons, VECTOR_LEN, 7, &corpus);
     // Batch-of-one keeps the scheduler transparent: each request becomes
-    // one engine job, so parking the engine worker via the worker.job
-    // failpoint saturates the *engine's* bounded queue and the typed
-    // Overloaded shed must travel all the way back out over the wire.
+    // one engine batch. Each request carries enough signatures to be over
+    // the inline limit, so it goes to the worker pool; parking a worker
+    // via the worker.job failpoint then stalls dispatch, the scheduler's
+    // bounded queue fills behind it, and the typed Overloaded shed must
+    // travel all the way back out over the wire.
+    let per_request = INLINE_CLASSIFY_MAX_NEURON_WORDS / (neurons * WORDS) + 1;
+    let request: Vec<_> = corpus
+        .iter()
+        .cycle()
+        .take(per_request)
+        .map(|(signature, _)| signature.clone())
+        .collect();
     let server = Server::bind(
         service,
         "127.0.0.1:0",
@@ -161,9 +177,8 @@ fn engine_saturation_surfaces_as_wire_overload_then_recovers() {
         .expect("connect")
         .split();
     let burst = 64usize;
-    for (signature, _) in corpus.iter().cycle().take(burst) {
-        send.send_classify(std::slice::from_ref(signature))
-            .expect("burst send");
+    for _ in 0..burst {
+        send.send_classify(&request).expect("burst send");
     }
     let mut ok = 0usize;
     let mut overloaded = 0usize;
@@ -181,6 +196,10 @@ fn engine_saturation_surfaces_as_wire_overload_then_recovers() {
     assert!(
         overloaded > 0,
         "a parked worker behind a 64-request burst must shed something"
+    );
+    assert!(
+        hit_count("worker.job") > base,
+        "the burst must reach the worker pool"
     );
 
     // Load subsided and the sleep expired: the service answers again.

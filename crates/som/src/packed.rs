@@ -127,7 +127,7 @@ struct PlaneRow {
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let som = BSom::new(BSomConfig::new(8, 64), &mut rng);
-/// let layer = PackedLayer::from_som(&som);
+/// let layer = PackedLayer::pack(&som);
 /// let input = BinaryVector::random(64, &mut rng);
 /// let batched = layer.winner(&input).unwrap();
 /// let scalar = som.winner(&input).unwrap();
@@ -205,12 +205,6 @@ impl PackedLayer {
     /// the two routes agree word for word).
     pub fn pack(som: &BSom) -> Self {
         Self::from_neurons(som.neurons()).expect("a constructed BSom is never empty")
-    }
-
-    /// Snapshots a trained [`BSom`]'s competitive layer. Alias of
-    /// [`pack`](Self::pack), kept for existing call sites.
-    pub fn from_som(som: &BSom) -> Self {
-        Self::pack(som)
     }
 
     /// Rewrites the words of neuron `index` in place from its new weight
@@ -769,7 +763,7 @@ mod tests {
     fn packed_distances_match_scalar_distances() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::paper_default(), &mut r);
-        let layer = PackedLayer::from_som(&som);
+        let layer = PackedLayer::pack(&som);
         assert_eq!(layer.neuron_count(), 40);
         assert_eq!(layer.vector_len(), 768);
         assert_eq!(layer.word_row_count(), 12);
@@ -790,7 +784,7 @@ mod tests {
         let data: Vec<BinaryVector> = (0..8).map(|_| BinaryVector::random(96, &mut r)).collect();
         som.train(&data, crate::TrainSchedule::new(30), &mut r)
             .unwrap();
-        let layer = PackedLayer::from_som(&som);
+        let layer = PackedLayer::pack(&som);
         for input in &data {
             let scalar = som.winner(input).unwrap();
             let packed = layer.winner(input).unwrap();
@@ -834,7 +828,7 @@ mod tests {
     fn winners_batch_matches_individual_calls() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(12, 128), &mut r);
-        let layer = PackedLayer::from_som(&som);
+        let layer = PackedLayer::pack(&som);
         let inputs: Vec<BinaryVector> = (0..6).map(|_| BinaryVector::random(128, &mut r)).collect();
         let batch = layer.winners(&inputs).unwrap();
         for (input, batched) in inputs.iter().zip(&batch) {
@@ -845,7 +839,7 @@ mod tests {
     #[test]
     fn clone_shares_every_row() {
         let mut r = rng();
-        let layer = PackedLayer::from_som(&BSom::new(BSomConfig::new(8, 192), &mut r));
+        let layer = PackedLayer::pack(&BSom::new(BSomConfig::new(8, 192), &mut r));
         let snapshot = layer.clone();
         assert_eq!(snapshot.shared_row_count(&layer), layer.word_row_count());
         assert!(snapshot.shares_counts_with(&layer));
@@ -856,7 +850,7 @@ mod tests {
     fn neuron_update_unshares_only_touched_rows() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(8, 192), &mut r);
-        let mut layer = PackedLayer::from_som(&som);
+        let mut layer = PackedLayer::pack(&som);
         let snapshot = layer.clone();
 
         // A no-op rewrite (same weight) must leave every row shared.
@@ -890,7 +884,7 @@ mod tests {
     fn serde_roundtrip() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(4, 70), &mut r);
-        let layer = PackedLayer::from_som(&som);
+        let layer = PackedLayer::pack(&som);
         let json = serde_json::to_string(&layer).unwrap();
         let back: PackedLayer = serde_json::from_str(&json).unwrap();
         assert_eq!(layer, back);
@@ -899,7 +893,7 @@ mod tests {
     #[test]
     fn deserialize_rejects_inconsistent_snapshots() {
         let mut r = rng();
-        let layer = PackedLayer::from_som(&BSom::new(BSomConfig::new(4, 70), &mut r));
+        let layer = PackedLayer::pack(&BSom::new(BSomConfig::new(4, 70), &mut r));
         let json = serde_json::to_string(&layer).unwrap();
 
         // Structural tampering: wrong neuron count for the stored planes.
