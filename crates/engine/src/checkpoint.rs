@@ -1,54 +1,82 @@
-//! Crash-safe checkpoints: a length-prefixed, checksummed frame around the
-//! full training state, committed by temp-file + atomic rename.
+//! Crash-safe checkpoints and process-lifetime spill frames: a
+//! length-prefixed, checksummed frame around the full training state,
+//! committed by temp-file + atomic rename.
 //!
 //! ## Frame format (DESIGN.md §"Fault model and recovery")
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"BSOMCKPT"
-//! 8       4     format version, u32 little-endian (currently 1)
+//! 8       4     format version, u32 little-endian (currently 2)
 //! 12      8     payload length `L`, u64 little-endian
-//! 20      L     payload: the checkpoint document as JSON
+//! 20      L     payload: the training state, little-endian fields
 //! 20+L    8     FNV-1a-64 checksum of bytes [0, 20+L), u64 little-endian
 //! ```
+//!
+//! The payload stores the map the way the engine holds it: each neuron's
+//! value-plane and care-plane words, verbatim (the paper keeps the weights
+//! as bit planes in BlockRAM, §V-F). Around them sit the `BSomConfig`
+//! fields, the xorshift64\* RNG state, the schedule, the step clocks, the
+//! [`EngineConfig`] and the per-neuron decayed label statistics, whose
+//! weights travel as raw `f64` bits so a resumed service publishes exactly
+//! the labels the checkpointed one would have. DESIGN.md has the field
+//! table and a worked example.
 //!
 //! The checksum covers the header too, so a torn prefix, a truncated tail
 //! and a flipped bit anywhere in the file are all rejected with a typed
 //! [`CheckpointError`] — never a panic, never a silently-wrong map. The
-//! payload reuses the validating serde of [`bsom_som::BSom`] (neuron
-//! shapes, probabilities, non-zero RNG state), plus the engine-level checks
-//! in `CheckpointDoc::validate` (private).
+//! payload decoder reads through the bounded [`LeReader`]: every count
+//! (neurons, plane words, wins per neuron) is checked against the bytes left
+//! before anything is allocated for it. Plane words are adopted through
+//! [`BinaryVector::from_words`] and [`TriStateVector::from_planes`] (no bit
+//! beyond the vector length, no value bit outside the care plane), and the
+//! map is rebuilt through [`BSom::from_state`], so `#`-counts are recomputed
+//! and never read from the file. Anything that fails is
+//! [`CheckpointError::Invalid`].
 //!
-//! Writes go to `<path>.tmp` in the same directory, are flushed with
-//! `sync_all`, and only then renamed over `path` — on every POSIX
-//! filesystem the rename is atomic, so `path` always holds either the old
-//! complete checkpoint or the new complete checkpoint, regardless of where
-//! a crash lands (the `checkpoint.write` failpoint sits exactly between
-//! write and rename to prove it).
+//! Writes go to `<path>.tmp` in the same directory and are then renamed
+//! over `path` — on every POSIX filesystem the rename is atomic, so `path`
+//! always holds either the old complete frame or the new complete frame,
+//! regardless of where a crash lands (the `checkpoint.write` failpoint sits
+//! exactly between write and rename to prove it). A checkpoint
+//! ([`Trainer::write_checkpoint`]) is also flushed with `sync_all` before
+//! the rename, so its bytes are on disk before the rename exposes them. A
+//! registry spill frame is not: only the registry that wrote it ever reads
+//! it back, within the same process, so it needs the rename and the
+//! checksum but not the disk flush (DESIGN.md §"Fault model and recovery").
 //!
-//! Checkpoints are written by [`Trainer::write_checkpoint`] and restored by
-//! [`SomService::resume_from_checkpoint`]; `examples/crash_recovery.rs`
-//! walks the full train → checkpoint → crash → resume loop.
+//! Checkpoints are restored by [`SomService::resume_from_checkpoint`];
+//! `examples/crash_recovery.rs` walks the full train → checkpoint → crash →
+//! resume loop.
 //!
 //! [`Trainer::write_checkpoint`]: crate::Trainer::write_checkpoint
 //! [`SomService::resume_from_checkpoint`]: crate::SomService::resume_from_checkpoint
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
 
-use bsom_som::{BSom, BSomConfig, SelfOrganizingMap, TrainSchedule};
+use bsom_signature::{BinaryVector, TriStateVector};
+use bsom_som::{
+    BSom, BSomConfig, NeighbourRule, NeighbourhoodSchedule, ObjectLabel, SelfOrganizingMap,
+    TrainSchedule,
+};
 use serde::{Deserialize, Serialize};
 
+use crate::frame::{LeReader, LeWriter, ReadError};
+use crate::service::DecayedLabelStats;
 use crate::throughput::{measure, MeasuredThroughput};
 use crate::EngineConfig;
 
 /// The frame's leading magic bytes.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"BSOMCKPT";
-/// The frame format this build writes and the only one it accepts.
-pub const CHECKPOINT_FORMAT: u32 = 1;
+/// The frame format this build writes and the only one it accepts. Format 1
+/// carried a JSON payload; format 2 carries the little-endian binary payload
+/// described in the [module docs](self).
+pub const CHECKPOINT_FORMAT: u32 = 2;
 /// Bytes before the payload: magic (8) + format (4) + payload length (8).
 pub const CHECKPOINT_HEADER_LEN: usize = 20;
 /// Trailing checksum bytes.
@@ -102,9 +130,10 @@ pub enum CheckpointError {
         /// Checksum computed over the frame's bytes.
         computed: u64,
     },
-    /// The frame is intact but the payload fails JSON/serde/semantic
-    /// validation (including every invariant of [`bsom_som::BSom`]'s own
-    /// validating deserializer).
+    /// The frame is intact but the payload is malformed or fails semantic
+    /// validation: a field runs past the payload end, a tag is unknown, a
+    /// plane is badly packed, or the state breaks an invariant of
+    /// [`bsom_som::BSom`] or of the engine.
     Invalid {
         /// What failed.
         message: String,
@@ -158,6 +187,18 @@ impl CheckpointError {
     }
 }
 
+impl From<ReadError> for CheckpointError {
+    fn from(error: ReadError) -> Self {
+        invalid(error.to_string())
+    }
+}
+
+fn invalid(message: impl Into<String>) -> CheckpointError {
+    CheckpointError::Invalid {
+        message: message.into(),
+    }
+}
+
 /// What [`Trainer::write_checkpoint`] reports about a committed checkpoint.
 ///
 /// [`Trainer::write_checkpoint`]: crate::Trainer::write_checkpoint
@@ -169,29 +210,15 @@ pub struct CheckpointInfo {
     pub version: u64,
 }
 
-/// One neuron's decayed win statistics, serialization form: win weights are
-/// stored as raw `f64` bits so the decayed majorities — and therefore the
-/// labels a resumed service publishes — round-trip *exactly*, immune to any
-/// float-to-decimal-and-back drift in the JSON layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct NeuronStatsDoc {
-    /// Feed-step clock of the neuron's most recent recorded win.
-    pub(crate) last_step: u64,
-    /// `(label id, win weight as f64 bits)` pairs, ascending by label.
-    pub(crate) wins: Vec<(u64, u64)>,
-}
-
-/// The checkpoint payload: everything needed to continue training
-/// bit-identically and rebuild the same service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CheckpointDoc {
+/// The training state a frame encodes, borrowed from the trainer — encoding
+/// never clones the map.
+pub(crate) struct TrainingState<'a> {
     /// Latest published snapshot version at write time.
     pub(crate) service_version: u64,
-    /// The map — weights, `#`-counts (rebuilt by its validating serde) and
-    /// the xorshift64* RNG position.
-    pub(crate) som: BSom,
+    /// The map: configuration, plane words and RNG position.
+    pub(crate) som: &'a BSom,
     /// The trainer's schedule.
-    pub(crate) schedule: TrainSchedule,
+    pub(crate) schedule: &'a TrainSchedule,
     /// Epochs of the schedule completed.
     pub(crate) epochs_run: usize,
     /// Feed steps completed.
@@ -199,100 +226,155 @@ pub(crate) struct CheckpointDoc {
     /// Feed steps since the last publish (continues the publish cadence).
     pub(crate) steps_since_publish: u64,
     /// The service construction config.
+    pub(crate) config: &'a EngineConfig,
+    /// Per-neuron decayed win statistics, one entry per neuron.
+    pub(crate) stats: &'a [DecayedLabelStats],
+}
+
+/// The training state a frame decodes to: everything needed to continue
+/// training bit-identically and rebuild the same service.
+pub(crate) struct CheckpointDoc {
+    /// Latest published snapshot version at write time.
+    pub(crate) service_version: u64,
+    /// The map, rebuilt through [`BSom::from_state`].
+    pub(crate) som: BSom,
+    /// The trainer's schedule.
+    pub(crate) schedule: TrainSchedule,
+    /// Epochs of the schedule completed.
+    pub(crate) epochs_run: usize,
+    /// Feed steps completed.
+    pub(crate) steps_run: u64,
+    /// Feed steps since the last publish.
+    pub(crate) steps_since_publish: u64,
+    /// The service construction config.
     pub(crate) config: EngineConfig,
-    /// Per-neuron decayed win statistics.
-    pub(crate) stats: Vec<NeuronStatsDoc>,
+    /// Per-neuron decayed win statistics, one entry per neuron.
+    pub(crate) stats: Vec<DecayedLabelStats>,
 }
 
-impl CheckpointDoc {
-    /// Engine-level semantic validation on top of the serde layer: the
-    /// stats table must match the map, win weights must be positive finite
-    /// numbers, and the stored config must satisfy the same invariants the
-    /// [`EngineConfig`](crate::EngineConfig) builders assert.
-    pub(crate) fn validate(&self) -> Result<(), CheckpointError> {
-        let invalid = |message: String| Err(CheckpointError::Invalid { message });
-        if self.stats.len() != self.som.neuron_count() {
-            return invalid(format!(
-                "{} stats entries for {} neurons",
-                self.stats.len(),
-                self.som.neuron_count()
-            ));
-        }
-        for (index, stat) in self.stats.iter().enumerate() {
-            for &(label, weight_bits) in &stat.wins {
-                let weight = f64::from_bits(weight_bits);
-                if !weight.is_finite() || weight <= 0.0 {
-                    return invalid(format!(
-                        "neuron {index} label {label}: win weight {weight} must be finite and positive"
-                    ));
-                }
-            }
-        }
-        if let Some(decay) = self.config.label_decay {
-            if !(decay > 0.0 && decay < 1.0) {
-                return invalid(format!("label decay {decay} outside (0, 1)"));
-            }
-        }
-        if self.config.publish_every_steps == Some(0) {
-            return invalid("publish cadence of zero steps".to_string());
-        }
-        if self.config.queue_capacity == Some(0) {
-            return invalid("queue capacity of zero".to_string());
-        }
-        Ok(())
+/// Whether a frame write waits for the disk before its rename.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Durability {
+    /// `sync_all` before the rename: the frame's bytes are on disk before
+    /// the rename exposes them. Checkpoints.
+    Synced,
+    /// No `sync_all`: the frame is only read back by the process that wrote
+    /// it. Registry spill frames.
+    ProcessLifetime,
+}
+
+/// Opens a frame: the header, with a payload length that [`seal_frame`]
+/// fills in.
+fn frame_writer(payload_capacity: usize) -> LeWriter {
+    let mut writer =
+        LeWriter::with_capacity(CHECKPOINT_HEADER_LEN + payload_capacity + CHECKPOINT_CHECKSUM_LEN);
+    writer.bytes(&CHECKPOINT_MAGIC);
+    writer.u32(CHECKPOINT_FORMAT);
+    writer.u64(0);
+    writer
+}
+
+/// Closes a frame opened by [`frame_writer`]: patches the payload length
+/// and appends the checksum.
+fn seal_frame(mut writer: LeWriter) -> Vec<u8> {
+    let payload_len = (writer.len() - CHECKPOINT_HEADER_LEN) as u64;
+    writer.patch_u64(12, payload_len);
+    writer.seal()
+}
+
+fn neighbour_rule_tag(rule: NeighbourRule) -> u8 {
+    match rule {
+        NeighbourRule::SameAsWinner => 0,
+        NeighbourRule::RelaxOnly => 1,
+        NeighbourRule::WinnerOnly => 2,
     }
 }
 
-/// FNV-1a 64-bit over `bytes` — tiny, dependency-free, and plenty to catch
-/// torn writes and bit flips (this is corruption *detection*, not an
-/// adversarial MAC).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET_BASIS;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(PRIME);
+fn write_option(writer: &mut LeWriter, value: Option<u64>) {
+    match value {
+        None => writer.u8(0),
+        Some(value) => {
+            writer.u8(1);
+            writer.u64(value);
+        }
     }
-    hash
 }
 
-/// Wraps `payload` in the framed format: header, payload, checksum.
-pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame =
-        Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload.len() + CHECKPOINT_CHECKSUM_LEN);
-    frame.extend_from_slice(&CHECKPOINT_MAGIC);
-    frame.extend_from_slice(&CHECKPOINT_FORMAT.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let checksum = fnv1a64(&frame);
-    frame.extend_from_slice(&checksum.to_le_bytes());
-    frame
+/// Encodes `state` as one complete format-2 frame.
+pub(crate) fn encode_frame(state: &TrainingState<'_>) -> Vec<u8> {
+    let som = state.som;
+    let config = som.config();
+    let plane_bytes = som.neuron_count() * config.vector_len.div_ceil(64) * 16;
+    let mut writer = frame_writer(plane_bytes + 256 + state.stats.len() * 32);
+    debug_assert_eq!(
+        state.stats.len(),
+        som.neuron_count(),
+        "one stats entry per neuron"
+    );
+
+    writer.u64(config.neurons as u64);
+    writer.u64(config.vector_len as u64);
+    writer.u8(neighbour_rule_tag(config.neighbour_rule));
+    writer.f64(config.relax_probability);
+    writer.f64(config.commit_probability);
+    for neuron in som.neurons() {
+        writer.words(neuron.value_plane().as_words());
+        writer.words(neuron.care_plane().as_words());
+    }
+    writer.u64(som.rng_state());
+
+    let schedule = state.schedule;
+    writer.u64(schedule.iterations as u64);
+    let (tag, radius) = match schedule.neighbourhood {
+        NeighbourhoodSchedule::Quartered { max_radius } => (0, max_radius),
+        NeighbourhoodSchedule::Linear { max_radius } => (1, max_radius),
+        NeighbourhoodSchedule::Constant { radius } => (2, radius),
+    };
+    writer.u8(tag);
+    writer.u64(radius as u64);
+    writer.f64(schedule.initial_learning_rate);
+    writer.f64(schedule.final_learning_rate);
+
+    writer.u64(state.service_version);
+    writer.u64(state.epochs_run as u64);
+    writer.u64(state.steps_run);
+    writer.u64(state.steps_since_publish);
+
+    let engine = state.config;
+    writer.u64(engine.workers as u64);
+    write_option(&mut writer, engine.unknown_threshold.map(f64::to_bits));
+    write_option(&mut writer, engine.publish_every_steps);
+    write_option(&mut writer, engine.label_decay.map(f64::to_bits));
+    write_option(&mut writer, engine.queue_capacity.map(|c| c as u64));
+
+    for stat in state.stats {
+        writer.u64(stat.last_step);
+        writer.u64(stat.wins.len() as u64);
+        for (label, weight) in &stat.wins {
+            writer.u64(label.id() as u64);
+            writer.f64(*weight);
+        }
+    }
+    seal_frame(writer)
 }
 
 /// Validates the frame around `bytes` and returns the payload slice.
-pub(crate) fn decode_frame(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
+fn unframe(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
     if bytes.len() < CHECKPOINT_HEADER_LEN + CHECKPOINT_CHECKSUM_LEN {
         return Err(CheckpointError::TooShort { len: bytes.len() });
     }
-    if bytes[..8] != CHECKPOINT_MAGIC {
+    let mut header = LeReader::new(&bytes[..CHECKPOINT_HEADER_LEN]);
+    let magic = header.take(8)?;
+    if magic != CHECKPOINT_MAGIC {
         let mut found = [0u8; 8];
-        found.copy_from_slice(&bytes[..8]);
+        found.copy_from_slice(magic);
         return Err(CheckpointError::BadMagic { found });
     }
-    let format = u32::from_le_bytes(
-        bytes[8..12]
-            .try_into()
-            .expect("slice of length 4 converts to [u8; 4]"),
-    );
+    let format = header.u32()?;
     if format != CHECKPOINT_FORMAT {
         return Err(CheckpointError::UnsupportedFormat { found: format });
     }
-    let declared = u64::from_le_bytes(
-        bytes[12..20]
-            .try_into()
-            .expect("slice of length 8 converts to [u8; 8]"),
-    );
+    let declared = header.u64()?;
     let after_header = (bytes.len() - CHECKPOINT_HEADER_LEN - CHECKPOINT_CHECKSUM_LEN) as u64;
     if declared > after_header {
         return Err(CheckpointError::Truncated {
@@ -306,28 +388,183 @@ pub(crate) fn decode_frame(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
         });
     }
     let checksum_at = bytes.len() - CHECKPOINT_CHECKSUM_LEN;
-    let stored = u64::from_le_bytes(
-        bytes[checksum_at..]
-            .try_into()
-            .expect("slice of length 8 converts to [u8; 8]"),
-    );
-    let computed = fnv1a64(&bytes[..checksum_at]);
+    let stored = LeReader::new(&bytes[checksum_at..]).u64()?;
+    let computed = crate::frame::fnv1a64(&bytes[..checksum_at]);
     if stored != computed {
         return Err(CheckpointError::ChecksumMismatch { stored, computed });
     }
     Ok(&bytes[CHECKPOINT_HEADER_LEN..checksum_at])
 }
 
-/// Serialises `doc`, frames it, and commits it to `path` atomically:
-/// write `<path>.tmp` → `sync_all` → rename over `path`.
-pub(crate) fn write_doc(
+fn usize_field(value: u64, what: &str) -> Result<usize, CheckpointError> {
+    usize::try_from(value).map_err(|_| invalid(format!("{what} {value} does not fit in usize")))
+}
+
+fn read_option<T>(
+    reader: &mut LeReader<'_>,
+    what: &str,
+    read: impl FnOnce(&mut LeReader<'_>) -> Result<T, CheckpointError>,
+) -> Result<Option<T>, CheckpointError> {
+    match reader.u8()? {
+        0 => Ok(None),
+        1 => read(reader).map(Some),
+        tag => Err(invalid(format!("{what}: unknown option tag {tag}"))),
+    }
+}
+
+/// Reads one `vector_len`-bit plane of `words` words, adopting them only if
+/// they are packed correctly.
+fn read_plane(
+    reader: &mut LeReader<'_>,
+    words: usize,
+    vector_len: usize,
+    neuron: usize,
+    plane: &str,
+) -> Result<BinaryVector, CheckpointError> {
+    BinaryVector::from_words(reader.words(words)?, vector_len)
+        .map_err(|error| invalid(format!("neuron {neuron} {plane} plane: {error}")))
+}
+
+/// Decodes and validates a format-2 payload.
+fn decode_payload(payload: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
+    let mut reader = LeReader::new(payload);
+
+    let neurons = usize_field(reader.u64()?, "neuron count")?;
+    let vector_len = usize_field(reader.u64()?, "vector length")?;
+    // `BSom::from_state` rejects an empty map too, but only after the plane
+    // loop; zero-word planes would make the neuron-count bound below vacuous.
+    if neurons == 0 || vector_len == 0 {
+        return Err(invalid(format!(
+            "empty map (neurons = {neurons}, vector_len = {vector_len})"
+        )));
+    }
+    let neighbour_rule = match reader.u8()? {
+        0 => NeighbourRule::SameAsWinner,
+        1 => NeighbourRule::RelaxOnly,
+        2 => NeighbourRule::WinnerOnly,
+        tag => return Err(invalid(format!("unknown neighbour rule {tag}"))),
+    };
+    let som_config = BSomConfig {
+        neurons,
+        vector_len,
+        neighbour_rule,
+        relax_probability: reader.f64()?,
+        commit_probability: reader.f64()?,
+    };
+    let words = vector_len.div_ceil(64);
+    reader.ensure_elements(neurons as u64, words.saturating_mul(16))?;
+    let mut weights = Vec::with_capacity(neurons);
+    for neuron in 0..neurons {
+        let value = read_plane(&mut reader, words, vector_len, neuron, "value")?;
+        let care = read_plane(&mut reader, words, vector_len, neuron, "care")?;
+        let weight = TriStateVector::from_planes(value, care)
+            .map_err(|error| invalid(format!("neuron {neuron}: {error}")))?;
+        weights.push(weight);
+    }
+    let som = BSom::from_state(som_config, weights, reader.u64()?)
+        .map_err(|error| invalid(error.to_string()))?;
+
+    let iterations = usize_field(reader.u64()?, "schedule iterations")?;
+    let tag = reader.u8()?;
+    let radius = usize_field(reader.u64()?, "neighbourhood radius")?;
+    let neighbourhood = match tag {
+        0 => NeighbourhoodSchedule::Quartered { max_radius: radius },
+        1 => NeighbourhoodSchedule::Linear { max_radius: radius },
+        2 => NeighbourhoodSchedule::Constant { radius },
+        tag => return Err(invalid(format!("unknown neighbourhood schedule {tag}"))),
+    };
+    let schedule = TrainSchedule {
+        iterations,
+        neighbourhood,
+        initial_learning_rate: reader.f64()?,
+        final_learning_rate: reader.f64()?,
+    };
+
+    let service_version = reader.u64()?;
+    let epochs_run = usize_field(reader.u64()?, "epochs run")?;
+    let steps_run = reader.u64()?;
+    let steps_since_publish = reader.u64()?;
+
+    let config = EngineConfig {
+        workers: usize_field(reader.u64()?, "worker count")?,
+        unknown_threshold: read_option(&mut reader, "unknown threshold", |r| Ok(r.f64()?))?,
+        publish_every_steps: read_option(&mut reader, "publish cadence", |r| Ok(r.u64()?))?,
+        label_decay: read_option(&mut reader, "label decay", |r| Ok(r.f64()?))?,
+        queue_capacity: read_option(&mut reader, "queue capacity", |r| {
+            usize_field(r.u64()?, "queue capacity")
+        })?,
+    };
+    validate_config(&config)?;
+
+    let mut stats = Vec::with_capacity(neurons);
+    for neuron in 0..neurons {
+        let last_step = reader.u64()?;
+        let count = reader.u64()?;
+        reader.ensure_elements(count, 16)?;
+        let mut wins = BTreeMap::new();
+        let mut previous: Option<u64> = None;
+        for _ in 0..count {
+            let label = reader.u64()?;
+            let weight = reader.f64()?;
+            if previous.is_some_and(|previous| label <= previous) {
+                return Err(invalid(format!(
+                    "neuron {neuron}: win labels not strictly ascending at label {label}"
+                )));
+            }
+            previous = Some(label);
+            if !weight.is_finite() || weight <= 0.0 {
+                return Err(invalid(format!(
+                    "neuron {neuron} label {label}: win weight {weight} must be finite and positive"
+                )));
+            }
+            wins.insert(ObjectLabel::new(usize_field(label, "label")?), weight);
+        }
+        stats.push(DecayedLabelStats { wins, last_step });
+    }
+    reader.finish()?;
+
+    Ok(CheckpointDoc {
+        service_version,
+        som,
+        schedule,
+        epochs_run,
+        steps_run,
+        steps_since_publish,
+        config,
+        stats,
+    })
+}
+
+/// The invariants the [`EngineConfig`] builders assert, checked on a stored
+/// config.
+fn validate_config(config: &EngineConfig) -> Result<(), CheckpointError> {
+    if let Some(decay) = config.label_decay {
+        if !(decay > 0.0 && decay < 1.0) {
+            return Err(invalid(format!("label decay {decay} outside (0, 1)")));
+        }
+    }
+    if config.publish_every_steps == Some(0) {
+        return Err(invalid("publish cadence of zero steps"));
+    }
+    if config.queue_capacity == Some(0) {
+        return Err(invalid("queue capacity of zero"));
+    }
+    Ok(())
+}
+
+/// Validates a whole frame and decodes its payload.
+pub(crate) fn decode_frame(bytes: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
+    decode_payload(unframe(bytes)?)
+}
+
+/// Frames `state` and commits it to `path` atomically: write `<path>.tmp`
+/// → `sync_all` (for [`Durability::Synced`] only) → rename over `path`.
+pub(crate) fn write(
     path: &Path,
-    doc: &CheckpointDoc,
+    state: &TrainingState<'_>,
+    durability: Durability,
 ) -> Result<CheckpointInfo, CheckpointError> {
-    let payload = serde_json::to_string(doc).map_err(|error| CheckpointError::Invalid {
-        message: error.to_string(),
-    })?;
-    let frame = encode_frame(payload.as_bytes());
+    let frame = encode_frame(state);
     let file_name = path
         .file_name()
         .ok_or_else(|| CheckpointError::Io {
@@ -339,32 +576,25 @@ pub(crate) fn write_doc(
     let tmp_path = path.with_file_name(tmp_name);
     let mut file = std::fs::File::create(&tmp_path).map_err(CheckpointError::io)?;
     file.write_all(&frame).map_err(CheckpointError::io)?;
-    file.sync_all().map_err(CheckpointError::io)?;
+    if durability == Durability::Synced {
+        file.sync_all().map_err(CheckpointError::io)?;
+    }
     drop(file);
     // A crash here (the failpoint's spot) leaves a complete `.tmp` beside an
-    // untouched `path`: the previous checkpoint still loads.
+    // untouched `path`: the previous frame still loads.
     crate::faultpoint::hit("checkpoint.write");
     std::fs::rename(&tmp_path, path).map_err(CheckpointError::io)?;
     Ok(CheckpointInfo {
         bytes: frame.len() as u64,
-        version: doc.service_version,
+        version: state.service_version,
     })
 }
 
-/// Reads, unframes, parses and validates the checkpoint at `path`.
-pub(crate) fn read_doc(path: &Path) -> Result<CheckpointDoc, CheckpointError> {
+/// Reads, unframes, decodes and validates the frame at `path`.
+pub(crate) fn read(path: &Path) -> Result<CheckpointDoc, CheckpointError> {
     crate::faultpoint::hit("checkpoint.read");
     let bytes = std::fs::read(path).map_err(CheckpointError::io)?;
-    let payload = decode_frame(&bytes)?;
-    let text = std::str::from_utf8(payload).map_err(|error| CheckpointError::Invalid {
-        message: format!("payload is not UTF-8: {error}"),
-    })?;
-    let doc: CheckpointDoc =
-        serde_json::from_str(text).map_err(|error| CheckpointError::Invalid {
-            message: error.to_string(),
-        })?;
-    doc.validate()?;
-    Ok(doc)
+    decode_frame(&bytes)
 }
 
 /// Checkpoint write/restore latency at a given map shape — the durability
@@ -481,16 +711,26 @@ pub fn compare_checkpoint_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A frame around arbitrary payload bytes, for the header checks.
+    fn frame_around(payload: &[u8]) -> Vec<u8> {
+        let mut writer = frame_writer(payload.len());
+        writer.bytes(payload);
+        seal_frame(writer)
+    }
 
     #[test]
     fn frame_roundtrip_and_every_field_of_the_header_is_checked() {
-        let payload = b"{\"hello\":1}";
-        let frame = encode_frame(payload);
-        assert_eq!(decode_frame(&frame).unwrap(), payload);
+        let payload = b"\x01\x02 a binary payload";
+        let frame = frame_around(payload);
+        assert_eq!(unframe(&frame).unwrap(), payload);
 
         // Too short.
         assert_eq!(
-            decode_frame(&frame[..CHECKPOINT_HEADER_LEN]),
+            unframe(&frame[..CHECKPOINT_HEADER_LEN]),
             Err(CheckpointError::TooShort {
                 len: CHECKPOINT_HEADER_LEN
             })
@@ -499,43 +739,220 @@ mod tests {
         let mut bad = frame.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(
-            decode_frame(&bad),
+            unframe(&bad),
             Err(CheckpointError::BadMagic { .. })
         ));
         // Unsupported format.
         let mut bad = frame.clone();
         bad[8] = 0xEE;
         assert!(matches!(
-            decode_frame(&bad),
+            unframe(&bad),
             Err(CheckpointError::UnsupportedFormat { .. })
         ));
         // Truncated payload (frame cut inside the payload).
         assert!(matches!(
-            decode_frame(&frame[..frame.len() - CHECKPOINT_CHECKSUM_LEN - 1]),
+            unframe(&frame[..frame.len() - CHECKPOINT_CHECKSUM_LEN - 1]),
             Err(CheckpointError::Truncated { .. })
         ));
         // Trailing bytes.
         let mut long = frame.clone();
         long.push(0);
         assert!(matches!(
-            decode_frame(&long),
+            unframe(&long),
             Err(CheckpointError::TrailingBytes { extra: 1 })
         ));
         // Flipped payload bit.
         let mut flipped = frame.clone();
         flipped[CHECKPOINT_HEADER_LEN + 2] ^= 0x10;
         assert!(matches!(
-            decode_frame(&flipped),
+            unframe(&flipped),
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
     }
 
+    /// The worked example of DESIGN.md §"Fault model and recovery": a
+    /// one-neuron, one-bit map whose only trit is `1`, one recorded win of
+    /// label 3, default schedule and a one-worker config.
+    fn worked_example() -> Vec<u8> {
+        let som = BSom::from_state(
+            BSomConfig::new(1, 1),
+            vec![TriStateVector::from_str("1").unwrap()],
+            0x9E37_79B9_7F4A_7C15,
+        )
+        .unwrap();
+        let stats = [DecayedLabelStats {
+            wins: BTreeMap::from([(ObjectLabel::new(3), 1.0)]),
+            last_step: 0,
+        }];
+        encode_frame(&TrainingState {
+            service_version: 1,
+            som: &som,
+            schedule: &TrainSchedule::new(10),
+            epochs_run: 0,
+            steps_run: 1,
+            steps_since_publish: 0,
+            config: &EngineConfig::with_workers(1),
+            stats: &stats,
+        })
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|byte| format!("{byte:02x}")).collect()
+    }
+
     #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn the_worked_example_has_the_documented_bytes() {
+        let frame = worked_example();
+        let expected = [
+            "42534f4d434b5054", // magic "BSOMCKPT"
+            "02000000",         // format 2
+            "a600000000000000", // payload length 166
+            "0100000000000000", // neurons 1
+            "0100000000000000", // vector_len 1
+            "00",               // neighbour rule: same as winner
+            "333333333333d33f", // relax probability 0.3
+            "333333333333d33f", // commit probability 0.3
+            "0100000000000000", // neuron 0 value plane: bit 0 set
+            "0100000000000000", // neuron 0 care plane: bit 0 concrete
+            "157c4a7fb979379e", // rng state 0x9e3779b97f4a7c15
+            "0a00000000000000", // schedule iterations 10
+            "00",               // neighbourhood: quartered
+            "0400000000000000", // max radius 4
+            "000000000000e03f", // initial learning rate 0.5
+            "7b14ae47e17a843f", // final learning rate 0.01
+            "0100000000000000", // service version 1
+            "0000000000000000", // epochs run 0
+            "0100000000000000", // steps run 1
+            "0000000000000000", // steps since publish 0
+            "0100000000000000", // workers 1
+            "00000000",         // four `None` options
+            "0000000000000000", // neuron 0 last win at step 0
+            "0100000000000000", // one win
+            "0300000000000000", // label 3
+            "000000000000f03f", // weight 1.0
+            "50047ecdd200b190", // FNV-1a-64 of the 186 bytes above
+        ]
+        .concat();
+        assert_eq!(hex(&frame), expected);
+        assert_eq!(
+            crate::frame::fnv1a64(&frame[..frame.len() - CHECKPOINT_CHECKSUM_LEN]),
+            0x90b1_00d2_cd7e_0450
+        );
+        let doc = decode_frame(&frame).expect("the worked example decodes");
+        assert_eq!(doc.som.neurons()[0].to_trit_string(), "1");
+        assert_eq!(doc.stats[0].majority_label(), Some(ObjectLabel::new(3)));
+    }
+
+    fn arbitrary_state(
+        seed: u64,
+        neurons: usize,
+        vector_len: usize,
+        tags: (u8, u8, u8),
+        empty_wins: bool,
+    ) -> (BSom, TrainSchedule, EngineConfig, Vec<DecayedLabelStats>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rule, neighbourhood, options) = tags;
+        let rule = [
+            NeighbourRule::SameAsWinner,
+            NeighbourRule::RelaxOnly,
+            NeighbourRule::WinnerOnly,
+        ][rule as usize];
+        let weights = (0..neurons)
+            .map(|_| TriStateVector::random_with_dont_care(vector_len, 0.3, &mut rng))
+            .collect();
+        let config = BSomConfig::new(neurons, vector_len)
+            .with_neighbour_rule(rule)
+            .with_update_probabilities(rng.gen(), rng.gen());
+        let som = BSom::from_state(config, weights, rng.gen::<u64>() | 1).unwrap();
+        let radius = rng.gen_range(1..9);
+        let neighbourhood = match neighbourhood {
+            0 => NeighbourhoodSchedule::Quartered { max_radius: radius },
+            1 => NeighbourhoodSchedule::Linear { max_radius: radius },
+            _ => NeighbourhoodSchedule::Constant { radius },
+        };
+        let schedule = TrainSchedule::new(rng.gen_range(0..10_000))
+            .with_neighbourhood(neighbourhood)
+            .with_learning_rate(rng.gen(), rng.gen());
+        let option = |bit: u8| options & (1 << bit) != 0;
+        let engine = EngineConfig {
+            workers: rng.gen_range(0..16),
+            unknown_threshold: option(0).then(|| rng.gen::<f64>() * 768.0),
+            publish_every_steps: option(1).then(|| rng.gen_range(1..1_000)),
+            label_decay: option(2).then(|| 0.01 + 0.98 * rng.gen::<f64>()),
+            queue_capacity: option(3).then(|| rng.gen_range(1..256)),
+        };
+        let stats = (0..neurons)
+            .map(|_| DecayedLabelStats {
+                wins: if empty_wins {
+                    BTreeMap::new()
+                } else {
+                    (0..rng.gen_range(0..5))
+                        .map(|_| {
+                            (
+                                ObjectLabel::new(rng.gen_range(0..1_000)),
+                                rng.gen::<f64>() * 50.0 + 1e-6,
+                            )
+                        })
+                        .collect()
+                },
+                last_step: rng.gen(),
+            })
+            .collect();
+        (som, schedule, engine, stats)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every state the trainer can hold survives encode → decode
+        /// exactly — weights, recomputed `#`-counts, RNG position, schedule,
+        /// clocks, config and raw-bit label weights — and re-encodes to the
+        /// same bytes.
+        #[test]
+        fn every_training_state_round_trips_exactly(
+            shape in (1usize..65, 1usize..301),
+            tags in (0u8..3, 0u8..3, 0u8..16),
+            seed in any::<u64>(),
+            empty_wins in any::<bool>(),
+        ) {
+            let (neurons, vector_len) = shape;
+            let (som, schedule, config, stats) =
+                arbitrary_state(seed, neurons, vector_len, tags, empty_wins);
+            let clocks: (u64, usize, u64, u64) = (seed >> 3, (seed % 977) as usize, seed >> 7, seed % 13);
+            let state = TrainingState {
+                service_version: clocks.0,
+                som: &som,
+                schedule: &schedule,
+                epochs_run: clocks.1,
+                steps_run: clocks.2,
+                steps_since_publish: clocks.3,
+                config: &config,
+                stats: &stats,
+            };
+            let frame = encode_frame(&state);
+            let doc = decode_frame(&frame).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(&doc.som, &som);
+            prop_assert_eq!(doc.som.dont_care_counts(), som.dont_care_counts());
+            prop_assert_eq!(doc.som.packed_layer(), som.packed_layer());
+            prop_assert_eq!(doc.schedule, schedule);
+            prop_assert_eq!(
+                (doc.service_version, doc.epochs_run, doc.steps_run, doc.steps_since_publish),
+                clocks
+            );
+            prop_assert_eq!(doc.config, config);
+            prop_assert_eq!(&doc.stats, &stats);
+            let again = encode_frame(&TrainingState {
+                service_version: doc.service_version,
+                som: &doc.som,
+                schedule: &doc.schedule,
+                epochs_run: doc.epochs_run,
+                steps_run: doc.steps_run,
+                steps_since_publish: doc.steps_since_publish,
+                config: &doc.config,
+                stats: &doc.stats,
+            });
+            prop_assert!(again == frame, "re-encoding must reproduce the frame");
+        }
     }
 
     #[test]

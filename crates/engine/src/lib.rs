@@ -63,6 +63,7 @@
 pub mod checkpoint;
 pub mod error;
 pub mod faultpoint;
+pub mod frame;
 pub mod registry;
 pub mod registry_bench;
 pub mod service;

@@ -23,7 +23,9 @@
 //!   the invariant the eviction path relies on: **outside a tick, a tenant's
 //!   trainer state equals its published snapshot.**
 //! * **LRU eviction to disk.** Cold tenants spill to the validating
-//!   checkpoint frames of [`Trainer::write_checkpoint`] and are reloaded
+//!   checkpoint frames of [`Trainer::write_checkpoint`] — written and
+//!   renamed into place but not `fsync`ed, since only this registry, in this
+//!   process, ever reads a spill file back — and are reloaded
 //!   transparently (and fault-typed) on their next touch. Because of the
 //!   publish-at-tick-end invariant the reload republishes at the *same*
 //!   version the tenant had when evicted — the round trip is invisible to
@@ -41,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use bsom_signature::BinaryVector;
 use bsom_som::{BSom, ObjectLabel, Prediction, TrainSchedule};
 
-use crate::checkpoint::{self, CheckpointDoc};
+use crate::checkpoint;
 use crate::service::{
     lock_recovering, resolve_queue_capacity, resolve_workers, ServiceHealth, SomService,
     SomSnapshot, Trainer, WorkerPool,
@@ -535,8 +537,7 @@ impl MapRegistry {
                     .spill_path
                     .clone()
                     .ok_or(EngineError::SpillUnconfigured)?;
-                let doc = checkpoint::read_doc(&path)?;
-                Ok(doc.service_version)
+                Ok(checkpoint::read(&path)?.service_version)
             }
         }
     }
@@ -604,9 +605,15 @@ impl MapRegistry {
     }
 
     /// Explicitly evicts a tenant to its spill checkpoint. The in-memory
-    /// state is dropped only after the checkpoint frame is durably on disk;
-    /// a failure (or an injected `registry.evict` panic) leaves the tenant
-    /// resident and servable. Queued examples stay in memory — they spill
+    /// state is dropped only after the complete checkpoint frame has been
+    /// written to `<spill file>.tmp` and renamed over the spill file; a
+    /// failure (or an injected `registry.evict` panic) leaves the tenant
+    /// resident and servable. The frame is not `fsync`ed: a spill file is
+    /// read back only by this registry, within this process, so it has to
+    /// stay readable while the process runs, not survive a power loss.
+    /// Spill directories are never reopened, and a new tenant starts
+    /// resident, so its first eviction overwrites any stale file at its path
+    /// before anything can read it. Queued examples stay in memory — they spill
     /// with the *slot*, not the state, and train after the next reload.
     ///
     /// # Errors
@@ -852,7 +859,7 @@ impl MapRegistry {
             .spill_path
             .clone()
             .ok_or(EngineError::SpillUnconfigured)?;
-        let doc: CheckpointDoc = checkpoint::read_doc(&path)?;
+        let doc = checkpoint::read(&path)?;
         // Republished at *exactly* the checkpointed version (not +1 like the
         // public crash-recovery resume): the spill checkpoint was written
         // under the publish-at-tick-end invariant, so the checkpointed layer
@@ -889,9 +896,9 @@ impl MapRegistry {
             .spill_path
             .clone()
             .ok_or(EngineError::SpillUnconfigured)?;
-        trainer.write_checkpoint(&path)?;
+        trainer.write_spill(&path)?;
         // A panic here (the `registry.evict` failpoint) unwinds with the
-        // checkpoint durable but the tenant still resident — it stays
+        // spill frame in place but the tenant still resident — it stays
         // servable from memory, and the stale spill file is simply
         // overwritten by the next successful evict.
         crate::faultpoint::hit("registry.evict");

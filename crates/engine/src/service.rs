@@ -46,7 +46,9 @@ use bsom_som::{
 };
 use bsom_vision::pipeline::SurveillancePipeline;
 
-use crate::checkpoint::{self, CheckpointDoc, CheckpointError, CheckpointInfo, NeuronStatsDoc};
+use crate::checkpoint::{
+    self, CheckpointDoc, CheckpointError, CheckpointInfo, Durability, TrainingState,
+};
 use crate::{EngineConfig, EngineError, RecognizedObject, TrainReport};
 
 /// Locks a mutex, recovering the data from a poisoned lock.
@@ -127,12 +129,12 @@ const DECAYED_WIN_FLOOR: f64 = 1e-9;
 /// recorded win and scales its whole table by `decay^age` when the next win
 /// arrives. Labels are compared only *within* a neuron, so the per-neuron
 /// clocks need not line up across neurons.
-#[derive(Debug, Clone, Default)]
-struct DecayedLabelStats {
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct DecayedLabelStats {
     /// Decayed win weight per label (a fresh win weighs 1.0).
-    wins: BTreeMap<ObjectLabel, f64>,
+    pub(crate) wins: BTreeMap<ObjectLabel, f64>,
     /// Feed-step clock of the most recent recorded win.
-    last_step: u64,
+    pub(crate) last_step: u64,
 }
 
 impl DecayedLabelStats {
@@ -156,7 +158,7 @@ impl DecayedLabelStats {
     /// The label with the greatest decayed weight, ties broken towards the
     /// smaller label id — the same rule as
     /// [`NeuronLabelStats::majority_label`](bsom_som::labeling::NeuronLabelStats::majority_label).
-    fn majority_label(&self) -> Option<ObjectLabel> {
+    pub(crate) fn majority_label(&self) -> Option<ObjectLabel> {
         self.wins
             .iter()
             .max_by(|(la, wa), (lb, wb)| {
@@ -1026,11 +1028,11 @@ impl SomService {
     ///
     /// Any [`CheckpointError`]: unreadable file, bad magic/format, torn or
     /// bit-flipped frame (checksum mismatch), or a payload that fails the
-    /// serde/semantic validation.
+    /// decoder's validation ([`CheckpointError::Invalid`]).
     pub fn resume_from_checkpoint(
         path: impl AsRef<Path>,
     ) -> Result<(Self, Trainer), CheckpointError> {
-        let doc = checkpoint::read_doc(path.as_ref())?;
+        let doc = checkpoint::read(path.as_ref())?;
         let initial_version = doc.service_version + 1;
         let workers = resolve_workers(doc.config.workers);
         let queue_capacity = resolve_queue_capacity(doc.config.queue_capacity, workers);
@@ -1038,7 +1040,7 @@ impl SomService {
         Ok(Self::pair_from_doc_on(doc, initial_version, pool, workers))
     }
 
-    /// Rebuilds a service/trainer pair from an in-memory [`CheckpointDoc`]
+    /// Rebuilds a service/trainer pair from a decoded [`CheckpointDoc`]
     /// over an existing pool, publishing the restored state as exactly
     /// `initial_version`.
     ///
@@ -1064,22 +1066,6 @@ impl SomService {
             config,
             stats,
         } = doc;
-        let stats: Vec<DecayedLabelStats> = stats
-            .into_iter()
-            .map(|doc| DecayedLabelStats {
-                wins: doc
-                    .wins
-                    .into_iter()
-                    .map(|(label, weight_bits)| {
-                        (
-                            ObjectLabel::new(label as usize),
-                            f64::from_bits(weight_bits),
-                        )
-                    })
-                    .collect(),
-                last_step: doc.last_step,
-            })
-            .collect();
         let labels = stats
             .iter()
             .map(DecayedLabelStats::majority_label)
@@ -1377,10 +1363,12 @@ impl Trainer {
     /// weights with their `#`-counts, the xorshift64* RNG position, the
     /// schedule position, the step clocks, the decayed label statistics
     /// (bit-exact: weights round-trip as raw `f64` bits) and the service
-    /// config/version — to `path`, framed with a length prefix and an
-    /// FNV-1a checksum and committed by temp-file + atomic rename, so a
-    /// crash mid-write can never leave a half-written file at `path` (see
-    /// DESIGN.md §"Fault model and recovery" for the frame format).
+    /// config/version — to `path`, as little-endian plane words and fields
+    /// framed with a length prefix and an FNV-1a checksum. The frame is
+    /// written to `<path>.tmp`, flushed with `sync_all` and committed by an
+    /// atomic rename, so a crash or power loss mid-write can never leave a
+    /// half-written file at `path` (see DESIGN.md §"Fault model and
+    /// recovery" for the frame format).
     ///
     /// [`SomService::resume_from_checkpoint`] restores the pair and
     /// continues bit-identically to a run that never stopped.
@@ -1393,34 +1381,30 @@ impl Trainer {
         &self,
         path: impl AsRef<Path>,
     ) -> Result<CheckpointInfo, CheckpointError> {
-        checkpoint::write_doc(path.as_ref(), &self.checkpoint_doc())
+        checkpoint::write(path.as_ref(), &self.training_state(), Durability::Synced)
     }
 
-    /// The full training state as an in-memory checkpoint document — what
-    /// [`write_checkpoint`](Self::write_checkpoint) frames to disk. The
-    /// registry uses this (via the same `write_doc` frames) to spill cold
-    /// tenants.
-    pub(crate) fn checkpoint_doc(&self) -> CheckpointDoc {
-        CheckpointDoc {
+    /// Writes the same frame as [`write_checkpoint`](Self::write_checkpoint)
+    /// without the `sync_all` — the registry's spill path. The frame is
+    /// still written to `<path>.tmp`, checksummed and renamed into place,
+    /// but it only has to stay readable while the process runs, not survive
+    /// a power loss: spill files are read back only by the registry that
+    /// wrote them.
+    pub(crate) fn write_spill(&self, path: &Path) -> Result<CheckpointInfo, CheckpointError> {
+        checkpoint::write(path, &self.training_state(), Durability::ProcessLifetime)
+    }
+
+    /// The full training state, borrowed — what a checkpoint frame encodes.
+    fn training_state(&self) -> TrainingState<'_> {
+        TrainingState {
             service_version: self.core.version.load(Ordering::Acquire),
-            som: self.som.clone(),
-            schedule: self.schedule,
+            som: &self.som,
+            schedule: &self.schedule,
             epochs_run: self.epochs_run,
             steps_run: self.steps_run,
             steps_since_publish: self.steps_since_publish,
-            config: self.config,
-            stats: self
-                .stats
-                .iter()
-                .map(|stat| NeuronStatsDoc {
-                    last_step: stat.last_step,
-                    wins: stat
-                        .wins
-                        .iter()
-                        .map(|(label, weight)| (label.id() as u64, weight.to_bits()))
-                        .collect(),
-                })
-                .collect(),
+            config: &self.config,
+            stats: &self.stats,
         }
     }
 

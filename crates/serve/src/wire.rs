@@ -2,8 +2,9 @@
 //!
 //! Every message on a `bsom-serve` connection is one *frame*, laid out like
 //! the engine's checkpoint frames (`bsom_engine::checkpoint`) so the two
-//! formats share a fault model — see DESIGN.md §"The serving front-end" for
-//! the worked example:
+//! formats share a fault model — and one byte layer, [`bsom_engine::frame`]
+//! (checksum and bounded little-endian reader/writer). See DESIGN.md §"The
+//! serving front-end" for the worked example:
 //!
 //! ```text
 //! offset  size  field
@@ -49,6 +50,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use bsom_engine::frame::{LeReader, LeWriter, ReadError};
 use bsom_signature::BinaryVector;
 use bsom_som::{ObjectLabel, Prediction};
 use serde::{Deserialize, Serialize};
@@ -88,17 +90,11 @@ pub const MAX_REQUEST_SIGNATURES: u32 = 4096;
 /// Longest signature (in bits) a classify request may carry.
 pub const MAX_VECTOR_BITS: u32 = 1 << 16;
 
-/// FNV-1a-64 over `bytes` — the same checksum the checkpoint frames use
-/// (offset basis `0xcbf2_9ce4_8422_2325`, prime `0x100_0000_01b3`), kept
-/// `pub` so the worked example in DESIGN.md stays verifiable.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a-64 over `bytes` — the checksum every frame in the system ends
+/// with (offset basis `0xcbf2_9ce4_8422_2325`, prime `0x100_0000_01b3`),
+/// shared with the checkpoint frames through [`bsom_engine::frame`] and
+/// re-exported here so the worked example in DESIGN.md stays verifiable.
+pub use bsom_engine::frame::fnv1a64 as checksum;
 
 /// Message kinds (the `kind` header byte). Requests have the high bit
 /// clear, responses have it set.
@@ -392,78 +388,9 @@ fn malformed(detail: impl Into<String>) -> WireError {
     }
 }
 
-/// A little-endian payload writer over a `Vec<u8>`.
-struct Enc(Vec<u8>);
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// A bounds-checked little-endian payload reader.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| malformed("payload field runs past the payload end"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn str(&mut self) -> Result<String, WireError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("string field is not utf-8"))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} unread bytes at the payload end",
-                self.bytes.len() - self.pos
-            )))
-        }
+impl From<ReadError> for WireError {
+    fn from(error: ReadError) -> Self {
+        malformed(error.to_string())
     }
 }
 
@@ -474,7 +401,7 @@ impl<'a> Dec<'a> {
 ///
 /// Panics if the id is empty (spell the default tenant as `None`) or longer
 /// than [`MAX_TENANT_ID_BYTES`] — both are caller bugs, not wire conditions.
-fn encode_tenant(enc: &mut Enc, tenant: &Option<String>) {
+fn encode_tenant(enc: &mut LeWriter, tenant: &Option<String>) {
     match tenant {
         None => enc.u32(0),
         Some(id) => {
@@ -493,7 +420,7 @@ fn encode_tenant(enc: &mut Enc, tenant: &Option<String>) {
 }
 
 /// Reads the format-2 tenant-id prefix; length 0 decodes as `None`.
-fn decode_tenant(dec: &mut Dec<'_>) -> Result<Option<String>, WireError> {
+fn decode_tenant(dec: &mut LeReader<'_>) -> Result<Option<String>, WireError> {
     let len = dec.u32()? as usize;
     if len == 0 {
         return Ok(None);
@@ -514,7 +441,7 @@ fn decode_tenant(dec: &mut Dec<'_>) -> Result<Option<String>, WireError> {
 /// byte-identical to the pre-tenant encoder — and [`WIRE_FORMAT_TENANT`]
 /// only when a tenant id or a train kind forces it.
 fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
-    let mut enc = Enc(Vec::new());
+    let mut enc = LeWriter::default();
     let mut format = WIRE_FORMAT;
     let kind = match message {
         WireMessage::ClassifyRequest { tenant, signatures } => {
@@ -526,9 +453,7 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
             let vector_len = signatures.first().map(|s| s.len()).unwrap_or(0);
             enc.u32(vector_len as u32);
             for signature in signatures {
-                for &word in signature.as_words() {
-                    enc.u64(word);
-                }
+                enc.words(signature.as_words());
             }
             kind::CLASSIFY_REQUEST
         }
@@ -550,9 +475,7 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
             enc.u32(vector_len as u32);
             for (signature, label) in examples {
                 enc.u64(*label);
-                for &word in signature.as_words() {
-                    enc.u64(word);
-                }
+                enc.words(signature.as_words());
             }
             kind::TRAIN_REQUEST
         }
@@ -628,11 +551,11 @@ fn encode_payload(message: &WireMessage) -> (u8, Vec<u8>, u32) {
             kind::ERROR_RESPONSE
         }
     };
-    (kind, enc.0, format)
+    (kind, enc.into_bytes(), format)
 }
 
 fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, WireError> {
-    let mut dec = Dec::new(payload);
+    let mut dec = LeReader::new(payload);
     let message = match kind {
         kind::CLASSIFY_REQUEST => {
             let tenant = if format >= WIRE_FORMAT_TENANT {
@@ -655,15 +578,7 @@ fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, 
             let words_per = (vector_len as usize).div_ceil(64);
             let mut signatures = Vec::with_capacity(count as usize);
             for index in 0..count {
-                let raw = dec.take(words_per * 8)?;
-                let words: Vec<u64> = raw
-                    .chunks_exact(8)
-                    .map(|chunk| {
-                        let mut bytes = [0u8; 8];
-                        bytes.copy_from_slice(chunk);
-                        u64::from_le_bytes(bytes)
-                    })
-                    .collect();
+                let words = dec.words(words_per)?;
                 let signature =
                     BinaryVector::from_words(words, vector_len as usize).map_err(|e| {
                         malformed(format!(
@@ -701,15 +616,7 @@ fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, 
             let mut examples = Vec::with_capacity(count as usize);
             for index in 0..count {
                 let label = dec.u64()?;
-                let raw = dec.take(words_per * 8)?;
-                let words: Vec<u64> = raw
-                    .chunks_exact(8)
-                    .map(|chunk| {
-                        let mut bytes = [0u8; 8];
-                        bytes.copy_from_slice(chunk);
-                        u64::from_le_bytes(bytes)
-                    })
-                    .collect();
+                let words = dec.words(words_per)?;
                 let signature =
                     BinaryVector::from_words(words, vector_len as usize).map_err(|e| {
                         malformed(format!(
@@ -793,15 +700,13 @@ fn decode_payload(format: u32, kind: u8, payload: &[u8]) -> Result<WireMessage, 
 /// Seals `payload` into a complete frame: header (stamped with `format`),
 /// payload, checksum.
 fn seal_frame(format: u32, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(WIRE_HEADER_LEN + payload.len() + WIRE_CHECKSUM_LEN);
-    frame.extend_from_slice(&WIRE_MAGIC);
-    frame.extend_from_slice(&format.to_le_bytes());
-    frame.push(kind);
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let sum = checksum(&frame);
-    frame.extend_from_slice(&sum.to_le_bytes());
-    frame
+    let mut frame = LeWriter::with_capacity(WIRE_HEADER_LEN + payload.len() + WIRE_CHECKSUM_LEN);
+    frame.bytes(&WIRE_MAGIC);
+    frame.u32(format);
+    frame.u8(kind);
+    frame.u64(payload.len() as u64);
+    frame.bytes(payload);
+    frame.seal()
 }
 
 /// Encodes `message` into one complete frame (header + payload + checksum).
@@ -828,7 +733,7 @@ pub fn encode_classify_request(signatures: &[BinaryVector]) -> Vec<u8> {
 /// Panics if `tenant` is `Some` of an empty or over-long
 /// (> [`MAX_TENANT_ID_BYTES`]) id — caller bugs, not wire conditions.
 pub fn encode_classify_request_for(tenant: Option<&str>, signatures: &[BinaryVector]) -> Vec<u8> {
-    let mut enc = Enc(Vec::new());
+    let mut enc = LeWriter::default();
     let format = match tenant {
         None => WIRE_FORMAT,
         Some(id) => {
@@ -840,11 +745,9 @@ pub fn encode_classify_request_for(tenant: Option<&str>, signatures: &[BinaryVec
     let vector_len = signatures.first().map(|s| s.len()).unwrap_or(0);
     enc.u32(vector_len as u32);
     for signature in signatures {
-        for &word in signature.as_words() {
-            enc.u64(word);
-        }
+        enc.words(signature.as_words());
     }
-    seal_frame(format, kind::CLASSIFY_REQUEST, &enc.0)
+    seal_frame(format, kind::CLASSIFY_REQUEST, &enc.into_bytes())
 }
 
 /// Validates a frame header, returning `(format, kind, payload_len)`.
@@ -1159,13 +1062,12 @@ mod tests {
     fn oversized_tenant_ids_are_rejected_typed() {
         // Build a format-2 classify frame whose tenant length claims more
         // bytes than the cap; the decoder must object before reading them.
-        let mut enc = Enc(Vec::new());
+        let mut enc = LeWriter::default();
         enc.u32((MAX_TENANT_ID_BYTES + 1) as u32);
-        enc.0
-            .extend(std::iter::repeat_n(b'a', MAX_TENANT_ID_BYTES + 1));
+        enc.bytes(&[b'a'; MAX_TENANT_ID_BYTES + 1]);
         enc.u32(0); // count
         enc.u32(0); // vector_len
-        let frame = seal_frame(WIRE_FORMAT_TENANT, 0x01, &enc.0);
+        let frame = seal_frame(WIRE_FORMAT_TENANT, 0x01, &enc.into_bytes());
         assert!(matches!(
             decode_message_exact(&frame),
             Err(WireError::Malformed { .. })

@@ -35,7 +35,7 @@ const WORD_BITS: usize = 64;
 /// let w = BinaryVector::from_bits([true, false, false, true, false, false, false, true]);
 /// assert_eq!(v.hamming(&w).unwrap(), 1);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct BinaryVector {
     /// Packed words, least-significant bit first within each word.
     words: Vec<u64>,
@@ -356,6 +356,26 @@ impl BinaryVector {
         };
         out.mask_tail();
         out
+    }
+}
+
+/// The serialized shape of a [`BinaryVector`]. Deserialization goes through
+/// [`BinaryVector::from_words`], so a snapshot with the wrong word count or
+/// a set bit beyond `len` is rejected, never adopted.
+#[derive(Deserialize)]
+struct RawBinaryVector {
+    words: Vec<u64>,
+    len: usize,
+}
+
+// Written against the vendored serde stand-in's `from_value` trait; with
+// registry serde this collapses to `#[serde(try_from = "RawBinaryVector")]`
+// on the struct (see vendor/README.md).
+impl Deserialize for BinaryVector {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let raw = RawBinaryVector::from_value(value)?;
+        BinaryVector::from_words(raw.words, raw.len)
+            .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -737,5 +757,19 @@ mod tests {
         let json = serde_json::to_string(&v).unwrap();
         let back: BinaryVector = serde_json::from_str(&json).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn deserialize_rejects_bad_packing() {
+        // 70 bits occupy two words; only the low 6 bits of the second may
+        // be set.
+        let ok = r#"{"words":[1,63],"len":70}"#;
+        assert!(serde_json::from_str::<BinaryVector>(ok).is_ok());
+        let tail_bit = r#"{"words":[1,64],"len":70}"#;
+        assert!(serde_json::from_str::<BinaryVector>(tail_bit).is_err());
+        let short = r#"{"words":[1],"len":70}"#;
+        assert!(serde_json::from_str::<BinaryVector>(short).is_err());
+        let long = r#"{"words":[1,0,0],"len":70}"#;
+        assert!(serde_json::from_str::<BinaryVector>(long).is_err());
     }
 }

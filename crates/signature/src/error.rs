@@ -43,6 +43,12 @@ pub enum SignatureError {
         /// Claimed bit length.
         len: usize,
     },
+    /// A tri-state vector's value plane has a bit set where its care plane
+    /// is clear: a `#` trit must have value 0.
+    ValueOutsideCare {
+        /// The first offending bit position.
+        index: usize,
+    },
 }
 
 impl fmt::Display for SignatureError {
@@ -69,6 +75,9 @@ impl fmt::Display for SignatureError {
                 f,
                 "packed buffer of {words} words is invalid for a {len}-bit vector"
             ),
+            SignatureError::ValueOutsideCare { index } => {
+                write!(f, "value bit {index} is set outside the care plane")
+            }
         }
     }
 }
@@ -91,6 +100,7 @@ mod tests {
             },
             SignatureError::EmptyHistogram,
             SignatureError::InvalidPacking { words: 2, len: 80 },
+            SignatureError::ValueOutsideCare { index: 3 },
         ];
         for e in errors {
             let text = e.to_string();

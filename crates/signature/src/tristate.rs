@@ -171,7 +171,7 @@ impl From<bool> for Trit {
 /// assert_eq!(weight.hamming(&far).unwrap(), 3);
 /// assert_eq!(weight.get(2), Some(Trit::DontCare));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct TriStateVector {
     /// Concrete bit values (meaningful only where `care` is set).
     value: BinaryVector,
@@ -206,6 +206,37 @@ impl TriStateVector {
             value: bits.clone(),
             care: BinaryVector::ones(bits.len()),
         }
+    }
+
+    /// Adopts a value plane and a care plane as one vector — the
+    /// constructor for planes read back from storage (checkpoints adopt
+    /// their words through [`BinaryVector::from_words`] and then this).
+    ///
+    /// # Errors
+    ///
+    /// [`SignatureError::LengthMismatch`] if the planes differ in length;
+    /// [`SignatureError::ValueOutsideCare`] if a value bit is set where the
+    /// care plane is clear (a `#` trit always has value 0).
+    pub fn from_planes(value: BinaryVector, care: BinaryVector) -> Result<Self, SignatureError> {
+        if value.len() != care.len() {
+            return Err(SignatureError::LengthMismatch {
+                left: value.len(),
+                right: care.len(),
+            });
+        }
+        let outside = value
+            .as_words()
+            .iter()
+            .zip(care.as_words())
+            .enumerate()
+            .find_map(|(w, (v, c))| {
+                let stray = v & !c;
+                (stray != 0).then(|| w * 64 + stray.trailing_zeros() as usize)
+            });
+        if let Some(index) = outside {
+            return Err(SignatureError::ValueOutsideCare { index });
+        }
+        Ok(TriStateVector { value, care })
     }
 
     /// Creates a vector from an iterator of trits.
@@ -451,6 +482,27 @@ impl TriStateVector {
     /// The value bit-plane (only meaningful where the care plane is set).
     pub fn value_plane(&self) -> &BinaryVector {
         &self.value
+    }
+}
+
+/// The serialized shape of a [`TriStateVector`]. Deserialization goes
+/// through [`TriStateVector::from_planes`] (each plane through
+/// [`BinaryVector`]'s validating deserializer), so a snapshot whose value
+/// plane leaks outside its care plane is rejected, never adopted.
+#[derive(Deserialize)]
+struct RawTriStateVector {
+    value: BinaryVector,
+    care: BinaryVector,
+}
+
+// Written against the vendored serde stand-in's `from_value` trait; with
+// registry serde this collapses to `#[serde(try_from = ...)]` on the struct
+// (see vendor/README.md).
+impl Deserialize for TriStateVector {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let raw = RawTriStateVector::from_value(value)?;
+        TriStateVector::from_planes(raw.value, raw.care)
+            .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -733,6 +785,41 @@ mod tests {
         let json = serde_json::to_string(&w).unwrap();
         let back: TriStateVector = serde_json::from_str(&json).unwrap();
         assert_eq!(w, back);
+    }
+
+    #[test]
+    fn from_planes_adopts_valid_planes_and_rejects_the_rest() {
+        let w = TriStateVector::from_str("01#10##1").unwrap();
+        let back =
+            TriStateVector::from_planes(w.value_plane().clone(), w.care_plane().clone()).unwrap();
+        assert_eq!(back, w);
+        // A value bit under a `#` (bit 2 of "01#...") is refused.
+        let mut value = w.value_plane().clone();
+        value.set(2, true);
+        assert_eq!(
+            TriStateVector::from_planes(value, w.care_plane().clone()),
+            Err(SignatureError::ValueOutsideCare { index: 2 })
+        );
+        assert!(matches!(
+            TriStateVector::from_planes(BinaryVector::zeros(8), BinaryVector::zeros(9)),
+            Err(SignatureError::LengthMismatch { left: 8, right: 9 })
+        ));
+    }
+
+    #[test]
+    fn deserialize_rejects_value_outside_care_and_bad_packing() {
+        // "#1": bit 0 is `#`, bit 1 is 1.
+        let ok = r#"{"value":{"words":[2],"len":2},"care":{"words":[2],"len":2}}"#;
+        assert_eq!(
+            serde_json::from_str::<TriStateVector>(ok).unwrap(),
+            TriStateVector::from_str("#1").unwrap()
+        );
+        let outside = r#"{"value":{"words":[3],"len":2},"care":{"words":[2],"len":2}}"#;
+        assert!(serde_json::from_str::<TriStateVector>(outside).is_err());
+        let tail = r#"{"value":{"words":[2],"len":2},"care":{"words":[6],"len":2}}"#;
+        assert!(serde_json::from_str::<TriStateVector>(tail).is_err());
+        let mismatched = r#"{"value":{"words":[0],"len":3},"care":{"words":[2],"len":2}}"#;
+        assert!(serde_json::from_str::<TriStateVector>(mismatched).is_err());
     }
 
     #[test]

@@ -677,6 +677,39 @@ struct RawBSom {
 }
 
 impl BSom {
+    /// Rebuilds a map from its intrinsic state — configuration, weights and
+    /// the xorshift64\* RNG position (see [`rng_state`](Self::rng_state)) —
+    /// through the same validation as deserialization. The `#`-count cache,
+    /// the update tables and the packed layer are recomputed from the
+    /// weights, never taken on trust. This is how checkpoints restore a map.
+    ///
+    /// # Errors
+    ///
+    /// [`SomError::InvalidState`] if the configuration is empty, the weight
+    /// count or any weight length disagrees with it, an update probability
+    /// is outside `[0, 1]`, or `rng_state` is zero (the xorshift fixed
+    /// point).
+    pub fn from_state(
+        config: BSomConfig,
+        neurons: Vec<TriStateVector>,
+        rng_state: u64,
+    ) -> Result<Self, SomError> {
+        Self::from_raw(RawBSom {
+            config,
+            neurons,
+            rng_state,
+        })
+        .map_err(|reason| SomError::InvalidState { reason })
+    }
+
+    /// The position of the map's internal xorshift64\* stream, which
+    /// drives the stochastic update decisions. Together with the
+    /// configuration and the weights it is the map's whole intrinsic state
+    /// ([`from_state`](Self::from_state)).
+    pub fn rng_state(&self) -> u64 {
+        self.rng_state
+    }
+
     /// Validates a raw snapshot and rebuilds the derived state.
     fn from_raw(raw: RawBSom) -> Result<Self, String> {
         if raw.config.neurons == 0 || raw.config.vector_len == 0 {
@@ -1170,5 +1203,92 @@ mod tests {
         let bad = json.replace(&format!("\"rng_state\":{state}"), "\"rng_state\":0");
         assert_ne!(bad, json);
         assert!(serde_json::from_str::<BSom>(&bad).is_err());
+    }
+
+    /// The `words` array of one plane of one neuron inside a serialized map.
+    fn plane_words<'v>(
+        map: &'v mut serde::Value,
+        neuron: usize,
+        plane: &str,
+    ) -> &'v mut Vec<serde::Value> {
+        fn field<'v>(value: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
+            let serde::Value::Object(entries) = value else {
+                panic!("expected an object holding {name}");
+            };
+            &mut entries.iter_mut().find(|(key, _)| key == name).unwrap().1
+        }
+        let serde::Value::Array(neurons) = field(map, "neurons") else {
+            panic!("neurons is an array");
+        };
+        let serde::Value::Array(words) = field(field(&mut neurons[neuron], plane), "words") else {
+            panic!("words is an array");
+        };
+        words
+    }
+
+    fn word_of(value: &serde::Value) -> u64 {
+        match value {
+            serde::Value::UInt(word) => *word,
+            other => panic!("plane word is an unsigned integer, got {other:?}"),
+        }
+    }
+
+    /// The JSON twins of the crafted-payload cases in the engine's
+    /// `checkpoint_corruption` suite: badly packed planes must not load
+    /// through the public serde either.
+    #[test]
+    fn deserialize_rejects_badly_packed_planes() {
+        let mut r = rng();
+        let som = BSom::new(BSomConfig::new(4, 100), &mut r);
+        let pristine = serde_json::to_value(&som).unwrap();
+        let load = |value: &serde::Value| serde_json::from_value::<BSom>(value);
+        assert_eq!(load(&pristine).unwrap(), som);
+
+        // A set bit beyond the 100-bit length, in the tail of word 1.
+        let mut bad = pristine.clone();
+        let words = plane_words(&mut bad, 0, "care");
+        words[1] = serde::Value::UInt(word_of(&words[1]) | 1 << 63);
+        assert!(load(&bad).is_err(), "tail bit must not load");
+
+        // A plane one word short.
+        let mut bad = pristine.clone();
+        plane_words(&mut bad, 2, "value").pop();
+        assert!(load(&bad).is_err(), "short plane must not load");
+
+        // Bit 0 of neuron 1 made `#` on the care plane: loads with value 0,
+        // is refused with value 1.
+        let mut relaxed = pristine.clone();
+        let care = plane_words(&mut relaxed, 1, "care");
+        care[0] = serde::Value::UInt(word_of(&care[0]) & !1);
+        let mut clear = relaxed.clone();
+        let value = plane_words(&mut clear, 1, "value");
+        value[0] = serde::Value::UInt(word_of(&value[0]) & !1);
+        let loaded = load(&clear).expect("a # with value 0 is valid");
+        assert_eq!(loaded.dont_care_counts(), &[0, 1, 0, 0]);
+        let mut outside = relaxed;
+        let value = plane_words(&mut outside, 1, "value");
+        value[0] = serde::Value::UInt(word_of(&value[0]) | 1);
+        assert!(load(&outside).is_err(), "value outside care must not load");
+    }
+
+    #[test]
+    fn from_state_round_trips_the_intrinsic_state_and_validates_it() {
+        let mut r = rng();
+        let mut som = BSom::new(BSomConfig::new(6, 70), &mut r);
+        let data: Vec<BinaryVector> = (0..4).map(|_| BinaryVector::random(70, &mut r)).collect();
+        som.train(&data, TrainSchedule::new(20), &mut r).unwrap();
+        let back =
+            BSom::from_state(*som.config(), som.neurons().to_vec(), som.rng_state()).unwrap();
+        assert_eq!(back, som);
+        assert_eq!(back.dont_care_counts(), som.dont_care_counts());
+        assert_eq!(back.packed_layer(), som.packed_layer());
+        assert!(matches!(
+            BSom::from_state(*som.config(), som.neurons().to_vec(), 0),
+            Err(SomError::InvalidState { .. })
+        ));
+        assert!(matches!(
+            BSom::from_state(*som.config(), som.neurons()[1..].to_vec(), 1),
+            Err(SomError::InvalidState { .. })
+        ));
     }
 }

@@ -32,6 +32,12 @@ pub enum SomError {
         /// Number of neurons in the map.
         neurons: usize,
     },
+    /// A map's stored state failed validation on restore
+    /// ([`BSom::from_state`](crate::BSom::from_state)).
+    InvalidState {
+        /// What was wrong.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SomError {
@@ -51,6 +57,7 @@ impl fmt::Display for SomError {
             SomError::NeuronOutOfRange { index, neurons } => {
                 write!(f, "neuron index {index} out of range for {neurons} neurons")
             }
+            SomError::InvalidState { reason } => write!(f, "invalid map state: {reason}"),
         }
     }
 }
@@ -76,6 +83,9 @@ mod tests {
             SomError::NeuronOutOfRange {
                 index: 41,
                 neurons: 40,
+            },
+            SomError::InvalidState {
+                reason: "rng_state must be non-zero".into(),
             },
         ];
         for e in errors {
