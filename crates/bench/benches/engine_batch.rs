@@ -32,13 +32,13 @@ fn engine_batch(c: &mut Criterion) {
         })
     });
 
-    // The plane-sliced batched search, single thread, reused buffer.
+    // The plane-sliced batched search, single thread: eight signatures per
+    // pass over the layer.
     group.bench_function("packed_layer_batch", |b| {
-        let mut distances = vec![0u32; layer.neuron_count()];
+        let mut winners = vec![None; signatures.len()];
         b.iter(|| {
-            for s in &signatures {
-                black_box(layer.winner_with_buffer(s, &mut distances).unwrap());
-            }
+            layer.winners_into(&signatures, &mut winners);
+            black_box(&mut winners);
         })
     });
 

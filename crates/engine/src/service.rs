@@ -98,13 +98,14 @@ pub(crate) fn resolve_queue_capacity(queue_capacity: Option<usize>, workers: usi
 /// A batch's work is signatures × neurons × 64-bit word rows: the number of
 /// plane-word pairs its distance passes read. Handing a batch to the pool
 /// costs a thread wake-up and a reply (tens of µs); one 40-neuron × 768-bit
-/// signature costs about 0.3 µs inline. At or below this limit the whole
-/// batch runs through the same `winner_with_buffer` + verdict the workers
-/// run, so the answers are bit-identical either way. The value is the
-/// largest power of two at which the inline path was no slower than the
-/// 2-worker pool in the crossover sweep of `bench_report --only
-/// recognition`, under both the forced-scalar and the widest dispatch
-/// (DESIGN.md §"The batched engine layout" has the table).
+/// signature costs about 0.1 µs inline (0.6 µs forced scalar). At or below
+/// this limit the whole batch runs through the same
+/// [`PackedLayer::winners_into`] + verdict the workers run, so the answers
+/// are bit-identical either way. The value is the largest power of two at
+/// which the inline path was no slower than the 2-worker pool in the
+/// crossover sweep of `bench_report --only recognition`, under both the
+/// forced-scalar and the widest dispatch (DESIGN.md §"The batched engine
+/// layout" has the table).
 pub const INLINE_CLASSIFY_MAX_NEURON_WORDS: usize = 16_384;
 
 /// A classify batch's work in neuron-words (see
@@ -494,12 +495,11 @@ fn spawn_worker(shared: &Arc<PoolShared>, exit_tx: Sender<ExitEvent>) -> JoinHan
 }
 
 /// Worker body: drain the shared job queue, running the batched winner
-/// search over each shard with a reusable distance buffer. Each job runs
+/// search ([`PackedLayer::winners_into`]) over each shard. Each job runs
 /// inside `catch_unwind`; a panicking job reports a failed shard (so the
 /// collector never hangs) and the thread exits for the supervisor to
 /// replace — no state of the panicked thread survives into the respawn.
 fn worker_loop(shared: &PoolShared) -> WorkerExit {
-    let mut distances: Vec<u32> = Vec::new();
     loop {
         // Hold the lock only while receiving so shards drain in parallel.
         let job = lock_recovering(&shared.job_rx).recv();
@@ -509,15 +509,10 @@ fn worker_loop(shared: &PoolShared) -> WorkerExit {
         shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             crate::faultpoint::hit("worker.job");
-            distances.resize(job.layer.neuron_count(), 0);
-            job.range
-                .clone()
-                .map(|i| {
-                    job.layer
-                        .winner_with_buffer(&job.signatures[i], &mut distances)
-                        .ok()
-                })
-                .collect::<Vec<Option<BatchWinner>>>()
+            let mut winners = vec![None; job.range.len()];
+            job.layer
+                .winners_into(&job.signatures[job.range.clone()], &mut winners);
+            winners
         }));
         match outcome {
             Ok(winners) => {
@@ -680,13 +675,12 @@ impl ServiceCore {
         range: Range<usize>,
         predictions: &mut [Prediction],
     ) {
-        let mut distances = vec![0u32; snapshot.layer.neuron_count()];
-        for i in range {
-            let winner = snapshot
-                .layer
-                .winner_with_buffer(&batch.0[i], &mut distances)
-                .ok();
-            predictions[i] = snapshot.verdict(winner);
+        let mut winners = vec![None; range.len()];
+        snapshot
+            .layer
+            .winners_into(&batch.0[range.clone()], &mut winners);
+        for (prediction, winner) in predictions[range].iter_mut().zip(winners) {
+            *prediction = snapshot.verdict(winner);
         }
     }
 

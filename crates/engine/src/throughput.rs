@@ -150,8 +150,9 @@ pub struct LargeMapThroughputComparison {
     /// reference denominator.
     pub deep_repack: MeasuredThroughput,
     /// Winner searches per second through
-    /// [`bsom_som::PackedLayer::winner_with_buffer`]: the distance pass plus
-    /// the `{distance, #-count, address}` reduction.
+    /// [`bsom_som::PackedLayer::winners_into`] over the whole batch: the
+    /// fused distance pass and `{distance, #-count, address}` reduction,
+    /// eight signatures per pass over the layer.
     pub winner_search: MeasuredThroughput,
 }
 
@@ -231,15 +232,10 @@ pub fn compare_large_map_throughput(
     });
 
     let layer = som.packed_layer().clone();
-    let mut distances = vec![0u32; layer.neuron_count()];
+    let mut winners = vec![None; signatures.len()];
     let winner_search = measure(signatures.len(), min_duration, || {
-        for s in signatures {
-            std::hint::black_box(
-                layer
-                    .winner_with_buffer(s, &mut distances)
-                    .expect("signature lengths match the layer"),
-            );
-        }
+        layer.winners_into(signatures, &mut winners);
+        std::hint::black_box(&mut winners);
     });
 
     LargeMapThroughputComparison {
@@ -567,15 +563,10 @@ pub fn compare_recognition_throughput(
 
     let snapshot = service.snapshot();
     let layer = snapshot.layer();
-    let mut distances = vec![0u32; layer.neuron_count()];
+    let mut winners = vec![None; batch_size];
     let batched = measure(batch_size, min_duration, || {
-        for s in signatures {
-            std::hint::black_box(
-                layer
-                    .winner_with_buffer(s, &mut distances)
-                    .expect("signature lengths match the layer"),
-            );
-        }
+        layer.winners_into(signatures, &mut winners);
+        std::hint::black_box(&mut winners);
     });
 
     let mut recognizer = service.recognizer();

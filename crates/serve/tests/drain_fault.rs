@@ -13,15 +13,17 @@
 
 #![cfg(feature = "fault-injection")]
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use bsom_engine::faultpoint::{arm_panic, arm_sleep, hit_count, reset};
-use bsom_engine::INLINE_CLASSIFY_MAX_NEURON_WORDS;
+use bsom_engine::{EngineConfig, SomService, INLINE_CLASSIFY_MAX_NEURON_WORDS};
 use bsom_serve::bench::{bench_service, synthetic_corpus};
 use bsom_serve::wire::WireMessage;
 use bsom_serve::{SchedulerConfig, ServeClient, ServeConfig, Server};
-use bsom_som::Prediction;
+use bsom_som::{BSom, BSomConfig, Prediction, TrainSchedule};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const VECTOR_LEN: usize = 256;
 /// 64-bit word rows per signature.
@@ -209,5 +211,97 @@ fn engine_saturation_surfaces_as_wire_overload_then_recovers() {
         .expect("post-overload classify succeeds");
     assert_eq!(recovered.len(), 1);
     assert_eq!(hit_count("service.drain"), 0);
+    server.join();
+}
+
+#[test]
+fn full_engine_job_queue_sheds_a_wire_classify_with_the_engine_capacity() {
+    let _harness = harness();
+    const WORKERS: usize = 2;
+    const ENGINE_QUEUE: usize = 4;
+    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
+    let neurons = 24;
+    let som = BSom::new(
+        BSomConfig::new(neurons, VECTOR_LEN),
+        &mut StdRng::seed_from_u64(7),
+    );
+    let (service, _trainer) = SomService::train_while_serve(
+        som,
+        TrainSchedule::new(usize::MAX),
+        &corpus,
+        EngineConfig::with_workers(WORKERS).with_queue_capacity(ENGINE_QUEUE),
+    );
+    let service = Arc::new(service);
+    // Over the inline limit, so every classify of it is sharded into one
+    // job per worker.
+    let per_batch = INLINE_CLASSIFY_MAX_NEURON_WORDS / (neurons * WORDS) + 1;
+    let batch: Vec<_> = corpus
+        .iter()
+        .cycle()
+        .take(per_batch)
+        .map(|(signature, _)| signature.clone())
+        .collect();
+    let server = Server::bind(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        ServeConfig {
+            scheduler: SchedulerConfig {
+                queue_capacity: 8,
+                ..SchedulerConfig::batch_of_one()
+            },
+            ..ServeConfig::default()
+        },
+        None,
+    )
+    .expect("bind loopback");
+
+    // Park both workers on their next job, then fill the engine's own job
+    // queue behind them from helper threads: each blocking classify puts
+    // one shard per worker on the queue.
+    let base = hit_count("worker.job");
+    let stall = Duration::from_secs(2);
+    for worker in 0..WORKERS as u64 {
+        arm_sleep("worker.job", base + worker, stall);
+    }
+    let helpers: Vec<_> = (0..(WORKERS + ENGINE_QUEUE) / WORKERS)
+        .map(|_| {
+            let mut recognizer = service.recognizer();
+            let batch = batch.clone();
+            std::thread::spawn(move || recognizer.classify_batch(batch).len())
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while service.health().queue_depth < ENGINE_QUEUE {
+        assert!(Instant::now() < deadline, "the engine queue never filled");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The scheduler's queue is empty, so the shed comes from the engine:
+    // the wire response carries the engine's capacity, not the scheduler's.
+    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
+        .expect("connect")
+        .split();
+    send.send_classify(&batch).expect("send");
+    let engine_capacity = service.health().queue_capacity as u64;
+    assert_eq!(engine_capacity, ENGINE_QUEUE as u64);
+    match recv.recv().expect("response").expect("not EOF") {
+        WireMessage::OverloadedResponse { queue_capacity, .. } => {
+            assert_eq!(queue_capacity, engine_capacity);
+            assert_ne!(queue_capacity, server.health().scheduler_capacity);
+        }
+        other => panic!("expected an overload shed, got {other:?}"),
+    }
+
+    // The stall ends: the parked shards and every helper finish, and the
+    // service answers again.
+    for helper in helpers {
+        assert_eq!(helper.join().expect("helper classify"), per_batch);
+    }
+    let mut client = ServeClient::connect(server.local_addr()).expect("reconnect");
+    let recovered = client
+        .classify(std::slice::from_ref(&corpus[0].0))
+        .expect("post-overload classify succeeds");
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(server.health().requests_shed, 1);
     server.join();
 }

@@ -8,10 +8,18 @@
 //! One outer loop over the input words then updates all neuron distances with
 //! sequential, cache-friendly XOR/AND/popcount — no bit is ever unpacked.
 //!
-//! These kernels are deliberately free of any `BinaryVector` /
-//! `TriStateVector` bookkeeping: they operate on raw `&[u64]` slices so the
-//! SOM layer can own the layout and the engine can shard work across threads
+//! These kernels are deliberately free of any `TriStateVector` bookkeeping:
+//! they operate on raw `&[u64]` slices (or [`WordRow`]s of them) so the SOM
+//! layer can own the layout and the engine can shard work across threads
 //! without cloning vectors.
+//!
+//! The winner search is one fused kernel, the software form of the FPGA's
+//! Hamming units feeding its pipelined WTA comparator tree (paper Fig. 5):
+//! [`wta_winner`] sums a block of neurons' distances over every word row and
+//! reduces them at once into a running `{distance, #-count, address}`
+//! minimum, so no distance table is written, and [`wta_winners_into`]
+//! compares every plane word it loads against up to eight inputs (DESIGN.md
+//! §"Winner selection and the WTA tie-break key").
 //!
 //! The same plane-sliced layout serves the *training* side: because the
 //! neighbourhood of a winner is a contiguous run of neuron addresses, the
@@ -22,29 +30,66 @@
 //! to such a run — the software shape of the FPGA's single update circuit
 //! writing every neuron in the address window in one pass.
 //!
-//! All three hot kernels are *lowered* in [`crate::lanes`]: the default
+//! All four hot kernels are *lowered* in [`crate::lanes`]: the default
 //! entry points route through the process-wide
 //! [`active_dispatch`](crate::lanes::active_dispatch) (scalar, portable wide
 //! lanes, or a hand-written `std::arch` path), and each has a `_with` twin
 //! taking an explicit [`Dispatch`] so tests and benches can pin any
 //! lowering. Every lowering is bit-identical to the scalar reference walk.
 
-use crate::lanes::{self, Dispatch};
+use std::sync::Arc;
 
-/// The full FPGA winner-take-all comparator key (DESIGN.md §"Winner
-/// selection and the WTA tie-break key"), ordered exactly like the hardware
-/// comparator: smallest #-aware Hamming distance first, then the most
-/// specific neuron (fewest `#`s), then the lowest address. The derived
-/// lexicographic [`Ord`] over the field order **is** that comparator, so
-/// `min` over keys — in any association order — selects the FPGA's winner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct WtaKey {
-    /// #-aware Hamming distance of the neuron to the input.
+use serde::{Deserialize, Serialize};
+
+use crate::lanes::{self, Dispatch, WTA_GROUP};
+use crate::BinaryVector;
+
+/// The winner of one search, with the full FPGA comparator key
+/// `{distance, #-count, address}` (DESIGN.md §"Winner selection and the WTA
+/// tie-break key") so callers can audit tie-breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct BatchWinner {
+    /// Address of the winning neuron.
+    pub index: usize,
+    /// Its #-aware Hamming distance to the input.
     pub distance: u32,
-    /// The neuron's `#`-count (the secondary comparator key).
+    /// The winning neuron's `#`-count (the secondary comparator key).
     pub dont_care_count: u32,
-    /// The neuron's address (the final tie-break).
-    pub address: usize,
+}
+
+/// One word row of a plane-sliced layer: the `w`-th value and care word of
+/// every neuron, in address order. The winner kernels read a layer as a
+/// slice of these, so a layer may keep each row in an allocation of its own
+/// (the copy-on-write rows of `bsom_som::PackedLayer`).
+pub trait WordRow {
+    /// The row's value words, one per neuron.
+    fn values(&self) -> &[u64];
+    /// The row's care words, one per neuron.
+    fn cares(&self) -> &[u64];
+}
+
+impl<T: WordRow + ?Sized> WordRow for Arc<T> {
+    #[inline]
+    fn values(&self) -> &[u64] {
+        (**self).values()
+    }
+
+    #[inline]
+    fn cares(&self) -> &[u64] {
+        (**self).cares()
+    }
+}
+
+impl WordRow for (&[u64], &[u64]) {
+    #[inline]
+    fn values(&self) -> &[u64] {
+        self.0
+    }
+
+    #[inline]
+    fn cares(&self) -> &[u64] {
+        self.1
+    }
 }
 
 /// #-aware Hamming distance between one weight vector and one input, all as
@@ -209,36 +254,170 @@ pub fn accumulate_masked_hamming_row_with(
     }
 }
 
-/// Selects the winner from per-neuron distances using the full FPGA
-/// comparator key `{distance, #-count, address}` (DESIGN.md §"Winner
-/// selection and the WTA tie-break key"): smallest distance first, then the
-/// most specific neuron (fewest `#`s), then the lowest address. One linear
-/// scan keeps the smallest [`WtaKey`], whose derived [`Ord`] is that
-/// comparator.
+/// The winner of `input` in a plane-sliced layer under the full FPGA
+/// comparator `{distance, #-count, address}` (DESIGN.md §"Winner selection
+/// and the WTA tie-break key"): smallest #-aware Hamming distance, then the
+/// most specific neuron (fewest `#`s), then the lowest address.
 ///
-/// Returns `(address, distance)` of the winner, or `None` for empty input.
+/// `rows[w]` is the layer's `w`-th word row and `dont_care_counts[i]` neuron
+/// `i`'s `#`-count. The distances are summed and reduced in one pass, with no
+/// distance table. Returns `None` only for a layer without neurons.
 ///
 /// # Panics
 ///
-/// Panics if `dont_care_counts.len() != distances.len()`.
-pub fn select_winner(distances: &[u32], dont_care_counts: &[u32]) -> Option<(usize, u32)> {
-    assert_eq!(
-        distances.len(),
-        dont_care_counts.len(),
-        "one #-count per neuron"
+/// Panics if a row's length differs from `dont_care_counts.len()` or
+/// `input` does not hold one word per row.
+pub fn wta_winner<R: WordRow>(
+    rows: &[R],
+    dont_care_counts: &[u32],
+    input: &[u64],
+) -> Option<BatchWinner> {
+    wta_winner_with(lanes::active_dispatch(), rows, dont_care_counts, input)
+}
+
+/// [`wta_winner`] through one **explicit** [`Dispatch`] lowering (see
+/// [`masked_hamming_words_with`] for the contract: available paths only,
+/// debug shadow-check against the scalar walk).
+///
+/// # Panics
+///
+/// As [`wta_winner`], and if `dispatch` is not
+/// [available](Dispatch::is_available) on the running machine.
+pub fn wta_winner_with<R: WordRow>(
+    dispatch: Dispatch,
+    rows: &[R],
+    dont_care_counts: &[u32],
+    input: &[u64],
+) -> Option<BatchWinner> {
+    check_layer(dispatch, rows, dont_care_counts);
+    assert_eq!(input.len(), rows.len(), "one input word per word row");
+    let mut winner = [None];
+    wta_group(dispatch, rows, dont_care_counts, &[input], &mut winner);
+    let [winner] = winner;
+    winner
+}
+
+/// [`wta_winner`] for a whole batch: `winners[i]` becomes the winner of
+/// `inputs[i]`, or `None` when that input is not `vector_len` bits long (or
+/// the layer has no neurons). Up to eight valid inputs share one pass over
+/// the layer, so every plane word loaded feeds all of them; the answers are
+/// those of [`wta_winner`] one input at a time. Allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `winners.len() != inputs.len()`, if a row's length differs
+/// from `dont_care_counts.len()`, or if `vector_len` does not fill exactly
+/// one word per row.
+pub fn wta_winners_into<R: WordRow>(
+    rows: &[R],
+    dont_care_counts: &[u32],
+    vector_len: usize,
+    inputs: &[BinaryVector],
+    winners: &mut [Option<BatchWinner>],
+) {
+    wta_winners_into_with(
+        lanes::active_dispatch(),
+        rows,
+        dont_care_counts,
+        vector_len,
+        inputs,
+        winners,
     );
-    let mut best: Option<WtaKey> = None;
-    for i in 0..distances.len() {
-        let key = WtaKey {
-            distance: distances[i],
-            dont_care_count: dont_care_counts[i],
-            address: i,
-        };
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
+}
+
+/// [`wta_winners_into`] through one **explicit** [`Dispatch`] lowering.
+///
+/// # Panics
+///
+/// As [`wta_winners_into`], and if `dispatch` is not
+/// [available](Dispatch::is_available) on the running machine.
+pub fn wta_winners_into_with<R: WordRow>(
+    dispatch: Dispatch,
+    rows: &[R],
+    dont_care_counts: &[u32],
+    vector_len: usize,
+    inputs: &[BinaryVector],
+    winners: &mut [Option<BatchWinner>],
+) {
+    assert_eq!(winners.len(), inputs.len(), "one winner slot per input");
+    assert_eq!(
+        vector_len.div_ceil(64),
+        rows.len(),
+        "one word row per 64 bits of the vector"
+    );
+    check_layer(dispatch, rows, dont_care_counts);
+    winners.fill(None);
+    let mut valid = inputs
+        .iter()
+        .enumerate()
+        .filter(|(_, input)| input.len() == vector_len)
+        .peekable();
+    while valid.peek().is_some() {
+        let mut slots = [0usize; WTA_GROUP];
+        let mut words: [&[u64]; WTA_GROUP] = [&[]; WTA_GROUP];
+        let mut grouped = 0;
+        for (slot, input) in valid.by_ref().take(WTA_GROUP) {
+            slots[grouped] = slot;
+            words[grouped] = input.as_words();
+            grouped += 1;
+        }
+        let mut found = [None; WTA_GROUP];
+        wta_group(
+            dispatch,
+            rows,
+            dont_care_counts,
+            &words[..grouped],
+            &mut found[..grouped],
+        );
+        for (&slot, winner) in slots[..grouped].iter().zip(found) {
+            winners[slot] = winner;
         }
     }
-    best.map(|key| (key.address, key.distance))
+}
+
+/// The shape and dispatch checks shared by the winner entry points.
+fn check_layer<R: WordRow>(dispatch: Dispatch, rows: &[R], dont_care_counts: &[u32]) {
+    let neurons = dont_care_counts.len();
+    assert!(
+        rows.len() <= (u32::MAX / 64) as usize,
+        "a distance must fit in 32 bits"
+    );
+    assert!(
+        rows.iter()
+            .all(|row| row.values().len() == neurons && row.cares().len() == neurons),
+        "every word row holds one value and one care word per neuron"
+    );
+    assert!(
+        dispatch.is_available(),
+        "{}",
+        crate::lanes::UnavailableDispatch {
+            requested: dispatch
+        }
+    );
+}
+
+/// One pass of the winner kernel for up to [`WTA_GROUP`] inputs of one word
+/// per row each. In debug builds every non-scalar lowering is
+/// shadow-checked against the scalar walk.
+fn wta_group<R: WordRow>(
+    dispatch: Dispatch,
+    rows: &[R],
+    dont_care_counts: &[u32],
+    inputs: &[&[u64]],
+    winners: &mut [Option<BatchWinner>],
+) {
+    debug_assert!(inputs.len() <= WTA_GROUP && inputs.len() == winners.len());
+    lanes::wta_group_dispatch(dispatch, rows, dont_care_counts, inputs, winners);
+    #[cfg(debug_assertions)]
+    if dispatch != Dispatch::Scalar {
+        let mut shadow = [None; WTA_GROUP];
+        let shadow = &mut shadow[..inputs.len()];
+        lanes::wta_group_dispatch(Dispatch::Scalar, rows, dont_care_counts, inputs, shadow);
+        debug_assert_eq!(
+            winners, shadow,
+            "{dispatch} winner lowering diverged from the scalar walk"
+        );
+    }
 }
 
 /// Scans one plane-sliced row run for work the broadcast masks could do:
@@ -605,42 +784,81 @@ mod tests {
         update_window_word(&mut [0], &mut [0], 0, 0, 0, &[0, 0], &mut [0], &mut [0]);
     }
 
+    /// The winner of a one-word layer whose neuron `i` sits `distances[i]`
+    /// bits from the input, under every available dispatch (which must
+    /// agree).
+    fn winner_of(distances: &[u32], counts: &[u32]) -> Option<(usize, u32)> {
+        let values = vec![0u64; distances.len()];
+        let cares: Vec<u64> = distances.iter().map(|&d| (1u64 << d) - 1).collect();
+        let rows = [(&values[..], &cares[..])];
+        let winners: Vec<_> = Dispatch::available()
+            .into_iter()
+            .map(|dispatch| {
+                wta_winner_with(dispatch, &rows, counts, &[u64::MAX]).map(|w| (w.index, w.distance))
+            })
+            .collect();
+        assert!(winners.windows(2).all(|pair| pair[0] == pair[1]));
+        winners[0]
+    }
+
     #[test]
-    fn select_winner_applies_full_comparator_key() {
+    fn wta_winner_applies_full_comparator_key() {
         // Distance first.
-        assert_eq!(select_winner(&[5, 3, 9], &[0, 700, 0]), Some((1, 3)));
+        assert_eq!(winner_of(&[5, 3, 9], &[0, 700, 0]), Some((1, 3)));
         // #-count breaks distance ties.
-        assert_eq!(select_winner(&[5, 5], &[700, 3]), Some((1, 5)));
+        assert_eq!(winner_of(&[5, 5], &[700, 3]), Some((1, 5)));
         // Address breaks full ties.
-        assert_eq!(select_winner(&[5, 5], &[3, 3]), Some((0, 5)));
-        assert_eq!(select_winner(&[], &[]), None);
+        assert_eq!(winner_of(&[5, 5], &[3, 3]), Some((0, 5)));
+        assert_eq!(winner_of(&[], &[]), None);
+        // The same three rules across the eight-lane blocks: the minimum
+        // sits in lanes 7, 8 and 16 of 17 neurons.
+        let mut distances = [9u32; 17];
+        let mut counts = [0u32; 17];
+        distances[16] = 2;
+        assert_eq!(winner_of(&distances, &counts), Some((16, 2)));
+        distances[8] = 2;
+        counts[16] = 1;
+        counts[8] = 2;
+        assert_eq!(winner_of(&distances, &counts), Some((16, 2)));
+        distances[7] = 2;
+        counts[7] = 1;
+        assert_eq!(winner_of(&distances, &counts), Some((7, 2)));
     }
 
     #[test]
     fn wta_key_orders_like_the_fpga_comparator() {
-        let base = WtaKey {
-            distance: 4,
-            dont_care_count: 10,
-            address: 3,
-        };
+        use crate::lanes::wta_key;
+        assert!(wta_key(3, u32::MAX) < wta_key(4, 0), "distance dominates");
         assert!(
-            WtaKey {
-                distance: 3,
-                ..base
-            } < base,
-            "distance dominates"
-        );
-        assert!(
-            WtaKey {
-                dont_care_count: 9,
-                ..base
-            } < base,
+            wta_key(4, 9) < wta_key(4, 10),
             "#-count breaks distance ties"
         );
-        assert!(
-            WtaKey { address: 2, ..base } < base,
-            "address breaks full ties"
+        assert_eq!(
+            wta_key(4, 10),
+            wta_key(4, 10),
+            "the address is kept beside the key"
         );
+        assert!(
+            wta_key(u32::MAX - 1, u32::MAX) < u64::MAX,
+            "never the empty minimum"
+        );
+    }
+
+    #[test]
+    fn wta_winners_into_marks_wrong_length_inputs() {
+        let values = [0u64; 3];
+        let cares = [u64::MAX, 1, 3];
+        let rows = [(&values[..], &cares[..])];
+        let inputs: Vec<BinaryVector> = [64, 63, 64].into_iter().map(BinaryVector::zeros).collect();
+        let mut winners = [Some(BatchWinner {
+            index: 9,
+            distance: 9,
+            dont_care_count: 9,
+        }); 3];
+        wta_winners_into(&rows, &[0, 0, 0], 64, &inputs, &mut winners);
+        let alone = wta_winner(&rows, &[0, 0, 0], inputs[0].as_words());
+        assert_eq!(winners, [alone, None, alone]);
+        assert_eq!(alone.map(|w| w.index), Some(0));
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! `std::arch` paths for AVX2, AVX-512 and NEON, selected at runtime behind
 //! `is_x86_feature_detected!`-style gates.
 //!
+//! The fused winner kernel ([`wta_winner`](crate::wta_winner)) has one
+//! hand-written arm, AVX-512, which keeps each eight-neuron block's
+//! distances and each lane's running minimum in registers. Every other
+//! dispatch runs its own row lowering over a small neuron block and reduces
+//! the block with the same packed key, so the arms agree bit for bit.
+//!
 //! The same dispatch carries the vision front end's one per-pixel kernel,
 //! [`segment_background`]: the background-differencing test and running
 //! average over `f64` estimate planes, with an AVX-512 arm that takes eight
@@ -83,6 +89,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use crate::batch::{BatchWinner, WordRow};
 use crate::Rgb;
 
 /// Environment variable forcing the kernel dispatch for the whole process:
@@ -171,6 +178,107 @@ impl<const N: usize> std::ops::Not for Lanes<N> {
         Lanes(std::array::from_fn(|k| !self.0[k]))
     }
 }
+
+/// One word row of a plane-sliced layer in a single allocation: the `w`-th
+/// value word of every neuron, then the `w`-th care word of every neuron,
+/// each plane starting a 64-byte cache line. The wide kernels load eight
+/// words at a time, and an eight-word load from a row at the allocator's
+/// 16-byte alignment straddles two cache lines: the winner kernel measured
+/// ~1.6× slower on such rows. The buffer is an ordinary `Vec<u64>` with up
+/// to seven words of slack ahead of the first line (an over-aligned
+/// allocation per row raised the large_map workload's peak RSS by ~10%).
+#[derive(Debug)]
+pub struct LineAlignedRow {
+    /// The value plane at `start`, the care plane one whole number of
+    /// lines later; every other word stays zero.
+    words: Vec<u64>,
+    start: usize,
+    neurons: usize,
+}
+
+impl LineAlignedRow {
+    /// Copies one row's value and care words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two planes differ in length.
+    pub fn new(values: &[u64], cares: &[u64]) -> Self {
+        assert_eq!(values.len(), cares.len(), "one care word per value word");
+        let mut row = LineAlignedRow::zeroed(values.len());
+        let (value_plane, care_plane) = row.planes_mut();
+        value_plane.copy_from_slice(values);
+        care_plane.copy_from_slice(cares);
+        row
+    }
+
+    /// A row of `neurons` zero value and care words.
+    pub fn zeroed(neurons: usize) -> Self {
+        let words = vec![0u64; 2 * Self::stride(neurons) + 7];
+        // Words from the buffer's start to the next 64-byte boundary.
+        let start = (words.as_ptr() as usize).wrapping_neg() % 64 / 8;
+        LineAlignedRow {
+            words,
+            start,
+            neurons,
+        }
+    }
+
+    /// Words from the start of one plane to the start of the next: the
+    /// neuron count rounded up to whole lines.
+    fn stride(neurons: usize) -> usize {
+        neurons.div_ceil(8) * 8
+    }
+
+    /// Both planes at once, for an update that rewrites a run of each.
+    pub fn planes_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        let stride = Self::stride(self.neurons);
+        let planes = &mut self.words[self.start..self.start + 2 * stride];
+        let (values, cares) = planes.split_at_mut(stride);
+        (&mut values[..self.neurons], &mut cares[..self.neurons])
+    }
+}
+
+impl crate::batch::WordRow for LineAlignedRow {
+    #[inline]
+    fn values(&self) -> &[u64] {
+        // SAFETY: `zeroed` sized `words` to `start + 2 * stride + (7 -
+        // start)` words with `start <= 7` and `neurons <= stride`, so
+        // `start..start + neurons` lies inside the initialised buffer, which
+        // nothing resizes afterwards.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().add(self.start), self.neurons) }
+    }
+
+    #[inline]
+    fn cares(&self) -> &[u64] {
+        // SAFETY: as in `values`, for the plane one `stride` later, which
+        // ends at most at `start + 2 * stride`.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.words
+                    .as_ptr()
+                    .add(self.start + Self::stride(self.neurons)),
+                self.neurons,
+            )
+        }
+    }
+}
+
+/// A copy gets a buffer of its own, aligned afresh.
+impl Clone for LineAlignedRow {
+    fn clone(&self) -> Self {
+        use crate::batch::WordRow;
+        LineAlignedRow::new(self.values(), self.cares())
+    }
+}
+
+impl PartialEq for LineAlignedRow {
+    fn eq(&self, other: &Self) -> bool {
+        use crate::batch::WordRow;
+        self.values() == other.values() && self.cares() == other.cares()
+    }
+}
+
+impl Eq for LineAlignedRow {}
 
 /// One selectable lowering of the word kernels. Every variant exists on
 /// every architecture so names, parsing and test matrices stay portable;
@@ -633,8 +741,8 @@ pub(crate) fn accumulate_row_scalar(
     input: u64,
     distances: &mut [u32],
 ) {
-    for i in 0..values.len() {
-        distances[i] += ((values[i] ^ input) & cares[i]).count_ones();
+    for ((d, &v), &c) in distances.iter_mut().zip(values).zip(cares) {
+        *d += ((v ^ input) & c).count_ones();
     }
 }
 
@@ -662,6 +770,72 @@ pub(crate) fn update_window_scalar(
         cares[i] = updated.care;
         relaxed[i] += updated.relaxed.count_ones();
         committed[i] += updated.committed.count_ones();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The winner kernel: distances summed and reduced in one pass.
+// ---------------------------------------------------------------------------
+
+/// Most inputs one pass of the winner kernel serves. Eight keeps the AVX-512
+/// arm's per-input distance, key and address registers within the 32 vector
+/// registers.
+pub(crate) const WTA_GROUP: usize = 8;
+
+/// Neuron-axis block of the row-kernel arms of the winner kernel: the
+/// block's distances (1 KiB) stay in L1 across every word row, and at the
+/// paper's 768 bits its plane words (48 KiB) stay close for the next input
+/// of the group.
+const WTA_BLOCK_NEURONS: usize = 256;
+
+/// The comparator key `{distance, #-count}` packed into one word. Both
+/// fields fit in 32 bits, so `wta_key(d, c) < wta_key(d', c')` exactly when
+/// `(d, c) < (d', c')` lexicographically; the address is the tie-break
+/// carried beside it.
+#[inline]
+pub(crate) fn wta_key(distance: u32, dont_care_count: u32) -> u64 {
+    (u64::from(distance) << 32) | u64::from(dont_care_count)
+}
+
+/// The winner kernel's row-kernel arm over the neurons `neurons`: each
+/// block's distances accumulate through `dispatch`'s row lowering, then the
+/// block is reduced into each input's running minimum `(key, address)`. A
+/// strict `<` over ascending addresses keeps the lowest address among equal
+/// keys.
+fn wta_rows<R: WordRow>(
+    dispatch: Dispatch,
+    rows: &[R],
+    dont_care_counts: &[u32],
+    inputs: &[&[u64]],
+    best: &mut [(u64, usize)],
+    neurons: std::ops::Range<usize>,
+) {
+    let mut distances = [0u32; WTA_BLOCK_NEURONS];
+    let mut start = neurons.start;
+    while start < neurons.end {
+        let end = (start + WTA_BLOCK_NEURONS).min(neurons.end);
+        let block = &mut distances[..end - start];
+        for (input, best) in inputs.iter().zip(best.iter_mut()) {
+            block.fill(0);
+            for (row, &x) in rows.iter().zip(*input) {
+                accumulate_row_dispatch(
+                    dispatch,
+                    &row.values()[start..end],
+                    &row.cares()[start..end],
+                    x,
+                    block,
+                );
+            }
+            for (address, (&d, &c)) in
+                (start..).zip(block.iter().zip(&dont_care_counts[start..end]))
+            {
+                let key = wta_key(d, c);
+                if key < best.0 {
+                    *best = (key, address);
+                }
+            }
+        }
+        start = end;
     }
 }
 
@@ -1023,6 +1197,151 @@ mod x86 {
         );
     }
 
+    /// The winner kernel for up to [`WTA_GROUP`](super::WTA_GROUP) inputs:
+    /// one monomorphized pass per group size, walking `B` eight-neuron
+    /// blocks per step so that every group keeps eight to sixteen distance
+    /// registers busy per word row it loads.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F + VPOPCNTDQ at runtime and every row holding one
+    /// value and one care word per `#`-count; the public entries check both
+    /// first.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    pub(super) unsafe fn wta_group_avx512<R: super::WordRow>(
+        rows: &[R],
+        dont_care_counts: &[u32],
+        inputs: &[&[u64]],
+        best: &mut [(u64, usize)],
+    ) {
+        match inputs.len() {
+            1 => wta_avx512::<R, 1, 8>(rows, dont_care_counts, inputs, best),
+            2 => wta_avx512::<R, 2, 4>(rows, dont_care_counts, inputs, best),
+            3 => wta_avx512::<R, 3, 2>(rows, dont_care_counts, inputs, best),
+            4 => wta_avx512::<R, 4, 2>(rows, dont_care_counts, inputs, best),
+            5 => wta_avx512::<R, 5, 2>(rows, dont_care_counts, inputs, best),
+            6 => wta_avx512::<R, 6, 2>(rows, dont_care_counts, inputs, best),
+            7 => wta_avx512::<R, 7, 2>(rows, dont_care_counts, inputs, best),
+            _ => wta_avx512::<R, 8, 2>(rows, dont_care_counts, inputs, best),
+        }
+    }
+
+    /// Each lane keeps its running minimum of the packed key with a strict
+    /// `<` over its ascending addresses (steps of `B` blocks, then single
+    /// blocks), so among equal keys the lowest address of that lane
+    /// survives. The lanes are then reduced on `(key, address)`, and the
+    /// fewer than eight neurons past the last whole block go through the
+    /// scalar arm, whose addresses are all higher.
+    ///
+    /// # Safety
+    ///
+    /// As [`wta_group_avx512`]; `inputs` holds exactly `G` inputs.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn wta_avx512<R: super::WordRow, const G: usize, const B: usize>(
+        rows: &[R],
+        dont_care_counts: &[u32],
+        inputs: &[&[u64]],
+        best: &mut [(u64, usize)],
+    ) {
+        let inputs: &[&[u64]; G] = inputs.try_into().expect("one pass per group size");
+        let neurons = dont_care_counts.len();
+        let wide = neurons - neurons % 8;
+        let stepped = neurons - neurons % (8 * B);
+        let mut minima = LaneMinima {
+            keys: [_mm512_set1_epi64(-1); G],
+            addresses: [_mm512_setzero_si512(); G],
+        };
+        wta_blocks::<R, G, B>(rows, dont_care_counts, inputs, &mut minima, 0..stepped);
+        wta_blocks::<R, G, 1>(rows, dont_care_counts, inputs, &mut minima, stepped..wide);
+        for (best, (&lane_keys, &lane_addresses)) in best
+            .iter_mut()
+            .zip(minima.keys.iter().zip(&minima.addresses))
+        {
+            let mut keys = [0u64; 8];
+            let mut addresses = [0u64; 8];
+            _mm512_storeu_si512(keys.as_mut_ptr().cast(), lane_keys);
+            _mm512_storeu_si512(addresses.as_mut_ptr().cast(), lane_addresses);
+            for (&key, &address) in keys.iter().zip(&addresses) {
+                *best = (*best).min((key, address as usize));
+            }
+        }
+        super::wta_rows(
+            super::Dispatch::Scalar,
+            rows,
+            dont_care_counts,
+            inputs,
+            best,
+            wide..neurons,
+        );
+    }
+
+    /// Per input, each lane's smallest packed key so far and its address.
+    struct LaneMinima<const G: usize> {
+        keys: [__m512i; G],
+        addresses: [__m512i; G],
+    }
+
+    /// The neurons `neurons` (a whole number of `B`-block steps) into the
+    /// lane minima. Per step, every word row's value and care words are
+    /// loaded once and compared against all `G` inputs, whose distances sum
+    /// in registers.
+    ///
+    /// # Safety
+    ///
+    /// As [`wta_group_avx512`].
+    // The register arrays are indexed by input and block together.
+    #[allow(clippy::needless_range_loop)]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn wta_blocks<R: super::WordRow, const G: usize, const B: usize>(
+        rows: &[R],
+        dont_care_counts: &[u32],
+        inputs: &[&[u64]; G],
+        minima: &mut LaneMinima<G>,
+        neurons: std::ops::Range<usize>,
+    ) {
+        let lanes = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+        // SAFETY (every load below): `neurons.end` is at most the neuron
+        // count, every row holds one word per neuron and the counts one
+        // each, and a step reads the `8 * B` words at `i..i + 8 * B`,
+        // which end at most at `neurons.end`.
+        let mut i = neurons.start;
+        while i < neurons.end {
+            let mut distances = [[_mm512_setzero_si512(); B]; G];
+            for (w, row) in rows.iter().enumerate() {
+                let values = row.values().as_ptr().add(i);
+                let cares = row.cares().as_ptr().add(i);
+                let mut x = [_mm512_setzero_si512(); G];
+                for g in 0..G {
+                    x[g] = _mm512_set1_epi64(inputs[g][w] as i64);
+                }
+                for b in 0..B {
+                    let v = _mm512_loadu_si512(values.add(8 * b).cast());
+                    let c = _mm512_loadu_si512(cares.add(8 * b).cast());
+                    for g in 0..G {
+                        let masked = _mm512_and_si512(_mm512_xor_si512(v, x[g]), c);
+                        distances[g][b] =
+                            _mm512_add_epi64(distances[g][b], _mm512_popcnt_epi64(masked));
+                    }
+                }
+            }
+            for b in 0..B {
+                let at = i + 8 * b;
+                let counts = _mm512_cvtepu32_epi64(_mm256_loadu_si256(
+                    dont_care_counts.as_ptr().add(at).cast(),
+                ));
+                let address = _mm512_add_epi64(_mm512_set1_epi64(at as i64), lanes);
+                for g in 0..G {
+                    let key = _mm512_or_si512(_mm512_slli_epi64::<32>(distances[g][b]), counts);
+                    let better = _mm512_cmplt_epu64_mask(key, minima.keys[g]);
+                    minima.keys[g] = _mm512_mask_mov_epi64(minima.keys[g], better, key);
+                    minima.addresses[g] =
+                        _mm512_mask_mov_epi64(minima.addresses[g], better, address);
+                }
+            }
+            i += 8 * B;
+        }
+    }
+
     /// The background step eight pixels at a time: each 64-pixel word is
     /// eight groups of eight `f64` lanes per channel.
     ///
@@ -1310,6 +1629,41 @@ pub(crate) fn update_window_word_dispatch(
     }
 }
 
+/// The winner kernel for up to [`WTA_GROUP`] inputs: the AVX-512 arm
+/// walks eight-neuron blocks in registers; every other dispatch runs its
+/// row lowering over [`WTA_BLOCK_NEURONS`]-neuron blocks.
+pub(crate) fn wta_group_dispatch<R: WordRow>(
+    dispatch: Dispatch,
+    rows: &[R],
+    dont_care_counts: &[u32],
+    inputs: &[&[u64]],
+    winners: &mut [Option<BatchWinner>],
+) {
+    let mut best = [(u64::MAX, 0usize); WTA_GROUP];
+    let best = &mut best[..inputs.len()];
+    match dispatch {
+        // SAFETY: availability asserted by the public entry (note above),
+        // which also checks every row's length against the `#`-counts.
+        #[cfg(target_arch = "x86_64")]
+        Dispatch::Avx512 => unsafe { x86::wta_group_avx512(rows, dont_care_counts, inputs, best) },
+        _ => wta_rows(
+            dispatch,
+            rows,
+            dont_care_counts,
+            inputs,
+            best,
+            0..dont_care_counts.len(),
+        ),
+    }
+    for (winner, &(key, index)) in winners.iter_mut().zip(best.iter()) {
+        *winner = (!dont_care_counts.is_empty()).then_some(BatchWinner {
+            index,
+            distance: (key >> 32) as u32,
+            dont_care_count: key as u32,
+        });
+    }
+}
+
 /// The background step has one wide arm; every other dispatch runs the
 /// scalar walk.
 fn segment_background_dispatch(
@@ -1352,6 +1706,29 @@ mod tests {
         let mut out = [0u64; 5];
         lanes.store(&mut out);
         assert_eq!(out, [1, 2, 3, 4, 0]);
+    }
+
+    #[test]
+    fn line_aligned_rows_start_each_plane_on_a_cache_line() {
+        use crate::batch::WordRow;
+        for neurons in [0usize, 1, 7, 8, 9, 40, 1025] {
+            let values: Vec<u64> = (0..neurons as u64).map(|i| i * 0x9E37).collect();
+            let cares: Vec<u64> = values.iter().map(|v| !v).collect();
+            let mut row = LineAlignedRow::new(&values, &cares);
+            assert_eq!((row.values(), row.cares()), (&values[..], &cares[..]));
+            let copy = row.clone();
+            assert_eq!(copy, row);
+            for plane in [row.values(), row.cares(), copy.values(), copy.cares()] {
+                assert_eq!(plane.as_ptr() as usize % 64, 0, "{neurons} neurons");
+            }
+            if neurons > 0 {
+                let (values_mut, cares_mut) = row.planes_mut();
+                values_mut[neurons - 1] = 1;
+                cares_mut[0] = 2;
+                assert_eq!((row.values()[neurons - 1], row.cares()[0]), (1, 2));
+                assert_ne!(copy, row);
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //! bit**:
 //!
 //! * distance kernels ([`masked_hamming_words_with`],
-//!   [`accumulate_masked_hamming_row_with`]) on arbitrary planes, on
-//!   tie-heavy WTA tables (where a one-count distance error flips the
-//!   [`select_winner`] key), and on every tail/remainder word count around
-//!   each lane width (0, 1, lane−1, lane, lane+1, non-multiples — the
-//!   classic SIMD off-by-one surface);
+//!   [`accumulate_masked_hamming_row_with`]) on arbitrary planes and on
+//!   every tail/remainder word count around each lane width (0, 1, lane−1,
+//!   lane, lane+1, non-multiples — the classic SIMD off-by-one surface);
+//! * the fused winner kernel ([`wta_winner_with`], [`wta_winners_into_with`])
+//!   on tie-heavy layers of 1 to 2,100 neurons (around the eight-neuron lane
+//!   blocks and the 1,024-neuron edge) and batches of 1 to 17 signatures
+//!   (around the eight-signature group), with ties planted across those
+//!   edges and a wrong-length signature inside a group, against the scalar
+//!   arm and an independent per-neuron oracle;
 //! * the window update kernel ([`update_window_word_with`]) on
 //!   invariant-respecting plane runs, including its per-neuron relax/commit
 //!   flip counters (the feed of the incremental `#`-count maintenance);
@@ -30,8 +34,9 @@
 use bsom_signature::lanes::{active_dispatch, force_dispatch, Dispatch};
 use bsom_signature::{
     accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, masked_hamming_words,
-    masked_hamming_words_with, segment_background, segment_background_with, select_winner,
-    update_window_word_with, Rgb,
+    masked_hamming_words_with, segment_background, segment_background_with,
+    update_window_word_with, wta_winner, wta_winner_with, wta_winners_into_with, BatchWinner,
+    BinaryVector, Rgb,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -176,6 +181,137 @@ fn assert_segmentation_identical(len: usize, rng: &mut StdRng) {
     }
 }
 
+/// Neuron counts of the winner-kernel sweep: one, around one eight-lane
+/// block, around the 1,024-neuron edge, and past two of those edges.
+const WTA_NEURONS: [usize; 8] = [1, 7, 8, 9, 1_023, 1_024, 1_025, 2_100];
+
+/// Bits per vector of the winner-kernel sweep: three word rows, the last one
+/// partial.
+const WTA_BITS: usize = 130;
+
+/// A plane-sliced layer as owned word rows plus its `#`-count table.
+struct WtaLayer {
+    rows: Vec<(Vec<u64>, Vec<u64>)>,
+    counts: Vec<u32>,
+}
+
+impl WtaLayer {
+    fn rows(&self) -> Vec<(&[u64], &[u64])> {
+        self.rows
+            .iter()
+            .map(|(values, cares)| (values.as_slice(), cares.as_slice()))
+            .collect()
+    }
+
+    /// The independent oracle: every neuron's distance summed on its own,
+    /// then the smallest `(distance, #-count, address)`.
+    fn oracle(&self, input: &[u64]) -> Option<BatchWinner> {
+        (0..self.counts.len())
+            .map(|i| {
+                let distance = self
+                    .rows
+                    .iter()
+                    .zip(input)
+                    .map(|((values, cares), x)| ((values[i] ^ x) & cares[i]).count_ones())
+                    .sum::<u32>();
+                (distance, self.counts[i], i)
+            })
+            .min()
+            .map(|(distance, dont_care_count, index)| BatchWinner {
+                index,
+                distance,
+                dont_care_count,
+            })
+    }
+}
+
+/// Words of a `WTA_BITS`-bit vector drawn from the two low bits of each
+/// word, so distances land in 0..=6 and nearly every neuron ties on
+/// distance with many others.
+fn tiny_words(rng: &mut StdRng) -> Vec<u64> {
+    (0..WTA_BITS.div_ceil(64))
+        .map(|_| rng.gen_range(0u64..4))
+        .collect()
+}
+
+/// A tie-heavy layer of `neurons` neurons whose `#`-counts are 1 or 2,
+/// with one planted pair of exact matches to `planted` at addresses
+/// `edge − 1` and `edge`, across a lane, block or 1,024 edge. With
+/// `lower_wins` both carry the key `(0, 0)` and the lower address must win;
+/// otherwise the lower one carries `(0, 1)` and the upper one must win on
+/// its `#`-count.
+fn wta_layer(
+    neurons: usize,
+    planted: &[u64],
+    edge: usize,
+    lower_wins: bool,
+    rng: &mut StdRng,
+) -> WtaLayer {
+    let mut rows: Vec<(Vec<u64>, Vec<u64>)> = (0..planted.len())
+        .map(|_| (vec![0; neurons], vec![0; neurons]))
+        .collect();
+    for (values, cares) in &mut rows {
+        for i in 0..neurons {
+            cares[i] = rng.gen_range(0u64..4);
+            values[i] = rng.gen_range(0u64..4) & cares[i];
+        }
+    }
+    let mut counts: Vec<u32> = (0..neurons).map(|_| rng.gen_range(1u32..3)).collect();
+    if edge < neurons {
+        for (address, count) in [(edge - 1, u32::from(!lower_wins)), (edge, 0)] {
+            for ((values, cares), &x) in rows.iter_mut().zip(planted) {
+                values[address] = x;
+                cares[address] = 3;
+            }
+            counts[address] = count;
+        }
+    }
+    WtaLayer { rows, counts }
+}
+
+/// Runs the winner kernel on `batch` through every available dispatch and
+/// checks it against the scalar arm, the oracle and single-input calls.
+fn assert_wta_identical(layer: &WtaLayer, batch: &[BinaryVector]) -> Result<(), TestCaseError> {
+    let rows = layer.rows();
+    let expected: Vec<Option<BatchWinner>> = batch
+        .iter()
+        .map(|input| {
+            (input.len() == WTA_BITS)
+                .then(|| layer.oracle(input.as_words()))
+                .flatten()
+        })
+        .collect();
+    let mut scalar = vec![None; batch.len()];
+    wta_winners_into_with(
+        Dispatch::Scalar,
+        &rows,
+        &layer.counts,
+        WTA_BITS,
+        batch,
+        &mut scalar,
+    );
+    prop_assert_eq!(&scalar, &expected);
+    for dispatch in Dispatch::available() {
+        let mut winners = vec![None; batch.len()];
+        wta_winners_into_with(
+            dispatch,
+            &rows,
+            &layer.counts,
+            WTA_BITS,
+            batch,
+            &mut winners,
+        );
+        prop_assert_eq!(&winners, &expected);
+        for (input, winner) in batch.iter().zip(&winners) {
+            if input.len() == WTA_BITS {
+                let single = wta_winner_with(dispatch, &rows, &layer.counts, input.as_words());
+                prop_assert_eq!(single, *winner);
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// `masked_hamming_words` agrees with the scalar walk through every
     /// available lowering, for arbitrary word counts.
@@ -271,38 +407,71 @@ proptest! {
 
     /// Tie-heavy WTA tables: plane words from tiny domains make
     /// near-universal distance ties, so the winner key is decided by
-    /// `#`-count and address — any per-dispatch distance skew would flip the
-    /// full `{distance, #-count, address}` key. The winner must be identical
-    /// through every lowering.
+    /// `#`-count and address — any per-dispatch distance skew or lane
+    /// reduction slip would flip the full `{distance, #-count, address}`
+    /// key. The winner must be identical through every lowering.
     #[test]
     fn tie_heavy_wta_winners_survive_every_dispatch(
         rows in prop::collection::vec((0u64..4, 0u64..4, 0u32..3), 1..96),
         input in 0u64..4,
     ) {
-        let neurons = rows.len();
         // One plane word per neuron drawn from a two-bit domain; care bits
         // limited to the same two lanes so distances land in {0, 1, 2}.
         let cares: Vec<u64> = rows.iter().map(|&(c, _, _)| c).collect();
         let values: Vec<u64> = rows.iter().map(|&(c, v, _)| v & c).collect();
         let counts: Vec<u32> = rows.iter().map(|&(_, _, n)| n).collect();
-        let mut reference = vec![0u32; neurons];
-        accumulate_masked_hamming_row_with(
-            Dispatch::Scalar, &values, &cares, input, &mut reference,
-        );
-        let reference_winner = select_winner(&reference, &counts);
+        let layer = [(values.as_slice(), cares.as_slice())];
+        let reference = wta_winner_with(Dispatch::Scalar, &layer, &counts, &[input]);
         for dispatch in Dispatch::available() {
-            let mut distances = vec![0u32; neurons];
-            accumulate_masked_hamming_row_with(
-                dispatch, &values, &cares, input, &mut distances,
-            );
-            prop_assert_eq!(select_winner(&distances, &counts), reference_winner);
+            prop_assert_eq!(wta_winner_with(dispatch, &layer, &counts, &[input]), reference);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fused winner kernel over every neuron count of [`WTA_NEURONS`]
+    /// and batches of 1–17 signatures: a pair of exact matches planted
+    /// across a lane (8), block (256) or 1,024 edge, signature 7 repeated
+    /// as signature 8 across the group edge, and one signature one bit
+    /// short somewhere in the batch. Every dispatch must give the oracle's
+    /// winner for every signature, and `None` for the short one.
+    #[test]
+    fn wta_winners_are_bit_identical_across_dispatches(
+        shape in (0usize..WTA_NEURONS.len(), 1usize..18, 0usize..4),
+        seed in any::<u64>(),
+    ) {
+        let (neuron_choice, batch_len, edge_choice) = shape;
+        let neurons = WTA_NEURONS[neuron_choice];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut batch: Vec<BinaryVector> = (0..batch_len)
+            .map(|_| BinaryVector::from_words(tiny_words(&mut rng), WTA_BITS).unwrap())
+            .collect();
+        if batch_len > 8 {
+            batch[8] = batch[7].clone();
+        }
+        let planted = rng.gen_range(0..batch_len);
+        let edge = [8, 256, 1024, 2048][edge_choice];
+        let layer = wta_layer(
+            neurons,
+            batch[planted].as_words(),
+            edge,
+            rng.gen(),
+            &mut rng,
+        );
+        if batch_len > 1 {
+            let short = (planted + 1 + rng.gen_range(0..batch_len - 1)) % batch_len;
+            batch[short] = BinaryVector::zeros(WTA_BITS - 1);
+        }
+        assert_wta_identical(&layer, &batch)?;
     }
 }
 
 /// The tail/remainder sweep: word counts of 0, 1, lane−1, lane, lane+1 and
 /// non-multiples for every lane width in play (2, 4, 8), through every
-/// kernel and every available lowering — and for the background kernel,
+/// kernel (for the winner kernel, as neuron counts) and every available
+/// lowering — and for the background kernel,
 /// every pixel count from 0 to 200: whole 64-pixel words, groups of 8 and
 /// every tail the scalar walk finishes.
 #[test]
@@ -326,6 +495,9 @@ fn tail_word_counts_are_bit_identical_through_every_kernel() {
         let relax_mask: u64 = rng.gen();
         let commit_mask: u64 = rng.gen();
 
+        let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+        let layer = [(values.as_slice(), cares.as_slice())];
+        let winner_ref = wta_winner_with(Dispatch::Scalar, &layer, &counts, &[input]);
         let hamming_ref = masked_hamming_words_with(Dispatch::Scalar, &values, &cares, &inputs);
         let mut row_ref = vec![0u32; n];
         accumulate_masked_hamming_row_with(Dispatch::Scalar, &values, &cares, input, &mut row_ref);
@@ -354,6 +526,11 @@ fn tail_word_counts_are_bit_identical_through_every_kernel() {
             let mut row = vec![0u32; n];
             accumulate_masked_hamming_row_with(dispatch, &values, &cares, input, &mut row);
             assert_eq!(row, row_ref, "row kernel, {n} words, {dispatch}");
+            assert_eq!(
+                wta_winner_with(dispatch, &layer, &counts, &[input]),
+                winner_ref,
+                "winner kernel, {n} neurons, {dispatch}"
+            );
             let mut v = values.clone();
             let mut c = cares.clone();
             let mut relaxed = vec![0u32; n];
@@ -452,6 +629,26 @@ fn mismatched_slices_panic_under_every_dispatch() {
             },
             "one relax counter per neuron",
         );
+        panics_with(
+            || {
+                wta_winner_with(dispatch, &[(&[0u64, 0][..], &[0u64][..])], &[0, 0], &[0]);
+            },
+            "every word row holds one value and one care word per neuron",
+        );
+        panics_with(
+            || {
+                wta_winner_with(dispatch, &[(&[0u64][..], &[0u64][..])], &[0], &[0, 0]);
+            },
+            "one input word per word row",
+        );
+        panics_with(
+            || {
+                let inputs = [BinaryVector::zeros(64)];
+                let rows = [(&[0u64][..], &[0u64][..])];
+                wta_winners_into_with(dispatch, &rows, &[0], 64, &inputs, &mut []);
+            },
+            "one winner slot per input",
+        );
         let pixels = [Rgb::BLACK; 3];
         for short in 0..3 {
             panics_with(
@@ -507,6 +704,12 @@ fn unavailable_dispatch_is_rejected_loudly() {
     );
     panics_with(
         || {
+            wta_winner_with(foreign, &[(&[0u64][..], &[0u64][..])], &[0], &[0]);
+        },
+        "not available",
+    );
+    panics_with(
+        || {
             segment_background_with(
                 foreign,
                 &[Rgb::BLACK],
@@ -543,6 +746,12 @@ fn force_dispatch_routes_the_default_entry_points() {
         let mut explicit = vec![0u32; 11];
         accumulate_masked_hamming_row_with(dispatch, &values, &cares, inputs[0], &mut explicit);
         assert_eq!(forced, explicit);
+        let layer = [(values.as_slice(), cares.as_slice())];
+        let counts = [3u32; 11];
+        assert_eq!(
+            wta_winner(&layer, &counts, &inputs[..1]),
+            wta_winner_with(dispatch, &layer, &counts, &inputs[..1]),
+        );
         let pixels: Vec<Rgb> = (0..70)
             .map(|_| Rgb::new(rng.gen(), rng.gen(), rng.gen()))
             .collect();

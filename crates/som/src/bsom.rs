@@ -237,13 +237,6 @@ pub struct BSom {
     /// would use. Keeping it inside the map keeps `train_step` deterministic
     /// for a given construction seed.
     rng_state: u64,
-    /// Cached per-neuron `#`-counts, maintained incrementally from the
-    /// popcount delta of every masked weight write, so the `{distance,
-    /// #-count, address}` WTA key in [`BSom::winner`] (via
-    /// [`SelfOrganizingMap::winner`]) never re-popcounts a care plane.
-    /// Invariant: `dont_care_counts[i] == neurons[i].count_dont_care()`,
-    /// debug-asserted after every update.
-    dont_care_counts: Vec<u32>,
     /// Precompiled mask plans / coin thresholds for the configured update
     /// probabilities.
     tables: UpdateTables,
@@ -251,8 +244,11 @@ pub struct BSom {
     /// on every weight write ([`PackedLayer::apply_neuron_update`]). This is
     /// the **only** winner-search path: training-time and serve-time search
     /// run the same word-sliced batch kernels, and publishing a serving
-    /// snapshot is a plain clone of this field instead of a re-pack.
-    /// Invariant: `packed == PackedLayer::pack(self)` word for word,
+    /// snapshot is a plain clone of this field instead of a re-pack. Its
+    /// per-neuron `#`-counts, maintained from the popcount delta of every
+    /// masked weight write, are the map's only `#`-count table, so the
+    /// `{distance, #-count, address}` WTA key never re-popcounts a care
+    /// plane. Invariant: `packed == PackedLayer::pack(self)` word for word,
     /// debug-asserted per touched neuron after every update.
     packed: PackedLayer,
     /// Reusable window-update scratch (see [`WindowScratch`]).
@@ -260,7 +256,7 @@ pub struct BSom {
 }
 
 /// Equality is over the map's intrinsic state — configuration, weights and
-/// RNG state. The `#`-count cache, the update tables and the packed layer are
+/// RNG state. The update tables and the packed layer (with its `#`-counts) are
 /// pure functions of those fields (and are debug-asserted in sync), so
 /// comparing them would be redundant.
 impl PartialEq for BSom {
@@ -300,15 +296,12 @@ impl BSom {
             .map(|_| TriStateVector::random_concrete(config.vector_len, rng))
             .collect();
         let rng_state = rng.gen::<u64>() | 1;
-        // Fresh random weights are fully concrete: every cached count is 0.
-        let dont_care_counts = vec![0u32; neurons.len()];
         let tables = UpdateTables::from_config(&config);
         let packed = PackedLayer::from_neurons(&neurons).expect("shape checked above");
         Ok(BSom {
             config,
             neurons,
             rng_state,
-            dont_care_counts,
             tables,
             packed,
             scratch: WindowScratch::default(),
@@ -338,14 +331,12 @@ impl BSom {
             });
         }
         let config = BSomConfig::new(weights.len(), vector_len);
-        let dont_care_counts = weights.iter().map(|w| w.count_dont_care() as u32).collect();
         let tables = UpdateTables::from_config(&config);
         let packed = PackedLayer::from_neurons(&weights).expect("shape checked above");
         Ok(BSom {
             config,
             neurons: weights,
             rng_state: 0x9E37_79B9_7F4A_7C15,
-            dont_care_counts,
             tables,
             packed,
             scratch: WindowScratch::default(),
@@ -416,7 +407,6 @@ impl BSom {
             });
         }
         let count = weight.count_dont_care() as u32;
-        self.dont_care_counts[index] = count;
         self.packed.apply_neuron_update(index, &weight, count);
         self.neurons[index] = weight;
         Ok(())
@@ -430,18 +420,18 @@ impl BSom {
         &self.packed
     }
 
-    /// The cached per-neuron `#`-counts in address order — the secondary
+    /// The per-neuron `#`-counts in address order — the secondary
     /// comparator key of the WTA search, maintained incrementally on every
-    /// weight write.
+    /// weight write (the packed layer's table).
     pub fn dont_care_counts(&self) -> &[u32] {
-        &self.dont_care_counts
+        self.packed.dont_care_counts()
     }
 
     /// Total number of `#` trits across all neurons — a measure of how much
     /// of the map has relaxed to "don't care". Served from the incremental
     /// cache; O(neurons) rather than O(neurons × words).
     pub fn total_dont_care(&self) -> usize {
-        self.dont_care_counts.iter().map(|&c| c as usize).sum()
+        self.dont_care_counts().iter().map(|&c| c as usize).sum()
     }
 
     /// `true` iff every cached `#`-count matches a full recount of its care
@@ -449,7 +439,7 @@ impl BSom {
     fn cache_matches_recount(&self) -> bool {
         self.neurons
             .iter()
-            .zip(&self.dont_care_counts)
+            .zip(self.dont_care_counts())
             .all(|(n, &c)| n.count_dont_care() == c as usize)
     }
 
@@ -458,14 +448,13 @@ impl BSom {
     /// in a single pass ([`PackedLayer::apply_window_update`]), with the
     /// commit transition gated per neuron by the [`NeighbourRule`] (only the
     /// winner commits under [`NeighbourRule::RelaxOnly`]). The updated
-    /// column words are mirrored back into the per-neuron planes and both
-    /// `#`-count caches are maintained from the popcount deltas.
+    /// column words are mirrored back into the per-neuron planes; the packed
+    /// layer maintains its `#`-counts from the popcount deltas.
     fn update_window(&mut self, lo: usize, hi: usize, winner: usize, input: &BinaryVector) {
         let BSom {
             config,
             neurons,
             rng_state,
-            dont_care_counts,
             tables,
             packed,
             scratch,
@@ -491,16 +480,8 @@ impl BSom {
             &mut scratch.relaxed,
             &mut scratch.committed,
         );
-        for (offset, idx) in window.enumerate() {
+        for idx in window {
             packed.copy_neuron_into(idx, &mut neurons[idx]);
-            let count = &mut dont_care_counts[idx];
-            *count = (i64::from(*count) + i64::from(scratch.relaxed[offset])
-                - i64::from(scratch.committed[offset])) as u32;
-            debug_assert_eq!(
-                *count as usize,
-                neurons[idx].count_dont_care(),
-                "incremental #-count cache out of sync for neuron {idx}"
-            );
             debug_assert!(
                 packed.neuron_matches(idx, &neurons[idx]),
                 "packed layer out of sync for neuron {idx}"
@@ -519,35 +500,29 @@ impl BSom {
         relax: CoinThreshold,
         commit: CoinThreshold,
     ) {
+        let mut count = self.dont_care_counts()[neuron_index];
         for k in 0..input.len() {
             let x = input.bit(k);
             match self.neurons[neuron_index].trit(k) {
                 Trit::DontCare => {
                     if commit.flip(&mut self.rng_state) {
                         self.neurons[neuron_index].set(k, Trit::from_bit(x));
-                        self.dont_care_counts[neuron_index] -= 1;
+                        count -= 1;
                     }
                 }
                 t => {
                     if !t.matches(x) && relax.flip(&mut self.rng_state) {
                         self.neurons[neuron_index].set(k, Trit::DontCare);
-                        self.dont_care_counts[neuron_index] += 1;
+                        count += 1;
                     }
                 }
             }
         }
-        debug_assert_eq!(
-            self.dont_care_counts[neuron_index] as usize,
-            self.neurons[neuron_index].count_dont_care(),
-            "incremental #-count cache out of sync for neuron {neuron_index}"
-        );
         // The bit-serial reference must keep the shared layout current too:
-        // its winner search runs on the packed kernels like everyone else's.
-        self.packed.apply_neuron_update(
-            neuron_index,
-            &self.neurons[neuron_index],
-            self.dont_care_counts[neuron_index],
-        );
+        // its winner search runs on the packed kernels like everyone else's
+        // (`apply_neuron_update` debug-asserts the count against a recount).
+        self.packed
+            .apply_neuron_update(neuron_index, &self.neurons[neuron_index], count);
     }
 
     /// One training step through the **bit-serial reference datapath**: the
@@ -744,18 +719,12 @@ impl BSom {
         if raw.rng_state == 0 {
             return Err("rng_state must be non-zero (xorshift fixed point)".to_string());
         }
-        let dont_care_counts = raw
-            .neurons
-            .iter()
-            .map(|n| n.count_dont_care() as u32)
-            .collect();
         let tables = UpdateTables::from_config(&raw.config);
         let packed = PackedLayer::from_neurons(&raw.neurons).expect("shape checked above");
         Ok(BSom {
             config: raw.config,
             neurons: raw.neurons,
             rng_state: raw.rng_state,
-            dont_care_counts,
             tables,
             packed,
             scratch: WindowScratch::default(),

@@ -29,12 +29,18 @@
 //!
 //! ## The winner search
 //!
-//! [`PackedLayer::winner`] reduces the distance vector with
-//! [`select_winner`]: one linear scan for the smallest `{distance, #-count,
-//! address}` key — the comparator of the FPGA's WTA tree, which
-//! `bsom_fpga::blocks::wta` models cycle for cycle. The `packed_equivalence`
-//! suite holds it to an independent per-neuron oracle, ties across the
-//! [`DISTANCE_BLOCK_NEURONS`] block edge included.
+//! [`PackedLayer::winner`] and [`PackedLayer::winners_into`] are the two
+//! winner paths. Both run the fused kernel of `bsom_signature`
+//! ([`wta_winner`], [`wta_winners_into`]): the distances of a block of
+//! neurons are summed over every word row and reduced at once into a
+//! running minimum of the `{distance, #-count, address}` key — the
+//! comparator of the FPGA's WTA tree, which `bsom_fpga::blocks::wta` models
+//! cycle for cycle — so no distance table is built, and the batch form
+//! compares every plane word it loads against up to eight inputs. The
+//! `packed_equivalence` suite holds both to an independent per-neuron
+//! oracle, ties across the 1,024-neuron edge included;
+//! [`distances`](PackedLayer::distances) remains for callers that want the
+//! whole table.
 //!
 //! ## The incremental-layout invariant
 //!
@@ -71,49 +77,15 @@
 use std::sync::Arc;
 
 use bsom_signature::bernoulli::{draw_broadcast_masks, MaskPlan};
+pub use bsom_signature::BatchWinner;
 use bsom_signature::{
-    accumulate_masked_hamming_row, select_winner, update_window_word, window_word_needs,
-    window_word_would_change, BinaryVector, TriStateVector,
+    accumulate_masked_hamming_row, update_window_word, window_word_needs, window_word_would_change,
+    wta_winner, wta_winners_into, BinaryVector, LineAlignedRow, TriStateVector, WordRow,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::bsom::BSom;
 use crate::error::SomError;
-
-/// Neuron-axis block width of the cache-blocked distance pass.
-///
-/// The winner search walks every word row of the plane-sliced layer over
-/// the whole distance table; once the table (4 bytes per neuron) plus one
-/// block of each plane row stops fitting in L1, each word row evicts the
-/// distances the previous row just touched. Blocking the column walk at
-/// 1024 neurons keeps a 4 KiB distance block resident across all word rows
-/// while the 8 KiB value/care row blocks stream through once each. Any
-/// positive value yields bit-identical distances (the per-neuron
-/// accumulation order over words is unchanged); this constant only picks
-/// the performance point.
-pub const DISTANCE_BLOCK_NEURONS: usize = 1024;
-
-/// The result of a batched winner search, carrying the full FPGA comparator
-/// key so callers can audit tie-breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchWinner {
-    /// Address of the winning neuron.
-    pub index: usize,
-    /// Its #-aware Hamming distance to the input.
-    pub distance: u32,
-    /// The winning neuron's `#`-count (the secondary comparator key).
-    pub dont_care_count: u32,
-}
-
-/// One word row of the plane-sliced layout: the `w`-th value and care word
-/// of every neuron, bundled so a window update that touches both planes
-/// copies the row once. Private — rows are an ownership detail; callers see
-/// [`PackedLayer::value_row`] / [`PackedLayer::care_row`] slices.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct PlaneRow {
-    values: Vec<u64>,
-    cares: Vec<u64>,
-}
 
 /// A read-only, plane-sliced snapshot of a bSOM competitive layer.
 ///
@@ -144,9 +116,11 @@ pub struct PackedLayer {
     vector_len: usize,
     words_per_vector: usize,
     /// One copy-on-write word row per input word index: `rows[w]` holds
-    /// neuron `i`'s `w`-th value word at `rows[w].values[i]` (cares
-    /// likewise).
-    rows: Vec<Arc<PlaneRow>>,
+    /// neuron `i`'s `w`-th value word at `rows[w].values()[i]` (cares
+    /// likewise), both planes of a row in one cache-line-aligned
+    /// allocation, so a window update that touches both copies the row
+    /// once.
+    rows: Vec<Arc<LineAlignedRow>>,
     /// Per-neuron `#`-counts, precomputed for the tie-break key. Behind its
     /// own `Arc` on the same copy-on-write discipline as the rows.
     dont_care_counts: Arc<Vec<u32>>,
@@ -175,18 +149,20 @@ impl PackedLayer {
         }
         let neurons = weights.len();
         let words_per_vector = vector_len.div_ceil(64);
-        let mut rows: Vec<PlaneRow> = (0..words_per_vector)
-            .map(|_| PlaneRow {
-                values: vec![0u64; neurons],
-                cares: vec![0u64; neurons],
-            })
+        let mut rows: Vec<LineAlignedRow> = (0..words_per_vector)
+            .map(|_| LineAlignedRow::zeroed(neurons))
             .collect();
+        let mut planes: Vec<(&mut [u64], &mut [u64])> =
+            rows.iter_mut().map(LineAlignedRow::planes_mut).collect();
         for (i, weight) in weights.iter().enumerate() {
-            for (w, &v) in weight.value_plane().as_words().iter().enumerate() {
-                rows[w].values[i] = v;
-            }
-            for (w, &c) in weight.care_plane().as_words().iter().enumerate() {
-                rows[w].cares[i] = c;
+            let words = weight.value_plane().as_words();
+            for ((plane, &v), &c) in planes
+                .iter_mut()
+                .zip(words)
+                .zip(weight.care_plane().as_words())
+            {
+                plane.0[i] = v;
+                plane.1[i] = c;
             }
         }
         let dont_care_counts = weights.iter().map(|w| w.count_dont_care() as u32).collect();
@@ -246,12 +222,12 @@ impl PackedLayer {
         let care_words = weight.care_plane().as_words();
         for (w, row) in self.rows.iter_mut().enumerate() {
             let (v, c) = (value_words[w], care_words[w]);
-            if row.values[index] == v && row.cares[index] == c {
+            if row.values()[index] == v && row.cares()[index] == c {
                 continue; // row untouched: stays shared with live snapshots
             }
-            let row = Arc::make_mut(row);
-            row.values[index] = v;
-            row.cares[index] = c;
+            let (values, cares) = Arc::make_mut(row).planes_mut();
+            values[index] = v;
+            cares[index] = c;
         }
         if self.dont_care_counts[index] != dont_care_count {
             Arc::make_mut(&mut self.dont_care_counts)[index] = dont_care_count;
@@ -332,8 +308,8 @@ impl PackedLayer {
                 (1u64 << (self.vector_len % 64)) - 1
             };
             let row = &self.rows[w];
-            let run_values = &row.values[window.start..window.end];
-            let run_cares = &row.cares[window.start..window.end];
+            let run_values = &row.values()[window.start..window.end];
+            let run_cares = &row.cares()[window.start..window.end];
             let (needs_relax, needs_commit) =
                 window_word_needs(run_values, run_cares, commit_gates, x, lane_mask);
             if !needs_relax && !needs_commit {
@@ -356,10 +332,10 @@ impl PackedLayer {
                 // transition was masked off: the row stays shared.
                 continue;
             }
-            let row = Arc::make_mut(&mut self.rows[w]);
+            let (values, cares) = Arc::make_mut(&mut self.rows[w]).planes_mut();
             update_window_word(
-                &mut row.values[window.start..window.end],
-                &mut row.cares[window.start..window.end],
+                &mut values[window.start..window.end],
+                &mut cares[window.start..window.end],
                 x,
                 masks.relax,
                 commit_mask,
@@ -397,7 +373,7 @@ impl PackedLayer {
             "weight length must match the layer's vector length"
         );
         for (w, row) in self.rows.iter().enumerate() {
-            weight.set_plane_word(w, row.values[index], row.cares[index]);
+            weight.set_plane_word(w, row.values()[index], row.cares()[index]);
         }
     }
 
@@ -412,13 +388,13 @@ impl PackedLayer {
                 .as_words()
                 .iter()
                 .zip(&self.rows)
-                .all(|(&v, row)| row.values[index] == v)
+                .all(|(&v, row)| row.values()[index] == v)
             && weight
                 .care_plane()
                 .as_words()
                 .iter()
                 .zip(&self.rows)
-                .all(|(&c, row)| row.cares[index] == c)
+                .all(|(&c, row)| row.cares()[index] == c)
             && self.dont_care_counts[index] as usize == weight.count_dont_care()
     }
 
@@ -449,7 +425,7 @@ impl PackedLayer {
     ///
     /// Panics if `w >= self.word_row_count()`.
     pub fn value_row(&self, w: usize) -> &[u64] {
-        &self.rows[w].values
+        self.rows[w].values()
     }
 
     /// Word row `w` of the care plane, in the same layout as
@@ -459,7 +435,7 @@ impl PackedLayer {
     ///
     /// Panics if `w >= self.word_row_count()`.
     pub fn care_row(&self, w: usize) -> &[u64] {
-        &self.rows[w].cares
+        self.rows[w].cares()
     }
 
     /// Number of word rows physically shared (same allocation, not merely
@@ -489,120 +465,52 @@ impl PackedLayer {
         Ok(())
     }
 
-    /// Accumulates the #-aware Hamming distances from `input` to every neuron
-    /// into `distances` (which must hold one zeroed slot per neuron). Exposed
-    /// so callers that classify in a tight loop can reuse the buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SomError::InputLengthMismatch`] for a wrong-length input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `distances.len() != self.neuron_count()`.
-    pub fn distances_into(
-        &self,
-        input: &BinaryVector,
-        distances: &mut [u32],
-    ) -> Result<(), SomError> {
-        self.check_input(input)?;
-        assert_eq!(
-            distances.len(),
-            self.neurons,
-            "one distance slot per neuron"
-        );
-        // Cache-block the column walk once the map outgrows one block: the
-        // word-row loop re-walks the distance table once per input word, so
-        // for large maps the table is carved into L1-resident blocks and
-        // each block sees all word rows before the next block starts. The
-        // per-neuron accumulation order over `w` is unchanged, so blocking
-        // is bit-identical to the unblocked walk (the `packed_equivalence`
-        // suite covers maps on both sides of the threshold).
-        let words = input.as_words();
-        if self.neurons <= DISTANCE_BLOCK_NEURONS {
-            for (row, &x) in self.rows.iter().zip(words) {
-                accumulate_masked_hamming_row(&row.values, &row.cares, x, distances);
-            }
-            return Ok(());
-        }
-        let mut start = 0;
-        while start < self.neurons {
-            let end = (start + DISTANCE_BLOCK_NEURONS).min(self.neurons);
-            for (row, &x) in self.rows.iter().zip(words) {
-                accumulate_masked_hamming_row(
-                    &row.values[start..end],
-                    &row.cares[start..end],
-                    x,
-                    &mut distances[start..end],
-                );
-            }
-            start = end;
-        }
-        Ok(())
-    }
-
     /// Distances from `input` to every neuron, in address order.
     ///
     /// # Errors
     ///
     /// Returns [`SomError::InputLengthMismatch`] for a wrong-length input.
     pub fn distances(&self, input: &BinaryVector) -> Result<Vec<u32>, SomError> {
+        self.check_input(input)?;
         let mut distances = vec![0u32; self.neurons];
-        self.distances_into(input, &mut distances)?;
+        for (row, &x) in self.rows.iter().zip(input.as_words()) {
+            accumulate_masked_hamming_row(row.values(), row.cares(), x, &mut distances);
+        }
         Ok(distances)
     }
 
-    /// Batched winner search: one sequential pass over the input words
-    /// against the plane-sliced layer, then the `{distance, #-count,
-    /// address}` reduction of [`select_winner`].
+    /// The winner of `input` under the `{distance, #-count, address}`
+    /// comparator, in one fused pass over the word rows
+    /// ([`bsom_signature::wta_winner`]): no distance table, no allocation.
     ///
     /// # Errors
     ///
     /// Returns [`SomError::InputLengthMismatch`] for a wrong-length input.
     pub fn winner(&self, input: &BinaryVector) -> Result<BatchWinner, SomError> {
-        let mut distances = vec![0u32; self.neurons];
-        self.winner_with_buffer(input, &mut distances)
+        self.check_input(input)?;
+        Ok(
+            wta_winner(&self.rows, &self.dont_care_counts, input.as_words())
+                .expect("a constructed PackedLayer is never empty"),
+        )
     }
 
-    /// [`winner`](Self::winner) with a caller-provided distance buffer,
-    /// avoiding the per-call allocation in batch loops. The buffer is
-    /// overwritten.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SomError::InputLengthMismatch`] for a wrong-length input.
+    /// [`winner`](Self::winner) for a whole batch: `winners[i]` becomes the
+    /// winner of `inputs[i]`, or `None` for a wrong-length input. Up to
+    /// eight inputs share each pass over the layer
+    /// ([`bsom_signature::wta_winners_into`]), with answers identical to
+    /// one [`winner`](Self::winner) call per input. Allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `distances.len() != self.neuron_count()`.
-    pub fn winner_with_buffer(
-        &self,
-        input: &BinaryVector,
-        distances: &mut [u32],
-    ) -> Result<BatchWinner, SomError> {
-        distances.fill(0);
-        self.distances_into(input, distances)?;
-        let (index, distance) = select_winner(distances, &self.dont_care_counts)
-            .expect("a constructed PackedLayer is never empty");
-        Ok(BatchWinner {
-            index,
-            distance,
-            dont_care_count: self.dont_care_counts[index],
-        })
-    }
-
-    /// Winner search over a whole batch of inputs, reusing one distance
-    /// buffer across the batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`SomError::InputLengthMismatch`] encountered.
-    pub fn winners(&self, inputs: &[BinaryVector]) -> Result<Vec<BatchWinner>, SomError> {
-        let mut distances = vec![0u32; self.neurons];
-        inputs
-            .iter()
-            .map(|input| self.winner_with_buffer(input, &mut distances))
-            .collect()
+    /// Panics if `winners.len() != inputs.len()`.
+    pub fn winners_into(&self, inputs: &[BinaryVector], winners: &mut [Option<BatchWinner>]) {
+        wta_winners_into(
+            &self.rows,
+            &self.dont_care_counts,
+            self.vector_len,
+            inputs,
+            winners,
+        );
     }
 }
 
@@ -613,7 +521,7 @@ impl PackedLayer {
 // with registry serde this would be `#[serde(into/try_from)]` glue.
 impl Serialize for PackedLayer {
     fn to_value(&self) -> serde::Value {
-        let flatten = |plane: fn(&PlaneRow) -> &[u64]| {
+        let flatten = |plane: fn(&LineAlignedRow) -> &[u64]| {
             serde::Value::Array(
                 self.rows
                     .iter()
@@ -625,8 +533,8 @@ impl Serialize for PackedLayer {
             ("neurons".into(), self.neurons.to_value()),
             ("vector_len".into(), self.vector_len.to_value()),
             ("words_per_vector".into(), self.words_per_vector.to_value()),
-            ("values".into(), flatten(|row| &row.values)),
-            ("cares".into(), flatten(|row| &row.cares)),
+            ("values".into(), flatten(|row| row.values())),
+            ("cares".into(), flatten(|row| row.cares())),
             (
                 "dont_care_counts".into(),
                 self.dont_care_counts.as_slice().to_value(),
@@ -700,22 +608,16 @@ impl PackedLayer {
                 }
             }
         }
-        let rows = raw
-            .values
-            .chunks_exact(raw.neurons)
-            .zip(raw.cares.chunks_exact(raw.neurons))
-            .map(|(values, cares)| {
-                Arc::new(PlaneRow {
-                    values: values.to_vec(),
-                    cares: cares.to_vec(),
-                })
-            })
-            .collect();
         Ok(PackedLayer {
             neurons: raw.neurons,
             vector_len: raw.vector_len,
             words_per_vector: raw.words_per_vector,
-            rows,
+            rows: raw
+                .values
+                .chunks_exact(raw.neurons)
+                .zip(raw.cares.chunks_exact(raw.neurons))
+                .map(|(values, cares)| Arc::new(LineAlignedRow::new(values, cares)))
+                .collect(),
             dont_care_counts: Arc::new(raw.dont_care_counts),
         })
     }
@@ -821,7 +723,9 @@ mod tests {
                 actual: 8
             })
         ));
-        assert!(layer.winners(&[BinaryVector::zeros(8)]).is_err());
+        let mut winners = [Some(layer.winner(&BinaryVector::zeros(16)).unwrap())];
+        layer.winners_into(&[BinaryVector::zeros(8)], &mut winners);
+        assert_eq!(winners, [None]);
     }
 
     #[test]
@@ -829,10 +733,12 @@ mod tests {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(12, 128), &mut r);
         let layer = PackedLayer::pack(&som);
-        let inputs: Vec<BinaryVector> = (0..6).map(|_| BinaryVector::random(128, &mut r)).collect();
-        let batch = layer.winners(&inputs).unwrap();
+        let inputs: Vec<BinaryVector> =
+            (0..11).map(|_| BinaryVector::random(128, &mut r)).collect();
+        let mut batch = vec![None; inputs.len()];
+        layer.winners_into(&inputs, &mut batch);
         for (input, batched) in inputs.iter().zip(&batch) {
-            assert_eq!(*batched, layer.winner(input).unwrap());
+            assert_eq!(*batched, Some(layer.winner(input).unwrap()));
         }
     }
 

@@ -120,9 +120,9 @@ fn relax_only_neighbours_stay_identical_under_every_dispatch() {
 
 #[test]
 fn blocked_distance_walk_matches_per_neuron_distances_past_the_block_width() {
-    // 2560 neurons crosses the cache-block threshold (1024), so the blocked
-    // column walk runs; every distance must still equal the per-neuron
-    // reference Hamming.
+    // 2560 neurons span ten 256-neuron blocks of the winner kernel's
+    // row-kernel arms (and 320 eight-lane AVX-512 blocks); every distance
+    // must equal the per-neuron reference Hamming.
     let mut rng = StdRng::seed_from_u64(0xB10C);
     let len = 70; // two words, partial tail
     let neurons = 2560;
@@ -140,7 +140,7 @@ fn blocked_distance_walk_matches_per_neuron_distances_past_the_block_width() {
             "neuron {i}"
         );
     }
-    // The winner search runs over the same blocked walk.
+    // The blocked winner search must agree with the distances.
     let winner = som.winner(&input).expect("length matches");
     let best = (0..neurons).min_by_key(|&i| (distances[i], i)).unwrap();
     assert_eq!(winner.distance as u32, distances[best]);

@@ -129,25 +129,44 @@ proptest! {
         assert_equivalent(weights, &input)?;
     }
 
-    /// A batched call over many inputs equals one-at-a-time calls.
+    /// The batch entry over 1–17 inputs (one to three passes of up to eight)
+    /// returns the oracle's winner for every input and equals one-at-a-time
+    /// calls; a wrong-length input gets `None` and leaves its neighbours
+    /// alone.
     #[test]
     fn winners_batch_equals_pointwise(
-        weights in layer(96),
-        inputs in prop::collection::vec(binary_vector(96), 1..8),
+        weights in prop::collection::vec(tristate_vector(96), 1..40),
+        inputs in prop::collection::vec(binary_vector(96), 1..18),
+        short in 0usize..24,
     ) {
-        let packed = PackedLayer::from_neurons(&weights).expect("non-empty layer");
-        let batch = packed.winners(&inputs).unwrap();
-        for (input, batched) in inputs.iter().zip(&batch) {
-            prop_assert_eq!(*batched, packed.winner(input).unwrap());
+        let mut inputs = inputs;
+        if short < inputs.len() {
+            inputs[short] = BinaryVector::zeros(95);
         }
+        let packed = PackedLayer::from_neurons(&weights).expect("non-empty layer");
+        let mut batch = vec![None; inputs.len()];
+        packed.winners_into(&inputs, &mut batch);
+        for (input, batched) in inputs.iter().zip(&batch) {
+            prop_assert_eq!(*batched, packed.winner(input).ok());
+            if let Some(batched) = batched {
+                let (index, distance, dont_care_count) = oracle_winner(&weights, input);
+                prop_assert_eq!(
+                    (batched.index, batched.distance, batched.dont_care_count),
+                    (index, distance, dont_care_count)
+                );
+            }
+        }
+        prop_assert_eq!(batch.iter().filter(|w| w.is_none()).count(), usize::from(short < inputs.len()));
     }
 }
 
 /// A deterministic 2,100-neuron × 70-bit map with equal-distance neurons
-/// planted on both sides of the 1,024-neuron block edge of the distance
-/// pass: for input `x`, neurons 1023 and 1024 tie on distance and the
-/// `#`-count decides (towards the higher address); for `!x`, neurons 1022
-/// and 1025 tie on distance and `#`-count, and the address decides.
+/// planted on both sides of the 1,024-neuron edge (an edge of the eight-lane
+/// blocks and of the row-kernel blocks alike): for input `x`, neurons 1023
+/// and 1024 tie on distance and the `#`-count decides (towards the higher
+/// address); for `!x`, neurons 1022 and 1025 tie on distance and `#`-count,
+/// and the address decides. The batch entry, with `x` and `!x` repeated
+/// across the eight-input group edge, must agree.
 #[test]
 fn ties_across_the_distance_block_edge_follow_the_full_key() {
     const NEURONS: usize = 2_100;
@@ -191,5 +210,13 @@ fn ties_across_the_distance_block_edge_follow_the_full_key() {
             (scalar.index, scalar.distance),
             (expected.0, f64::from(expected.1))
         );
+    }
+    let inputs: Vec<BinaryVector> = (0..10)
+        .map(|i| if i % 2 == 0 { x.clone() } else { not_x.clone() })
+        .collect();
+    let mut batch = vec![None; inputs.len()];
+    packed.winners_into(&inputs, &mut batch);
+    for (input, batched) in inputs.iter().zip(&batch) {
+        assert_eq!(*batched, Some(packed.winner(input).unwrap()));
     }
 }
