@@ -1336,12 +1336,9 @@ impl Trainer {
     pub fn reset_from_snapshot(&mut self) -> Result<(), EngineError> {
         let snapshot = self.core.snapshot();
         let layer = snapshot.layer();
-        let mut weights = Vec::with_capacity(layer.neuron_count());
-        for index in 0..layer.neuron_count() {
-            let mut weight = TriStateVector::all_dont_care(layer.vector_len());
-            layer.copy_neuron_into(index, &mut weight);
-            weights.push(weight);
-        }
+        let mut weights =
+            vec![TriStateVector::all_dont_care(layer.vector_len()); layer.neuron_count()];
+        layer.copy_window_into(0..layer.neuron_count(), &mut weights);
         // `from_weights` resets the update probabilities and neighbour rule
         // to the defaults; re-apply the map's own configuration.
         let config = *self.som.config();

@@ -60,7 +60,10 @@ pub struct BatchWinner {
 /// One word row of a plane-sliced layer: the `w`-th value and care word of
 /// every neuron, in address order. The winner kernels read a layer as a
 /// slice of these, so a layer may keep each row in an allocation of its own
-/// (the copy-on-write rows of `bsom_som::PackedLayer`).
+/// (the copy-on-write rows of `bsom_som::PackedLayer`). The kernels read a
+/// row's planes again after checking their lengths and bounds-check every
+/// read, so an impl whose lengths change between calls makes them panic,
+/// never read past a plane's end.
 pub trait WordRow {
     /// The row's value words, one per neuron.
     fn values(&self) -> &[u64];

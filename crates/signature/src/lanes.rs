@@ -241,25 +241,12 @@ impl LineAlignedRow {
 impl crate::batch::WordRow for LineAlignedRow {
     #[inline]
     fn values(&self) -> &[u64] {
-        // SAFETY: `zeroed` sized `words` to `start + 2 * stride + (7 -
-        // start)` words with `start <= 7` and `neurons <= stride`, so
-        // `start..start + neurons` lies inside the initialised buffer, which
-        // nothing resizes afterwards.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr().add(self.start), self.neurons) }
+        &self.words[self.start..][..self.neurons]
     }
 
     #[inline]
     fn cares(&self) -> &[u64] {
-        // SAFETY: as in `values`, for the plane one `stride` later, which
-        // ends at most at `start + 2 * stride`.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.words
-                    .as_ptr()
-                    .add(self.start + Self::stride(self.neurons)),
-                self.neurons,
-            )
-        }
+        &self.words[self.start + Self::stride(self.neurons)..][..self.neurons]
     }
 }
 
@@ -788,6 +775,16 @@ pub(crate) const WTA_GROUP: usize = 8;
 /// of the group.
 const WTA_BLOCK_NEURONS: usize = 256;
 
+/// Most word rows the AVX-512 arm of the winner kernel takes: 1,024-bit
+/// vectors (the paper's 768 bits are 12 rows). It fetches every row's
+/// planes once per call into a stack array this long, not once per
+/// eight-neuron block; a layer with more rows runs the AVX-512 row lowering
+/// over neuron blocks.
+const WTA_FETCHED_ROWS: usize = 16;
+
+/// One word row's value and care planes, fetched from its [`WordRow`].
+type RowPlanes<'a> = (&'a [u64], &'a [u64]);
+
 /// The comparator key `{distance, #-count}` packed into one word. Both
 /// fields fit in 32 bits, so `wta_key(d, c) < wta_key(d', c')` exactly when
 /// `(d, c) < (d', c')` lexicographically; the address is the tie-break
@@ -1204,25 +1201,25 @@ mod x86 {
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F + VPOPCNTDQ at runtime and every row holding one
-    /// value and one care word per `#`-count; the public entries check both
-    /// first.
+    /// Requires AVX-512F + VPOPCNTDQ at runtime; the public entries check
+    /// it first. Every load reads through a bounds-checked slice, so a row
+    /// shorter than the `#`-counts panics.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub(super) unsafe fn wta_group_avx512<R: super::WordRow>(
-        rows: &[R],
+    pub(super) unsafe fn wta_group_avx512(
+        rows: &[super::RowPlanes],
         dont_care_counts: &[u32],
         inputs: &[&[u64]],
         best: &mut [(u64, usize)],
     ) {
         match inputs.len() {
-            1 => wta_avx512::<R, 1, 8>(rows, dont_care_counts, inputs, best),
-            2 => wta_avx512::<R, 2, 4>(rows, dont_care_counts, inputs, best),
-            3 => wta_avx512::<R, 3, 2>(rows, dont_care_counts, inputs, best),
-            4 => wta_avx512::<R, 4, 2>(rows, dont_care_counts, inputs, best),
-            5 => wta_avx512::<R, 5, 2>(rows, dont_care_counts, inputs, best),
-            6 => wta_avx512::<R, 6, 2>(rows, dont_care_counts, inputs, best),
-            7 => wta_avx512::<R, 7, 2>(rows, dont_care_counts, inputs, best),
-            _ => wta_avx512::<R, 8, 2>(rows, dont_care_counts, inputs, best),
+            1 => wta_avx512::<1, 8>(rows, dont_care_counts, inputs, best),
+            2 => wta_avx512::<2, 4>(rows, dont_care_counts, inputs, best),
+            3 => wta_avx512::<3, 2>(rows, dont_care_counts, inputs, best),
+            4 => wta_avx512::<4, 2>(rows, dont_care_counts, inputs, best),
+            5 => wta_avx512::<5, 2>(rows, dont_care_counts, inputs, best),
+            6 => wta_avx512::<6, 2>(rows, dont_care_counts, inputs, best),
+            7 => wta_avx512::<7, 2>(rows, dont_care_counts, inputs, best),
+            _ => wta_avx512::<8, 2>(rows, dont_care_counts, inputs, best),
         }
     }
 
@@ -1237,8 +1234,8 @@ mod x86 {
     ///
     /// As [`wta_group_avx512`]; `inputs` holds exactly `G` inputs.
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn wta_avx512<R: super::WordRow, const G: usize, const B: usize>(
-        rows: &[R],
+    unsafe fn wta_avx512<const G: usize, const B: usize>(
+        rows: &[super::RowPlanes],
         dont_care_counts: &[u32],
         inputs: &[&[u64]],
         best: &mut [(u64, usize)],
@@ -1251,8 +1248,8 @@ mod x86 {
             keys: [_mm512_set1_epi64(-1); G],
             addresses: [_mm512_setzero_si512(); G],
         };
-        wta_blocks::<R, G, B>(rows, dont_care_counts, inputs, &mut minima, 0..stepped);
-        wta_blocks::<R, G, 1>(rows, dont_care_counts, inputs, &mut minima, stepped..wide);
+        wta_blocks::<G, B>(rows, dont_care_counts, inputs, &mut minima, 0..stepped);
+        wta_blocks::<G, 1>(rows, dont_care_counts, inputs, &mut minima, stepped..wide);
         for (best, (&lane_keys, &lane_addresses)) in best
             .iter_mut()
             .zip(minima.keys.iter().zip(&minima.addresses))
@@ -1292,31 +1289,32 @@ mod x86 {
     // The register arrays are indexed by input and block together.
     #[allow(clippy::needless_range_loop)]
     #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    unsafe fn wta_blocks<R: super::WordRow, const G: usize, const B: usize>(
-        rows: &[R],
+    unsafe fn wta_blocks<const G: usize, const B: usize>(
+        rows: &[super::RowPlanes],
         dont_care_counts: &[u32],
         inputs: &[&[u64]; G],
         minima: &mut LaneMinima<G>,
         neurons: std::ops::Range<usize>,
     ) {
         let lanes = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-        // SAFETY (every load below): `neurons.end` is at most the neuron
-        // count, every row holds one word per neuron and the counts one
-        // each, and a step reads the `8 * B` words at `i..i + 8 * B`,
-        // which end at most at `neurons.end`.
         let mut i = neurons.start;
         while i < neurons.end {
+            let step = i..i + 8 * B;
             let mut distances = [[_mm512_setzero_si512(); B]; G];
-            for (w, row) in rows.iter().enumerate() {
-                let values = row.values().as_ptr().add(i);
-                let cares = row.cares().as_ptr().add(i);
+            for (w, &(values, cares)) in rows.iter().enumerate() {
+                // Sliced on every step, so a plane shorter than the step
+                // panics here.
+                let values = &values[step.clone()];
+                let cares = &cares[step.clone()];
                 let mut x = [_mm512_setzero_si512(); G];
                 for g in 0..G {
                     x[g] = _mm512_set1_epi64(inputs[g][w] as i64);
                 }
                 for b in 0..B {
-                    let v = _mm512_loadu_si512(values.add(8 * b).cast());
-                    let c = _mm512_loadu_si512(cares.add(8 * b).cast());
+                    // SAFETY: both slices hold the `8 * B` words of the
+                    // step, and block `b < B` reads the eight at `8 * b`.
+                    let v = _mm512_loadu_si512(values.as_ptr().add(8 * b).cast());
+                    let c = _mm512_loadu_si512(cares.as_ptr().add(8 * b).cast());
                     for g in 0..G {
                         let masked = _mm512_and_si512(_mm512_xor_si512(v, x[g]), c);
                         distances[g][b] =
@@ -1326,8 +1324,9 @@ mod x86 {
             }
             for b in 0..B {
                 let at = i + 8 * b;
+                // The eight `#`-counts of the block: exactly 256 bits.
                 let counts = _mm512_cvtepu32_epi64(_mm256_loadu_si256(
-                    dont_care_counts.as_ptr().add(at).cast(),
+                    dont_care_counts[at..at + 8].as_ptr().cast(),
                 ));
                 let address = _mm512_add_epi64(_mm512_set1_epi64(at as i64), lanes);
                 for g in 0..G {
@@ -1630,8 +1629,9 @@ pub(crate) fn update_window_word_dispatch(
 }
 
 /// The winner kernel for up to [`WTA_GROUP`] inputs: the AVX-512 arm
-/// walks eight-neuron blocks in registers; every other dispatch runs its
-/// row lowering over [`WTA_BLOCK_NEURONS`]-neuron blocks.
+/// walks eight-neuron blocks in registers (for up to [`WTA_FETCHED_ROWS`]
+/// rows); every other dispatch runs its row lowering over
+/// [`WTA_BLOCK_NEURONS`]-neuron blocks.
 pub(crate) fn wta_group_dispatch<R: WordRow>(
     dispatch: Dispatch,
     rows: &[R],
@@ -1642,10 +1642,16 @@ pub(crate) fn wta_group_dispatch<R: WordRow>(
     let mut best = [(u64::MAX, 0usize); WTA_GROUP];
     let best = &mut best[..inputs.len()];
     match dispatch {
-        // SAFETY: availability asserted by the public entry (note above),
-        // which also checks every row's length against the `#`-counts.
         #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx512 => unsafe { x86::wta_group_avx512(rows, dont_care_counts, inputs, best) },
+        Dispatch::Avx512 if rows.len() <= WTA_FETCHED_ROWS => {
+            let mut planes: [RowPlanes; WTA_FETCHED_ROWS] = [(&[], &[]); WTA_FETCHED_ROWS];
+            for (slot, row) in planes.iter_mut().zip(rows) {
+                *slot = (row.values(), row.cares());
+            }
+            let planes = &planes[..rows.len()];
+            // SAFETY: availability asserted by the public entry (note above).
+            unsafe { x86::wta_group_avx512(planes, dont_care_counts, inputs, best) }
+        }
         _ => wta_rows(
             dispatch,
             rows,

@@ -25,7 +25,9 @@
 //!   thresholds inside and outside the usual range, and at every pixel count
 //!   from 0 to 200 (tails around 8 and 64);
 //! * the mismatched-slice panics, which must fire identically through every
-//!   dispatch (mirroring `masked_hamming_words_rejects_mismatched_slices`);
+//!   dispatch (mirroring `masked_hamming_words_rejects_mismatched_slices`),
+//!   and a word row whose planes shrink after the winner kernel's length
+//!   check, which must panic rather than be read past its end;
 //! * the `ForceDispatch` override itself: forcing routes the default entry
 //!   points, clearing restores the default, and an unavailable lowering is
 //!   rejected loudly instead of reaching `std::arch` code the CPU cannot
@@ -36,11 +38,12 @@ use bsom_signature::{
     accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, masked_hamming_words,
     masked_hamming_words_with, segment_background, segment_background_with,
     update_window_word_with, wta_winner, wta_winner_with, wta_winners_into_with, BatchWinner,
-    BinaryVector, Rgb,
+    BinaryVector, Rgb, WordRow,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -660,6 +663,133 @@ fn mismatched_slices_panic_under_every_dispatch() {
                 },
                 "one estimate per pixel in every plane",
             );
+        }
+    }
+}
+
+/// Row counts around the AVX-512 arm's fetched-row limit (16 rows, 1,024
+/// bits): up to it that arm walks eight-neuron blocks, past it the AVX-512
+/// row lowering runs; every dispatch agrees with the oracle, single and
+/// batched.
+#[test]
+fn winner_kernel_is_bit_identical_around_the_fetched_row_limit() {
+    let mut rng = StdRng::seed_from_u64(0xF17C);
+    for words in [1usize, 12, 15, 16, 17, 24] {
+        for neurons in [9usize, 70, 300] {
+            let layer = WtaLayer {
+                rows: (0..words)
+                    .map(|_| {
+                        let cares: Vec<u64> = (0..neurons).map(|_| rng.gen()).collect();
+                        let values = cares.iter().map(|&c| rng.gen::<u64>() & c).collect();
+                        (values, cares)
+                    })
+                    .collect(),
+                counts: (0..neurons).map(|_| rng.gen_range(0..3)).collect(),
+            };
+            let rows = layer.rows();
+            let inputs: Vec<BinaryVector> = (0..9)
+                .map(|_| BinaryVector::random(64 * words, &mut rng))
+                .collect();
+            let expected: Vec<Option<BatchWinner>> = inputs
+                .iter()
+                .map(|input| layer.oracle(input.as_words()))
+                .collect();
+            for dispatch in Dispatch::available() {
+                let context = format!("{dispatch}, {words} rows, {neurons} neurons");
+                let mut winners = vec![None; inputs.len()];
+                wta_winners_into_with(
+                    dispatch,
+                    &rows,
+                    &layer.counts,
+                    64 * words,
+                    &inputs,
+                    &mut winners,
+                );
+                assert_eq!(winners, expected, "{context}");
+                let single = wta_winner_with(dispatch, &rows, &layer.counts, inputs[0].as_words());
+                assert_eq!(single, expected[0], "{context}");
+            }
+        }
+    }
+}
+
+/// A word row that reports every neuron on its first read and one neuron
+/// on every later read: a safe `WordRow` impl may do this, so the winner
+/// kernel must not trust the length it checked up front.
+struct ShrinkingRow {
+    values: Vec<u64>,
+    cares: Vec<u64>,
+    value_reads: Cell<usize>,
+}
+
+impl ShrinkingRow {
+    fn new(neurons: usize) -> Self {
+        ShrinkingRow {
+            values: vec![0; neurons],
+            cares: vec![u64::MAX; neurons],
+            value_reads: Cell::new(0),
+        }
+    }
+
+    /// `plane` as the row's reads so far allow: whole up to the first value
+    /// read (the length check reads values, then cares), one word after.
+    fn plane<'a>(&self, plane: &'a [u64]) -> &'a [u64] {
+        if self.value_reads.get() <= 1 {
+            plane
+        } else {
+            &plane[..1]
+        }
+    }
+}
+
+impl WordRow for ShrinkingRow {
+    fn values(&self) -> &[u64] {
+        self.value_reads.set(self.value_reads.get() + 1);
+        self.plane(&self.values)
+    }
+
+    fn cares(&self) -> &[u64] {
+        self.plane(&self.cares)
+    }
+}
+
+/// Rows that shrink after the length check make every lowering of the
+/// winner kernel panic on its first pass over the short rows, single and
+/// batched, at sizes that reach the wide arms' multi-block steps and their
+/// tails: no lowering walks on past a plane's reported end, so none reads
+/// a row a third time.
+#[test]
+fn rows_that_shrink_after_the_check_panic_under_every_dispatch() {
+    for dispatch in Dispatch::available() {
+        for neurons in [9usize, 64, 1024] {
+            for batch in [1usize, 9] {
+                let rows: Vec<ShrinkingRow> = (0..2).map(|_| ShrinkingRow::new(neurons)).collect();
+                let counts = vec![0; neurons];
+                let inputs = vec![BinaryVector::zeros(128); batch];
+                let mut winners = vec![None; batch];
+                panics_with(
+                    || {
+                        if batch == 1 {
+                            wta_winner_with(dispatch, &rows, &counts, inputs[0].as_words());
+                        } else {
+                            wta_winners_into_with(
+                                dispatch,
+                                &rows,
+                                &counts,
+                                128,
+                                &inputs,
+                                &mut winners,
+                            );
+                        }
+                    },
+                    "out of range for slice of length 1",
+                );
+                let reads: Vec<usize> = rows.iter().map(|row| row.value_reads.get()).collect();
+                assert!(
+                    reads.iter().all(|&reads| reads <= 2),
+                    "{dispatch}, {neurons} neurons, batch {batch}: {reads:?} reads"
+                );
+            }
         }
     }
 }

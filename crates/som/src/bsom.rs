@@ -194,17 +194,13 @@ impl UpdateTables {
 }
 
 /// Reusable scratch for the plane-sliced window update: the per-neuron
-/// commit gates and flip counters of one neighbourhood. Owned by the map so
-/// the training hot path performs no per-step allocation; never serialized
-/// or compared (its contents are meaningless between steps).
+/// commit gates of one neighbourhood. Owned by the map so the training hot
+/// path performs no per-step allocation; never serialized or compared (its
+/// contents are meaningless between steps).
 #[derive(Debug, Clone, Default)]
 struct WindowScratch {
     /// One [`gate_word`] per neuron in the window.
     gates: Vec<u64>,
-    /// Per-neuron relaxed-bit counts, filled by the window update.
-    relaxed: Vec<u32>,
-    /// Per-neuron committed-bit counts, filled by the window update.
-    committed: Vec<u32>,
 }
 
 /// The tri-state binary Self-Organizing Map.
@@ -460,7 +456,6 @@ impl BSom {
             scratch,
         } = self;
         let window = lo..hi + 1;
-        let width = window.len();
         scratch.gates.clear();
         scratch.gates.extend(window.clone().map(|idx| {
             gate_word(match config.neighbour_rule {
@@ -468,8 +463,6 @@ impl BSom {
                 _ => true,
             })
         }));
-        scratch.relaxed.resize(width, 0);
-        scratch.committed.resize(width, 0);
         packed.apply_window_update(
             window.clone(),
             input,
@@ -477,11 +470,9 @@ impl BSom {
             &tables.commit_plan,
             &scratch.gates,
             rng_state,
-            &mut scratch.relaxed,
-            &mut scratch.committed,
         );
+        packed.copy_window_into(window.clone(), &mut neurons[window.clone()]);
         for idx in window {
-            packed.copy_neuron_into(idx, &mut neurons[idx]);
             debug_assert!(
                 packed.neuron_matches(idx, &neurons[idx]),
                 "packed layer out of sync for neuron {idx}"

@@ -124,7 +124,33 @@ pub struct PackedLayer {
     /// Per-neuron `#`-counts, precomputed for the tie-break key. Behind its
     /// own `Arc` on the same copy-on-write discipline as the rows.
     dont_care_counts: Arc<Vec<u32>>,
+    /// The window update's flip counters, reused from step to step.
+    flips: FlipCounters,
 }
+
+/// Per-neuron relax and commit flip counts of one window update
+/// ([`PackedLayer::apply_window_update`]), the deltas its `#`-counts are
+/// maintained from, kept between steps so training allocates nothing per
+/// step. Scratch, not state: a clone starts empty and equality ignores it.
+#[derive(Debug, Default)]
+struct FlipCounters {
+    relaxed: Vec<u32>,
+    committed: Vec<u32>,
+}
+
+impl Clone for FlipCounters {
+    fn clone(&self) -> Self {
+        FlipCounters::default()
+    }
+}
+
+impl PartialEq for FlipCounters {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for FlipCounters {}
 
 impl PackedLayer {
     /// Builds a packed layer from explicit tri-state weight vectors.
@@ -172,6 +198,7 @@ impl PackedLayer {
             words_per_vector,
             rows: rows.into_iter().map(Arc::new).collect(),
             dont_care_counts: Arc::new(dont_care_counts),
+            flips: FlipCounters::default(),
         })
     }
 
@@ -246,11 +273,9 @@ impl PackedLayer {
     /// applied to the window's run of row `w` with [`update_window_word`];
     /// `commit_gates[i]` (all-ones or zero) is neuron `window.start + i`'s
     /// update-enable line for the commit transition. The per-neuron
-    /// `#`-counts of the layer are updated from the popcount deltas, and the
-    /// same deltas are written into the caller's `relaxed` / `committed`
-    /// counters so callers can maintain their own caches — scratch slices
-    /// rather than returned vectors, so a training loop performs no per-step
-    /// allocation (the counters are zeroed here, not accumulated).
+    /// `#`-counts of the layer are updated from the popcount deltas, counted
+    /// in flip counters the layer reuses from step to step, so a training
+    /// loop performs no per-step allocation.
     ///
     /// A row is unshared ([`Arc::make_mut`]) only when the drawn masks will
     /// actually flip at least one bit in it
@@ -267,13 +292,8 @@ impl PackedLayer {
     ///
     /// # Panics
     ///
-    /// Panics if the window is empty or out of range, if `commit_gates`,
-    /// `relaxed` or `committed` are not exactly `window.len()` long, or if
-    /// `input` has the wrong length.
-    // A hot-path entry point over parallel per-neuron slices, like the
-    // `bsom_signature::batch` kernels it drives: bundling the operands into
-    // a struct would only move the field list.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if the window is empty or out of range, if `commit_gates` is
+    /// not exactly `window.len()` long, or if `input` has the wrong length.
     pub fn apply_window_update(
         &mut self,
         window: std::ops::Range<usize>,
@@ -282,8 +302,6 @@ impl PackedLayer {
         commit: &MaskPlan,
         commit_gates: &[u64],
         state: &mut u64,
-        relaxed: &mut [u32],
-        committed: &mut [u32],
     ) {
         assert!(
             window.start < window.end && window.end <= self.neurons,
@@ -292,15 +310,16 @@ impl PackedLayer {
         );
         let width = window.end - window.start;
         assert_eq!(width, commit_gates.len(), "one commit gate per neuron");
-        assert_eq!(width, relaxed.len(), "one relax counter per neuron");
-        assert_eq!(width, committed.len(), "one commit counter per neuron");
         assert_eq!(
             input.len(),
             self.vector_len,
             "input length must match the layer's vector length"
         );
-        relaxed.fill(0);
-        committed.fill(0);
+        let FlipCounters { relaxed, committed } = &mut self.flips;
+        relaxed.clear();
+        relaxed.resize(width, 0);
+        committed.clear();
+        committed.resize(width, 0);
         for (w, &x) in input.as_words().iter().enumerate() {
             let lane_mask = if (w + 1) * 64 <= self.vector_len {
                 u64::MAX
@@ -353,27 +372,33 @@ impl PackedLayer {
         }
     }
 
-    /// Copies neuron `index`'s packed column words back into `weight`'s
-    /// per-neuron planes — the write-back half of
-    /// [`apply_window_update`](Self::apply_window_update), which keeps the
-    /// two representations of the weights in lock-step.
+    /// Copies the packed column words of the neurons in `window` back into
+    /// their per-neuron planes, `weights[i]` for neuron `window.start + i` —
+    /// the write-back half of [`apply_window_update`](Self::apply_window_update),
+    /// which keeps the two representations of the weights in lock-step.
+    /// Each word row is read once for the whole window.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range or `weight` has the wrong length.
-    pub fn copy_neuron_into(&self, index: usize, weight: &mut TriStateVector) {
+    /// Panics if `window` is out of range, `weights` does not hold one
+    /// vector per neuron of it, or a vector has the wrong length.
+    pub fn copy_window_into(&self, window: std::ops::Range<usize>, weights: &mut [TriStateVector]) {
         assert!(
-            index < self.neurons,
-            "neuron {index} out of range for a {}-neuron layer",
+            window.end <= self.neurons,
+            "window {window:?} out of range for a {}-neuron layer",
             self.neurons
         );
-        assert_eq!(
-            weight.len(),
-            self.vector_len,
+        assert_eq!(weights.len(), window.len(), "one weight per neuron");
+        assert!(
+            weights.iter().all(|weight| weight.len() == self.vector_len),
             "weight length must match the layer's vector length"
         );
         for (w, row) in self.rows.iter().enumerate() {
-            weight.set_plane_word(w, row.values()[index], row.cares()[index]);
+            let values = &row.values()[window.clone()];
+            let cares = &row.cares()[window.clone()];
+            for ((weight, &v), &c) in weights.iter_mut().zip(values).zip(cares) {
+                weight.set_plane_word(w, v, c);
+            }
         }
     }
 
@@ -619,6 +644,7 @@ impl PackedLayer {
                 .map(|(values, cares)| Arc::new(LineAlignedRow::new(values, cares)))
                 .collect(),
             dont_care_counts: Arc::new(raw.dont_care_counts),
+            flips: FlipCounters::default(),
         })
     }
 }
@@ -761,7 +787,7 @@ mod tests {
 
         // A no-op rewrite (same weight) must leave every row shared.
         let mut weight = TriStateVector::zeros(192);
-        layer.copy_neuron_into(3, &mut weight);
+        layer.copy_window_into(3..4, std::slice::from_mut(&mut weight));
         let count = layer.dont_care_counts()[3];
         layer.apply_neuron_update(3, &weight, count);
         assert_eq!(layer.shared_row_count(&snapshot), 3);
