@@ -11,9 +11,9 @@
 //! throughput and crash-safe checkpoint write/restore
 //! throughput at the 1024-neuron × 768-bit scale target) and
 //! `BENCH_serve.json` (the TCP serving front-end: wire throughput vs
-//! in-process on large batches, and the adaptive micro-batching scheduler
-//! vs batch-of-one dispatch on a small-request mix, measured against a live
-//! server with a concurrently publishing trainer) and
+//! in-process on large batches, and the work-conserving micro-batching
+//! scheduler vs batch-of-one dispatch on a small-request mix, measured
+//! against a live server with a concurrently publishing trainer) and
 //! `BENCH_registry.json` (the multi-tenant facade: registry feed+tick
 //! steps/s vs a bare trainer, facade classify throughput, and the
 //! evict+reload spill round-trip rate across a 64-tenant fleet) and
@@ -141,12 +141,12 @@ struct LargeMapBenchReport {
 /// The `BENCH_serve.json` document: the TCP serving front-end measured
 /// against a live loopback server while a trainer publishes snapshots
 /// concurrently — large-batch wire throughput vs the same-shape in-process
-/// `classify_batch`, and the adaptive micro-batching scheduler vs
+/// `classify_batch`, and the work-conserving micro-batching scheduler vs
 /// batch-of-one dispatch on a singleton-request mix.
 #[derive(Debug, Serialize, Deserialize)]
 struct ServeBenchDocument {
     /// `"smoke"` or `"full"` — the serve legs clamp their windows to a
-    /// floor regardless, so the adaptive scheduler has room to converge.
+    /// 300 ms floor regardless, so connection set-up does not dominate.
     mode: String,
     /// Seconds of wall clock requested per measured leg (before the clamp).
     min_duration_seconds: f64,
@@ -832,7 +832,7 @@ fn main() -> ExitCode {
         if let Some((serve_report, serve_baseline)) = &serve_pair {
             figures.extend([
                 // The serving front-end: wire throughput on large batches and
-                // what adaptive micro-batching buys on a singleton mix. Only
+                // what greedy micro-batching buys on a singleton mix. Only
                 // bigger-is-better figures are gated; latencies are recorded in
                 // the document but too machine-sensitive to fail CI on.
                 CheckedFigure {

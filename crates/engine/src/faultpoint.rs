@@ -12,6 +12,7 @@
 //! | `checkpoint.write`   | between the temp-file write and the atomic rename  |
 //! | `checkpoint.read`    | on entry of a checkpoint load                      |
 //! | `service.drain`      | in `bsom-serve`'s graceful drain, after new work stops and before the in-flight flush |
+//! | `scheduler.dispatch` | inside `bsom-serve`'s scheduler `catch_unwind`, before a coalesced batch's classify |
 //! | `registry.evict`     | after a tenant's spill checkpoint is written, before its in-memory state is dropped |
 //! | `registry.reload`    | on entry of an evicted tenant's reload, before the spill file is read |
 //!

@@ -13,7 +13,8 @@
 //!   thread hops.
 //! * **Small requests** on the paper-default map: single-signature requests
 //!   pipelined against (a) a scheduler pinned to batch-of-one dispatch and
-//!   (b) the adaptive micro-batching scheduler. The tracked ratio
+//!   (b) the work-conserving micro-batching scheduler, which coalesces the
+//!   requests that queue up during each dispatch. The tracked ratio
 //!   `speedup_microbatch_over_batch1` is what coalescing buys, and the p99
 //!   recorded next to it shows the latency price.
 //!
@@ -41,9 +42,9 @@ use crate::server::{ServeConfig, Server};
 /// Knobs for one serve-bench run.
 #[derive(Debug, Clone)]
 pub struct ServeBenchConfig {
-    /// Measured window per leg. Clamped up to 300 ms: shorter windows do
-    /// not give the adaptive deadline time to settle, and the figures are
-    /// compared against full-run baselines.
+    /// Measured window per leg. Clamped up to 300 ms: shorter windows are
+    /// dominated by connection set-up and the first pipeline fill, and the
+    /// figures are compared against full-run baselines.
     pub min_duration: Duration,
     /// Seed for corpora, arrivals and map initialisation.
     pub seed: u64,
@@ -106,7 +107,7 @@ pub struct SmallMixFigures {
     pub in_flight_per_connection: usize,
     /// The batch-of-one control leg.
     pub batch1: ServeLeg,
-    /// The adaptive micro-batching leg.
+    /// The greedy micro-batching leg (the default scheduler).
     pub microbatch: ServeLeg,
     /// Mean signatures per dispatched batch on the micro-batching leg.
     pub mean_batch_signatures: f64,
@@ -326,7 +327,7 @@ pub fn measure_serve(config: &ServeBenchConfig) -> ServeBenchReport {
     batch1_server.drain();
     batch1_server.join();
 
-    // Adaptive micro-batching, same offered pressure.
+    // Greedy micro-batching (the default scheduler), same offered pressure.
     let micro_server = Server::bind(
         Arc::clone(&service),
         "127.0.0.1:0",

@@ -42,7 +42,6 @@ struct Args {
     labels: usize,
     seed: u64,
     max_batch_signatures: usize,
-    max_delay_micros: u64,
     queue_capacity: usize,
     batch_of_one: bool,
     tenants: usize,
@@ -62,7 +61,6 @@ impl Args {
             labels: 4,
             seed: 42,
             max_batch_signatures: 256,
-            max_delay_micros: 1000,
             queue_capacity: 1024,
             batch_of_one: false,
             tenants: 0,
@@ -75,7 +73,7 @@ impl Args {
 
 const USAGE: &str = "usage: bsom-serve [--addr HOST:PORT] [--addr-file PATH] \
 [--checkpoint PATH] [--neurons N] [--vector-len BITS] [--labels N] [--seed N] \
-[--max-batch SIGS] [--max-delay-micros N] [--queue-capacity N] [--batch-of-one] \
+[--max-batch SIGS] [--queue-capacity N] [--batch-of-one] \
 [--tenants N] [--max-resident N] [--spill-dir PATH] [--tick-budget STEPS]";
 
 fn parse_args() -> Result<Args, String> {
@@ -95,7 +93,6 @@ fn parse_args() -> Result<Args, String> {
             "--labels" => args.labels = parse(&value("--labels")?)?,
             "--seed" => args.seed = parse(&value("--seed")?)?,
             "--max-batch" => args.max_batch_signatures = parse(&value("--max-batch")?)?,
-            "--max-delay-micros" => args.max_delay_micros = parse(&value("--max-delay-micros")?)?,
             "--queue-capacity" => args.queue_capacity = parse(&value("--queue-capacity")?)?,
             "--batch-of-one" => args.batch_of_one = true,
             "--tenants" => args.tenants = parse(&value("--tenants")?)?,
@@ -295,9 +292,7 @@ fn main() -> ExitCode {
     } else {
         SchedulerConfig {
             max_batch_signatures: args.max_batch_signatures,
-            max_delay: Duration::from_micros(args.max_delay_micros),
             queue_capacity: args.queue_capacity,
-            ..SchedulerConfig::default()
         }
     };
     let server = match Server::bind(

@@ -9,10 +9,10 @@
 //!   frame format (the checkpoint frames' sibling). Malformed input is
 //!   rejected as a typed [`WireError`], never a panic —
 //!   proptested by `tests/wire_corruption.rs`.
-//! * [`scheduler`] — the adaptive micro-batching scheduler: pipelined small
-//!   requests coalesce into one `classify_batch` up to a latency deadline
-//!   that adapts to observed queue depth, with two-stage admission control
-//!   surfacing as typed `Overloaded` responses.
+//! * [`scheduler`] — the work-conserving micro-batching scheduler: it
+//!   dispatches as soon as it holds a request, small requests that queue up
+//!   during a dispatch coalesce into the next `classify_batch`, and
+//!   two-stage admission control surfaces as typed `Overloaded` responses.
 //! * [`server`] — the `std::net` listener, per-connection reader/writer
 //!   threads (responses strictly in request order, so clients may
 //!   pipeline), the wire health endpoint, and graceful drain with an

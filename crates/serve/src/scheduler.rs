@@ -1,36 +1,33 @@
-//! The adaptive micro-batching scheduler.
+//! The work-conserving micro-batching scheduler.
 //!
 //! Small classify requests are cheap to compute and expensive to dispatch:
 //! every dispatch pays a scheduler wake-up and reply regardless of size, and
 //! a batch over the engine's inline limit
 //! ([`INLINE_CLASSIFY_MAX_NEURON_WORDS`](bsom_engine::INLINE_CLASSIFY_MAX_NEURON_WORDS))
 //! also pays one worker-pool round trip. The scheduler amortizes that fixed
-//! cost the way the paper's FPGA comparator pipeline amortizes per-frame
-//! overheads — requests arriving close together coalesce into **one**
-//! `classify_batch` call.
+//! cost without ever waiting for it: requests that queue up while a dispatch
+//! runs coalesce into **one** `classify_batch` call, the way the paper's
+//! FPGA comparator pipeline takes the next signature as soon as the last one
+//! leaves.
 //!
-//! The state machine (documented in DESIGN.md §"The serving front-end"):
+//! The loop has two states (documented in DESIGN.md §"The serving
+//! front-end"):
 //!
-//! 1. **Idle** — block on the pending queue. The first request opens a batch
-//!    and starts a deadline `now + delay`.
-//! 2. **Collecting** — greedily drain the queue into the batch; once the
-//!    queue is momentarily empty, sleep until the next arrival or the
-//!    deadline, whichever is first.
-//! 3. **Dispatch** — triggered by *size* (the batch reached
-//!    [`SchedulerConfig::max_batch_signatures`]), by *deadline*, or by a
-//!    *drain* sentinel. The whole batch goes through one
-//!    [`Recognizer::try_classify_batch`]; per-request spans of the result
-//!    vector are sent back in request order, bit-identical to what each
-//!    request would have received alone (the winner search is
-//!    deterministic and the whole batch sees one snapshot).
+//! 1. **Idle** — block on the pending queue until the first request arrives.
+//! 2. **Dispatch** — sweep whatever is already queued behind it, stopping at
+//!    [`SchedulerConfig::max_batch_signatures`] (a job is never split), at a
+//!    drain sentinel or at an empty queue, and send the batch through one
+//!    [`Recognizer::try_classify_batch`] at once. Per-request spans of the
+//!    result vector go back in request order, bit-identical to what each
+//!    request would have received alone (the winner search is deterministic
+//!    and the whole batch sees one snapshot). A drain sentinel is acked
+//!    after the replies of every job ahead of it.
 //!
-//! After every dispatch the coalescing `delay` **adapts to observed queue
-//! depth**: a backlog at or above [`SchedulerConfig::high_watermark`] means
-//! the queue itself provides coalescing and waiting only adds latency, so
-//! the delay halves (down to zero — pure greedy batching). An empty queue
-//! after a deadline flush of an undersized batch means arrivals are sparse,
-//! so the delay doubles (up to [`SchedulerConfig::max_delay`]) to coalesce
-//! more of them.
+//! There is no timer: the scheduler never holds a request it could
+//! dispatch, and under load the queue itself forms the batches.
+//!
+//! A panic inside the classify call is caught: the batch's requests get
+//! [`BatchReply::Failed`] and the scheduler keeps serving.
 //!
 //! Admission control is two-staged, and both stages surface as a typed
 //! `Overloaded` wire response: the scheduler's own bounded pending queue
@@ -39,52 +36,43 @@
 //! the engine's inline limit runs on the scheduler thread and takes no
 //! engine queue slot, so for it the scheduler's queue is the only stage.
 
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::{Builder, JoinHandle};
-use std::time::{Duration, Instant};
 
-use bsom_engine::{EngineError, Recognizer};
+use bsom_engine::{faultpoint, EngineError, Recognizer};
 use bsom_signature::BinaryVector;
 use bsom_som::Prediction;
 
 /// Tuning knobs of the micro-batching scheduler.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Dispatch as soon as a batch holds this many signatures.
+    /// Stop sweeping the queue into a batch once it holds this many
+    /// signatures.
     pub max_batch_signatures: usize,
-    /// Upper bound of the adaptive coalescing delay.
-    pub max_delay: Duration,
-    /// Starting value of the adaptive delay.
-    pub initial_delay: Duration,
     /// Bounded pending-queue capacity (in requests); submits beyond it shed.
     pub queue_capacity: usize,
-    /// Queue depth at or above which the delay halves after a dispatch.
-    pub high_watermark: usize,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             max_batch_signatures: 256,
-            max_delay: Duration::from_millis(1),
-            initial_delay: Duration::from_micros(200),
             queue_capacity: 1024,
-            high_watermark: 4,
         }
     }
 }
 
 impl SchedulerConfig {
-    /// A scheduler that never coalesces: every request dispatches alone,
-    /// immediately. The control leg the `BENCH_serve.json` micro-batching
-    /// speedup is measured against.
+    /// A scheduler that never coalesces: every request dispatches alone.
+    /// The control leg the `BENCH_serve.json` micro-batching speedup is
+    /// measured against.
     pub fn batch_of_one() -> Self {
         SchedulerConfig {
             max_batch_signatures: 1,
-            max_delay: Duration::ZERO,
-            initial_delay: Duration::ZERO,
             ..SchedulerConfig::default()
         }
     }
@@ -102,7 +90,8 @@ pub enum BatchReply {
         /// Queue capacity of the shedding stage.
         queue_capacity: u64,
     },
-    /// The dispatch failed outright (e.g. the worker pool shut down).
+    /// The dispatch failed outright (the worker pool shut down, or the
+    /// classify call panicked).
     Failed(String),
 }
 
@@ -146,7 +135,6 @@ struct StatsInner {
     requests_coalesced: AtomicU64,
     signatures_dispatched: AtomicU64,
     requests_shed: AtomicU64,
-    delay_micros: AtomicU64,
 }
 
 /// A point-in-time copy of the scheduler counters.
@@ -168,21 +156,14 @@ pub struct SchedulerSnapshot {
     pub signatures_dispatched: u64,
     /// Requests shed — at admission or by the engine queue.
     pub requests_shed: u64,
-    /// The adaptive coalescing delay right now, in microseconds.
+    /// Always 0: the scheduler never waits on a clock. Kept so readers of
+    /// the former coalescing-delay gauge still build.
     pub delay_micros: u64,
 }
 
 enum Control {
     Job(ClassifyJob),
     Drain(mpsc::Sender<()>),
-}
-
-/// Why a batch left the collecting state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushReason {
-    Size,
-    Deadline,
-    Drain,
 }
 
 /// Handle to a running micro-batching scheduler thread.
@@ -199,29 +180,25 @@ pub struct MicroBatcher {
 
 impl MicroBatcher {
     /// Spawns the scheduler thread around `classifier`.
-    pub fn new<C: BatchClassify>(classifier: C, config: SchedulerConfig) -> Self {
-        let config = SchedulerConfig {
-            max_batch_signatures: config.max_batch_signatures.max(1),
-            queue_capacity: config.queue_capacity.max(1),
-            ..config
-        };
-        let (tx, rx) = mpsc::sync_channel(config.queue_capacity);
+    ///
+    /// # Errors
+    ///
+    /// The OS error when the scheduler thread cannot be spawned.
+    pub fn new<C: BatchClassify>(classifier: C, config: SchedulerConfig) -> io::Result<Self> {
+        let max_batch_signatures = config.max_batch_signatures.max(1);
+        let queue_capacity = config.queue_capacity.max(1);
+        let (tx, rx) = mpsc::sync_channel(queue_capacity);
         let stats = Arc::new(StatsInner::default());
-        stats
-            .delay_micros
-            .store(config.initial_delay.as_micros() as u64, Ordering::Relaxed);
-        let queue_capacity = config.queue_capacity;
         let loop_stats = Arc::clone(&stats);
         let thread = Builder::new()
             .name("bsom-serve-scheduler".to_string())
-            .spawn(move || run_scheduler(classifier, rx, loop_stats, config))
-            .expect("spawning the scheduler thread");
-        MicroBatcher {
+            .spawn(move || run_scheduler(classifier, rx, loop_stats, max_batch_signatures))?;
+        Ok(MicroBatcher {
             tx,
             stats,
             queue_capacity,
             thread: Some(thread),
-        }
+        })
     }
 
     /// Submits a request for batching. `Err` hands the job back when the
@@ -273,7 +250,7 @@ impl MicroBatcher {
             requests_coalesced: self.stats.requests_coalesced.load(Ordering::Relaxed),
             signatures_dispatched: self.stats.signatures_dispatched.load(Ordering::Relaxed),
             requests_shed: self.stats.requests_shed.load(Ordering::Relaxed),
-            delay_micros: self.stats.delay_micros.load(Ordering::Relaxed),
+            delay_micros: 0,
         }
     }
 }
@@ -290,38 +267,6 @@ impl Drop for MicroBatcher {
     }
 }
 
-/// The delay adaptation rule, pure so the unit suite can pin its behavior.
-fn adapt_delay(
-    delay: Duration,
-    reason: FlushReason,
-    pending_after: usize,
-    batch_signatures: usize,
-    config: &SchedulerConfig,
-) -> Duration {
-    let step = (config.max_delay / 32).max(Duration::from_micros(25));
-    match reason {
-        // A drain is not a traffic signal.
-        FlushReason::Drain => delay,
-        // Backlogged: the queue coalesces by itself; waiting only adds
-        // latency. Halve toward pure greedy batching.
-        _ if pending_after >= config.high_watermark => {
-            if delay <= Duration::from_micros(2) {
-                Duration::ZERO
-            } else {
-                delay / 2
-            }
-        }
-        // Sparse: the deadline expired on an undersized batch and nothing
-        // is waiting. Lengthen to coalesce more arrivals.
-        FlushReason::Deadline
-            if pending_after == 0 && batch_signatures * 2 < config.max_batch_signatures =>
-        {
-            (delay * 2).max(step).min(config.max_delay)
-        }
-        _ => delay,
-    }
-}
-
 fn dispatch<C: BatchClassify>(classifier: &mut C, jobs: Vec<ClassifyJob>, stats: &StatsInner) {
     let total: usize = jobs.iter().map(|j| j.signatures.len()).sum();
     let mut combined = Vec::with_capacity(total);
@@ -330,15 +275,29 @@ fn dispatch<C: BatchClassify>(classifier: &mut C, jobs: Vec<ClassifyJob>, stats:
         spans.push((combined.len(), job.signatures.len()));
         combined.extend_from_slice(&job.signatures);
     }
-    let outcome = classifier.try_classify(combined);
+    // A batch within the engine's inline limit runs on this thread: contain
+    // a panic here, or one bad batch would stop the whole front-end.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        faultpoint::hit("scheduler.dispatch");
+        classifier.try_classify(combined)
+    }));
+    // Count before replying, so a caller holding its reply sees it counted.
     stats.batches_dispatched.fetch_add(1, Ordering::Relaxed);
+    stats
+        .requests_dispatched
+        .fetch_add(jobs.len() as u64, Ordering::SeqCst);
     if jobs.len() > 1 {
         stats
             .requests_coalesced
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
     }
+    let fail = |message: String| {
+        for job in &jobs {
+            let _ = job.reply.send(BatchReply::Failed(message.clone()));
+        }
+    };
     match outcome {
-        Ok(predictions) => {
+        Ok(Ok(predictions)) => {
             stats
                 .signatures_dispatched
                 .fetch_add(total as u64, Ordering::Relaxed);
@@ -347,10 +306,10 @@ fn dispatch<C: BatchClassify>(classifier: &mut C, jobs: Vec<ClassifyJob>, stats:
                 let _ = job.reply.send(BatchReply::Predictions(slice));
             }
         }
-        Err(EngineError::Overloaded {
+        Ok(Err(EngineError::Overloaded {
             queue_capacity,
             queue_depth,
-        }) => {
+        })) => {
             // The whole coalesced batch is shed: partial admission would
             // reorder requests relative to their wire responses.
             stats
@@ -363,110 +322,52 @@ fn dispatch<C: BatchClassify>(classifier: &mut C, jobs: Vec<ClassifyJob>, stats:
                 });
             }
         }
-        Err(error) => {
-            let message = error.to_string();
-            for job in &jobs {
-                let _ = job.reply.send(BatchReply::Failed(message.clone()));
-            }
-        }
+        Ok(Err(error)) => fail(error.to_string()),
+        // The panic hook has already reported the payload.
+        Err(_) => fail("the classify call panicked".to_string()),
     }
-    stats
-        .requests_dispatched
-        .fetch_add(jobs.len() as u64, Ordering::SeqCst);
 }
 
 fn run_scheduler<C: BatchClassify>(
     mut classifier: C,
     rx: Receiver<Control>,
     stats: Arc<StatsInner>,
-    config: SchedulerConfig,
+    max_batch_signatures: usize,
 ) {
-    let mut delay = config.initial_delay.min(config.max_delay);
-    loop {
-        let first = match rx.recv() {
-            Ok(Control::Drain(ack)) => {
-                // Nothing pending ahead of the sentinel: ack and idle on.
+    // Idle: block until the first request arrives.
+    while let Ok(control) = rx.recv() {
+        let first = match control {
+            // Nothing pending ahead of the sentinel: ack and idle on.
+            Control::Drain(ack) => {
                 let _ = ack.send(());
                 continue;
             }
-            Ok(Control::Job(job)) => job,
-            Err(_) => return,
+            Control::Job(job) => job,
         };
         stats.pending.fetch_sub(1, Ordering::SeqCst);
+        let mut total = first.signatures.len();
         let mut jobs = vec![first];
-        let mut total = jobs[0].signatures.len();
-        let deadline = Instant::now() + delay;
-        let mut drain_acks: Vec<mpsc::Sender<()>> = Vec::new();
-        let mut disconnected = false;
-        let mut reason = FlushReason::Size;
-        'collect: while total < config.max_batch_signatures {
-            // Greedy sweep: take whatever is already queued.
-            loop {
-                match rx.try_recv() {
-                    Ok(Control::Job(job)) => {
-                        stats.pending.fetch_sub(1, Ordering::SeqCst);
-                        total += job.signatures.len();
-                        jobs.push(job);
-                        if total >= config.max_batch_signatures {
-                            break 'collect;
-                        }
-                    }
-                    Ok(Control::Drain(ack)) => {
-                        drain_acks.push(ack);
-                        reason = FlushReason::Drain;
-                        break 'collect;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break 'collect;
-                    }
-                }
-            }
-            // Queue momentarily empty: wait for the next arrival or the
-            // deadline.
-            let now = Instant::now();
-            if now >= deadline {
-                reason = FlushReason::Deadline;
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
+        let mut drain_ack = None;
+        // Dispatch: sweep what is already queued, never waiting for more.
+        // An empty or closed queue ends the sweep; a closed one also ends
+        // the loop at the next `recv`.
+        while total < max_batch_signatures {
+            match rx.try_recv() {
                 Ok(Control::Job(job)) => {
                     stats.pending.fetch_sub(1, Ordering::SeqCst);
                     total += job.signatures.len();
                     jobs.push(job);
                 }
                 Ok(Control::Drain(ack)) => {
-                    drain_acks.push(ack);
-                    reason = FlushReason::Drain;
+                    drain_ack = Some(ack);
                     break;
                 }
-                Err(RecvTimeoutError::Timeout) => {
-                    reason = FlushReason::Deadline;
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
+                Err(_) => break,
             }
         }
         dispatch(&mut classifier, jobs, &stats);
-        for ack in drain_acks {
+        if let Some(ack) = drain_ack {
             let _ = ack.send(());
-        }
-        delay = adapt_delay(
-            delay,
-            reason,
-            stats.pending.load(Ordering::SeqCst),
-            total,
-            &config,
-        );
-        stats
-            .delay_micros
-            .store(delay.as_micros() as u64, Ordering::Relaxed);
-        if disconnected {
-            return;
         }
     }
 }
@@ -475,55 +376,215 @@ fn run_scheduler<C: BatchClassify>(
 mod tests {
     use super::*;
 
-    fn config() -> SchedulerConfig {
-        SchedulerConfig {
-            max_batch_signatures: 64,
-            max_delay: Duration::from_millis(1),
-            initial_delay: Duration::from_micros(200),
-            queue_capacity: 8,
-            high_watermark: 4,
+    /// A mock classifier whose first call blocks until the test opens the
+    /// gate, so jobs can be queued behind a dispatch in flight. Records each
+    /// batch it receives and answers signature `i` of length `n` with a
+    /// prediction whose neuron is `n`, so replies show which job they are.
+    struct Wedged {
+        entered: mpsc::Sender<()>,
+        gate: Option<mpsc::Receiver<()>>,
+        batches: mpsc::Sender<Vec<usize>>,
+    }
+
+    impl BatchClassify for Wedged {
+        fn try_classify(
+            &mut self,
+            signatures: Vec<BinaryVector>,
+        ) -> Result<Vec<Prediction>, EngineError> {
+            if let Some(gate) = self.gate.take() {
+                let _ = self.entered.send(());
+                let _ = gate.recv();
+            }
+            let lens: Vec<usize> = signatures.iter().map(BinaryVector::len).collect();
+            let _ = self.batches.send(lens.clone());
+            Ok(lens.into_iter().map(tagged).collect())
+        }
+    }
+
+    fn tagged(neuron: usize) -> Prediction {
+        Prediction::Known {
+            label: bsom_som::ObjectLabel::new(0),
+            neuron,
+            distance: 0.0,
+        }
+    }
+
+    struct Harness {
+        batcher: MicroBatcher,
+        open: mpsc::Sender<()>,
+        batches: mpsc::Receiver<Vec<usize>>,
+    }
+
+    /// Starts a scheduler over [`Wedged`] and parks its first dispatch (one
+    /// single-signature wedge job) inside the classifier.
+    fn wedged(max_batch_signatures: usize) -> (Harness, mpsc::Receiver<BatchReply>) {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (open, gate) = mpsc::channel();
+        let (batches_tx, batches) = mpsc::channel();
+        let classifier = Wedged {
+            entered: entered_tx,
+            gate: Some(gate),
+            batches: batches_tx,
+        };
+        let batcher = MicroBatcher::new(
+            classifier,
+            SchedulerConfig {
+                max_batch_signatures,
+                queue_capacity: 64,
+            },
+        )
+        .expect("spawn the scheduler");
+        let wedge = submit(&batcher, &[1]);
+        entered_rx.recv().expect("the wedge dispatch starts");
+        let harness = Harness {
+            batcher,
+            open,
+            batches,
+        };
+        (harness, wedge)
+    }
+
+    /// Submits one job of `lens.len()` signatures, signature `i` being
+    /// `lens[i]` bits long.
+    fn submit(batcher: &MicroBatcher, lens: &[usize]) -> mpsc::Receiver<BatchReply> {
+        let (reply, rx) = mpsc::channel();
+        let signatures = lens.iter().map(|&len| BinaryVector::zeros(len)).collect();
+        assert!(batcher.submit(ClassifyJob { signatures, reply }).is_ok());
+        rx
+    }
+
+    fn predictions(reply: &mpsc::Receiver<BatchReply>) -> Vec<usize> {
+        match reply.recv().expect("a reply") {
+            BatchReply::Predictions(predictions) => predictions
+                .iter()
+                .map(|p| match p {
+                    Prediction::Known { neuron, .. } => *neuron,
+                    Prediction::Unknown => usize::MAX,
+                })
+                .collect(),
+            other => panic!("expected predictions, got {other:?}"),
         }
     }
 
     #[test]
-    fn backlog_halves_the_delay_down_to_zero() {
-        let cfg = config();
-        let mut delay = Duration::from_micros(200);
-        for _ in 0..16 {
-            delay = adapt_delay(delay, FlushReason::Size, 8, 64, &cfg);
+    fn queued_singletons_leave_as_one_batch_in_submit_order() {
+        let (harness, wedge) = wedged(256);
+        let k = 9;
+        let replies: Vec<_> = (1..=k).map(|i| submit(&harness.batcher, &[i])).collect();
+        harness.open.send(()).expect("open the gate");
+        assert_eq!(predictions(&wedge), vec![1]);
+        for (i, reply) in replies.iter().enumerate() {
+            assert_eq!(predictions(reply), vec![i + 1]);
         }
+        assert_eq!(harness.batches.recv().unwrap(), vec![1], "the wedge");
         assert_eq!(
-            delay,
-            Duration::ZERO,
-            "a sustained backlog must reach greedy batching"
+            harness.batches.recv().unwrap(),
+            (1..=k).collect::<Vec<_>>(),
+            "everything queued behind the wedge is one batch, in submit order"
         );
+        let stats = harness.batcher.snapshot();
+        assert_eq!(stats.batches_dispatched, 2);
+        assert_eq!(stats.requests_dispatched, k as u64 + 1);
+        assert_eq!(stats.requests_coalesced, k as u64);
+        assert_eq!(stats.pending, 0);
+        assert_eq!(stats.delay_micros, 0);
+
+        // Idle again: a lone request dispatches at once, on its own.
+        assert_eq!(predictions(&submit(&harness.batcher, &[5])), vec![5]);
+        assert_eq!(harness.batches.recv().unwrap(), vec![5]);
     }
 
     #[test]
-    fn sparse_deadline_flushes_double_the_delay_up_to_the_cap() {
-        let cfg = config();
-        let mut delay = Duration::ZERO;
-        for _ in 0..16 {
-            delay = adapt_delay(delay, FlushReason::Deadline, 0, 1, &cfg);
+    fn a_cap_of_m_gives_ceil_k_over_m_batches_and_never_splits_a_job() {
+        let (k, m) = (10usize, 4usize);
+        let (harness, wedge) = wedged(m);
+        let replies: Vec<_> = (1..=k).map(|i| submit(&harness.batcher, &[i])).collect();
+        harness.open.send(()).expect("open the gate");
+        assert_eq!(predictions(&wedge), vec![1]);
+        for (i, reply) in replies.iter().enumerate() {
+            assert_eq!(predictions(reply), vec![i + 1]);
         }
+        let _wedge_batch = harness.batches.recv().unwrap();
+        let sizes: Vec<usize> = (0..k.div_ceil(m))
+            .map(|_| harness.batches.recv().unwrap().len())
+            .collect();
+        assert_eq!(sizes, vec![4, 4, 2]);
         assert_eq!(
-            delay, cfg.max_delay,
-            "sparse traffic must grow the delay to the cap"
+            harness.batcher.snapshot().batches_dispatched,
+            1 + k.div_ceil(m) as u64
         );
+
+        // Three-signature jobs under a cap of 4: the second job overshoots
+        // the cap rather than being split across batches.
+        let (harness, wedge) = wedged(m);
+        let jobs: Vec<_> = (0..3)
+            .map(|j| {
+                let lens = [10 * j + 1, 10 * j + 2, 10 * j + 3];
+                (lens, submit(&harness.batcher, &lens))
+            })
+            .collect();
+        harness.open.send(()).expect("open the gate");
+        assert_eq!(predictions(&wedge), vec![1]);
+        for (lens, reply) in &jobs {
+            assert_eq!(predictions(reply), lens.to_vec(), "each job whole");
+        }
+        let _wedge_batch = harness.batches.recv().unwrap();
+        assert_eq!(harness.batches.recv().unwrap(), vec![1, 2, 3, 11, 12, 13]);
+        assert_eq!(harness.batches.recv().unwrap(), vec![21, 22, 23]);
     }
 
     #[test]
-    fn full_or_busy_flushes_leave_the_delay_alone() {
-        let cfg = config();
-        let delay = Duration::from_micros(100);
-        // Size flush with a quiet queue: the batch filled naturally.
-        assert_eq!(adapt_delay(delay, FlushReason::Size, 0, 64, &cfg), delay);
-        // Deadline flush of a nearly-full batch: not sparse.
-        assert_eq!(
-            adapt_delay(delay, FlushReason::Deadline, 0, 63, &cfg),
-            delay
-        );
-        // Drain is not a traffic signal.
-        assert_eq!(adapt_delay(delay, FlushReason::Drain, 0, 1, &cfg), delay);
+    fn a_drain_queued_behind_jobs_is_acked_after_their_replies() {
+        let (harness, wedge) = wedged(256);
+        let replies: Vec<_> = (1..=3).map(|i| submit(&harness.batcher, &[i])).collect();
+        // The sentinel `drain` sends, queued from this thread so it is
+        // certainly behind the three jobs.
+        let (ack_tx, ack) = mpsc::channel();
+        assert!(harness.batcher.tx.send(Control::Drain(ack_tx)).is_ok());
+        harness.open.send(()).expect("open the gate");
+        ack.recv().expect("the drain is acked");
+        // Every reply was sent before the ack.
+        assert_eq!(predictions(&wedge), vec![1]);
+        for (i, reply) in replies.iter().enumerate() {
+            assert_eq!(
+                reply.try_recv(),
+                Ok(BatchReply::Predictions(vec![tagged(i + 1)]))
+            );
+        }
+        assert_eq!(harness.batcher.snapshot().batches_dispatched, 2);
+        assert_eq!(harness.batcher.drain(), 0, "nothing left to flush");
+    }
+
+    /// Panics on its first call, then answers like [`Wedged`] ungated.
+    struct PanicsOnce {
+        panicked: bool,
+    }
+
+    impl BatchClassify for PanicsOnce {
+        fn try_classify(
+            &mut self,
+            signatures: Vec<BinaryVector>,
+        ) -> Result<Vec<Prediction>, EngineError> {
+            if !std::mem::replace(&mut self.panicked, true) {
+                panic!("injected classify panic");
+            }
+            Ok(signatures.iter().map(|s| tagged(s.len())).collect())
+        }
+    }
+
+    #[test]
+    fn a_panicking_classify_fails_its_batch_and_the_scheduler_keeps_serving() {
+        let batcher = MicroBatcher::new(PanicsOnce { panicked: false }, SchedulerConfig::default())
+            .expect("spawn the scheduler");
+        let first = submit(&batcher, &[3, 4]);
+        assert!(matches!(
+            first.recv().expect("a reply"),
+            BatchReply::Failed(_)
+        ));
+        assert_eq!(predictions(&submit(&batcher, &[7])), vec![7]);
+        let stats = batcher.snapshot();
+        assert_eq!(stats.requests_shed, 0);
+        assert_eq!(stats.requests_dispatched, 2);
+        assert_eq!(batcher.drain(), 0, "the scheduler thread is still alive");
     }
 }

@@ -145,7 +145,7 @@ impl Server {
         config: ServeConfig,
         drain_hook: Option<DrainHook>,
     ) -> io::Result<Server> {
-        let batcher = MicroBatcher::new(service.recognizer(), config.scheduler.clone());
+        let batcher = MicroBatcher::new(service.recognizer(), config.scheduler.clone())?;
         Self::bind_backend(
             Backend::Single { service, batcher },
             addr,
@@ -266,8 +266,7 @@ impl Server {
             let _ = thread.join();
         }
         // Half-close every connection: readers see EOF and exit, writers
-        // first flush whatever responses are still queued (in-flight batches
-        // resolve by deadline), then exit.
+        // first flush whatever responses are still queued, then exit.
         for conn in lock_recovering(&self.shared.conns).drain(..) {
             let _ = conn.shutdown(Shutdown::Read);
         }
@@ -364,7 +363,7 @@ fn build_health(shared: &ServerShared) -> WireHealth {
         requests_coalesced: scheduler.requests_coalesced,
         signatures_dispatched: scheduler.signatures_dispatched,
         requests_shed: scheduler.requests_shed,
-        coalesce_delay_micros: scheduler.delay_micros,
+        coalesce_delay_micros: 0,
         draining: shared.draining.load(Ordering::SeqCst),
         last_panic: service.last_panic,
     }

@@ -301,7 +301,7 @@ pub struct WireHealth {
     pub signatures_dispatched: u64,
     /// Requests shed with an `Overloaded` response.
     pub requests_shed: u64,
-    /// The scheduler's current adaptive coalescing delay, in microseconds.
+    /// Always 0; kept so health frames are byte-identical.
     pub coalesce_delay_micros: u64,
     /// Whether the server is draining.
     pub draining: bool,

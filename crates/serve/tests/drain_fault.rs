@@ -5,7 +5,9 @@
 //! request is **accepted**, a graceful drain delivers its complete,
 //! bit-identical response — even when an engine worker panics in the middle
 //! of the drain's in-flight flush, and even though the supervisor is
-//! respawning the worker while the flush runs.
+//! respawning the worker while the flush runs. The `scheduler.dispatch`
+//! failpoint wedges or panics the scheduler thread itself, which is how the
+//! suite queues requests behind a dispatch over the wire.
 //!
 //! The failpoint registry is process-global, so every test takes
 //! [`harness`] — the same serialize-and-reset idiom as `bsom-engine`'s
@@ -19,8 +21,10 @@ use std::time::{Duration, Instant};
 use bsom_engine::faultpoint::{arm_panic, arm_sleep, hit_count, reset};
 use bsom_engine::{EngineConfig, SomService, INLINE_CLASSIFY_MAX_NEURON_WORDS};
 use bsom_serve::bench::{bench_service, synthetic_corpus};
-use bsom_serve::wire::WireMessage;
-use bsom_serve::{SchedulerConfig, ServeClient, ServeConfig, Server};
+use bsom_serve::client::{RecvHalf, SendHalf};
+use bsom_serve::wire::{ErrorCode, WireMessage};
+use bsom_serve::{ClientError, SchedulerConfig, ServeClient, ServeConfig, Server};
+use bsom_signature::BinaryVector;
 use bsom_som::{BSom, BSomConfig, Prediction, TrainSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,12 +53,116 @@ impl Drop for HarnessGuard {
     }
 }
 
+/// How long a wedged dispatch stalls. Only a bound on the run time: each
+/// step that must happen during the stall is awaited on a counter, and the
+/// exact batch counts asserted afterwards fail loudly if the stall ever ran
+/// out first.
+const WEDGE: Duration = Duration::from_secs(2);
+
+/// Polls `done` until it holds; panics after a generous bound.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Sends `signature` as a wedge request and returns once its dispatch is
+/// stalled on the `scheduler.dispatch` failpoint, off the pending queue.
+fn send_wedge(send: &mut SendHalf, signature: &BinaryVector) {
+    let base = hit_count("scheduler.dispatch");
+    arm_sleep("scheduler.dispatch", base, WEDGE);
+    send.send_classify(std::slice::from_ref(signature))
+        .expect("wedge send");
+    wait_until("the wedge dispatch starts", || {
+        hit_count("scheduler.dispatch") > base
+    });
+}
+
+/// Reads `count` single-signature classify responses.
+fn singleton_answers(recv: &mut RecvHalf, count: usize) -> Vec<Prediction> {
+    (0..count)
+        .map(|_| match recv.recv().expect("response").expect("not EOF") {
+            WireMessage::ClassifyResponse { predictions } => {
+                assert_eq!(predictions.len(), 1);
+                predictions[0]
+            }
+            other => panic!("expected classify response, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn pipelined_singletons_coalesce_into_one_engine_batch_over_the_wire() {
+    let _harness = harness();
+    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
+    let (service, _trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
+    let mut recognizer = service.recognizer();
+    let signatures: Vec<BinaryVector> = corpus.iter().take(16).map(|(v, _)| v.clone()).collect();
+    let direct = recognizer.classify_batch(signatures.clone());
+    let server =
+        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
+
+    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
+        .expect("connect")
+        .split();
+    send_wedge(&mut send, &corpus[20].0);
+    for signature in &signatures {
+        send.send_classify(std::slice::from_ref(signature))
+            .expect("pipelined send");
+    }
+    wait_until("the reader admits every singleton", || {
+        server.scheduler_snapshot().submitted == 17
+    });
+
+    // Responses come back in request order and match the direct batch.
+    let answers = singleton_answers(&mut recv, 17);
+    assert_eq!(answers[1..], direct[..]);
+    let stats = server.scheduler_snapshot();
+    assert_eq!(stats.requests_dispatched, 17);
+    assert_eq!(
+        stats.batches_dispatched, 2,
+        "16 singletons queued behind the wedge must coalesce into one engine batch: {stats:?}"
+    );
+    assert_eq!(stats.requests_coalesced, 16, "all 16 shared the batch");
+    server.join();
+}
+
+#[test]
+fn a_scheduler_thread_panic_fails_its_batch_and_serving_continues() {
+    let _harness = harness();
+    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
+    let (service, _trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
+    let server =
+        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+
+    // A single-signature batch is within the inline limit, so it is
+    // classified on the scheduler thread itself.
+    arm_panic("scheduler.dispatch", hit_count("scheduler.dispatch"));
+    match client.classify(std::slice::from_ref(&corpus[0].0)) {
+        Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+        other => panic!("expected an internal error, got {other:?}"),
+    }
+    let answer = client
+        .classify(std::slice::from_ref(&corpus[1].0))
+        .expect("the next request is served");
+    assert_eq!(answer.len(), 1);
+    let stats = server.scheduler_snapshot();
+    assert_eq!(stats.requests_shed, 0);
+    assert_eq!(stats.requests_dispatched, 2);
+    assert_eq!(server.drain().requests_flushed, 0);
+    server.join();
+}
+
 #[test]
 fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
     let _harness = harness();
     let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
-    // Wide enough that the drain's one coalesced batch of every request is
-    // over the inline limit, so the flush runs on the worker pool.
+    // Wide enough that the one coalesced batch of every corpus request is
+    // over the inline limit, so the flush runs on the worker pool, while a
+    // single-signature wedge request stays inline on the scheduler thread.
     let neurons = INLINE_CLASSIFY_MAX_NEURON_WORDS / (corpus.len() * WORDS) + 1;
     let (service, _trainer) = bench_service(neurons, VECTOR_LEN, 7, &corpus);
     let snapshot = service.snapshot();
@@ -62,41 +170,28 @@ fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
         .iter()
         .map(|(v, _)| service.classify_pinned(&snapshot, std::slice::from_ref(v))[0])
         .collect();
+    let server =
+        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
 
-    // A long deadline parks every pipelined request in the scheduler's
-    // collection window, so the drain's flush — not normal dispatch — is
-    // what answers them.
-    let server = Server::bind(
-        service,
-        "127.0.0.1:0",
-        ServeConfig {
-            scheduler: SchedulerConfig {
-                initial_delay: Duration::from_secs(5),
-                max_delay: Duration::from_secs(5),
-                ..SchedulerConfig::default()
-            },
-            ..ServeConfig::default()
-        },
-        None,
-    )
-    .expect("bind loopback");
-
+    // The wedge parks the scheduler inside a dispatch, so every pipelined
+    // request queues behind it and the drain's flush — not normal
+    // dispatch — is what answers them.
     let (mut send, mut recv) = ServeClient::connect(server.local_addr())
         .expect("connect")
         .split();
+    send_wedge(&mut send, &corpus[0].0);
     for (signature, _) in &corpus {
         send.send_classify(std::slice::from_ref(signature))
             .expect("pipelined send");
     }
     // Let the reader thread admit everything into the scheduler before the
-    // drain flips the accepting flag (`pending` empties as jobs move into
-    // the collection window; `submitted` counts admissions).
-    while (server.scheduler_snapshot().submitted as usize) < corpus.len() {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // drain flips the accepting flag.
+    wait_until("the reader admits every request", || {
+        server.scheduler_snapshot().submitted as usize == corpus.len() + 1
+    });
 
     // Arm the engine worker to panic on its very next job: with every
-    // request parked behind the 5s deadline, that next job IS the drain's
+    // request queued behind the wedge, that next job IS the drain's
     // in-flight flush — the panic lands mid-drain.
     arm_panic("worker.job", hit_count("worker.job"));
     let summary = server.drain();
@@ -105,29 +200,25 @@ fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
         1,
         "the drain window failpoint marks exactly one drain"
     );
-    assert_eq!(summary.requests_flushed as usize, corpus.len());
+    assert_eq!(
+        summary.requests_flushed as usize,
+        corpus.len() + 1,
+        "the drain flushes the wedge and every request behind it"
+    );
+    assert_eq!(server.scheduler_snapshot().batches_dispatched, 2);
 
     // Every accepted request gets its full response, bit-identical to the
     // pinned in-process answers — the worker panic was contained.
-    let mut answers = Vec::new();
-    for _ in 0..corpus.len() {
-        match recv.recv().expect("response").expect("not EOF") {
-            WireMessage::ClassifyResponse { predictions } => {
-                assert_eq!(predictions.len(), 1);
-                answers.push(predictions[0]);
-            }
-            other => panic!("expected classify response, got {other:?}"),
-        }
-    }
-    assert_eq!(answers, expected);
+    let answers = singleton_answers(&mut recv, corpus.len() + 1);
+    assert_eq!(answers[0], expected[0], "the wedge");
+    assert_eq!(answers[1..], expected[..]);
 
     // The supervisor records the panic and respawns the worker on its own
     // thread; give it a bounded moment to notice.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     let health = loop {
         let health = server.health();
-        if (health.worker_panics == 1 && health.worker_respawns == 1)
-            || std::time::Instant::now() >= deadline
+        if (health.worker_panics == 1 && health.worker_respawns == 1) || Instant::now() >= deadline
         {
             break health;
         }

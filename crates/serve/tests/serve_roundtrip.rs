@@ -1,12 +1,12 @@
 //! End-to-end behaviour of the serving front-end: wire answers are
-//! bit-identical to in-process answers, pipelined small requests coalesce
-//! into single engine batches, overload is a typed response (and the
-//! service recovers), and drain/health behave as documented.
+//! bit-identical to in-process answers, small requests queued behind a
+//! dispatch coalesce into single engine batches, overload is a typed
+//! response (and the service recovers), and drain/health behave as
+//! documented.
 
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
 
-use bsom_engine::EngineError;
+use bsom_engine::{EngineError, Recognizer, Trainer};
 use bsom_serve::bench::{bench_service, synthetic_corpus};
 use bsom_serve::scheduler::{BatchClassify, ClassifyJob, MicroBatcher};
 use bsom_serve::wire::{self, ErrorCode, WireMessage};
@@ -19,9 +19,7 @@ const VECTOR_LEN: usize = 256;
 /// A served map whose snapshot stays frozen for the test (the trainer is
 /// held alive but never fed), so wire answers can be compared bit-for-bit
 /// against a direct `classify_batch`.
-fn frozen_server(
-    scheduler: SchedulerConfig,
-) -> (Server, bsom_engine::Recognizer, bsom_engine::Trainer) {
+fn frozen_server(scheduler: SchedulerConfig) -> (Server, Recognizer, Trainer) {
     let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
     let (service, trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
     let recognizer = service.recognizer();
@@ -62,158 +60,172 @@ fn wire_classification_matches_in_process_bit_for_bit() {
     server.join();
 }
 
-#[test]
-fn pipelined_singletons_coalesce_into_one_engine_batch() {
-    // A long deadline guarantees every pipelined singleton lands in the
-    // scheduler's first collection window: N requests, one engine batch.
-    let scheduler = SchedulerConfig {
-        initial_delay: Duration::from_millis(300),
-        max_delay: Duration::from_millis(300),
-        ..SchedulerConfig::default()
-    };
-    let (server, mut recognizer, _trainer) = frozen_server(scheduler);
-    let signatures = probes(16, 23);
-    let direct = recognizer.classify_batch(signatures.clone());
-
-    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
-        .expect("connect")
-        .split();
-    for signature in &signatures {
-        send.send_classify(std::slice::from_ref(signature))
-            .expect("pipelined send");
-    }
-    let mut answers = Vec::new();
-    for _ in 0..signatures.len() {
-        match recv.recv().expect("response").expect("not EOF") {
-            WireMessage::ClassifyResponse { predictions } => {
-                assert_eq!(predictions.len(), 1);
-                answers.push(predictions[0]);
-            }
-            other => panic!("expected classify response, got {other:?}"),
-        }
-    }
-    // Responses come back in request order and match the direct batch.
-    assert_eq!(answers, direct);
-
-    let stats = server.scheduler_snapshot();
-    assert_eq!(stats.requests_dispatched, 16);
-    assert_eq!(
-        stats.batches_dispatched, 1,
-        "16 pipelined singletons must coalesce into one engine batch: {stats:?}"
-    );
-    assert_eq!(stats.requests_coalesced, 16, "all 16 shared the batch");
-    server.join();
+/// Wraps a real classifier and wedges its first dispatch until the test
+/// opens the gate, so requests queue up behind a dispatch in flight with no
+/// clock involved. Reports the size of every batch it passes on.
+struct GateOnce<C> {
+    inner: C,
+    entered: mpsc::Sender<()>,
+    gate: Option<mpsc::Receiver<()>>,
+    batch_sizes: mpsc::Sender<usize>,
 }
 
-#[test]
-fn size_flush_fires_before_the_deadline() {
-    // With a 5-second deadline but a 4-signature batch cap, a burst of 8
-    // singletons must flush on size (twice), not wait out the deadline.
-    let scheduler = SchedulerConfig {
-        max_batch_signatures: 4,
-        initial_delay: Duration::from_secs(5),
-        max_delay: Duration::from_secs(5),
-        ..SchedulerConfig::default()
-    };
-    let (server, _recognizer, _trainer) = frozen_server(scheduler);
-    let signatures = probes(8, 31);
-    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
-        .expect("connect")
-        .split();
-    let started = Instant::now();
-    for signature in &signatures {
-        send.send_classify(std::slice::from_ref(signature))
-            .expect("send");
-    }
-    for _ in 0..signatures.len() {
-        let message = recv.recv().expect("response").expect("not EOF");
-        assert!(matches!(message, WireMessage::ClassifyResponse { .. }));
-    }
-    assert!(
-        started.elapsed() < Duration::from_secs(2),
-        "size flush must beat the 5s deadline (took {:?})",
-        started.elapsed()
-    );
-    assert!(server.scheduler_snapshot().batches_dispatched >= 2);
-    server.join();
-}
-
-/// A classifier the test can wedge: blocks inside `try_classify` until the
-/// gate opens, so the scheduler queue can be filled deterministically.
-struct GatedClassifier {
-    gate: mpsc::Receiver<()>,
-}
-
-impl BatchClassify for GatedClassifier {
+impl<C: BatchClassify> BatchClassify for GateOnce<C> {
     fn try_classify(
         &mut self,
         signatures: Vec<BinaryVector>,
     ) -> Result<Vec<Prediction>, EngineError> {
-        let _ = self.gate.recv();
-        Ok(vec![Prediction::Unknown; signatures.len()])
+        if let Some(gate) = self.gate.take() {
+            let _ = self.entered.send(());
+            let _ = gate.recv();
+        }
+        let _ = self.batch_sizes.send(signatures.len());
+        self.inner.try_classify(signatures)
+    }
+}
+
+/// A scheduler over a frozen map's recognizer whose first dispatch — one
+/// wedge request of `probes(1, 1)` — is parked inside the classifier.
+struct Wedged {
+    batcher: MicroBatcher,
+    wedge: mpsc::Receiver<BatchReply>,
+    open: mpsc::Sender<()>,
+    batch_sizes: mpsc::Receiver<usize>,
+    recognizer: Recognizer,
+    _trainer: Trainer,
+}
+
+fn wedged(scheduler: SchedulerConfig) -> Wedged {
+    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
+    let (service, trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
+    let (entered_tx, entered) = mpsc::channel();
+    let (open, gate) = mpsc::channel();
+    let (sizes_tx, batch_sizes) = mpsc::channel();
+    let classifier = GateOnce {
+        inner: service.recognizer(),
+        entered: entered_tx,
+        gate: Some(gate),
+        batch_sizes: sizes_tx,
+    };
+    let batcher = MicroBatcher::new(classifier, scheduler).expect("spawn the scheduler");
+    let (wedge, accepted) = submit(&batcher, probes(1, 1));
+    assert!(accepted);
+    entered.recv().expect("the wedge dispatch starts");
+    Wedged {
+        batcher,
+        wedge,
+        open,
+        batch_sizes,
+        recognizer: service.recognizer(),
+        _trainer: trainer,
+    }
+}
+
+fn submit(
+    batcher: &MicroBatcher,
+    signatures: Vec<BinaryVector>,
+) -> (mpsc::Receiver<BatchReply>, bool) {
+    let (reply, rx) = mpsc::channel();
+    let accepted = batcher.submit(ClassifyJob { signatures, reply }).is_ok();
+    (rx, accepted)
+}
+
+fn predictions(reply: &mpsc::Receiver<BatchReply>) -> Vec<Prediction> {
+    match reply.recv().expect("a reply") {
+        BatchReply::Predictions(predictions) => predictions,
+        other => panic!("expected predictions, got {other:?}"),
     }
 }
 
 #[test]
-fn admission_control_sheds_when_full_and_recovers() {
-    let (gate_tx, gate_rx) = mpsc::channel();
-    let batcher = MicroBatcher::new(
-        GatedClassifier { gate: gate_rx },
-        SchedulerConfig {
-            queue_capacity: 2,
-            initial_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            ..SchedulerConfig::default()
-        },
+fn pipelined_singletons_coalesce_into_one_engine_batch() {
+    // Singletons queued while a dispatch is in flight leave as one engine
+    // batch: N requests behind the wedge, one batch. The over-the-wire form
+    // lives in the fault-injection suite, which can wedge a served
+    // scheduler through its `scheduler.dispatch` failpoint.
+    let mut wedged = wedged(SchedulerConfig::default());
+    let signatures = probes(16, 23);
+    let direct = wedged.recognizer.classify_batch(signatures.clone());
+    let replies: Vec<_> = signatures
+        .iter()
+        .map(|signature| {
+            let (reply, accepted) = submit(&wedged.batcher, vec![signature.clone()]);
+            assert!(accepted);
+            reply
+        })
+        .collect();
+    wedged.open.send(()).expect("open the gate");
+
+    assert_eq!(predictions(&wedged.wedge).len(), 1);
+    let answers: Vec<Prediction> = replies.iter().flat_map(predictions).collect();
+    // Replies come back in request order and match the direct batch.
+    assert_eq!(answers, direct);
+
+    assert_eq!(wedged.batch_sizes.recv().unwrap(), 1, "the wedge");
+    assert_eq!(wedged.batch_sizes.recv().unwrap(), 16);
+    let stats = wedged.batcher.snapshot();
+    assert_eq!(stats.requests_dispatched, 17);
+    assert_eq!(
+        stats.batches_dispatched, 2,
+        "16 queued singletons must coalesce into one engine batch: {stats:?}"
     );
-    let submit_one = |batcher: &MicroBatcher| {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let job = ClassifyJob {
-            signatures: vec![BinaryVector::zeros(8)],
-            reply: reply_tx,
-        };
-        (batcher.submit(job), reply_rx)
-    };
-    // First job is picked up by the scheduler thread and wedges in the
-    // classifier; give it a moment to leave the queue.
-    let (first, first_reply) = submit_one(&batcher);
-    assert!(first.is_ok());
-    std::thread::sleep(Duration::from_millis(50));
-    // The queue holds `queue_capacity` more; everything past that is shed
-    // synchronously — the caller gets the job back, nothing blocks.
+    assert_eq!(stats.requests_coalesced, 16, "all 16 shared the batch");
+}
+
+#[test]
+fn a_batch_cap_of_four_splits_a_queued_burst() {
+    // A burst of 8 singletons queued behind the wedge under a 4-signature
+    // cap leaves as two full batches.
+    let mut wedged = wedged(SchedulerConfig {
+        max_batch_signatures: 4,
+        ..SchedulerConfig::default()
+    });
+    let signatures = probes(8, 31);
+    let direct = wedged.recognizer.classify_batch(signatures.clone());
+    let replies: Vec<_> = signatures
+        .iter()
+        .map(|signature| submit(&wedged.batcher, vec![signature.clone()]).0)
+        .collect();
+    wedged.open.send(()).expect("open the gate");
+    assert_eq!(predictions(&wedged.wedge).len(), 1);
+    let answers: Vec<Prediction> = replies.iter().flat_map(predictions).collect();
+    assert_eq!(answers, direct);
+    let sizes: Vec<usize> = (0..3).map(|_| wedged.batch_sizes.recv().unwrap()).collect();
+    assert_eq!(sizes, vec![1, 4, 4]);
+    assert_eq!(wedged.batcher.snapshot().batches_dispatched, 3);
+}
+
+#[test]
+fn admission_control_sheds_when_full_and_recovers() {
+    let wedged = wedged(SchedulerConfig {
+        queue_capacity: 2,
+        ..SchedulerConfig::default()
+    });
+    // The wedge sits in the classifier, off the queue. The queue holds
+    // `queue_capacity` more; everything past that is shed synchronously —
+    // the caller gets the job back, nothing blocks.
     let mut accepted = Vec::new();
     let mut shed = 0usize;
     for _ in 0..6 {
-        match submit_one(&batcher) {
-            (Ok(()), reply) => accepted.push(reply),
-            (Err(_job), _) => shed += 1,
+        match submit(&wedged.batcher, probes(1, 2)) {
+            (reply, true) => accepted.push(reply),
+            (_, false) => shed += 1,
         }
     }
-    assert!(shed >= 1, "a full queue must shed, not block");
-    assert_eq!(accepted.len() + shed, 6);
-    assert_eq!(batcher.snapshot().requests_shed as usize, shed);
+    assert_eq!(accepted.len(), 2, "the queue holds its capacity");
+    assert_eq!(shed, 4, "a full queue must shed, not block");
+    assert_eq!(wedged.batcher.snapshot().requests_shed as usize, shed);
 
     // Open the gate: the wedged batch and every accepted job complete —
     // the service recovers once load subsides.
-    for _ in 0..16 {
-        let _ = gate_tx.send(());
+    wedged.open.send(()).expect("open the gate");
+    assert_eq!(predictions(&wedged.wedge).len(), 1);
+    for reply in &accepted {
+        assert_eq!(predictions(reply).len(), 1);
     }
-    assert!(matches!(
-        first_reply.recv().expect("wedged job completes"),
-        BatchReply::Predictions(_)
-    ));
-    for reply in accepted {
-        assert!(matches!(
-            reply.recv().expect("accepted job completes"),
-            BatchReply::Predictions(_)
-        ));
-    }
-    let (after, after_reply) = submit_one(&batcher);
-    assert!(after.is_ok(), "admission reopens after the backlog clears");
-    assert!(matches!(
-        after_reply.recv().expect("post-recovery job completes"),
-        BatchReply::Predictions(_)
-    ));
+    let (after, admitted) = submit(&wedged.batcher, probes(1, 3));
+    assert!(admitted, "admission reopens after the backlog clears");
+    assert_eq!(predictions(&after).len(), 1);
 }
 
 #[test]

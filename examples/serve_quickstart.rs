@@ -5,8 +5,8 @@
 //! The walk-through:
 //!
 //! 1. build a small labelled corpus and start a `SomService` seeded with it;
-//! 2. bind a `Server` on a loopback port 0 (the scheduler defaults to
-//!    adaptive micro-batching);
+//! 2. bind a `Server` on a loopback port 0 (the scheduler dispatches as soon
+//!    as it holds a request and coalesces whatever queued up meanwhile);
 //! 3. keep training: feed more labelled signatures and publish a snapshot —
 //!    the served map moves *while the server is up*;
 //! 4. classify over the wire and check the answers against the in-process
@@ -147,11 +147,12 @@ fn main() {
 
     let health = client.health().expect("health");
     println!(
-        "health after overload: scheduler queue {}/{}, shed total {}, coalesce delay {} us",
+        "health after overload: scheduler queue {}/{}, shed total {}, {} requests coalesced into {} batches",
         health.scheduler_pending,
         health.scheduler_capacity,
         health.requests_shed,
-        health.coalesce_delay_micros
+        health.requests_coalesced,
+        health.batches_dispatched
     );
 
     // 6. Load has subsided: the very next classify succeeds — overload is a

@@ -21,7 +21,7 @@
 //!   `Trainer` publishes while `Recognizer`s classify batches sharded across
 //!   a worker pool.
 //! * [`serve`] — the TCP serving front-end: a length-prefixed checksummed
-//!   wire format, an adaptive micro-batching scheduler over the engine, a
+//!   wire format, a work-conserving micro-batching scheduler over the engine, a
 //!   graceful-drain server (`bsom-serve` binary) and an open-loop load
 //!   generator (`loadgen` binary).
 //!
