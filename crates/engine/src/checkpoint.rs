@@ -317,9 +317,19 @@ pub(crate) fn encode_frame(state: &TrainingState<'_>) -> Vec<u8> {
     writer.u8(neighbour_rule_tag(config.neighbour_rule));
     writer.f64(config.relax_probability);
     writer.f64(config.commit_probability);
-    for neuron in som.neurons() {
-        writer.words(neuron.value_plane().as_words());
-        writer.words(neuron.care_plane().as_words());
+    // Each neuron's value words, then its care words, read straight out of
+    // the word rows.
+    let layer = som.packed_layer();
+    let rows: Vec<(&[u64], &[u64])> = (0..layer.word_row_count())
+        .map(|w| (layer.value_row(w), layer.care_row(w)))
+        .collect();
+    for i in 0..som.neuron_count() {
+        for (values, _) in &rows {
+            writer.u64(values[i]);
+        }
+        for (_, cares) in &rows {
+            writer.u64(cares[i]);
+        }
     }
     writer.u64(som.rng_state());
 

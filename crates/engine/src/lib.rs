@@ -209,9 +209,7 @@ mod tests {
     use std::sync::Arc;
 
     use bsom_signature::{BinaryVector, RgbImage};
-    use bsom_som::{
-        BSom, BSomConfig, LabelledSom, ObjectLabel, PackedLayer, SelfOrganizingMap, TrainSchedule,
-    };
+    use bsom_som::{BSom, BSomConfig, LabelledSom, ObjectLabel, SelfOrganizingMap, TrainSchedule};
     use bsom_vision::pipeline::{PipelineConfig, SurveillancePipeline};
     use bsom_vision::scene::{SceneConfig, SceneSimulator};
     use rand::rngs::StdRng;
@@ -309,7 +307,7 @@ mod tests {
     fn from_parts_rejects_mismatched_labels() {
         let mut r = rng();
         let (classifier, _) = trained_classifier(&mut r);
-        let layer = PackedLayer::pack(classifier.map());
+        let layer = classifier.map().packed_layer().clone();
         let result =
             std::panic::catch_unwind(|| SomService::from_parts(layer, vec![None; 1], None, 1));
         assert!(result.is_err());

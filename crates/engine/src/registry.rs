@@ -178,6 +178,10 @@ struct RegistryInner {
     slots: Vec<Option<TenantSlot>>,
     free: Vec<usize>,
     index: HashMap<TenantId, usize>,
+    /// Occupied slots whose state is [`TenantState::Resident`], kept where a
+    /// slot becomes or stops being resident so the ceiling check reads it
+    /// instead of walking the slab.
+    resident: usize,
     /// Slot index the next [`MapRegistry::train_tick`] rotation starts at.
     rr_cursor: usize,
     /// Logical LRU clock, bumped on every touch.
@@ -212,6 +216,15 @@ impl RegistryInner {
         self.slots[index]
             .as_mut()
             .expect("indexed slots are occupied")
+    }
+
+    /// The resident count by a walk over the slab, for debug asserts.
+    fn recount_resident(&self) -> usize {
+        self.slots
+            .iter()
+            .flatten()
+            .filter(|slot| slot.is_resident())
+            .count()
     }
 }
 
@@ -338,6 +351,7 @@ impl MapRegistry {
                 slots: Vec::new(),
                 free: Vec::new(),
                 index: HashMap::new(),
+                resident: 0,
                 rr_cursor: 0,
                 clock: 0,
                 created_total: 0,
@@ -410,6 +424,7 @@ impl MapRegistry {
             }
         };
         inner.index.insert(id, index);
+        inner.resident += 1;
         inner.touch(index);
         self.enforce_residency(&mut inner)?;
         Ok(())
@@ -428,6 +443,7 @@ impl MapRegistry {
         let slot = inner.slots[index]
             .take()
             .expect("indexed slots are occupied");
+        inner.resident -= usize::from(slot.is_resident());
         inner.index.remove(&id);
         inner.free.push(index);
         drop(inner);
@@ -698,7 +714,6 @@ impl MapRegistry {
                 }
                 inner.touch(index);
                 let slot = inner.slot_mut(index);
-                let id = slot.id.clone();
                 let (signature, label) = slot
                     .pending
                     .pop_front()
@@ -721,6 +736,7 @@ impl MapRegistry {
                         // signature can never train, and a panicked step's
                         // example is part of the torn state the recovery
                         // path discards.
+                        let id = inner.slot_mut(index).id.clone();
                         report.failures.push((id, error));
                         failed.push(index);
                     }
@@ -785,21 +801,16 @@ impl MapRegistry {
     /// Aggregate counters and occupancy.
     pub fn stats(&self) -> RegistryStats {
         let inner = lock_recovering(&self.inner);
-        let mut resident = 0usize;
-        let mut evicted = 0usize;
-        let mut pending_steps = 0u64;
-        for slot in inner.slots.iter().flatten() {
-            if slot.is_resident() {
-                resident += 1;
-            } else {
-                evicted += 1;
-            }
-            pending_steps += slot.pending.len() as u64;
-        }
+        let pending_steps = inner
+            .slots
+            .iter()
+            .flatten()
+            .map(|slot| slot.pending.len() as u64)
+            .sum();
         RegistryStats {
             tenants: inner.index.len(),
-            resident,
-            evicted,
+            resident: inner.resident,
+            evicted: inner.index.len() - inner.resident,
             pending_steps,
             evictions_total: inner.evictions_total,
             reloads_total: inner.reloads_total,
@@ -873,6 +884,7 @@ impl MapRegistry {
             service: Arc::new(service),
             trainer: Box::new(trainer),
         };
+        inner.resident += 1;
         inner.reloads_total += 1;
         Ok(())
     }
@@ -903,6 +915,7 @@ impl MapRegistry {
         // overwritten by the next successful evict.
         crate::faultpoint::hit("registry.evict");
         inner.slot_mut(index).state = TenantState::Evicted;
+        inner.resident -= 1;
         inner.evictions_total += 1;
         Ok(())
     }
@@ -910,7 +923,8 @@ impl MapRegistry {
     /// Evicts least-recently-touched tenants until the resident count is
     /// within [`RegistryConfig::max_resident`]. Poisoned tenants are never
     /// auto-evicted (their maps may be torn); they count against the ceiling
-    /// until recovered.
+    /// until recovered. Within the ceiling this reads the kept count and
+    /// walks nothing; over it, one walk over the slab finds each victim.
     fn enforce_residency(&self, inner: &mut RegistryInner) -> Result<(), EngineError> {
         self.enforce_residency_attributed(inner)
             .map_err(|(_, error)| error)
@@ -922,19 +936,18 @@ impl MapRegistry {
         &self,
         inner: &mut RegistryInner,
     ) -> Result<(), (TenantId, EngineError)> {
+        debug_assert_eq!(inner.resident, inner.recount_resident());
         let max = self.config.max_resident;
         if max == 0 {
             return Ok(());
         }
-        loop {
-            let mut resident = 0usize;
+        while inner.resident > max {
             let mut coldest: Option<(u64, usize)> = None;
             for (index, slot) in inner.slots.iter().enumerate() {
                 let Some(slot) = slot else { continue };
                 let TenantState::Resident { trainer, .. } = &slot.state else {
                     continue;
                 };
-                resident += 1;
                 if trainer.is_poisoned() {
                     continue; // not evictable
                 }
@@ -945,9 +958,6 @@ impl MapRegistry {
                     coldest = Some((slot.last_touch, index));
                 }
             }
-            if resident <= max {
-                return Ok(());
-            }
             let Some((_, index)) = coldest else {
                 return Ok(()); // every over-ceiling tenant is poisoned
             };
@@ -956,6 +966,7 @@ impl MapRegistry {
                 return Err((id, error));
             }
         }
+        Ok(())
     }
 }
 
@@ -1086,6 +1097,75 @@ mod tests {
         // ...and the ceiling pushed someone else out in its place? No —
         // reloading via classify does not enforce the ceiling; the next
         // create or tick does. All three may be momentarily resident.
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn resident_count_follows_random_creates_feeds_ticks_evicts_reloads_and_removes() {
+        use rand::Rng;
+        let mut r = rng();
+        let dir = temp_dir("resident-count");
+        let max_resident = 3;
+        let registry = MapRegistry::new(
+            RegistryConfig::new(EngineConfig::with_workers(1))
+                .with_max_resident(max_resident)
+                .with_spill_dir(&dir),
+        );
+        let mut ids: Vec<u64> = Vec::new();
+        let mut next_id = 0u64;
+        for op in 0..400 {
+            let pick = |r: &mut StdRng, ids: &[u64]| ids[r.gen_range(0..ids.len())];
+            let enforced = match r.gen_range(0..6) {
+                0 => {
+                    let som = BSom::new(BSomConfig::new(4, 64), &mut r);
+                    registry
+                        .create_tenant(next_id, som, TrainSchedule::new(10), &[])
+                        .unwrap();
+                    ids.push(next_id);
+                    next_id += 1;
+                    true
+                }
+                1 if !ids.is_empty() => {
+                    let signature = BinaryVector::random(64, &mut r);
+                    let label = ObjectLabel::new(r.gen_range(0..3));
+                    registry
+                        .feed(pick(&mut r, &ids), &signature, label)
+                        .unwrap();
+                    false
+                }
+                2 => {
+                    let report = registry.train_tick(r.gen_range(1..8));
+                    assert!(report.failures.is_empty(), "op {op}");
+                    true
+                }
+                3 if !ids.is_empty() => {
+                    registry.evict(pick(&mut r, &ids)).unwrap();
+                    false
+                }
+                4 if !ids.is_empty() => {
+                    registry.reload(pick(&mut r, &ids)).unwrap();
+                    false
+                }
+                5 if !ids.is_empty() => {
+                    let id = ids.swap_remove(r.gen_range(0..ids.len()));
+                    registry.remove(id).unwrap();
+                    false
+                }
+                _ => false,
+            };
+            let resident = ids
+                .iter()
+                .filter(|&&id| registry.is_resident(id).unwrap())
+                .count();
+            let stats = registry.stats();
+            assert_eq!(stats.resident, resident, "op {op}");
+            assert_eq!(stats.evicted, ids.len() - resident, "op {op}");
+            if enforced {
+                assert!(resident <= max_resident, "op {op}: {resident} resident");
+            }
+        }
+        let stats = registry.stats();
+        assert!(stats.evictions_total > 0 && stats.reloads_total > 0);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -8,9 +8,9 @@
 //! over it.
 //!
 //! * A [`Trainer`] feeds labelled signatures through the word-parallel bSOM
-//!   trainer. Because [`BSom`] maintains its plane-sliced [`PackedLayer`]
-//!   incrementally on every weight write, publishing a new serving snapshot
-//!   is a copy-on-write clone of that layout — word rows untouched since the
+//!   trainer. Because a [`BSom`]'s weights are its plane-sliced
+//!   [`PackedLayer`], updated in place on every weight write, publishing a
+//!   new serving snapshot is a copy-on-write clone of that layout — word rows untouched since the
 //!   last publish are shared, not copied, so the cost is O(rows touched)
 //!   even at 1000+ neurons — plus an atomic pointer swap; no re-pack, no
 //!   pause (DESIGN.md §"Copy-on-write publication and the winner search").
@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bsom_signature::{BinaryVector, RgbImage, TriStateVector};
+use bsom_signature::{BinaryVector, RgbImage};
 use bsom_som::{
     BSom, BatchWinner, LabelledSom, ObjectLabel, PackedLayer, Prediction, SelfOrganizingMap,
     SomError, TrainSchedule, Winner,
@@ -1336,9 +1336,7 @@ impl Trainer {
     pub fn reset_from_snapshot(&mut self) -> Result<(), EngineError> {
         let snapshot = self.core.snapshot();
         let layer = snapshot.layer();
-        let mut weights =
-            vec![TriStateVector::all_dont_care(layer.vector_len()); layer.neuron_count()];
-        layer.copy_window_into(0..layer.neuron_count(), &mut weights);
+        let weights = (0..layer.neuron_count()).map(|i| layer.neuron(i)).collect();
         // `from_weights` resets the update probabilities and neighbour rule
         // to the defaults; re-apply the map's own configuration.
         let config = *self.som.config();
@@ -1791,7 +1789,10 @@ mod tests {
         );
         trainer.train_epochs(&data, 8, &mut r).unwrap();
         let snapshot = service.snapshot();
-        assert_eq!(snapshot.layer(), &PackedLayer::pack(trainer.som()));
+        assert_eq!(
+            snapshot.layer(),
+            &PackedLayer::from_neurons(&trainer.som().neurons()).unwrap()
+        );
     }
 
     #[test]

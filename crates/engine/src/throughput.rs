@@ -145,9 +145,9 @@ pub struct LargeMapThroughputComparison {
     /// step (so every publish has freshly dirtied rows to copy) — the
     /// serving-path publish cost under live training.
     pub publish_under_training: MeasuredThroughput,
-    /// Deep re-packs per second ([`bsom_som::PackedLayer::pack`]) — the
-    /// O(map) publish cost the copy-on-write rows replaced, kept as the
-    /// reference denominator.
+    /// Deep re-packs per second ([`bsom_som::PackedLayer::from_neurons`] of
+    /// the map's weights) — the O(map) publish cost the copy-on-write rows
+    /// replaced, kept as the reference denominator.
     pub deep_repack: MeasuredThroughput,
     /// Winner searches per second through
     /// [`bsom_som::PackedLayer::winners_into`] over the whole batch: the
@@ -227,8 +227,11 @@ pub fn compare_large_map_throughput(
         std::hint::black_box(som.packed_layer().clone());
     });
 
+    let weights = som.neurons();
     let deep_repack = measure(1, min_duration, || {
-        std::hint::black_box(bsom_som::PackedLayer::pack(&som));
+        std::hint::black_box(
+            bsom_som::PackedLayer::from_neurons(&weights).expect("a BSom is never empty"),
+        );
     });
 
     let layer = som.packed_layer().clone();

@@ -5,7 +5,7 @@
 //! 1. **Frozen equivalence** — a [`Recognizer`] holding snapshot `v_N`
 //!    returns bit-identical predictions to a frozen serve-only service built
 //!    from the same `v_N` map ([`SomService::from_parts`] over a
-//!    from-scratch [`PackedLayer::pack`] + the snapshot's labels and
+//!    from-scratch [`PackedLayer::from_neurons`] + the snapshot's labels and
 //!    threshold, classified with [`SomService::classify_pinned`]), i.e. the
 //!    incremental layout, the snapshot plumbing and the live refresh add no
 //!    observable behaviour.
@@ -96,9 +96,10 @@ proptest! {
         // The frozen oracle: a from-scratch pack of the same v_N map with
         // the labels/threshold the snapshot was published with.
         let snapshot = service.snapshot();
-        prop_assert_eq!(snapshot.layer(), &PackedLayer::pack(trainer.som()));
+        let fresh = PackedLayer::from_neurons(&trainer.som().neurons()).unwrap();
+        prop_assert_eq!(snapshot.layer(), &fresh);
         let frozen = SomService::from_parts(
-            PackedLayer::pack(trainer.som()),
+            fresh,
             snapshot.neuron_labels().to_vec(),
             snapshot.unknown_threshold(),
             2,
@@ -305,6 +306,9 @@ fn large_map_publishes_share_untouched_rows_under_concurrent_load() {
     trainer.publish();
     let stepped = service.snapshot();
     assert_layer_consistent(stepped.layer());
-    assert_eq!(stepped.layer(), &PackedLayer::pack(trainer.som()));
+    assert_eq!(
+        stepped.layer(),
+        &PackedLayer::from_neurons(&trainer.som().neurons()).unwrap()
+    );
     assert!(stepped.layer().shared_row_count(after.layer()) <= after.layer().word_row_count());
 }

@@ -182,7 +182,7 @@ impl FpgaBSom {
             ..FpgaConfig::paper_default()
         };
         let mut fpga = Self::new(config, 0x5EED);
-        fpga.load_weights(som.neurons().to_vec());
+        fpga.load_weights(som.neurons());
         fpga
     }
 
@@ -449,7 +449,7 @@ mod tests {
             .train_step(&input, 0, &TrainSchedule::new(1))
             .unwrap();
         fpga.train_pattern(&input, 0, 1).unwrap();
-        assert_eq!(fpga.weights()[0], *software.neuron(0).unwrap());
+        assert_eq!(fpga.weights()[0], software.neuron(0).unwrap());
     }
 
     #[test]

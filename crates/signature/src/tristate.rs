@@ -450,10 +450,9 @@ impl TriStateVector {
         self.iter().map(Trit::to_char).collect()
     }
 
-    /// Overwrites plane word `w` with an updated (value, care) pair — the
-    /// write-back half of the plane-sliced neighbourhood update, which runs
-    /// on packed column words and then mirrors them into the per-neuron
-    /// planes.
+    /// Overwrites plane word `w` with a (value, care) pair — how a neuron's
+    /// vector is gathered out of the packed word rows of a competitive
+    /// layer, which hold each neuron's words as one column.
     ///
     /// The caller is responsible for the plane invariants the update kernels
     /// preserve by construction (both debug-asserted here): the value plane

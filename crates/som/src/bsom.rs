@@ -36,6 +36,18 @@
 //! cluster of inputs a neuron wins converge to concrete values; bits that
 //! vary spend time in `#`, harmlessly excluded from the distance.
 //!
+//! ## One weight store
+//!
+//! A map keeps its weights in one place: its [`PackedLayer`], the word rows
+//! that winner search, training and serving snapshots all run on — as the
+//! FPGA's update block writes the same BlockRAM planes its Hamming units
+//! read (DESIGN.md §"Train-while-serve and the shared packed layout").
+//! [`BSom::neuron`] and [`BSom::neurons`] gather owned vectors out of the
+//! rows, and [`BSom::set_neuron`] writes through
+//! [`PackedLayer::apply_neuron_update`]; nothing is mirrored per neuron. A
+//! 40 × 768 map takes about 10 KB, and a clone under 1 KiB, because a clone
+//! shares every row copy-on-write.
+//!
 //! ## The plane-sliced training datapath
 //!
 //! [`BSom::train_step`] applies the table above **64 trits × the whole
@@ -53,7 +65,9 @@
 //!
 //! One slower datapath is retained on purpose:
 //! [`BSom::train_step_bit_serial`], the original per-trit loop with one
-//! scalar coin per bit. It is the training oracle of the
+//! scalar coin per bit: it gathers each neuron, updates it trit by trit and
+//! writes it back, independent of the window kernel. It is the training
+//! oracle of the
 //! `word_update_equivalence` and `window_update_equivalence` proptests and
 //! the baseline of the `train_throughput` bench.
 //!
@@ -227,7 +241,6 @@ struct WindowScratch {
 #[derive(Debug, Clone)]
 pub struct BSom {
     config: BSomConfig,
-    neurons: Vec<TriStateVector>,
     /// Internal xorshift state driving the stochastic update decisions — the
     /// software analogue of the LFSR bit stream a hardware implementation
     /// would use. Keeping it inside the map keeps `train_step` deterministic
@@ -236,29 +249,27 @@ pub struct BSom {
     /// Precompiled mask plans / coin thresholds for the configured update
     /// probabilities.
     tables: UpdateTables,
-    /// The plane-sliced layout of the same weights, maintained incrementally
-    /// on every weight write ([`PackedLayer::apply_neuron_update`]). This is
-    /// the **only** winner-search path: training-time and serve-time search
-    /// run the same word-sliced batch kernels, and publishing a serving
-    /// snapshot is a plain clone of this field instead of a re-pack. Its
-    /// per-neuron `#`-counts, maintained from the popcount delta of every
-    /// masked weight write, are the map's only `#`-count table, so the
+    /// The weights: the map's only weight store, in the plane-sliced layout
+    /// every weight write updates in place ([`PackedLayer::apply_window_update`],
+    /// [`PackedLayer::apply_neuron_update`]). Training-time and serve-time
+    /// search run the same word-sliced kernels on it, and publishing a
+    /// serving snapshot is a plain clone of this field. Its per-neuron
+    /// `#`-counts, maintained from the popcount delta of every masked
+    /// weight write, are the map's only `#`-count table, so the
     /// `{distance, #-count, address}` WTA key never re-popcounts a care
-    /// plane. Invariant: `packed == PackedLayer::pack(self)` word for word,
-    /// debug-asserted per touched neuron after every update.
+    /// plane (debug-asserted against a recount of the care rows).
     packed: PackedLayer,
     /// Reusable window-update scratch (see [`WindowScratch`]).
     scratch: WindowScratch,
 }
 
-/// Equality is over the map's intrinsic state — configuration, weights and
-/// RNG state. The update tables and the packed layer (with its `#`-counts) are
-/// pure functions of those fields (and are debug-asserted in sync), so
-/// comparing them would be redundant.
+/// Equality is over the map's intrinsic state — configuration, weights (the
+/// packed layer, with its `#`-counts) and RNG state. The update tables are a
+/// pure function of the configuration, so comparing them would be redundant.
 impl PartialEq for BSom {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
-            && self.neurons == other.neurons
+            && self.packed == other.packed
             && self.rng_state == other.rng_state
     }
 }
@@ -291,17 +302,20 @@ impl BSom {
         let neurons: Vec<TriStateVector> = (0..config.neurons)
             .map(|_| TriStateVector::random_concrete(config.vector_len, rng))
             .collect();
-        let rng_state = rng.gen::<u64>() | 1;
-        let tables = UpdateTables::from_config(&config);
         let packed = PackedLayer::from_neurons(&neurons).expect("shape checked above");
-        Ok(BSom {
+        Ok(Self::assemble(config, packed, rng.gen::<u64>() | 1))
+    }
+
+    /// The map over `packed`, with the update tables derived from `config`
+    /// and empty scratch.
+    fn assemble(config: BSomConfig, packed: PackedLayer, rng_state: u64) -> Self {
+        BSom {
             config,
-            neurons,
             rng_state,
-            tables,
+            tables: UpdateTables::from_config(&config),
             packed,
             scratch: WindowScratch::default(),
-        })
+        }
     }
 
     /// Creates a bSOM from explicit weight vectors (e.g. weights exported
@@ -327,16 +341,8 @@ impl BSom {
             });
         }
         let config = BSomConfig::new(weights.len(), vector_len);
-        let tables = UpdateTables::from_config(&config);
         let packed = PackedLayer::from_neurons(&weights).expect("shape checked above");
-        Ok(BSom {
-            config,
-            neurons: weights,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
-            tables,
-            packed,
-            scratch: WindowScratch::default(),
-        })
+        Ok(Self::assemble(config, packed, 0x9E37_79B9_7F4A_7C15))
     }
 
     /// The map's configuration.
@@ -362,27 +368,37 @@ impl BSom {
         self
     }
 
-    /// The weight vector of neuron `index`.
+    /// The weight vector of neuron `index`, gathered out of the word rows.
     ///
     /// # Errors
     ///
     /// Returns [`SomError::NeuronOutOfRange`] for an invalid index.
-    pub fn neuron(&self, index: usize) -> Result<&TriStateVector, SomError> {
-        self.neurons.get(index).ok_or(SomError::NeuronOutOfRange {
-            index,
-            neurons: self.neurons.len(),
-        })
+    pub fn neuron(&self, index: usize) -> Result<TriStateVector, SomError> {
+        self.check_index(index)?;
+        Ok(self.packed.neuron(index))
     }
 
-    /// All neuron weight vectors in index order.
-    pub fn neurons(&self) -> &[TriStateVector] {
-        &self.neurons
+    /// All neuron weight vectors in index order, gathered out of the word
+    /// rows.
+    pub fn neurons(&self) -> Vec<TriStateVector> {
+        (0..self.config.neurons)
+            .map(|index| self.packed.neuron(index))
+            .collect()
     }
 
-    /// Replaces the weight vector of neuron `index`, keeping the cached
-    /// `#`-count in sync (weights can only be mutated through the update
-    /// rule or through this method — never patch a neuron behind the map's
-    /// back).
+    fn check_index(&self, index: usize) -> Result<(), SomError> {
+        if index >= self.config.neurons {
+            return Err(SomError::NeuronOutOfRange {
+                index,
+                neurons: self.config.neurons,
+            });
+        }
+        Ok(())
+    }
+
+    /// Replaces the weight vector of neuron `index`, writing it and its
+    /// `#`-count into the word rows (weights can only be mutated through
+    /// the update rule or through this method).
     ///
     /// # Errors
     ///
@@ -390,12 +406,7 @@ impl BSom {
     /// [`SomError::InputLengthMismatch`] if the new weight's length differs
     /// from the map's vector length.
     pub fn set_neuron(&mut self, index: usize, weight: TriStateVector) -> Result<(), SomError> {
-        if index >= self.neurons.len() {
-            return Err(SomError::NeuronOutOfRange {
-                index,
-                neurons: self.neurons.len(),
-            });
-        }
+        self.check_index(index)?;
         if weight.len() != self.config.vector_len {
             return Err(SomError::InputLengthMismatch {
                 expected: self.config.vector_len,
@@ -404,14 +415,13 @@ impl BSom {
         }
         let count = weight.count_dont_care() as u32;
         self.packed.apply_neuron_update(index, &weight, count);
-        self.neurons[index] = weight;
         Ok(())
     }
 
-    /// The plane-sliced layout of the current weights, maintained
-    /// incrementally on every update — the layout both training-time winner
-    /// search and serving snapshots run on. Cloning it is how a serving
-    /// snapshot is published (no re-pack).
+    /// The map's weights in their plane-sliced layout, updated in place by
+    /// every weight write — the layout both training-time winner search and
+    /// serving snapshots run on. Cloning it is how a serving snapshot is
+    /// published (no re-pack).
     pub fn packed_layer(&self) -> &PackedLayer {
         &self.packed
     }
@@ -430,26 +440,30 @@ impl BSom {
         self.dont_care_counts().iter().map(|&c| c as usize).sum()
     }
 
-    /// `true` iff every cached `#`-count matches a full recount of its care
-    /// plane. Debug-asserted by the update and winner paths.
+    /// `true` iff every cached `#`-count matches a recount of the neuron's
+    /// care words in the packed rows. Debug-asserted by the winner path.
     fn cache_matches_recount(&self) -> bool {
-        self.neurons
+        let packed = &self.packed;
+        self.dont_care_counts()
             .iter()
-            .zip(self.dont_care_counts())
-            .all(|(n, &c)| n.count_dont_care() == c as usize)
+            .enumerate()
+            .all(|(i, &count)| {
+                let concrete: u32 = (0..packed.word_row_count())
+                    .map(|w| packed.care_row(w)[i].count_ones())
+                    .sum();
+                (count + concrete) as usize == self.config.vector_len
+            })
     }
 
     /// The plane-sliced neighbourhood update: one broadcast mask stream
     /// applied to the contiguous window `[lo, hi]` of packed neuron columns
     /// in a single pass ([`PackedLayer::apply_window_update`]), with the
     /// commit transition gated per neuron by the [`NeighbourRule`] (only the
-    /// winner commits under [`NeighbourRule::RelaxOnly`]). The updated
-    /// column words are mirrored back into the per-neuron planes; the packed
-    /// layer maintains its `#`-counts from the popcount deltas.
+    /// winner commits under [`NeighbourRule::RelaxOnly`]). The packed layer
+    /// maintains its `#`-counts from the popcount deltas.
     fn update_window(&mut self, lo: usize, hi: usize, winner: usize, input: &BinaryVector) {
         let BSom {
             config,
-            neurons,
             rng_state,
             tables,
             packed,
@@ -464,26 +478,20 @@ impl BSom {
             })
         }));
         packed.apply_window_update(
-            window.clone(),
+            window,
             input,
             &tables.relax_plan,
             &tables.commit_plan,
             &scratch.gates,
             rng_state,
         );
-        packed.copy_window_into(window.clone(), &mut neurons[window.clone()]);
-        for idx in window {
-            debug_assert!(
-                packed.neuron_matches(idx, &neurons[idx]),
-                "packed layer out of sync for neuron {idx}"
-            );
-        }
     }
 
-    /// The pre-word-parallel update: walk all bits of the neuron with one
-    /// integer-threshold coin per stochastic decision. Kept as the reference
-    /// implementation for the equivalence proptests and as the baseline the
-    /// train-throughput bench measures against.
+    /// The pre-word-parallel update: gather the neuron, walk all its bits
+    /// with one integer-threshold coin per stochastic decision and write it
+    /// back. Kept as the reference implementation for the equivalence
+    /// proptests and as the baseline the train-throughput bench measures
+    /// against.
     fn update_neuron_bit_serial(
         &mut self,
         neuron_index: usize,
@@ -491,29 +499,28 @@ impl BSom {
         relax: CoinThreshold,
         commit: CoinThreshold,
     ) {
+        let mut weight = self.packed.neuron(neuron_index);
         let mut count = self.dont_care_counts()[neuron_index];
         for k in 0..input.len() {
             let x = input.bit(k);
-            match self.neurons[neuron_index].trit(k) {
+            match weight.trit(k) {
                 Trit::DontCare => {
                     if commit.flip(&mut self.rng_state) {
-                        self.neurons[neuron_index].set(k, Trit::from_bit(x));
+                        weight.set(k, Trit::from_bit(x));
                         count -= 1;
                     }
                 }
                 t => {
                     if !t.matches(x) && relax.flip(&mut self.rng_state) {
-                        self.neurons[neuron_index].set(k, Trit::DontCare);
+                        weight.set(k, Trit::DontCare);
                         count += 1;
                     }
                 }
             }
         }
-        // The bit-serial reference must keep the shared layout current too:
-        // its winner search runs on the packed kernels like everyone else's
-        // (`apply_neuron_update` debug-asserts the count against a recount).
+        // `apply_neuron_update` debug-asserts the count against a recount.
         self.packed
-            .apply_neuron_update(neuron_index, &self.neurons[neuron_index], count);
+            .apply_neuron_update(neuron_index, &weight, count);
     }
 
     /// One training step through the **bit-serial reference datapath**: the
@@ -631,10 +638,11 @@ impl SelfOrganizingMap for BSom {
 
 /// The raw wire shape of a [`BSom`] — identical to what the former derive
 /// produced, so snapshots serialized before the word-parallel trainer still
-/// load. The incremental `#`-count cache and the precompiled update tables
-/// are *not* serialized: both are pure functions of the other fields, and
-/// rebuilding them on deserialization means a tampered snapshot can never
-/// smuggle in an inconsistent cache.
+/// load. The weights travel as one vector per neuron, gathered out of the
+/// packed rows and re-packed on load. The `#`-count cache and the
+/// precompiled update tables are *not* serialized: both are pure functions
+/// of the other fields, and rebuilding them on deserialization means a
+/// tampered snapshot can never smuggle in an inconsistent cache.
 #[derive(Deserialize)]
 struct RawBSom {
     config: BSomConfig,
@@ -710,16 +718,8 @@ impl BSom {
         if raw.rng_state == 0 {
             return Err("rng_state must be non-zero (xorshift fixed point)".to_string());
         }
-        let tables = UpdateTables::from_config(&raw.config);
         let packed = PackedLayer::from_neurons(&raw.neurons).expect("shape checked above");
-        Ok(BSom {
-            config: raw.config,
-            neurons: raw.neurons,
-            rng_state: raw.rng_state,
-            tables,
-            packed,
-            scratch: WindowScratch::default(),
-        })
+        Ok(Self::assemble(raw.config, packed, raw.rng_state))
     }
 }
 
@@ -727,7 +727,7 @@ impl serde::Serialize for BSom {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
             ("config".to_string(), self.config.to_value()),
-            ("neurons".to_string(), self.neurons.to_value()),
+            ("neurons".to_string(), self.neurons().to_value()),
             ("rng_state".to_string(), self.rng_state.to_value()),
         ])
     }
@@ -950,7 +950,7 @@ mod tests {
                         NeighbourRule::RelaxOnly => false,
                         NeighbourRule::WinnerOnly => continue,
                     };
-                    let mut weight = per_neuron.neuron(idx).unwrap().clone();
+                    let mut weight = per_neuron.neuron(idx).unwrap();
                     for (w, &x) in input.as_words().iter().enumerate() {
                         let valid = if (w + 1) * 64 <= LEN {
                             !0
@@ -984,7 +984,10 @@ mod tests {
             let input = BinaryVector::random(130, &mut r);
             som.train_step(&input, t, &schedule).unwrap();
         }
-        assert_eq!(som.packed_layer(), &PackedLayer::pack(&som));
+        assert_eq!(
+            som.packed_layer(),
+            &PackedLayer::from_neurons(&som.neurons()).unwrap()
+        );
     }
 
     #[test]
@@ -1036,10 +1039,10 @@ mod tests {
         let mut r = rng();
         let config = BSomConfig::new(6, 32).with_neighbour_rule(NeighbourRule::WinnerOnly);
         let mut som = BSom::new(config, &mut r);
-        let before = som.neurons().to_vec();
+        let before = som.neurons();
         let input = BinaryVector::random(32, &mut r);
         let w = som.train_step(&input, 0, &TrainSchedule::new(1)).unwrap();
-        for (i, (b, a)) in before.iter().zip(som.neurons()).enumerate() {
+        for (i, (b, a)) in before.iter().zip(&som.neurons()).enumerate() {
             if i != w.index {
                 assert_eq!(b, a, "neuron {i} changed despite WinnerOnly rule");
             }
@@ -1142,6 +1145,63 @@ mod tests {
         assert_eq!(som, back);
     }
 
+    /// `from_weights` over three 8-trit neurons after two training steps.
+    fn golden_map() -> BSom {
+        let weights = ["01#10#11", "1100##00", "#0101010"]
+            .map(|trits| TriStateVector::from_str(trits).unwrap())
+            .to_vec();
+        let mut som = BSom::from_weights(weights).unwrap();
+        let schedule = TrainSchedule::new(2);
+        for (t, bits) in ["01101011", "11000100"].into_iter().enumerate() {
+            let input = BinaryVector::from_bit_str(bits).unwrap();
+            som.train_step(&input, t, &schedule).unwrap();
+        }
+        som
+    }
+
+    /// [`golden_map`]'s JSON, recorded while `BSom` still kept a per-neuron
+    /// copy of its weights beside the packed layer.
+    const GOLDEN_JSON: &str = concat!(
+        r#"{"config":{"neurons":3,"vector_len":8,"neighbour_rule":"SameAsWinner","#,
+        r#""relax_probability":0.3,"commit_probability":0.3},"neurons":["#,
+        r#"{"value":{"words":[130],"len":8},"care":{"words":[147],"len":8}},"#,
+        r#"{"value":{"words":[2],"len":8},"care":{"words":[94],"len":8}},"#,
+        r#"{"value":{"words":[4],"len":8},"care":{"words":[47],"len":8}}],"#,
+        r#""rng_state":7191875387263428708}"#
+    );
+
+    #[test]
+    fn json_shape_matches_the_recorded_bytes() {
+        let som = golden_map();
+        assert_eq!(serde_json::to_string(&som).unwrap(), GOLDEN_JSON);
+        let back: BSom = serde_json::from_str(GOLDEN_JSON).unwrap();
+        assert_eq!(back, som);
+        assert_eq!(back.dont_care_counts(), &[4, 3, 3]);
+    }
+
+    #[test]
+    fn gathered_accessors_read_and_write_the_rows() {
+        let mut som = golden_map();
+        let neurons = som.neurons();
+        let trits: Vec<String> = neurons.iter().map(|n| n.to_trit_string()).collect();
+        assert_eq!(trits, ["01##0##1", "#1000#0#", "0010#0##"]);
+        for (i, neuron) in neurons.iter().enumerate() {
+            assert_eq!(&som.neuron(i).unwrap(), neuron);
+        }
+        let replacement = TriStateVector::from_str("1#0#1#0#").unwrap();
+        som.set_neuron(1, replacement.clone()).unwrap();
+        assert_eq!(som.neuron(1).unwrap(), replacement);
+        assert_eq!(som.neurons()[1], replacement);
+        assert_eq!(som.dont_care_counts(), &[4, 4, 3]);
+        assert!(matches!(
+            som.neuron(3),
+            Err(SomError::NeuronOutOfRange {
+                index: 3,
+                neurons: 3
+            })
+        ));
+    }
+
     #[test]
     fn deserialize_rejects_inconsistent_snapshots() {
         let mut r = rng();
@@ -1237,13 +1297,12 @@ mod tests {
         let mut som = BSom::new(BSomConfig::new(6, 70), &mut r);
         let data: Vec<BinaryVector> = (0..4).map(|_| BinaryVector::random(70, &mut r)).collect();
         som.train(&data, TrainSchedule::new(20), &mut r).unwrap();
-        let back =
-            BSom::from_state(*som.config(), som.neurons().to_vec(), som.rng_state()).unwrap();
+        let back = BSom::from_state(*som.config(), som.neurons(), som.rng_state()).unwrap();
         assert_eq!(back, som);
         assert_eq!(back.dont_care_counts(), som.dont_care_counts());
         assert_eq!(back.packed_layer(), som.packed_layer());
         assert!(matches!(
-            BSom::from_state(*som.config(), som.neurons().to_vec(), 0),
+            BSom::from_state(*som.config(), som.neurons(), 0),
             Err(SomError::InvalidState { .. })
         ));
         assert!(matches!(

@@ -42,20 +42,24 @@
 //! [`distances`](PackedLayer::distances) remains for callers that want the
 //! whole table.
 //!
-//! ## The incremental-layout invariant
+//! ## The map's only weight store
 //!
-//! [`BSom`] *owns* a `PackedLayer` and maintains it incrementally on every
-//! weight write — per-neuron column rewrites through
+//! A `PackedLayer` is the [`BSom`](crate::BSom)'s weights: the map keeps
+//! no other copy. Every weight write lands here — per-neuron column rewrites through
 //! [`apply_neuron_update`](PackedLayer::apply_neuron_update), whole-window
-//! writes through [`apply_window_update`](PackedLayer::apply_window_update).
-//! The invariant, debug-asserted after every update and pinned down by the
-//! `incremental_packed` proptest suite, is that the maintained layout always
-//! equals a from-scratch [`PackedLayer::pack`] of the same map, **word for
-//! word** (planes, `#`-counts and shape). Publishing a serving snapshot is
-//! therefore a plain clone of this field, never a re-pack, and the winner
-//! returned by [`PackedLayer::winner`] is bit-identical to
-//! [`BSom::winner`](crate::SelfOrganizingMap::winner) — including the
-//! `{distance, #-count, address}` tie-break (`packed_equivalence` suite).
+//! writes through [`apply_window_update`](PackedLayer::apply_window_update)
+//! — with the `#`-counts maintained from the write's popcount deltas, and a
+//! neuron's vector is gathered out of the rows on demand
+//! ([`neuron`](PackedLayer::neuron)). The `incremental_packed` proptest
+//! suite pins down that the maintained layer equals a from-scratch
+//! [`from_neurons`](PackedLayer::from_neurons) of the gathered weights,
+//! **word for word** (planes, `#`-counts and shape). Publishing a serving
+//! snapshot is a plain clone of
+//! [`BSom::packed_layer`](crate::BSom::packed_layer), never a
+//! re-pack, and the winner returned by [`PackedLayer::winner`] is
+//! bit-identical to [`BSom::winner`](crate::SelfOrganizingMap::winner) —
+//! including the `{distance, #-count, address}` tie-break
+//! (`packed_equivalence` suite).
 //!
 //! ```rust
 //! use bsom_signature::BinaryVector;
@@ -68,8 +72,8 @@
 //! let mut som = BSom::new(BSomConfig::new(8, 70), &mut rng);
 //! let input = BinaryVector::random(70, &mut rng);
 //! som.train_step(&input, 0, &TrainSchedule::new(1))?;
-//! // The incrementally maintained layout equals a fresh pack word for word.
-//! assert_eq!(som.packed_layer(), &PackedLayer::pack(&som));
+//! // The layer updated in place equals a fresh pack of its gathered weights.
+//! assert_eq!(som.packed_layer(), &PackedLayer::from_neurons(&som.neurons())?);
 //! # Ok(())
 //! # }
 //! ```
@@ -84,7 +88,6 @@ use bsom_signature::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::bsom::BSom;
 use crate::error::SomError;
 
 /// A read-only, plane-sliced snapshot of a bSOM competitive layer.
@@ -99,7 +102,7 @@ use crate::error::SomError;
 ///
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let som = BSom::new(BSomConfig::new(8, 64), &mut rng);
-/// let layer = PackedLayer::pack(&som);
+/// let layer = som.packed_layer().clone();
 /// let input = BinaryVector::random(64, &mut rng);
 /// let batched = layer.winner(&input).unwrap();
 /// let scalar = som.winner(&input).unwrap();
@@ -202,12 +205,22 @@ impl PackedLayer {
         })
     }
 
-    /// Packs a [`BSom`]'s competitive layer from scratch — the reference
-    /// layout that [`apply_neuron_update`](Self::apply_neuron_update)
-    /// maintains incrementally (the `incremental_packed` test pins down that
-    /// the two routes agree word for word).
-    pub fn pack(som: &BSom) -> Self {
-        Self::from_neurons(som.neurons()).expect("a constructed BSom is never empty")
+    /// Gathers neuron `index`'s weight vector out of the word rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn neuron(&self, index: usize) -> TriStateVector {
+        assert!(
+            index < self.neurons,
+            "neuron {index} out of range for a {}-neuron layer",
+            self.neurons
+        );
+        let mut weight = TriStateVector::all_dont_care(self.vector_len);
+        for (w, row) in self.rows.iter().enumerate() {
+            weight.set_plane_word(w, row.values()[index], row.cares()[index]);
+        }
+        weight
     }
 
     /// Rewrites the words of neuron `index` in place from its new weight
@@ -370,57 +383,6 @@ impl PackedLayer {
                 *count = (i64::from(*count) + i64::from(r) - i64::from(c)) as u32;
             }
         }
-    }
-
-    /// Copies the packed column words of the neurons in `window` back into
-    /// their per-neuron planes, `weights[i]` for neuron `window.start + i` —
-    /// the write-back half of [`apply_window_update`](Self::apply_window_update),
-    /// which keeps the two representations of the weights in lock-step.
-    /// Each word row is read once for the whole window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is out of range, `weights` does not hold one
-    /// vector per neuron of it, or a vector has the wrong length.
-    pub fn copy_window_into(&self, window: std::ops::Range<usize>, weights: &mut [TriStateVector]) {
-        assert!(
-            window.end <= self.neurons,
-            "window {window:?} out of range for a {}-neuron layer",
-            self.neurons
-        );
-        assert_eq!(weights.len(), window.len(), "one weight per neuron");
-        assert!(
-            weights.iter().all(|weight| weight.len() == self.vector_len),
-            "weight length must match the layer's vector length"
-        );
-        for (w, row) in self.rows.iter().enumerate() {
-            let values = &row.values()[window.clone()];
-            let cares = &row.cares()[window.clone()];
-            for ((weight, &v), &c) in weights.iter_mut().zip(values).zip(cares) {
-                weight.set_plane_word(w, v, c);
-            }
-        }
-    }
-
-    /// `true` iff neuron `index`'s packed words and `#`-count equal `weight`'s
-    /// planes — the per-neuron sync check the [`BSom`] update paths
-    /// debug-assert after every incremental write.
-    pub fn neuron_matches(&self, index: usize, weight: &TriStateVector) -> bool {
-        index < self.neurons
-            && weight.len() == self.vector_len
-            && weight
-                .value_plane()
-                .as_words()
-                .iter()
-                .zip(&self.rows)
-                .all(|(&v, row)| row.values()[index] == v)
-            && weight
-                .care_plane()
-                .as_words()
-                .iter()
-                .zip(&self.rows)
-                .all(|(&c, row)| row.cares()[index] == c)
-            && self.dont_care_counts[index] as usize == weight.count_dont_care()
     }
 
     /// Number of neurons in the layer.
@@ -662,7 +624,7 @@ impl serde::Deserialize for PackedLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsom::BSomConfig;
+    use crate::bsom::{BSom, BSomConfig};
     use crate::som_trait::SelfOrganizingMap;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -691,7 +653,7 @@ mod tests {
     fn packed_distances_match_scalar_distances() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::paper_default(), &mut r);
-        let layer = PackedLayer::pack(&som);
+        let layer = PackedLayer::from_neurons(&som.neurons()).unwrap();
         assert_eq!(layer.neuron_count(), 40);
         assert_eq!(layer.vector_len(), 768);
         assert_eq!(layer.word_row_count(), 12);
@@ -712,7 +674,7 @@ mod tests {
         let data: Vec<BinaryVector> = (0..8).map(|_| BinaryVector::random(96, &mut r)).collect();
         som.train(&data, crate::TrainSchedule::new(30), &mut r)
             .unwrap();
-        let layer = PackedLayer::pack(&som);
+        let layer = PackedLayer::from_neurons(&som.neurons()).unwrap();
         for input in &data {
             let scalar = som.winner(input).unwrap();
             let packed = layer.winner(input).unwrap();
@@ -758,7 +720,7 @@ mod tests {
     fn winners_batch_matches_individual_calls() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(12, 128), &mut r);
-        let layer = PackedLayer::pack(&som);
+        let layer = som.packed_layer().clone();
         let inputs: Vec<BinaryVector> =
             (0..11).map(|_| BinaryVector::random(128, &mut r)).collect();
         let mut batch = vec![None; inputs.len()];
@@ -771,7 +733,9 @@ mod tests {
     #[test]
     fn clone_shares_every_row() {
         let mut r = rng();
-        let layer = PackedLayer::pack(&BSom::new(BSomConfig::new(8, 192), &mut r));
+        let layer = BSom::new(BSomConfig::new(8, 192), &mut r)
+            .packed_layer()
+            .clone();
         let snapshot = layer.clone();
         assert_eq!(snapshot.shared_row_count(&layer), layer.word_row_count());
         assert!(snapshot.shares_counts_with(&layer));
@@ -782,12 +746,11 @@ mod tests {
     fn neuron_update_unshares_only_touched_rows() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(8, 192), &mut r);
-        let mut layer = PackedLayer::pack(&som);
+        let mut layer = som.packed_layer().clone();
         let snapshot = layer.clone();
 
         // A no-op rewrite (same weight) must leave every row shared.
-        let mut weight = TriStateVector::zeros(192);
-        layer.copy_window_into(3..4, std::slice::from_mut(&mut weight));
+        let mut weight = layer.neuron(3);
         let count = layer.dont_care_counts()[3];
         layer.apply_neuron_update(3, &weight, count);
         assert_eq!(layer.shared_row_count(&snapshot), 3);
@@ -802,7 +765,11 @@ mod tests {
         assert!(!std::sync::Arc::ptr_eq(&layer.rows[1], &snapshot.rows[1]));
         assert!(std::sync::Arc::ptr_eq(&layer.rows[2], &snapshot.rows[2]));
         // Still word-for-word correct after the copy-on-write.
-        assert!(layer.neuron_matches(3, &weight));
+        assert_eq!(layer.neuron(3), weight);
+        assert_eq!(
+            layer.dont_care_counts()[3] as usize,
+            weight.count_dont_care()
+        );
     }
 
     fn different_trit(t: bsom_signature::Trit) -> bsom_signature::Trit {
@@ -816,7 +783,7 @@ mod tests {
     fn serde_roundtrip() {
         let mut r = rng();
         let som = BSom::new(BSomConfig::new(4, 70), &mut r);
-        let layer = PackedLayer::pack(&som);
+        let layer = som.packed_layer().clone();
         let json = serde_json::to_string(&layer).unwrap();
         let back: PackedLayer = serde_json::from_str(&json).unwrap();
         assert_eq!(layer, back);
@@ -825,7 +792,9 @@ mod tests {
     #[test]
     fn deserialize_rejects_inconsistent_snapshots() {
         let mut r = rng();
-        let layer = PackedLayer::pack(&BSom::new(BSomConfig::new(4, 70), &mut r));
+        let layer = BSom::new(BSomConfig::new(4, 70), &mut r)
+            .packed_layer()
+            .clone();
         let json = serde_json::to_string(&layer).unwrap();
 
         // Structural tampering: wrong neuron count for the stored planes.

@@ -5,7 +5,8 @@
 //! pointers, never a deep copy. Three properties are pinned down:
 //!
 //! 1. **Correctness** — every published snapshot is word-for-word equal to a
-//!    from-scratch [`PackedLayer::pack`] of the map at publish time, and
+//!    from-scratch [`PackedLayer::from_neurons`] of the map's weights at
+//!    publish time, and
 //!    stays bit-identical forever after (training never writes through a
 //!    published snapshot's rows).
 //! 2. **Exact sharing** — across a single training step, a word row is
@@ -56,7 +57,7 @@ proptest! {
         for (t, input) in inputs.iter().take(steps).enumerate() {
             som.train_step(input, t, &schedule).unwrap();
             let snapshot = som.packed_layer().clone();
-            prop_assert_eq!(&snapshot, &PackedLayer::pack(&som));
+            prop_assert_eq!(&snapshot, &PackedLayer::from_neurons(&som.neurons()).unwrap());
             // Physical sharing must match content equality exactly.
             prop_assert_eq!(
                 snapshot.shared_row_count(&previous),
@@ -85,8 +86,10 @@ proptest! {
         for (t, input) in inputs.iter().enumerate() {
             som.train_step(input, t, &schedule).unwrap();
             if t % cadence == 0 {
-                // pack() builds fresh rows: a deep, unshared reference copy.
-                published.push((som.packed_layer().clone(), PackedLayer::pack(&som)));
+                // from_neurons() builds fresh rows: a deep, unshared
+                // reference copy.
+                let reference = PackedLayer::from_neurons(&som.neurons()).unwrap();
+                published.push((som.packed_layer().clone(), reference));
             }
         }
         for (snapshot, reference) in &published {
@@ -154,8 +157,8 @@ fn small_radius_step_at_1024_neurons_keeps_untouched_rows_shared() {
 
     let after = som.packed_layer().clone();
     assert_eq!(
-        &after,
-        &PackedLayer::pack(&som),
+        after,
+        PackedLayer::from_neurons(&som.neurons()).unwrap(),
         "snapshot equals a fresh pack"
     );
     let shared = after.shared_row_count(&before);

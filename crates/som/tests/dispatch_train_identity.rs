@@ -11,8 +11,9 @@
 //! `PartialEq` covers the private RNG state, so one `assert_eq!` pins
 //! weights, `#`-counts *and* stream position at once. The maintained
 //! [`PackedLayer`] is additionally compared against a from-scratch
-//! [`PackedLayer::pack`], so the incremental popcount/plane maintenance
-//! under each lowering is checked against a full rebuild.
+//! [`PackedLayer::from_neurons`] of the map's weights, so the incremental
+//! popcount/plane maintenance under each lowering is checked against a full
+//! rebuild.
 
 use bsom_signature::lanes::Dispatch;
 use bsom_signature::{force_dispatch, BinaryVector};
@@ -57,7 +58,7 @@ fn assert_all_dispatches_identical(
     seed: u64,
 ) {
     let reference = train_under(Dispatch::Scalar, config, corpus, iterations, seed);
-    let repacked = PackedLayer::pack(&reference);
+    let repacked = PackedLayer::from_neurons(&reference.neurons()).unwrap();
     assert_eq!(
         *reference.packed_layer(),
         repacked,

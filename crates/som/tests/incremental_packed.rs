@@ -3,7 +3,8 @@
 //! update probabilities and out-of-band `set_neuron` writes — the layer
 //! [`BSom`] maintained word by word through
 //! [`PackedLayer::apply_neuron_update`] must equal a from-scratch
-//! [`PackedLayer::pack`] of the final map, word for word.
+//! [`PackedLayer::from_neurons`] of the final map's gathered weights, word
+//! for word (so its `#`-counts equal a recount).
 
 use bsom_signature::{BinaryVector, TriStateVector, Trit};
 use bsom_som::{BSom, BSomConfig, PackedLayer, SelfOrganizingMap, TrainSchedule};
@@ -26,7 +27,7 @@ fn tristate_vector(len: usize) -> impl Strategy<Value = TriStateVector> {
 /// Word-for-word equality of the maintained layer against a fresh pack:
 /// planes, `#`-counts and shape all compared through `PartialEq`.
 fn assert_packed_fresh(som: &BSom) -> Result<(), TestCaseError> {
-    let fresh = PackedLayer::pack(som);
+    let fresh = PackedLayer::from_neurons(&som.neurons()).unwrap();
     prop_assert_eq!(som.packed_layer(), &fresh);
     Ok(())
 }
@@ -70,18 +71,28 @@ proptest! {
     }
 
     /// Out-of-band weight writes (`set_neuron`) go through the same
-    /// incremental hook.
+    /// incremental hook. The rows are the only copy of the weights, so each
+    /// write is checked against the value written: the written neuron
+    /// gathers back exactly, with its `#`-count, and every other neuron
+    /// gathers unchanged (a write into a neighbour's column, or a value
+    /// plane changed without its care plane, fails here).
     #[test]
     fn set_neuron_maintains_the_pack(
         seed in any::<u64>(),
-        replacement in tristate_vector(70),
-        index in 0usize..4,
+        writes in prop::collection::vec((0usize..4, tristate_vector(70)), 1..5),
         input in binary_vector(70),
     ) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut som = BSom::new(BSomConfig::new(4, 70), &mut rng);
-        som.set_neuron(index, replacement).unwrap();
+        for (index, replacement) in writes {
+            let mut expected = som.neurons();
+            expected[index] = replacement.clone();
+            let count = replacement.count_dont_care() as u32;
+            som.set_neuron(index, replacement).unwrap();
+            prop_assert_eq!(som.neurons(), expected);
+            prop_assert_eq!(som.dont_care_counts()[index], count);
+        }
         som.train_step(&input, 0, &TrainSchedule::new(1)).unwrap();
         assert_packed_fresh(&som)?;
     }

@@ -21,9 +21,10 @@
 //!   is the FPGA's, not a bug).
 //!
 //! Additionally, after any window-path run the incrementally maintained
-//! [`PackedLayer`] must equal a from-scratch `PackedLayer::pack` word for
-//! word — the window update writes the packed columns *first* and mirrors
-//! them back into the per-neuron planes, so this pins the write-back half.
+//! [`PackedLayer`] must equal a from-scratch `PackedLayer::from_neurons` of
+//! its gathered weights word for word — the window update writes the packed
+//! columns in place and maintains the `#`-counts from popcount deltas, so
+//! this pins the counts to a recount.
 //!
 //! Vector lengths deliberately include non-multiples of 64 so the masked
 //! final partial word is always in play.
@@ -103,7 +104,10 @@ fn assert_bit_identical(
     }
     prop_assert!(window == serial, "maps diverged");
     prop_assert_eq!(window.dont_care_counts(), serial.dont_care_counts());
-    prop_assert_eq!(window.packed_layer(), &PackedLayer::pack(&window));
+    prop_assert_eq!(
+        window.packed_layer(),
+        &PackedLayer::from_neurons(&window.neurons()).unwrap()
+    );
     Ok(())
 }
 
@@ -146,7 +150,7 @@ proptest! {
         for (t, input) in inputs.iter().enumerate() {
             som.train_step(input, t, &schedule).expect("length ok");
         }
-        prop_assert!(som.neurons() == &before[..], "p = 0 must freeze the map");
+        prop_assert!(som.neurons() == before, "p = 0 must freeze the map");
         assert_bit_identical(weights, &inputs, 0.0, 0.0, NeighbourRule::SameAsWinner)?;
     }
 
@@ -197,7 +201,7 @@ proptest! {
             .expect("non-empty layer")
             .with_update_probabilities(relax, commit)
             .with_neighbour_rule(rule);
-        let before: Vec<TriStateVector> = som.neurons().to_vec();
+        let before: Vec<TriStateVector> = som.neurons();
         let winner = som.train_step(&input, 0, &TrainSchedule::new(1)).expect("length ok");
         for (i, (old, new)) in before.iter().zip(som.neurons()).enumerate() {
             let may_commit = rule == NeighbourRule::SameAsWinner || i == winner.index;
@@ -223,7 +227,7 @@ proptest! {
                 prop_assert_eq!(new.value_plane().as_words().last().unwrap() & tail_mask, 0);
             }
         }
-        prop_assert_eq!(som.packed_layer(), &PackedLayer::pack(&som));
+        prop_assert_eq!(som.packed_layer(), &PackedLayer::from_neurons(&som.neurons()).unwrap());
     }
 }
 
@@ -271,7 +275,7 @@ fn interior_probability_window_flip_counts_track_p() {
             .with_update_probabilities(p, p);
         som.train_step(&input, 0, &schedule).unwrap();
         for i in 0..neurons {
-            let neuron = som.neuron(i).unwrap().clone();
+            let neuron = som.neuron(i).unwrap();
             let committed = neuron.count_concrete() as f64;
             assert!(
                 (committed - p * len as f64).abs() < band,
@@ -287,7 +291,7 @@ fn interior_probability_window_flip_counts_track_p() {
         }
         // The broadcast is real: every neuron committed the *same* lanes,
         // because one mask word was shared across the whole window.
-        let first = som.neuron(0).unwrap().clone();
+        let first = som.neuron(0).unwrap();
         for i in 1..neurons {
             assert_eq!(
                 som.neuron(i).unwrap().care_plane().as_words(),

@@ -128,7 +128,7 @@ proptest! {
         for (t, input) in inputs.iter().enumerate() {
             som.train_step(input, t, &schedule).expect("length ok");
         }
-        prop_assert!(som.neurons() == &before[..], "p = 0 must freeze the map");
+        prop_assert!(som.neurons() == before, "p = 0 must freeze the map");
         assert_bit_identical(weights, &inputs, 0.0, 0.0, NeighbourRule::SameAsWinner)?;
     }
 
@@ -170,7 +170,7 @@ proptest! {
         let mut som = BSom::from_weights(weights)
             .expect("non-empty layer")
             .with_update_probabilities(relax, commit);
-        let before: Vec<TriStateVector> = som.neurons().to_vec();
+        let before: Vec<TriStateVector> = som.neurons();
         som.train_step(&input, 0, &TrainSchedule::new(1)).expect("length ok");
         for (i, (old, new)) in before.iter().zip(som.neurons()).enumerate() {
             for k in 0..input.len() {
@@ -248,7 +248,7 @@ fn interior_probability_flip_counts_track_p() {
                  {committed} of {len} bits committed"
             );
             // Committed bits must equal the input where concrete.
-            let neuron = som.neuron(0).unwrap().clone();
+            let neuron = som.neuron(0).unwrap();
             for k in 0..len {
                 if let Some(bit) = neuron.trit(k).as_bit() {
                     assert_eq!(bit, input.bit(k), "committed bit {k} must copy the input");
