@@ -142,14 +142,16 @@ impl RegistryConfig {
 /// Where a tenant's state currently lives.
 enum TenantState {
     /// In memory: a live service/trainer pair over the shared pool. The
-    /// trainer is boxed so an evicted slot shrinks to the enum tag — the
+    /// trainer is boxed so an evicted slot shrinks to its version — the
     /// slab stays dense when most of "thousands of tenants" are cold.
     Resident {
         service: Arc<SomService>,
         trainer: Box<Trainer>,
     },
     /// Spilled to the slot's checkpoint file; reloaded on next touch.
-    Evicted,
+    /// `version` is the published version at eviction, which the spill
+    /// frame records too.
+    Evicted { version: u64 },
 }
 
 /// One slab slot: a tenant's identity, state, queued training examples and
@@ -532,30 +534,22 @@ impl MapRegistry {
         Ok(service.snapshot())
     }
 
-    /// The tenant's latest published snapshot version. Works without a
-    /// reload for evicted tenants: the spill checkpoint records the version,
-    /// and reload republishes at exactly that version, so the answer is the
-    /// same either way.
+    /// The tenant's latest published snapshot version. An evicted tenant
+    /// answers from the version its slot kept at eviction, without reading
+    /// its spill file: reload republishes at exactly that version, so the
+    /// answer is the same either way.
     ///
     /// # Errors
     ///
-    /// [`EngineError::UnknownTenant`]; [`EngineError::Checkpoint`] if an
-    /// evicted tenant's spill file cannot be read.
+    /// [`EngineError::UnknownTenant`].
     pub fn version(&self, id: impl Into<TenantId>) -> Result<u64, EngineError> {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
-        let slot = inner.slot_mut(index);
-        match &slot.state {
-            TenantState::Resident { service, .. } => Ok(service.version()),
-            TenantState::Evicted => {
-                let path = slot
-                    .spill_path
-                    .clone()
-                    .ok_or(EngineError::SpillUnconfigured)?;
-                Ok(checkpoint::read(&path)?.service_version)
-            }
-        }
+        Ok(match &inner.slot_mut(index).state {
+            TenantState::Resident { service, .. } => service.version(),
+            TenantState::Evicted { version } => *version,
+        })
     }
 
     /// A clone of the tenant's map in its current training state (reloading
@@ -594,7 +588,7 @@ impl MapRegistry {
         let index = inner.index_of(&id)?;
         match &inner.slot_mut(index).state {
             TenantState::Resident { trainer, .. } => Ok(trainer.is_poisoned()),
-            TenantState::Evicted => Ok(false),
+            TenantState::Evicted { .. } => Ok(false),
         }
     }
 
@@ -862,9 +856,9 @@ impl MapRegistry {
     /// stays `Evicted` and the error is typed — the registry never poisons.
     fn ensure_resident(&self, inner: &mut RegistryInner, index: usize) -> Result<(), EngineError> {
         let slot = inner.slot_mut(index);
-        if slot.is_resident() {
+        let TenantState::Evicted { version: evicted } = slot.state else {
             return Ok(());
-        }
+        };
         crate::faultpoint::hit("registry.reload");
         let path = slot
             .spill_path
@@ -877,6 +871,10 @@ impl MapRegistry {
         // IS the snapshot clients were already being served — the eviction
         // round trip must not masquerade as new state.
         let version = doc.service_version;
+        debug_assert_eq!(
+            version, evicted,
+            "a spill frame records the version its slot was evicted at"
+        );
         let (service, trainer) =
             SomService::pair_from_doc_on(doc, version, Arc::clone(&self.pool), self.workers);
         let slot = inner.slot_mut(index);
@@ -893,7 +891,7 @@ impl MapRegistry {
     /// ordering guarantees.
     fn evict_slot(&self, inner: &mut RegistryInner, index: usize) -> Result<(), EngineError> {
         let slot = inner.slot_mut(index);
-        let TenantState::Resident { trainer, .. } = &slot.state else {
+        let TenantState::Resident { trainer, service } = &slot.state else {
             return Ok(()); // already on disk
         };
         if trainer.is_poisoned() {
@@ -908,13 +906,16 @@ impl MapRegistry {
             .spill_path
             .clone()
             .ok_or(EngineError::SpillUnconfigured)?;
+        // Under the publish-at-tick-end invariant asserted above, this is
+        // the version the spill frame records.
+        let version = service.version();
         trainer.write_spill(&path)?;
         // A panic here (the `registry.evict` failpoint) unwinds with the
         // spill frame in place but the tenant still resident — it stays
         // servable from memory, and the stale spill file is simply
         // overwritten by the next successful evict.
         crate::faultpoint::hit("registry.evict");
-        inner.slot_mut(index).state = TenantState::Evicted;
+        inner.slot_mut(index).state = TenantState::Evicted { version };
         inner.resident -= 1;
         inner.evictions_total += 1;
         Ok(())
@@ -1097,6 +1098,38 @@ mod tests {
         // ...and the ceiling pushed someone else out in its place? No —
         // reloading via classify does not enforce the ceiling; the next
         // create or tick does. All three may be momentarily resident.
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn evicted_version_is_kept_in_the_slot_not_read_from_the_spill_file() {
+        let mut r = rng();
+        let dir = temp_dir("evicted-version");
+        let registry = MapRegistry::new(
+            RegistryConfig::new(EngineConfig::with_workers(1)).with_spill_dir(&dir),
+        );
+        let som = BSom::new(BSomConfig::new(4, 64), &mut r);
+        registry
+            .create_tenant("t", som, TrainSchedule::new(100), &[])
+            .unwrap();
+        let signature = BinaryVector::random(64, &mut r);
+        for _ in 0..3 {
+            registry.feed("t", &signature, ObjectLabel::new(1)).unwrap();
+        }
+        let (_, version) = registry.drain_tenant("t").unwrap();
+        assert_eq!(version, 2);
+        registry.evict("t").unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            std::fs::remove_file(entry.unwrap().path()).unwrap();
+        }
+        // The version needs no spill file; serving the tenant still does.
+        assert_eq!(registry.version("t").unwrap(), version);
+        assert!(matches!(
+            registry.classify("t", &[signature][..]),
+            Err(EngineError::Checkpoint(_))
+        ));
+        assert!(!registry.is_resident("t").unwrap());
+        assert_eq!(registry.version("t").unwrap(), version);
         let _ = std::fs::remove_dir_all(dir);
     }
 

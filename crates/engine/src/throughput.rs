@@ -253,7 +253,7 @@ pub fn compare_large_map_throughput(
 /// One dispatch path's distance-pass throughput.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DispatchFigure {
-    /// The dispatch name (`scalar`, `lanes8`, `avx512`, …).
+    /// The dispatch name (`scalar`, `avx2`, `avx512`, `neon`).
     pub dispatch: String,
     /// Distance passes (full input batches against the whole layer) per
     /// second through this lowering.

@@ -807,16 +807,23 @@ pub fn decode_message_with_max_format(
             available: bytes.len(),
         });
     }
-    let body = &bytes[..WIRE_HEADER_LEN + payload_len];
-    let mut stored_bytes = [0u8; 8];
-    stored_bytes.copy_from_slice(&bytes[WIRE_HEADER_LEN + payload_len..total]);
-    let stored = u64::from_le_bytes(stored_bytes);
+    let message = decode_frame(format, kind, &bytes[..total])?;
+    Ok((message, total))
+}
+
+/// The checked tail of every decode: verifies the checksum over `frame`'s
+/// header and payload, then decodes the payload. `frame` is exactly one
+/// frame whose header [`decode_header`] accepted as `(format, kind, _)`.
+fn decode_frame(format: u32, kind: u8, frame: &[u8]) -> Result<WireMessage, WireError> {
+    let (body, stored_bytes) = frame.split_at(frame.len() - WIRE_CHECKSUM_LEN);
+    let mut stored = [0u8; WIRE_CHECKSUM_LEN];
+    stored.copy_from_slice(stored_bytes);
+    let stored = u64::from_le_bytes(stored);
     let computed = checksum(body);
     if stored != computed {
         return Err(WireError::ChecksumMismatch { stored, computed });
     }
-    let message = decode_payload(format, kind, &body[WIRE_HEADER_LEN..])?;
-    Ok((message, total))
+    decode_payload(format, kind, &body[WIRE_HEADER_LEN..])
 }
 
 /// Decodes a buffer that must hold exactly one frame; trailing bytes are
@@ -852,30 +859,22 @@ pub fn read_message<R: Read>(reader: &mut R) -> Result<Option<WireMessage>, Wire
         }
     }
     let (format, kind, payload_len) = decode_header(&header, WIRE_FORMAT_TENANT)?;
-    let mut rest = vec![0u8; payload_len + WIRE_CHECKSUM_LEN];
-    reader.read_exact(&mut rest).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            WireError::Truncated {
-                declared: WIRE_HEADER_LEN + payload_len + WIRE_CHECKSUM_LEN,
-                available: WIRE_HEADER_LEN,
+    let total = WIRE_HEADER_LEN + payload_len + WIRE_CHECKSUM_LEN;
+    let mut frame = vec![0u8; total];
+    frame[..WIRE_HEADER_LEN].copy_from_slice(&header);
+    reader
+        .read_exact(&mut frame[WIRE_HEADER_LEN..])
+        .map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                WireError::Truncated {
+                    declared: total,
+                    available: WIRE_HEADER_LEN,
+                }
+            } else {
+                WireError::Io(e)
             }
-        } else {
-            WireError::Io(e)
-        }
-    })?;
-    let stored = {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&rest[payload_len..]);
-        u64::from_le_bytes(bytes)
-    };
-    let mut body = Vec::with_capacity(WIRE_HEADER_LEN + payload_len);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&rest[..payload_len]);
-    let computed = checksum(&body);
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { stored, computed });
-    }
-    decode_payload(format, kind, &body[WIRE_HEADER_LEN..]).map(Some)
+        })?;
+    decode_frame(format, kind, &frame).map(Some)
 }
 
 /// Writes one frame to a stream.

@@ -30,12 +30,15 @@
 //! to such a run — the software shape of the FPGA's single update circuit
 //! writing every neuron in the address window in one pass.
 //!
-//! All four hot kernels are *lowered* in [`crate::lanes`]: the default
-//! entry points route through the process-wide
-//! [`active_dispatch`](crate::lanes::active_dispatch) (scalar, portable wide
-//! lanes, or a hand-written `std::arch` path), and each has a `_with` twin
-//! taking an explicit [`Dispatch`] so tests and benches can pin any
+//! The row, winner and window-update kernels are *lowered* in
+//! [`crate::lanes`]: the default entry points route through the
+//! process-wide [`active_dispatch`](crate::lanes::active_dispatch) (the
+//! scalar walk or a hand-written `std::arch` path), and each has a `_with`
+//! twin taking an explicit [`Dispatch`] so tests and benches can pin any
 //! lowering. Every lowering is bit-identical to the scalar reference walk.
+//! [`masked_hamming_words`], the one-vector distance behind
+//! [`TriStateVector::hamming`](crate::TriStateVector::hamming), is the
+//! scalar walk alone: no search path runs it.
 
 use std::sync::Arc;
 
@@ -97,7 +100,7 @@ impl WordRow for (&[u64], &[u64]) {
 
 /// #-aware Hamming distance between one weight vector and one input, all as
 /// packed word slices: `popcount((value ^ input) & care)` summed over words
-/// (paper Eq. 3).
+/// (paper Eq. 3), one word at a time.
 ///
 /// All three slices must have the same length; any tail bits beyond the
 /// logical vector length must be zero in `care` (the invariant maintained by
@@ -107,95 +110,21 @@ impl WordRow for (&[u64], &[u64]) {
 ///
 /// Panics if the slice lengths differ.
 pub fn masked_hamming_words(value: &[u64], care: &[u64], input: &[u64]) -> usize {
-    masked_hamming_words_with(lanes::active_dispatch(), value, care, input)
-}
-
-/// [`masked_hamming_words`] through one **explicit** [`Dispatch`] lowering —
-/// the entry the differential tests and per-dispatch benches use to exercise
-/// every path regardless of the process-wide
-/// [`active_dispatch`](crate::lanes::active_dispatch). In debug builds every
-/// non-scalar lowering is shadow-checked against the scalar walk, so a bad
-/// lowering fails loudly in tests instead of silently in benches.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ or if `dispatch` is not
-/// [available](Dispatch::is_available) on the running machine.
-pub fn masked_hamming_words_with(
-    dispatch: Dispatch,
-    value: &[u64],
-    care: &[u64],
-    input: &[u64],
-) -> usize {
     assert_eq!(value.len(), input.len(), "value/input word count mismatch");
     assert_eq!(care.len(), input.len(), "care/input word count mismatch");
-    assert!(
-        dispatch.is_available(),
-        "{}",
-        crate::lanes::UnavailableDispatch {
-            requested: dispatch
-        }
-    );
-    let total = lanes::masked_hamming_words_dispatch(dispatch, value, care, input);
-    #[cfg(debug_assertions)]
-    if dispatch != Dispatch::Scalar {
-        debug_assert_eq!(
-            total,
-            lanes::masked_hamming_words_dispatch(Dispatch::Scalar, value, care, input),
-            "{dispatch} masked-hamming lowering diverged from the scalar walk"
-        );
-    }
-    total
+    value
+        .iter()
+        .zip(input)
+        .zip(care)
+        .map(|((w, x), c)| ((w ^ x) & c).count_ones() as usize)
+        .sum()
 }
 
-/// One pass of the batched winner-search kernel: accumulates the #-aware
-/// Hamming distance of `input` to every neuron of a plane-sliced layer.
-///
-/// `values` and `cares` hold `neurons` words per input word index, i.e.
-/// `values[w * neurons + i]` is neuron `i`'s `w`-th value word. `distances`
-/// is **accumulated into** (callers zero it first), which lets the engine
-/// split very wide vectors across calls.
-///
-/// # Panics
-///
-/// Panics if `distances.len() != neurons` or if `values`/`cares` are not
-/// exactly `input.len() * neurons` words long.
-pub fn batch_masked_hamming(
-    values: &[u64],
-    cares: &[u64],
-    input: &[u64],
-    neurons: usize,
-    distances: &mut [u32],
-) {
-    assert_eq!(distances.len(), neurons, "one distance slot per neuron");
-    assert_eq!(
-        values.len(),
-        input.len() * neurons,
-        "values must hold `neurons` words per input word"
-    );
-    assert_eq!(
-        cares.len(),
-        input.len() * neurons,
-        "cares must hold `neurons` words per input word"
-    );
-    for (w, &x) in input.iter().enumerate() {
-        let row = w * neurons;
-        accumulate_masked_hamming_row(
-            &values[row..row + neurons],
-            &cares[row..row + neurons],
-            x,
-            distances,
-        );
-    }
-}
-
-/// One word **row** of the batched winner-search kernel: accumulates the
+/// One word **row** of the batched distance pass: accumulates the
 /// contribution of input word `input` into every neuron's distance, given
 /// the row of `w`-th value/care words (`values[i]` is neuron `i`'s word).
-///
-/// This is the kernel the copy-on-write layout calls per shared row —
-/// [`batch_masked_hamming`] is exactly a loop of these over a contiguous
-/// plane.
+/// `distances` is **accumulated into** (callers zero it first), so a whole
+/// layer's distances are one call per word row.
 ///
 /// # Panics
 ///
@@ -211,8 +140,11 @@ pub fn accumulate_masked_hamming_row(
 }
 
 /// [`accumulate_masked_hamming_row`] through one **explicit** [`Dispatch`]
-/// lowering (see [`masked_hamming_words_with`] for the contract: available
-/// paths only, debug shadow-check against the scalar walk).
+/// lowering — the entry the differential tests and per-dispatch benches use
+/// to exercise every path regardless of the process-wide
+/// [`active_dispatch`](crate::lanes::active_dispatch). In debug builds every
+/// non-scalar lowering is shadow-checked against the scalar walk, so a bad
+/// lowering fails loudly in tests instead of silently in benches.
 ///
 /// # Panics
 ///
@@ -279,8 +211,8 @@ pub fn wta_winner<R: WordRow>(
 }
 
 /// [`wta_winner`] through one **explicit** [`Dispatch`] lowering (see
-/// [`masked_hamming_words_with`] for the contract: available paths only,
-/// debug shadow-check against the scalar walk).
+/// [`accumulate_masked_hamming_row_with`] for the contract: available paths
+/// only, debug shadow-check against the scalar walk).
 ///
 /// # Panics
 ///
@@ -507,7 +439,7 @@ pub fn window_word_would_change(
 /// # Panics
 ///
 /// Panics if the run slices and delta slices do not all share one length.
-// A raw kernel over parallel slices, like `batch_masked_hamming`: bundling
+// A raw kernel over parallel slices, like `accumulate_masked_hamming_row`: bundling
 // the operands into a struct would only move the field list.
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -663,6 +595,21 @@ mod tests {
         masked_hamming_words(&[0, 0], &[0, 0], &[0]);
     }
 
+    /// A whole plane-sliced layer's distances as one row pass per input
+    /// word: `values` and `cares` hold `neurons` words per input word.
+    fn plane_distances(
+        values: &[u64],
+        cares: &[u64],
+        input: &[u64],
+        neurons: usize,
+        distances: &mut [u32],
+    ) {
+        for (w, &x) in input.iter().enumerate() {
+            let row = w * neurons..(w + 1) * neurons;
+            accumulate_masked_hamming_row(&values[row.clone()], &cares[row], x, distances);
+        }
+    }
+
     #[test]
     fn batch_kernel_matches_per_neuron_scalar_loop() {
         let mut rng = StdRng::seed_from_u64(0xBEEF);
@@ -687,7 +634,7 @@ mod tests {
         }
 
         let mut distances = vec![0u32; neurons];
-        batch_masked_hamming(&values, &cares, input.as_words(), neurons, &mut distances);
+        plane_distances(&values, &cares, input.as_words(), neurons, &mut distances);
         for (i, w) in weights.iter().enumerate() {
             assert_eq!(distances[i] as usize, w.hamming(&input).unwrap());
         }
@@ -700,17 +647,17 @@ mod tests {
         let cares = vec![u64::MAX; 4];
         let input = [0u64, u64::MAX];
         let mut once = vec![0u32; 2];
-        batch_masked_hamming(&values, &cares, &input, 2, &mut once);
+        plane_distances(&values, &cares, &input, 2, &mut once);
         let mut split = vec![0u32; 2];
-        batch_masked_hamming(&values[..2], &cares[..2], &input[..1], 2, &mut split);
-        batch_masked_hamming(&values[2..], &cares[2..], &input[1..], 2, &mut split);
+        plane_distances(&values[..2], &cares[..2], &input[..1], 2, &mut split);
+        plane_distances(&values[2..], &cares[2..], &input[1..], 2, &mut split);
         assert_eq!(once, split);
     }
 
     #[test]
     #[should_panic(expected = "one distance slot per neuron")]
     fn batch_kernel_rejects_wrong_distance_len() {
-        batch_masked_hamming(&[0], &[0], &[0], 1, &mut [0, 0]);
+        plane_distances(&[0], &[0], &[0], 1, &mut [0, 0]);
     }
 
     #[test]
@@ -864,17 +811,24 @@ mod tests {
         assert_eq!(alone.map(|w| w.index), Some(0));
     }
 
+    /// The row kernel over a two-neuron, two-word layer against
+    /// [`masked_hamming_words`] over each neuron's own value and care planes.
     #[test]
     fn row_kernel_agrees_with_the_plane_kernel() {
         let values = vec![u64::MAX, 0b1010, u64::MAX, 0];
         let cares = vec![u64::MAX, u64::MAX, 0b1111, u64::MAX];
         let input = [0u64, u64::MAX];
-        let mut plane = vec![0u32; 2];
-        batch_masked_hamming(&values, &cares, &input, 2, &mut plane);
+        let plane: Vec<u32> = (0..2)
+            .map(|i| {
+                let column = |plane: &[u64]| [plane[i], plane[2 + i]];
+                masked_hamming_words(&column(&values), &column(&cares), &input) as u32
+            })
+            .collect();
         let mut rows = vec![0u32; 2];
         accumulate_masked_hamming_row(&values[..2], &cares[..2], input[0], &mut rows);
         accumulate_masked_hamming_row(&values[2..], &cares[2..], input[1], &mut rows);
         assert_eq!(plane, rows);
+        assert_eq!(rows, [64, 2 + 64]);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! The batched distance pass is an XNOR+popcount stream over packed `u64`
 //! words — exactly the op mix the paper's FPGA packs into parallel hardware
 //! lanes. This module widens the software walk the same way: the hot word
-//! kernels ([`masked_hamming_words`](crate::masked_hamming_words),
-//! [`accumulate_masked_hamming_row`](crate::accumulate_masked_hamming_row),
-//! [`update_window_word`](crate::update_window_word)) are lowered over
-//! [`Lanes<N>`] — a portable `[u64; N]` wide-lane type — plus hand-written
-//! `std::arch` paths for AVX2, AVX-512 and NEON, selected at runtime behind
+//! kernels ([`accumulate_masked_hamming_row`](crate::accumulate_masked_hamming_row),
+//! [`update_window_word`](crate::update_window_word)) each have a scalar
+//! reference walk plus hand-written `std::arch` paths for AVX2, AVX-512 and
+//! (for the row kernel) NEON, selected at runtime behind
 //! `is_x86_feature_detected!`-style gates.
 //!
 //! The fused winner kernel ([`wta_winner`](crate::wta_winner)) has one
@@ -21,33 +20,39 @@
 //! average over `f64` estimate planes, with an AVX-512 arm that takes eight
 //! pixels per step (see its docs for the exactness argument).
 //!
+//! A kernel without a hand-written arm for some dispatch runs the scalar
+//! walk under it: the NEON window update and every non-AVX-512 background
+//! step. The whole-vector distance
+//! [`masked_hamming_words`](crate::masked_hamming_words) has no lowering at
+//! all — no search path calls it, so it is the scalar walk alone.
+//!
 //! ## Lane layout and the tail rule
 //!
-//! Every lowering walks the neuron axis (row kernels) or the word axis
-//! (whole-vector kernels) in chunks of its lane width `N`, loading `N`
-//! consecutive `u64`s per plane into one wide register. Elements `0..len/N*N`
-//! go through the wide loop; the remainder — at most `N − 1` elements — runs
-//! through the **scalar reference kernel on the tail slice**. Because every
-//! element is processed independently (the kernels are element-wise; the only
-//! cross-element value is the `masked_hamming_words` sum, and integer
-//! addition is associative), the split is bit-identical to the scalar walk
-//! for every length, including 0, 1, `N − 1`, `N` and `N + 1` — the classic
-//! SIMD off-by-one surface the `simd_equivalence` suite sweeps explicitly.
+//! Every lowering walks the neuron axis in chunks of its lane width `N`,
+//! loading `N` consecutive `u64`s per plane into one wide register. Elements
+//! `0..len/N*N` go through the wide loop; the remainder — at most `N − 1`
+//! elements — runs through the **scalar reference kernel on the tail
+//! slice**. Because every element is processed independently (the row and
+//! update kernels are element-wise, and the winner kernel reduces its
+//! per-neuron keys with a total order), the split is bit-identical to the
+//! scalar walk for every length, including 0, 1, `N − 1`, `N` and `N + 1` —
+//! the classic SIMD off-by-one surface the `simd_equivalence` suite sweeps
+//! explicitly.
 //!
 //! ### Worked example
 //!
-//! An 11-word row under [`Dispatch::Lanes8`]: words `0..8` are one wide
+//! An 11-neuron row under [`Dispatch::Avx512`]: neurons `0..8` are one wide
 //! iteration (`(value ^ input) & care` then a per-lane popcount, eight lanes
-//! at a time); words `8..11` fall to the scalar loop. The running
+//! at a time); neurons `8..11` fall to the scalar loop. The running
 //! distances are the same `u32` additions in the same per-neuron order as the
 //! scalar walk, so the result is equal *as bits*, not merely numerically.
 //!
 //! ## Dispatch
 //!
 //! [`Dispatch::detect`] picks the widest lowering the running machine
-//! supports (AVX-512 with `vpopcntdq` → AVX2 → NEON → portable
-//! [`Dispatch::Lanes8`]). The active path can be **forced** — for testing
-//! every lowering on any machine, and for the CI matrix — two ways:
+//! supports (AVX-512 with `vpopcntdq` → AVX2 → NEON → the scalar walk).
+//! The active path can be **forced** — for testing every lowering on any
+//! machine, and for the CI matrix — two ways:
 //!
 //! * the `BSOM_DISPATCH` environment variable (read once per process): the
 //!   [`name`](Dispatch::name) of any entry of [`Dispatch::ALL`], or
@@ -67,17 +72,18 @@
 //! dispatch.
 //!
 //! ```rust
+//! use bsom_signature::accumulate_masked_hamming_row_with;
 //! use bsom_signature::lanes::Dispatch;
-//! use bsom_signature::masked_hamming_words_with;
 //!
-//! let value = [0b1010_u64; 5];
-//! let care = [u64::MAX; 5];
-//! let input = [0b0110_u64; 5];
-//! let reference = masked_hamming_words_with(Dispatch::Scalar, &value, &care, &input);
+//! let values = [0b1010_u64; 11];
+//! let cares = [u64::MAX; 11];
+//! let mut reference = [0u32; 11];
+//! accumulate_masked_hamming_row_with(Dispatch::Scalar, &values, &cares, 0b0110, &mut reference);
 //! for dispatch in Dispatch::available() {
+//!     let mut distances = [0u32; 11];
+//!     accumulate_masked_hamming_row_with(dispatch, &values, &cares, 0b0110, &mut distances);
 //!     assert_eq!(
-//!         masked_hamming_words_with(dispatch, &value, &care, &input),
-//!         reference,
+//!         distances, reference,
 //!         "every available lowering is bit-identical to the scalar walk"
 //!     );
 //! }
@@ -97,87 +103,6 @@ use crate::Rgb;
 /// `widest`/`auto` for [`Dispatch::detect`]. Read once, at the first kernel
 /// call; [`force_dispatch`] overrides it.
 pub const DISPATCH_ENV: &str = "BSOM_DISPATCH";
-
-/// A portable wide-lane bundle of `N` packed 64-bit words — the register
-/// shape of the generic lowerings ([`Dispatch::Lanes8`], and the 2-wide
-/// window update of [`Dispatch::Neon`]), which the compiler is free to map
-/// onto whatever vector unit the target has.
-///
-/// All operations are element-wise over the `N` lanes; none of them cross
-/// lanes, which is what makes the wide kernels bit-identical to the scalar
-/// walk under any chunking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Lanes<const N: usize>(pub [u64; N]);
-
-impl<const N: usize> Lanes<N> {
-    /// Broadcasts one word into every lane.
-    #[inline]
-    pub fn splat(word: u64) -> Self {
-        Lanes([word; N])
-    }
-
-    /// Loads the first `N` words of `words` into lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() < N`.
-    #[inline]
-    pub fn load(words: &[u64]) -> Self {
-        let mut lanes = [0u64; N];
-        lanes.copy_from_slice(&words[..N]);
-        Lanes(lanes)
-    }
-
-    /// Stores the lanes into the first `N` words of `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() < N`.
-    #[inline]
-    pub fn store(self, out: &mut [u64]) {
-        out[..N].copy_from_slice(&self.0);
-    }
-
-    /// Lane-wise XOR.
-    #[inline]
-    pub fn xor(self, other: Self) -> Self {
-        Lanes(std::array::from_fn(|k| self.0[k] ^ other.0[k]))
-    }
-
-    /// Lane-wise AND.
-    #[inline]
-    pub fn and(self, other: Self) -> Self {
-        Lanes(std::array::from_fn(|k| self.0[k] & other.0[k]))
-    }
-
-    /// Lane-wise OR.
-    #[inline]
-    pub fn or(self, other: Self) -> Self {
-        Lanes(std::array::from_fn(|k| self.0[k] | other.0[k]))
-    }
-
-    /// Lane-wise `self & !other` — the mask-clear op of the update kernel.
-    #[inline]
-    pub fn and_not(self, other: Self) -> Self {
-        Lanes(std::array::from_fn(|k| self.0[k] & !other.0[k]))
-    }
-
-    /// Per-lane popcount.
-    #[inline]
-    pub fn popcounts(self) -> [u32; N] {
-        std::array::from_fn(|k| self.0[k].count_ones())
-    }
-}
-
-impl<const N: usize> std::ops::Not for Lanes<N> {
-    type Output = Self;
-
-    /// Lane-wise complement.
-    #[inline]
-    fn not(self) -> Self {
-        Lanes(std::array::from_fn(|k| !self.0[k]))
-    }
-}
 
 /// One word row of a plane-sliced layer in a single allocation: the `w`-th
 /// value word of every neuron, then the `w`-th care word of every neuron,
@@ -277,17 +202,15 @@ impl Eq for LineAlignedRow {}
 pub enum Dispatch {
     /// The per-`u64` reference walk every other path must match bit for bit.
     Scalar = 0,
-    /// Portable [`Lanes<8>`] kernels (AVX-512-shaped, any hardware).
-    Lanes8 = 1,
     /// Hand-written AVX2 lowering (x86-64, 4 × 64-bit lanes, nibble-LUT
     /// popcount via `vpshufb` + `vpsadbw`).
-    Avx2 = 2,
+    Avx2 = 1,
     /// Hand-written AVX-512 lowering (x86-64, 8 × 64-bit lanes, requires
     /// `avx512f` + `avx512vpopcntdq` for the native `vpopcntq`).
-    Avx512 = 3,
+    Avx512 = 2,
     /// Hand-written NEON lowering (aarch64, 2 × 64-bit lanes, `cnt` +
     /// pairwise-add popcount).
-    Neon = 4,
+    Neon = 3,
 }
 
 /// The sentinel the forced-dispatch cell holds when no override is active
@@ -304,20 +227,18 @@ static ENV_DEFAULT: OnceLock<Dispatch> = OnceLock::new();
 
 impl Dispatch {
     /// Every dispatch variant, in widening order.
-    pub const ALL: [Dispatch; 5] = [
+    pub const ALL: [Dispatch; 4] = [
         Dispatch::Scalar,
-        Dispatch::Lanes8,
         Dispatch::Avx2,
         Dispatch::Avx512,
         Dispatch::Neon,
     ];
 
-    /// The stable lower-case name (`scalar`, `lanes8`, `avx2`, `avx512`,
-    /// `neon`) used by `BSOM_DISPATCH`, the CI matrix and the bench reports.
+    /// The stable lower-case name (`scalar`, `avx2`, `avx512`, `neon`) used
+    /// by `BSOM_DISPATCH`, the CI matrix and the bench reports.
     pub fn name(self) -> &'static str {
         match self {
             Dispatch::Scalar => "scalar",
-            Dispatch::Lanes8 => "lanes8",
             Dispatch::Avx2 => "avx2",
             Dispatch::Avx512 => "avx512",
             Dispatch::Neon => "neon",
@@ -333,12 +254,12 @@ impl Dispatch {
             .find(|d| d.name().eq_ignore_ascii_case(name.trim()))
     }
 
-    /// `true` iff the running machine can execute this lowering. The
-    /// portable paths are always available; `std::arch` paths need the right
+    /// `true` iff the running machine can execute this lowering. The scalar
+    /// walk is always available; `std::arch` paths need the right
     /// architecture *and* the runtime CPUID/auxval feature gate.
     pub fn is_available(self) -> bool {
         match self {
-            Dispatch::Scalar | Dispatch::Lanes8 => true,
+            Dispatch::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             Dispatch::Avx2 => is_x86_feature_detected!("avx2"),
             #[cfg(target_arch = "x86_64")]
@@ -360,14 +281,14 @@ impl Dispatch {
 
     /// The widest lowering available on the running machine: AVX-512 when
     /// the CPU has native 64-bit popcount, else AVX2, else NEON, else the
-    /// portable [`Dispatch::Lanes8`] kernels.
+    /// scalar walk.
     pub fn detect() -> Dispatch {
         for candidate in [Dispatch::Avx512, Dispatch::Avx2, Dispatch::Neon] {
             if candidate.is_available() {
                 return candidate;
             }
         }
-        Dispatch::Lanes8
+        Dispatch::Scalar
     }
 
     /// Reverses `self as u8`, rejecting the [`FORCE_UNSET`] sentinel.
@@ -711,16 +632,6 @@ fn segment_background_scalar(
 // Scalar reference kernels: the walk every lowering must match bit for bit.
 // ---------------------------------------------------------------------------
 
-/// Scalar `masked_hamming_words`: the summed Eq. 3 popcount, word at a time.
-pub(crate) fn masked_hamming_scalar(value: &[u64], care: &[u64], input: &[u64]) -> usize {
-    value
-        .iter()
-        .zip(input)
-        .zip(care)
-        .map(|((w, x), c)| ((w ^ x) & c).count_ones() as usize)
-        .sum()
-}
-
 /// Scalar `accumulate_masked_hamming_row`: one distance addition per neuron.
 pub(crate) fn accumulate_row_scalar(
     values: &[u64],
@@ -837,104 +748,6 @@ fn wta_rows<R: WordRow>(
 }
 
 // ---------------------------------------------------------------------------
-// Portable Lanes<N> lowerings: wide chunks + the scalar kernel on the tail.
-// ---------------------------------------------------------------------------
-
-fn masked_hamming_lanes<const N: usize>(value: &[u64], care: &[u64], input: &[u64]) -> usize {
-    let wide = value.len() - value.len() % N;
-    let mut total = 0usize;
-    let mut i = 0;
-    while i < wide {
-        let v = Lanes::<N>::load(&value[i..]);
-        let c = Lanes::<N>::load(&care[i..]);
-        let x = Lanes::<N>::load(&input[i..]);
-        total += v
-            .xor(x)
-            .and(c)
-            .popcounts()
-            .iter()
-            .map(|&p| p as usize)
-            .sum::<usize>();
-        i += N;
-    }
-    total + masked_hamming_scalar(&value[wide..], &care[wide..], &input[wide..])
-}
-
-fn accumulate_row_lanes<const N: usize>(
-    values: &[u64],
-    cares: &[u64],
-    input: u64,
-    distances: &mut [u32],
-) {
-    let wide = values.len() - values.len() % N;
-    let x = Lanes::<N>::splat(input);
-    let mut i = 0;
-    while i < wide {
-        let v = Lanes::<N>::load(&values[i..]);
-        let c = Lanes::<N>::load(&cares[i..]);
-        let counts = v.xor(x).and(c).popcounts();
-        for (d, p) in distances[i..i + N].iter_mut().zip(counts) {
-            *d += p;
-        }
-        i += N;
-    }
-    accumulate_row_scalar(
-        &values[wide..],
-        &cares[wide..],
-        input,
-        &mut distances[wide..],
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn update_window_lanes<const N: usize>(
-    values: &mut [u64],
-    cares: &mut [u64],
-    input: u64,
-    relax_mask: u64,
-    commit_mask: u64,
-    gates: &[u64],
-    relaxed: &mut [u32],
-    committed: &mut [u32],
-) {
-    let wide = values.len() - values.len() % N;
-    let x = Lanes::<N>::splat(input);
-    let rm = Lanes::<N>::splat(relax_mask);
-    let cm = Lanes::<N>::splat(commit_mask);
-    let mut i = 0;
-    while i < wide {
-        let v = Lanes::<N>::load(&values[i..]);
-        let c = Lanes::<N>::load(&cares[i..]);
-        let gated_commit = cm.and(Lanes::<N>::load(&gates[i..]));
-        // The update_word dataflow, N neurons at a time (lane k is exactly
-        // `update_word(values[i+k], cares[i+k], input, relax_mask,
-        // commit_mask & gates[i+k])`).
-        let mismatch = v.xor(x).and(c);
-        let rel = mismatch.and(rm);
-        let com = gated_commit.and_not(c);
-        v.and_not(rel).or(x.and(com)).store(&mut values[i..]);
-        c.and_not(rel).or(com).store(&mut cares[i..]);
-        let rel_counts = rel.popcounts();
-        let com_counts = com.popcounts();
-        for k in 0..N {
-            relaxed[i + k] += rel_counts[k];
-            committed[i + k] += com_counts[k];
-        }
-        i += N;
-    }
-    update_window_scalar(
-        &mut values[wide..],
-        &mut cares[wide..],
-        input,
-        relax_mask,
-        commit_mask,
-        &gates[wide..],
-        &mut relaxed[wide..],
-        &mut committed[wide..],
-    );
-}
-
-// ---------------------------------------------------------------------------
 // x86-64 lowerings (AVX2 / AVX-512).
 // ---------------------------------------------------------------------------
 
@@ -961,28 +774,6 @@ mod x86 {
             _mm256_shuffle_epi8(table, hi),
         );
         _mm256_sad_epu8(byte_counts, _mm256_setzero_si256())
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 at runtime; the dispatcher checks availability first.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn masked_hamming_avx2(value: &[u64], care: &[u64], input: &[u64]) -> usize {
-        let wide = value.len() - value.len() % 4;
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i < wide {
-            let v = _mm256_loadu_si256(value.as_ptr().add(i).cast());
-            let c = _mm256_loadu_si256(care.as_ptr().add(i).cast());
-            let x = _mm256_loadu_si256(input.as_ptr().add(i).cast());
-            let masked = _mm256_and_si256(_mm256_xor_si256(v, x), c);
-            acc = _mm256_add_epi64(acc, popcount_epi64_avx2(masked));
-            i += 4;
-        }
-        let mut qwords = [0u64; 4];
-        _mm256_storeu_si256(qwords.as_mut_ptr().cast(), acc);
-        qwords.iter().sum::<u64>() as usize
-            + super::masked_hamming_scalar(&value[wide..], &care[wide..], &input[wide..])
     }
 
     /// # Safety
@@ -1075,33 +866,6 @@ mod x86 {
             &mut relaxed[wide..],
             &mut committed[wide..],
         );
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX-512F + VPOPCNTDQ at runtime; the dispatcher checks
-    /// availability first.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    pub(super) unsafe fn masked_hamming_avx512(
-        value: &[u64],
-        care: &[u64],
-        input: &[u64],
-    ) -> usize {
-        let wide = value.len() - value.len() % 8;
-        let mut acc = _mm512_setzero_si512();
-        let mut i = 0;
-        while i < wide {
-            let v = _mm512_loadu_si512(value.as_ptr().add(i).cast());
-            let c = _mm512_loadu_si512(care.as_ptr().add(i).cast());
-            let x = _mm512_loadu_si512(input.as_ptr().add(i).cast());
-            let masked = _mm512_and_si512(_mm512_xor_si512(v, x), c);
-            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(masked));
-            i += 8;
-        }
-        let mut qwords = [0u64; 8];
-        _mm512_storeu_si512(qwords.as_mut_ptr().cast(), acc);
-        qwords.iter().sum::<u64>() as usize
-            + super::masked_hamming_scalar(&value[wide..], &care[wide..], &input[wide..])
     }
 
     /// # Safety
@@ -1435,25 +1199,6 @@ mod neon {
     ///
     /// Requires NEON at runtime; the dispatcher checks availability first.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn masked_hamming_neon(value: &[u64], care: &[u64], input: &[u64]) -> usize {
-        let wide = value.len() - value.len() % 2;
-        let mut acc = vdupq_n_u64(0);
-        let mut i = 0;
-        while i < wide {
-            let v = vld1q_u64(value.as_ptr().add(i));
-            let c = vld1q_u64(care.as_ptr().add(i));
-            let x = vld1q_u64(input.as_ptr().add(i));
-            acc = vaddq_u64(acc, popcount_u64x2(vandq_u64(veorq_u64(v, x), c)));
-            i += 2;
-        }
-        vaddvq_u64(acc) as usize
-            + super::masked_hamming_scalar(&value[wide..], &care[wide..], &input[wide..])
-    }
-
-    /// # Safety
-    ///
-    /// Requires NEON at runtime; the dispatcher checks availability first.
-    #[target_feature(enable = "neon")]
     pub(super) unsafe fn accumulate_row_neon(
         values: &[u64],
         cares: &[u64],
@@ -1487,33 +1232,10 @@ mod neon {
 // SAFETY (every hardware arm): the hardware arms are reachable only through
 // the public kernel entry points (in `batch`, and `segment_background_with`),
 // which assert `dispatch.is_available()` before calling in — the runtime
-// feature gate the `target_feature` contracts require. Variants foreign to
-// the compiled architecture (e.g. `Neon` on x86-64) are never available, so
-// the fallback arm is unreachable through the public API; it routes to the
-// scalar reference to stay safe even if reached.
-
-pub(crate) fn masked_hamming_words_dispatch(
-    dispatch: Dispatch,
-    value: &[u64],
-    care: &[u64],
-    input: &[u64],
-) -> usize {
-    match dispatch {
-        Dispatch::Scalar => masked_hamming_scalar(value, care, input),
-        Dispatch::Lanes8 => masked_hamming_lanes::<8>(value, care, input),
-        // SAFETY: availability asserted by the public entry (note above).
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx2 => unsafe { x86::masked_hamming_avx2(value, care, input) },
-        // SAFETY: availability asserted by the public entry (note above).
-        #[cfg(target_arch = "x86_64")]
-        Dispatch::Avx512 => unsafe { x86::masked_hamming_avx512(value, care, input) },
-        // SAFETY: availability asserted by the public entry (note above).
-        #[cfg(target_arch = "aarch64")]
-        Dispatch::Neon => unsafe { neon::masked_hamming_neon(value, care, input) },
-        #[allow(unreachable_patterns)]
-        _ => masked_hamming_scalar(value, care, input),
-    }
-}
+// feature gate the `target_feature` contracts require. Each match ends in the
+// scalar walk, which serves `Scalar` itself, every dispatch a kernel has no
+// arm for, and the variants foreign to the compiled architecture (e.g. `Neon`
+// on x86-64), which are never available.
 
 pub(crate) fn accumulate_row_dispatch(
     dispatch: Dispatch,
@@ -1523,8 +1245,6 @@ pub(crate) fn accumulate_row_dispatch(
     distances: &mut [u32],
 ) {
     match dispatch {
-        Dispatch::Scalar => accumulate_row_scalar(values, cares, input, distances),
-        Dispatch::Lanes8 => accumulate_row_lanes::<8>(values, cares, input, distances),
         // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => unsafe { x86::accumulate_row_avx2(values, cares, input, distances) },
@@ -1534,11 +1254,12 @@ pub(crate) fn accumulate_row_dispatch(
         // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "aarch64")]
         Dispatch::Neon => unsafe { neon::accumulate_row_neon(values, cares, input, distances) },
-        #[allow(unreachable_patterns)]
         _ => accumulate_row_scalar(values, cares, input, distances),
     }
 }
 
+/// The window update has x86 arms; NEON runs the scalar walk, as a window
+/// of at most nine neurons leaves a 2-wide arm little to save.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_window_word_dispatch(
     dispatch: Dispatch,
@@ -1552,26 +1273,6 @@ pub(crate) fn update_window_word_dispatch(
     committed: &mut [u32],
 ) {
     match dispatch {
-        Dispatch::Scalar => update_window_scalar(
-            values,
-            cares,
-            input,
-            relax_mask,
-            commit_mask,
-            gates,
-            relaxed,
-            committed,
-        ),
-        Dispatch::Lanes8 => update_window_lanes::<8>(
-            values,
-            cares,
-            input,
-            relax_mask,
-            commit_mask,
-            gates,
-            relaxed,
-            committed,
-        ),
         // SAFETY: availability asserted by the public entry (note above).
         #[cfg(target_arch = "x86_64")]
         Dispatch::Avx2 => unsafe {
@@ -1600,21 +1301,6 @@ pub(crate) fn update_window_word_dispatch(
                 committed,
             )
         },
-        // NEON gains little on the short window runs (the neighbourhood is a
-        // handful of neurons); the 2-wide portable kernel is the aarch64
-        // lowering of record here.
-        #[cfg(target_arch = "aarch64")]
-        Dispatch::Neon => update_window_lanes::<2>(
-            values,
-            cares,
-            input,
-            relax_mask,
-            commit_mask,
-            gates,
-            relaxed,
-            committed,
-        ),
-        #[allow(unreachable_patterns)]
         _ => update_window_scalar(
             values,
             cares,
@@ -1693,28 +1379,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lanes_ops_are_lane_wise() {
-        let a = Lanes::<4>([0b1100, 0b1010, u64::MAX, 0]);
-        let b = Lanes::<4>([0b1010, 0b1010, 0, u64::MAX]);
-        assert_eq!(a.xor(b).0, [0b0110, 0, u64::MAX, u64::MAX]);
-        assert_eq!(a.and(b).0, [0b1000, 0b1010, 0, 0]);
-        assert_eq!(a.or(b).0, [0b1110, 0b1010, u64::MAX, u64::MAX]);
-        assert_eq!(a.and_not(b).0, [0b0100, 0, u64::MAX, 0]);
-        assert_eq!((!a).0[3], u64::MAX);
-        assert_eq!(a.popcounts(), [2, 2, 64, 0]);
-        assert_eq!(Lanes::<4>::splat(7).0, [7; 4]);
-    }
-
-    #[test]
-    fn lanes_load_store_roundtrip() {
-        let words = [1u64, 2, 3, 4, 5];
-        let lanes = Lanes::<4>::load(&words);
-        let mut out = [0u64; 5];
-        lanes.store(&mut out);
-        assert_eq!(out, [1, 2, 3, 4, 0]);
-    }
-
-    #[test]
     fn line_aligned_rows_start_each_plane_on_a_cache_line() {
         use crate::batch::WordRow;
         for neurons in [0usize, 1, 7, 8, 9, 40, 1025] {
@@ -1750,25 +1414,24 @@ mod tests {
         assert_eq!(Dispatch::from_name("widest"), None);
         assert_eq!(Dispatch::from_name("avx1024"), None);
         assert_eq!(Dispatch::from_name("lanes4"), None);
+        assert_eq!(Dispatch::from_name("lanes8"), None);
     }
 
     #[test]
     fn unknown_dispatch_error_lists_exactly_the_lowerings() {
         let error = DispatchEnvError::Unknown {
-            value: "lanes4".to_string(),
+            value: "lanes8".to_string(),
         };
         assert_eq!(
             error.to_string(),
-            "BSOM_DISPATCH=lanes4: unknown dispatch \
-             (expected scalar, lanes8, avx2, avx512, neon, widest or auto)"
+            "BSOM_DISPATCH=lanes8: unknown dispatch \
+             (expected scalar, avx2, avx512, neon, widest or auto)"
         );
     }
 
     #[test]
     fn portable_paths_are_always_available_and_detect_returns_available() {
-        for dispatch in [Dispatch::Scalar, Dispatch::Lanes8] {
-            assert!(dispatch.is_available());
-        }
+        assert!(Dispatch::Scalar.is_available());
         let widest = Dispatch::detect();
         assert!(widest.is_available());
         assert!(Dispatch::available().contains(&widest));

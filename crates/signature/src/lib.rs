@@ -47,10 +47,9 @@ pub mod lanes;
 pub mod tristate;
 
 pub use batch::{
-    accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, batch_masked_hamming,
-    masked_hamming_words, masked_hamming_words_with, update_window_word, update_window_word_with,
-    window_word_needs, window_word_would_change, wta_winner, wta_winner_with, wta_winners_into,
-    wta_winners_into_with, BatchWinner, WordRow,
+    accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, masked_hamming_words,
+    update_window_word, update_window_word_with, window_word_needs, window_word_would_change,
+    wta_winner, wta_winner_with, wta_winners_into, wta_winners_into_with, BatchWinner, WordRow,
 };
 pub use bernoulli::{draw_broadcast_masks, gate_word, BroadcastMasks, CoinThreshold, MaskPlan};
 pub use bitvec::BinaryVector;
@@ -59,7 +58,7 @@ pub use histogram::{ColorHistogram, BINS_PER_CHANNEL, HISTOGRAM_BINS};
 pub use image::{BinaryImage, Rgb, RgbImage, Silhouette, SIGNATURE_HEIGHT, SIGNATURE_WIDTH};
 pub use lanes::{
     active_dispatch, force_dispatch, segment_background, segment_background_with,
-    validate_env_dispatch, Dispatch, DispatchEnvError, Lanes, LineAlignedRow, UnavailableDispatch,
+    validate_env_dispatch, Dispatch, DispatchEnvError, LineAlignedRow, UnavailableDispatch,
 };
 pub use tristate::{update_word, TriStateVector, Trit, WordUpdate};
 

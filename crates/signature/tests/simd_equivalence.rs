@@ -1,15 +1,14 @@
 //! Differential suite for the wide-lane kernel lowerings (DESIGN.md
 //! §"Wide-lane kernels and dispatch").
 //!
-//! Every dispatch path selectable on this machine — scalar, the portable
-//! lanes-8 kernels, and each `std::arch` lowering the runner's CPU exposes —
-//! is driven against the scalar reference walk and must agree **bit for
-//! bit**:
+//! Every dispatch path selectable on this machine — scalar and each
+//! `std::arch` lowering the runner's CPU exposes — is driven against the
+//! scalar reference walk and must agree **bit for bit**:
 //!
-//! * distance kernels ([`masked_hamming_words_with`],
-//!   [`accumulate_masked_hamming_row_with`]) on arbitrary planes and on
-//!   every tail/remainder word count around each lane width (0, 1, lane−1,
-//!   lane, lane+1, non-multiples — the classic SIMD off-by-one surface);
+//! * the distance row kernel ([`accumulate_masked_hamming_row_with`]) on
+//!   arbitrary planes and on every tail/remainder word count around each
+//!   lane width (0, 1, lane−1, lane, lane+1, non-multiples — the classic
+//!   SIMD off-by-one surface);
 //! * the fused winner kernel ([`wta_winner_with`], [`wta_winners_into_with`])
 //!   on tie-heavy layers of 1 to 2,100 neurons (around the eight-neuron lane
 //!   blocks and the 1,024-neuron edge) and batches of 1 to 17 signatures
@@ -25,9 +24,8 @@
 //!   thresholds inside and outside the usual range, and at every pixel count
 //!   from 0 to 200 (tails around 8 and 64);
 //! * the mismatched-slice panics, which must fire identically through every
-//!   dispatch (mirroring `masked_hamming_words_rejects_mismatched_slices`),
-//!   and a word row whose planes shrink after the winner kernel's length
-//!   check, which must panic rather than be read past its end;
+//!   dispatch, and a word row whose planes shrink after the winner kernel's
+//!   length check, which must panic rather than be read past its end;
 //! * the `ForceDispatch` override itself: forcing routes the default entry
 //!   points, clearing restores the default, and an unavailable lowering is
 //!   rejected loudly instead of reaching `std::arch` code the CPU cannot
@@ -35,10 +33,9 @@
 
 use bsom_signature::lanes::{active_dispatch, force_dispatch, Dispatch};
 use bsom_signature::{
-    accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, masked_hamming_words,
-    masked_hamming_words_with, segment_background, segment_background_with,
-    update_window_word_with, wta_winner, wta_winner_with, wta_winners_into_with, BatchWinner,
-    BinaryVector, Rgb, WordRow,
+    accumulate_masked_hamming_row, accumulate_masked_hamming_row_with, segment_background,
+    segment_background_with, update_window_word_with, wta_winner, wta_winner_with,
+    wta_winners_into_with, BatchWinner, BinaryVector, Rgb, WordRow,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -316,24 +313,6 @@ fn assert_wta_identical(layer: &WtaLayer, batch: &[BinaryVector]) -> Result<(), 
 }
 
 proptest! {
-    /// `masked_hamming_words` agrees with the scalar walk through every
-    /// available lowering, for arbitrary word counts.
-    #[test]
-    fn masked_hamming_is_bit_identical_across_dispatches(
-        raw in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..40),
-    ) {
-        let cares: Vec<u64> = raw.iter().map(|&(c, _, _)| c).collect();
-        let values: Vec<u64> = raw.iter().map(|&(c, v, _)| v & c).collect();
-        let inputs: Vec<u64> = raw.iter().map(|&(_, _, x)| x).collect();
-        let reference = masked_hamming_words_with(Dispatch::Scalar, &values, &cares, &inputs);
-        for dispatch in Dispatch::available() {
-            prop_assert_eq!(
-                masked_hamming_words_with(dispatch, &values, &cares, &inputs),
-                reference
-            );
-        }
-    }
-
     /// The background kernel's masks and estimates are bit-identical
     /// through every lowering.
     #[test]
@@ -490,7 +469,6 @@ fn tail_word_counts_are_bit_identical_through_every_kernel() {
     ] {
         let cares: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
         let values: Vec<u64> = cares.iter().map(|c| rng.gen::<u64>() & c).collect();
-        let inputs: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
         let gates: Vec<u64> = (0..n)
             .map(|_| if rng.gen() { u64::MAX } else { 0 })
             .collect();
@@ -501,7 +479,6 @@ fn tail_word_counts_are_bit_identical_through_every_kernel() {
         let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3)).collect();
         let layer = [(values.as_slice(), cares.as_slice())];
         let winner_ref = wta_winner_with(Dispatch::Scalar, &layer, &counts, &[input]);
-        let hamming_ref = masked_hamming_words_with(Dispatch::Scalar, &values, &cares, &inputs);
         let mut row_ref = vec![0u32; n];
         accumulate_masked_hamming_row_with(Dispatch::Scalar, &values, &cares, input, &mut row_ref);
         let mut upd_values_ref = values.clone();
@@ -521,11 +498,6 @@ fn tail_word_counts_are_bit_identical_through_every_kernel() {
         );
 
         for dispatch in Dispatch::available() {
-            assert_eq!(
-                masked_hamming_words_with(dispatch, &values, &cares, &inputs),
-                hamming_ref,
-                "masked_hamming, {n} words, {dispatch}"
-            );
             let mut row = vec![0u32; n];
             accumulate_masked_hamming_row_with(dispatch, &values, &cares, input, &mut row);
             assert_eq!(row, row_ref, "row kernel, {n} words, {dispatch}");
@@ -577,17 +549,10 @@ fn panics_with<F: FnOnce()>(f: F, needle: &str) {
     );
 }
 
-/// The mismatched-slice panics fire identically through every dispatch —
-/// the per-dispatch mirror of `masked_hamming_words_rejects_mismatched_slices`.
+/// The mismatched-slice panics fire identically through every dispatch.
 #[test]
 fn mismatched_slices_panic_under_every_dispatch() {
     for dispatch in Dispatch::available() {
-        panics_with(
-            || {
-                masked_hamming_words_with(dispatch, &[0, 0], &[0, 0], &[0]);
-            },
-            "word count mismatch",
-        );
         panics_with(
             || {
                 accumulate_masked_hamming_row_with(dispatch, &[0, 0], &[0], 0, &mut [0, 0]);
@@ -806,12 +771,6 @@ fn unavailable_dispatch_is_rejected_loudly() {
     assert!(err.to_string().contains("not available"));
     panics_with(
         || {
-            masked_hamming_words_with(foreign, &[0], &[0], &[0]);
-        },
-        "not available",
-    );
-    panics_with(
-        || {
             accumulate_masked_hamming_row_with(foreign, &[0], &[0], 0, &mut [0]);
         },
         "not available",
@@ -867,10 +826,6 @@ fn force_dispatch_routes_the_default_entry_points() {
     for dispatch in Dispatch::available() {
         force_dispatch(Some(dispatch)).expect("available lowering");
         assert_eq!(active_dispatch(), dispatch);
-        assert_eq!(
-            masked_hamming_words(&values, &cares, &inputs),
-            masked_hamming_words_with(dispatch, &values, &cares, &inputs),
-        );
         let mut forced = vec![0u32; 11];
         accumulate_masked_hamming_row(&values, &cares, inputs[0], &mut forced);
         let mut explicit = vec![0u32; 11];

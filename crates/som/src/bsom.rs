@@ -48,6 +48,11 @@
 //! 40 × 768 map takes about 10 KB, and a clone under 1 KiB, because a clone
 //! shares every row copy-on-write.
 //!
+//! A map has one persisted form, the format-2 checkpoint frame of
+//! `bsom_engine::checkpoint`, which writes the plane words out of the rows
+//! and restores the map through [`BSom::from_state`]. `BSom` has no serde
+//! form; its configuration types keep theirs.
+//!
 //! ## The plane-sliced training datapath
 //!
 //! [`BSom::train_step`] applies the table above **64 trits × the whole
@@ -345,6 +350,64 @@ impl BSom {
         Ok(Self::assemble(config, packed, 0x9E37_79B9_7F4A_7C15))
     }
 
+    /// Rebuilds a map from its intrinsic state — configuration, weights and
+    /// the xorshift64\* RNG position (see [`rng_state`](Self::rng_state)).
+    /// This is how a map is restored: checkpoints and registry spill frames
+    /// decode into it. The `#`-counts, the update tables and the packed
+    /// layer are recomputed from the weights, never taken on trust.
+    ///
+    /// # Errors
+    ///
+    /// [`SomError::InvalidState`] if the configuration is empty, the weight
+    /// count or any weight length disagrees with it, an update probability
+    /// is outside `[0, 1]`, or `rng_state` is zero (the xorshift fixed
+    /// point).
+    pub fn from_state(
+        config: BSomConfig,
+        neurons: Vec<TriStateVector>,
+        rng_state: u64,
+    ) -> Result<Self, SomError> {
+        let invalid = |reason: String| Err(SomError::InvalidState { reason });
+        if config.neurons == 0 || config.vector_len == 0 {
+            return invalid(format!(
+                "BSom must be non-empty (neurons = {}, vector_len = {})",
+                config.neurons, config.vector_len
+            ));
+        }
+        if neurons.len() != config.neurons {
+            return invalid(format!(
+                "snapshot holds {} neurons for a config of {}",
+                neurons.len(),
+                config.neurons
+            ));
+        }
+        if let Some(bad) = neurons.iter().find(|n| n.len() != config.vector_len) {
+            return invalid(format!(
+                "neuron length {} does not match vector_len {}",
+                bad.len(),
+                config.vector_len
+            ));
+        }
+        for p in [config.relax_probability, config.commit_probability] {
+            if !(0.0..=1.0).contains(&p) {
+                return invalid(format!("update probability {p} outside [0, 1]"));
+            }
+        }
+        if rng_state == 0 {
+            return invalid("rng_state must be non-zero (xorshift fixed point)".to_string());
+        }
+        let packed = PackedLayer::from_neurons(&neurons).expect("shape checked above");
+        Ok(Self::assemble(config, packed, rng_state))
+    }
+
+    /// The position of the map's internal xorshift64\* stream, which
+    /// drives the stochastic update decisions. Together with the
+    /// configuration and the weights it is the map's whole intrinsic state
+    /// ([`from_state`](Self::from_state)).
+    pub fn rng_state(&self) -> u64 {
+        self.rng_state
+    }
+
     /// The map's configuration.
     pub fn config(&self) -> &BSomConfig {
         &self.config
@@ -633,113 +696,6 @@ impl SelfOrganizingMap for BSom {
             .into_iter()
             .map(f64::from)
             .collect())
-    }
-}
-
-/// The raw wire shape of a [`BSom`] — identical to what the former derive
-/// produced, so snapshots serialized before the word-parallel trainer still
-/// load. The weights travel as one vector per neuron, gathered out of the
-/// packed rows and re-packed on load. The `#`-count cache and the
-/// precompiled update tables are *not* serialized: both are pure functions
-/// of the other fields, and rebuilding them on deserialization means a
-/// tampered snapshot can never smuggle in an inconsistent cache.
-#[derive(Deserialize)]
-struct RawBSom {
-    config: BSomConfig,
-    neurons: Vec<TriStateVector>,
-    rng_state: u64,
-}
-
-impl BSom {
-    /// Rebuilds a map from its intrinsic state — configuration, weights and
-    /// the xorshift64\* RNG position (see [`rng_state`](Self::rng_state)) —
-    /// through the same validation as deserialization. The `#`-count cache,
-    /// the update tables and the packed layer are recomputed from the
-    /// weights, never taken on trust. This is how checkpoints restore a map.
-    ///
-    /// # Errors
-    ///
-    /// [`SomError::InvalidState`] if the configuration is empty, the weight
-    /// count or any weight length disagrees with it, an update probability
-    /// is outside `[0, 1]`, or `rng_state` is zero (the xorshift fixed
-    /// point).
-    pub fn from_state(
-        config: BSomConfig,
-        neurons: Vec<TriStateVector>,
-        rng_state: u64,
-    ) -> Result<Self, SomError> {
-        Self::from_raw(RawBSom {
-            config,
-            neurons,
-            rng_state,
-        })
-        .map_err(|reason| SomError::InvalidState { reason })
-    }
-
-    /// The position of the map's internal xorshift64\* stream, which
-    /// drives the stochastic update decisions. Together with the
-    /// configuration and the weights it is the map's whole intrinsic state
-    /// ([`from_state`](Self::from_state)).
-    pub fn rng_state(&self) -> u64 {
-        self.rng_state
-    }
-
-    /// Validates a raw snapshot and rebuilds the derived state.
-    fn from_raw(raw: RawBSom) -> Result<Self, String> {
-        if raw.config.neurons == 0 || raw.config.vector_len == 0 {
-            return Err(format!(
-                "BSom must be non-empty (neurons = {}, vector_len = {})",
-                raw.config.neurons, raw.config.vector_len
-            ));
-        }
-        if raw.neurons.len() != raw.config.neurons {
-            return Err(format!(
-                "snapshot holds {} neurons for a config of {}",
-                raw.neurons.len(),
-                raw.config.neurons
-            ));
-        }
-        if let Some(bad) = raw
-            .neurons
-            .iter()
-            .find(|n| n.len() != raw.config.vector_len)
-        {
-            return Err(format!(
-                "neuron length {} does not match vector_len {}",
-                bad.len(),
-                raw.config.vector_len
-            ));
-        }
-        for p in [raw.config.relax_probability, raw.config.commit_probability] {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("update probability {p} outside [0, 1]"));
-            }
-        }
-        if raw.rng_state == 0 {
-            return Err("rng_state must be non-zero (xorshift fixed point)".to_string());
-        }
-        let packed = PackedLayer::from_neurons(&raw.neurons).expect("shape checked above");
-        Ok(Self::assemble(raw.config, packed, raw.rng_state))
-    }
-}
-
-impl serde::Serialize for BSom {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("neurons".to_string(), self.neurons().to_value()),
-            ("rng_state".to_string(), self.rng_state.to_value()),
-        ])
-    }
-}
-
-// Written against the vendored serde stand-in's `from_value` trait; with
-// registry serde this collapses to `#[serde(try_from = "RawBSom")]` on the
-// struct (see vendor/README.md).
-impl serde::Deserialize for BSom {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let raw = RawBSom::from_value(value)?;
-        BSom::from_raw(raw).map_err(serde::Error::custom)
     }
 }
 
@@ -1134,17 +1090,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn serde_roundtrip_preserves_weights() {
-        let mut r = rng();
-        let mut som = BSom::new(BSomConfig::new(8, 64), &mut r);
-        let data: Vec<BinaryVector> = (0..4).map(|_| BinaryVector::random(64, &mut r)).collect();
-        som.train(&data, TrainSchedule::new(50), &mut r).unwrap();
-        let json = serde_json::to_string(&som).unwrap();
-        let back: BSom = serde_json::from_str(&json).unwrap();
-        assert_eq!(som, back);
-    }
-
     /// `from_weights` over three 8-trit neurons after two training steps.
     fn golden_map() -> BSom {
         let weights = ["01#10#11", "1100##00", "#0101010"]
@@ -1157,26 +1102,6 @@ mod tests {
             som.train_step(&input, t, &schedule).unwrap();
         }
         som
-    }
-
-    /// [`golden_map`]'s JSON, recorded while `BSom` still kept a per-neuron
-    /// copy of its weights beside the packed layer.
-    const GOLDEN_JSON: &str = concat!(
-        r#"{"config":{"neurons":3,"vector_len":8,"neighbour_rule":"SameAsWinner","#,
-        r#""relax_probability":0.3,"commit_probability":0.3},"neurons":["#,
-        r#"{"value":{"words":[130],"len":8},"care":{"words":[147],"len":8}},"#,
-        r#"{"value":{"words":[2],"len":8},"care":{"words":[94],"len":8}},"#,
-        r#"{"value":{"words":[4],"len":8},"care":{"words":[47],"len":8}}],"#,
-        r#""rng_state":7191875387263428708}"#
-    );
-
-    #[test]
-    fn json_shape_matches_the_recorded_bytes() {
-        let som = golden_map();
-        assert_eq!(serde_json::to_string(&som).unwrap(), GOLDEN_JSON);
-        let back: BSom = serde_json::from_str(GOLDEN_JSON).unwrap();
-        assert_eq!(back, som);
-        assert_eq!(back.dont_care_counts(), &[4, 3, 3]);
     }
 
     #[test]
@@ -1203,95 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn deserialize_rejects_inconsistent_snapshots() {
-        let mut r = rng();
-        let som = BSom::new(BSomConfig::new(4, 16), &mut r);
-        let json = serde_json::to_string(&som).unwrap();
-
-        // Neuron count disagreeing with the stored weights.
-        let bad = json.replace("\"neurons\":4", "\"neurons\":5");
-        assert_ne!(bad, json, "fixture must tamper the config");
-        assert!(serde_json::from_str::<BSom>(&bad).is_err());
-
-        // Out-of-range probability.
-        let bad = json.replace("\"relax_probability\":0.3", "\"relax_probability\":1.5");
-        assert_ne!(bad, json);
-        assert!(serde_json::from_str::<BSom>(&bad).is_err());
-
-        // The xorshift fixed point.
-        let state = som.rng_state;
-        let bad = json.replace(&format!("\"rng_state\":{state}"), "\"rng_state\":0");
-        assert_ne!(bad, json);
-        assert!(serde_json::from_str::<BSom>(&bad).is_err());
-    }
-
-    /// The `words` array of one plane of one neuron inside a serialized map.
-    fn plane_words<'v>(
-        map: &'v mut serde::Value,
-        neuron: usize,
-        plane: &str,
-    ) -> &'v mut Vec<serde::Value> {
-        fn field<'v>(value: &'v mut serde::Value, name: &str) -> &'v mut serde::Value {
-            let serde::Value::Object(entries) = value else {
-                panic!("expected an object holding {name}");
-            };
-            &mut entries.iter_mut().find(|(key, _)| key == name).unwrap().1
-        }
-        let serde::Value::Array(neurons) = field(map, "neurons") else {
-            panic!("neurons is an array");
-        };
-        let serde::Value::Array(words) = field(field(&mut neurons[neuron], plane), "words") else {
-            panic!("words is an array");
-        };
-        words
-    }
-
-    fn word_of(value: &serde::Value) -> u64 {
-        match value {
-            serde::Value::UInt(word) => *word,
-            other => panic!("plane word is an unsigned integer, got {other:?}"),
-        }
-    }
-
-    /// The JSON twins of the crafted-payload cases in the engine's
-    /// `checkpoint_corruption` suite: badly packed planes must not load
-    /// through the public serde either.
-    #[test]
-    fn deserialize_rejects_badly_packed_planes() {
-        let mut r = rng();
-        let som = BSom::new(BSomConfig::new(4, 100), &mut r);
-        let pristine = serde_json::to_value(&som).unwrap();
-        let load = |value: &serde::Value| serde_json::from_value::<BSom>(value);
-        assert_eq!(load(&pristine).unwrap(), som);
-
-        // A set bit beyond the 100-bit length, in the tail of word 1.
-        let mut bad = pristine.clone();
-        let words = plane_words(&mut bad, 0, "care");
-        words[1] = serde::Value::UInt(word_of(&words[1]) | 1 << 63);
-        assert!(load(&bad).is_err(), "tail bit must not load");
-
-        // A plane one word short.
-        let mut bad = pristine.clone();
-        plane_words(&mut bad, 2, "value").pop();
-        assert!(load(&bad).is_err(), "short plane must not load");
-
-        // Bit 0 of neuron 1 made `#` on the care plane: loads with value 0,
-        // is refused with value 1.
-        let mut relaxed = pristine.clone();
-        let care = plane_words(&mut relaxed, 1, "care");
-        care[0] = serde::Value::UInt(word_of(&care[0]) & !1);
-        let mut clear = relaxed.clone();
-        let value = plane_words(&mut clear, 1, "value");
-        value[0] = serde::Value::UInt(word_of(&value[0]) & !1);
-        let loaded = load(&clear).expect("a # with value 0 is valid");
-        assert_eq!(loaded.dont_care_counts(), &[0, 1, 0, 0]);
-        let mut outside = relaxed;
-        let value = plane_words(&mut outside, 1, "value");
-        value[0] = serde::Value::UInt(word_of(&value[0]) | 1);
-        assert!(load(&outside).is_err(), "value outside care must not load");
-    }
-
-    #[test]
     fn from_state_round_trips_the_intrinsic_state_and_validates_it() {
         let mut r = rng();
         let mut som = BSom::new(BSomConfig::new(6, 70), &mut r);
@@ -1309,5 +1145,16 @@ mod tests {
             BSom::from_state(*som.config(), som.neurons()[1..].to_vec(), 1),
             Err(SomError::InvalidState { .. })
         ));
+        for (relax, commit) in [(1.5, 0.3), (0.3, -0.1), (f64::NAN, 0.3)] {
+            let config = BSomConfig {
+                relax_probability: relax,
+                commit_probability: commit,
+                ..*som.config()
+            };
+            assert!(matches!(
+                BSom::from_state(config, som.neurons(), som.rng_state()),
+                Err(SomError::InvalidState { reason }) if reason.contains("outside [0, 1]")
+            ));
+        }
     }
 }

@@ -55,9 +55,10 @@
 //! [`from_neurons`](PackedLayer::from_neurons) of the gathered weights,
 //! **word for word** (planes, `#`-counts and shape). Publishing a serving
 //! snapshot is a plain clone of
-//! [`BSom::packed_layer`](crate::BSom::packed_layer), never a
-//! re-pack, and the winner returned by [`PackedLayer::winner`] is
-//! bit-identical to [`BSom::winner`](crate::SelfOrganizingMap::winner) —
+//! [`BSom::packed_layer`](crate::BSom::packed_layer), never a re-pack or a
+//! serialization (a layer has no serde form), and the winner returned by
+//! [`PackedLayer::winner`] is bit-identical to
+//! [`BSom::winner`](crate::SelfOrganizingMap::winner) —
 //! including the `{distance, #-count, address}` tie-break
 //! (`packed_equivalence` suite).
 //!
@@ -86,7 +87,6 @@ use bsom_signature::{
     accumulate_masked_hamming_row, update_window_word, window_word_needs, window_word_would_change,
     wta_winner, wta_winners_into, BinaryVector, LineAlignedRow, TriStateVector, WordRow,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::error::SomError;
 
@@ -501,126 +501,6 @@ impl PackedLayer {
     }
 }
 
-// The copy-on-write rows are an ownership detail, not a wire concept: the
-// serialized form stays the flat word-major planes of the pre-CoW layout
-// (field order matters — readers and the tamper-rejection fixtures key on
-// it). Hand-written because the vendored serde stand-in has no `Arc` impls;
-// with registry serde this would be `#[serde(into/try_from)]` glue.
-impl Serialize for PackedLayer {
-    fn to_value(&self) -> serde::Value {
-        let flatten = |plane: fn(&LineAlignedRow) -> &[u64]| {
-            serde::Value::Array(
-                self.rows
-                    .iter()
-                    .flat_map(|row| plane(row).iter().map(|&w| serde::Value::UInt(w)))
-                    .collect(),
-            )
-        };
-        serde::Value::Object(vec![
-            ("neurons".into(), self.neurons.to_value()),
-            ("vector_len".into(), self.vector_len.to_value()),
-            ("words_per_vector".into(), self.words_per_vector.to_value()),
-            ("values".into(), flatten(|row| row.values())),
-            ("cares".into(), flatten(|row| row.cares())),
-            (
-                "dont_care_counts".into(),
-                self.dont_care_counts.as_slice().to_value(),
-            ),
-        ])
-    }
-}
-
-/// The raw wire shape of a [`PackedLayer`], deserialized without invariants.
-///
-/// The public type's constructors all enforce the cross-field invariants the
-/// search kernels index by; deserialization must not be a back door around
-/// them, so [`PackedLayer`]'s `Deserialize` goes through this struct plus
-/// [`PackedLayer::validate_raw`].
-#[derive(Deserialize)]
-struct RawPackedLayer {
-    neurons: usize,
-    vector_len: usize,
-    words_per_vector: usize,
-    values: Vec<u64>,
-    cares: Vec<u64>,
-    dont_care_counts: Vec<u32>,
-}
-
-impl PackedLayer {
-    /// Checks every invariant the hand-written constructors guarantee; a
-    /// snapshot violating any of them would panic or mis-index at
-    /// classification time.
-    fn validate_raw(raw: RawPackedLayer) -> Result<Self, String> {
-        if raw.neurons == 0 || raw.vector_len == 0 {
-            return Err(format!(
-                "PackedLayer must be non-empty (neurons = {}, vector_len = {})",
-                raw.neurons, raw.vector_len
-            ));
-        }
-        if raw.words_per_vector != raw.vector_len.div_ceil(64) {
-            return Err(format!(
-                "words_per_vector {} does not match vector_len {}",
-                raw.words_per_vector, raw.vector_len
-            ));
-        }
-        let expected_words = raw.words_per_vector * raw.neurons;
-        if raw.values.len() != expected_words || raw.cares.len() != expected_words {
-            return Err(format!(
-                "plane sizes ({} values, {} cares) do not match {} words x {} neurons",
-                raw.values.len(),
-                raw.cares.len(),
-                raw.words_per_vector,
-                raw.neurons
-            ));
-        }
-        if raw.dont_care_counts.len() != raw.neurons {
-            return Err(format!(
-                "{} #-counts for {} neurons",
-                raw.dont_care_counts.len(),
-                raw.neurons
-            ));
-        }
-        // Tail bits beyond vector_len must be zero in both planes — Eq. 3
-        // popcounts would otherwise see phantom trits.
-        let rem = raw.vector_len % 64;
-        if rem != 0 {
-            let tail_mask = !((1u64 << rem) - 1);
-            let tail_row = (raw.words_per_vector - 1) * raw.neurons;
-            for plane in [&raw.values, &raw.cares] {
-                if plane[tail_row..].iter().any(|w| w & tail_mask != 0) {
-                    return Err(format!(
-                        "tail bits beyond vector_len {} are set",
-                        raw.vector_len
-                    ));
-                }
-            }
-        }
-        Ok(PackedLayer {
-            neurons: raw.neurons,
-            vector_len: raw.vector_len,
-            words_per_vector: raw.words_per_vector,
-            rows: raw
-                .values
-                .chunks_exact(raw.neurons)
-                .zip(raw.cares.chunks_exact(raw.neurons))
-                .map(|(values, cares)| Arc::new(LineAlignedRow::new(values, cares)))
-                .collect(),
-            dont_care_counts: Arc::new(raw.dont_care_counts),
-            flips: FlipCounters::default(),
-        })
-    }
-}
-
-// Written against the vendored serde stand-in's `from_value` trait; with
-// registry serde this collapses to `#[serde(try_from = "RawPackedLayer")]`
-// on the struct (see vendor/README.md).
-impl serde::Deserialize for PackedLayer {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let raw = RawPackedLayer::from_value(value)?;
-        PackedLayer::validate_raw(raw).map_err(serde::Error::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,55 +657,5 @@ mod tests {
             bsom_signature::Trit::Zero => bsom_signature::Trit::One,
             _ => bsom_signature::Trit::Zero,
         }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut r = rng();
-        let som = BSom::new(BSomConfig::new(4, 70), &mut r);
-        let layer = som.packed_layer().clone();
-        let json = serde_json::to_string(&layer).unwrap();
-        let back: PackedLayer = serde_json::from_str(&json).unwrap();
-        assert_eq!(layer, back);
-    }
-
-    #[test]
-    fn deserialize_rejects_inconsistent_snapshots() {
-        let mut r = rng();
-        let layer = BSom::new(BSomConfig::new(4, 70), &mut r)
-            .packed_layer()
-            .clone();
-        let json = serde_json::to_string(&layer).unwrap();
-
-        // Structural tampering: wrong neuron count for the stored planes.
-        let bad = json.replace("\"neurons\":4", "\"neurons\":5");
-        assert!(serde_json::from_str::<PackedLayer>(&bad).is_err());
-
-        // Empty layer.
-        let empty = json
-            .replace("\"neurons\":4", "\"neurons\":0")
-            .replace("\"vector_len\":70", "\"vector_len\":0");
-        assert!(serde_json::from_str::<PackedLayer>(&empty).is_err());
-
-        // Wrong words_per_vector for the claimed vector_len.
-        let skewed = json.replace("\"words_per_vector\":2", "\"words_per_vector\":3");
-        assert!(serde_json::from_str::<PackedLayer>(&skewed).is_err());
-
-        // #-count table not one-per-neuron.
-        let counts = json.replace("\"dont_care_counts\":[0,0,0,0]", "\"dont_care_counts\":[0]");
-        assert_ne!(counts, json, "fixture must actually tamper the counts");
-        assert!(serde_json::from_str::<PackedLayer>(&counts).is_err());
-    }
-
-    #[test]
-    fn deserialize_rejects_set_tail_bits() {
-        // 70-bit vectors leave 58 tail bits in the second word; phantom trits
-        // there would corrupt every popcount. All-# layer except for a care
-        // tail word with every bit set.
-        let good = r#"{"neurons":1,"vector_len":70,"words_per_vector":2,
-            "values":[0,0],"cares":[0,0],"dont_care_counts":[70]}"#;
-        assert!(serde_json::from_str::<PackedLayer>(good).is_ok());
-        let bad = good.replace("\"cares\":[0,0]", "\"cares\":[0,18446744073709551615]");
-        assert!(serde_json::from_str::<PackedLayer>(&bad).is_err());
     }
 }
