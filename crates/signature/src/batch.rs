@@ -575,17 +575,26 @@ mod tests {
 
     #[test]
     fn masked_hamming_words_matches_tristate_hamming() {
+        // `TriStateVector::hamming` calls the kernel, so both are held to
+        // the distance counted one bit at a time: a cared-for bit whose
+        // value differs from the input's.
         let mut rng = StdRng::seed_from_u64(0xBA7C);
-        for _ in 0..20 {
-            let w = TriStateVector::random_with_dont_care(768, 0.3, &mut rng);
-            let x = BinaryVector::random(768, &mut rng);
-            let scalar = w.hamming(&x).unwrap();
-            let kernel = masked_hamming_words(
-                w.value_plane().as_words(),
-                w.care_plane().as_words(),
-                x.as_words(),
-            );
-            assert_eq!(scalar, kernel);
+        for len in [1, 63, 64, 65, 130, 768] {
+            for dont_care in [0.0, 0.3, 1.0] {
+                let w = TriStateVector::random_with_dont_care(len, dont_care, &mut rng);
+                let x = BinaryVector::random(len, &mut rng);
+                let (value, care) = (w.value_plane(), w.care_plane());
+                let by_bit = (0..len)
+                    .filter(|&i| care.bit(i) && value.bit(i) != x.bit(i))
+                    .count();
+                let kernel = masked_hamming_words(value.as_words(), care.as_words(), x.as_words());
+                assert_eq!(kernel, by_bit, "len {len}, p(#) {dont_care}");
+                assert_eq!(
+                    w.hamming(&x).unwrap(),
+                    by_bit,
+                    "len {len}, p(#) {dont_care}"
+                );
+            }
         }
     }
 

@@ -300,18 +300,6 @@ impl BinaryVector {
         }
     }
 
-    /// Iterator over the maximal runs of one bits inside `range`, as
-    /// half-open index ranges in increasing order. Runs are found a word at
-    /// a time with `trailing_zeros`, and a run touching either end of
-    /// `range` is cut there. The range is clipped to the vector's length.
-    pub(crate) fn one_runs(&self, range: Range<usize>) -> OneRuns<'_> {
-        OneRuns {
-            words: &self.words,
-            next: range.start,
-            end: range.end.min(self.len),
-        }
-    }
-
     /// Mutable access to the packed words for the in-crate word-parallel
     /// update kernels. Callers must keep every bit beyond `len` zero — the
     /// invariant [`as_words`](Self::as_words) documents; `crate`-private so
@@ -440,43 +428,6 @@ impl Iterator for Iter<'_> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
-/// Iterator over the runs of one bits of a [`BinaryVector`]; see
-/// [`BinaryVector::one_runs`].
-#[derive(Debug, Clone)]
-pub(crate) struct OneRuns<'a> {
-    words: &'a [u64],
-    next: usize,
-    end: usize,
-}
-
-impl OneRuns<'_> {
-    /// The first index in `from..self.end` whose bit differs from `skip`
-    /// (`0` finds a one, `u64::MAX` a zero), skipping whole words of `skip`.
-    fn first_not(&self, from: usize, skip: u64) -> Option<usize> {
-        let mut index = from;
-        while index < self.end {
-            let bits = (self.words[index / WORD_BITS] ^ skip) >> (index % WORD_BITS);
-            if bits != 0 {
-                let found = index + bits.trailing_zeros() as usize;
-                return (found < self.end).then_some(found);
-            }
-            index = (index / WORD_BITS + 1) * WORD_BITS;
-        }
-        None
-    }
-}
-
-impl Iterator for OneRuns<'_> {
-    type Item = Range<usize>;
-
-    fn next(&mut self) -> Option<Range<usize>> {
-        let start = self.first_not(self.next, 0)?;
-        let stop = self.first_not(start, u64::MAX).unwrap_or(self.end);
-        self.next = stop;
-        Some(start..stop)
-    }
-}
-
 impl<'a> IntoIterator for &'a BinaryVector {
     type Item = bool;
     type IntoIter = Iter<'a>;
@@ -570,36 +521,6 @@ mod tests {
         v.set_ones(300..400);
         v.set_ones(10..10);
         assert_eq!(v.count_ones(), 80);
-    }
-
-    #[test]
-    fn one_runs_match_a_bit_by_bit_scan() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for len in [0usize, 1, 63, 64, 65, 200] {
-            let v = BinaryVector::random(len, &mut rng);
-            for (start, end) in [(0, len), (0, len + 9), (len / 3, len / 2 + 1), (5, 3)] {
-                let mut expected = Vec::new();
-                let mut run: Option<usize> = None;
-                for i in start..end.min(len).max(start) {
-                    match (v.bit(i), run) {
-                        (true, None) => run = Some(i),
-                        (false, Some(s)) => {
-                            expected.push(s..i);
-                            run = None;
-                        }
-                        _ => {}
-                    }
-                }
-                if let Some(s) = run {
-                    expected.push(s..end.min(len));
-                }
-                let runs: Vec<_> = v.one_runs(start..end).collect();
-                assert_eq!(runs, expected, "len {len}, range {start}..{end}");
-            }
-        }
-        let full = BinaryVector::ones(130);
-        assert_eq!(full.one_runs(0..130).collect::<Vec<_>>(), vec![0..130]);
-        assert_eq!(full.one_runs(64..100).collect::<Vec<_>>(), vec![64..100]);
     }
 
     #[test]

@@ -36,9 +36,11 @@ pub const HISTOGRAM_BINS: usize = 3 * BINS_PER_CHANNEL;
 /// let signature = hist.to_signature();
 /// assert!(signature.bit(255)); // the red-255 bin is above the mean
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColorHistogram {
-    bins: Vec<u32>,
+    /// The red, green and blue bins. Fixed-size channels let a `u8` index
+    /// each one with no bounds check.
+    channels: Box<[[u32; BINS_PER_CHANNEL]; 3]>,
     pixel_count: u64,
 }
 
@@ -46,7 +48,7 @@ impl ColorHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         ColorHistogram {
-            bins: vec![0; HISTOGRAM_BINS],
+            channels: Box::new([[0; BINS_PER_CHANNEL]; 3]),
             pixel_count: 0,
         }
     }
@@ -57,9 +59,7 @@ impl ColorHistogram {
         I: IntoIterator<Item = Rgb>,
     {
         let mut hist = Self::new();
-        for p in pixels {
-            hist.add_pixel(p);
-        }
+        hist.count(pixels);
         hist
     }
 
@@ -70,30 +70,53 @@ impl ColorHistogram {
     /// Returns [`SignatureError::LengthMismatch`] unless exactly
     /// [`HISTOGRAM_BINS`] counts are provided.
     pub fn from_bins(bins: Vec<u32>) -> Result<Self, SignatureError> {
+        let mut hist = Self::from_parts(bins, 0)?;
+        // Each pixel contributes one count to each of the three channels, so
+        // the per-channel totals are equal for a histogram built from pixels;
+        // for raw bins we take the red-channel total as the pixel count.
+        hist.pixel_count = hist.red().iter().map(|&c| u64::from(c)).sum();
+        Ok(hist)
+    }
+
+    /// A histogram with the given bins and pixel count.
+    fn from_parts(bins: Vec<u32>, pixel_count: u64) -> Result<Self, SignatureError> {
         if bins.len() != HISTOGRAM_BINS {
             return Err(SignatureError::LengthMismatch {
                 left: bins.len(),
                 right: HISTOGRAM_BINS,
             });
         }
-        // Each pixel contributes one count to each of the three channels, so
-        // the per-channel totals are equal for a histogram built from pixels;
-        // for raw bins we take the red-channel total as the pixel count.
-        let pixel_count = bins[..BINS_PER_CHANNEL].iter().map(|&c| u64::from(c)).sum();
-        Ok(ColorHistogram { bins, pixel_count })
+        let mut hist = Self::new();
+        hist.channels.as_flattened_mut().copy_from_slice(&bins);
+        hist.pixel_count = pixel_count;
+        Ok(hist)
     }
 
     /// Adds a single pixel's colour to the histogram.
+    #[inline]
     pub fn add_pixel(&mut self, pixel: Rgb) {
-        self.bins[pixel.r as usize] += 1;
-        self.bins[BINS_PER_CHANNEL + pixel.g as usize] += 1;
-        self.bins[2 * BINS_PER_CHANNEL + pixel.b as usize] += 1;
-        self.pixel_count += 1;
+        self.count([pixel]);
+    }
+
+    /// Adds every pixel's colour: one count in each channel's bin. The one
+    /// counting path behind [`add_pixel`](Self::add_pixel), `extend` and
+    /// `collect`.
+    fn count<I: IntoIterator<Item = Rgb>>(&mut self, pixels: I) {
+        let [red, green, blue] = &mut *self.channels;
+        let mut added = 0;
+        for pixel in pixels {
+            red[usize::from(pixel.r)] += 1;
+            green[usize::from(pixel.g)] += 1;
+            blue[usize::from(pixel.b)] += 1;
+            added += 1;
+        }
+        self.pixel_count += added;
     }
 
     /// Merges another histogram into this one bin-by-bin.
     pub fn merge(&mut self, other: &ColorHistogram) {
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
+        let bins = self.channels.as_flattened_mut();
+        for (a, b) in bins.iter_mut().zip(other.bins()) {
             *a += *b;
         }
         self.pixel_count += other.pixel_count;
@@ -106,28 +129,28 @@ impl ColorHistogram {
 
     /// All 768 bins in channel order (R, G, B).
     pub fn bins(&self) -> &[u32] {
-        &self.bins
+        self.channels.as_flattened()
     }
 
     /// The 256 red-channel bins.
     pub fn red(&self) -> &[u32] {
-        &self.bins[..BINS_PER_CHANNEL]
+        &self.channels[0]
     }
 
     /// The 256 green-channel bins.
     pub fn green(&self) -> &[u32] {
-        &self.bins[BINS_PER_CHANNEL..2 * BINS_PER_CHANNEL]
+        &self.channels[1]
     }
 
     /// The 256 blue-channel bins.
     pub fn blue(&self) -> &[u32] {
-        &self.bins[2 * BINS_PER_CHANNEL..]
+        &self.channels[2]
     }
 
     /// The mean bin value θ of Eq. 1: the sum of all bins divided by the
     /// number of bins.
     pub fn mean_threshold(&self) -> f64 {
-        let total: u64 = self.bins.iter().map(|&c| u64::from(c)).sum();
+        let total: u64 = self.bins().iter().map(|&c| u64::from(c)).sum();
         total as f64 / HISTOGRAM_BINS as f64
     }
 
@@ -140,12 +163,12 @@ impl ColorHistogram {
     /// Converts the histogram to a binary signature using an explicit
     /// threshold instead of the mean. Used by the binarisation ablation.
     pub fn to_signature_with_threshold(&self, threshold: f64) -> BinaryVector {
-        pack_at_threshold(&self.bins, threshold)
+        pack_at_threshold(self.bins(), threshold)
     }
 
     /// The median bin value, used by the median-threshold ablation.
     pub fn median_threshold(&self) -> f64 {
-        let mut sorted: Vec<u32> = self.bins.clone();
+        let mut sorted: Vec<u32> = self.bins().to_vec();
         sorted.sort_unstable();
         let mid = sorted.len() / 2;
         if sorted.len().is_multiple_of(2) {
@@ -157,9 +180,9 @@ impl ColorHistogram {
 
     /// L1 (sum of absolute differences) distance between two histograms.
     pub fn l1_distance(&self, other: &ColorHistogram) -> u64 {
-        self.bins
+        self.bins()
             .iter()
-            .zip(&other.bins)
+            .zip(other.bins())
             .map(|(&a, &b)| u64::from(a.abs_diff(b)))
             .sum()
     }
@@ -168,11 +191,11 @@ impl ColorHistogram {
     ///
     /// Returns an all-zero distribution for an empty histogram.
     pub fn to_distribution(&self) -> Vec<f64> {
-        let total: u64 = self.bins.iter().map(|&c| u64::from(c)).sum();
+        let total: u64 = self.bins().iter().map(|&c| u64::from(c)).sum();
         if total == 0 {
             return vec![0.0; HISTOGRAM_BINS];
         }
-        self.bins
+        self.bins()
             .iter()
             .map(|&c| f64::from(c) / total as f64)
             .collect()
@@ -193,9 +216,36 @@ impl FromIterator<Rgb> for ColorHistogram {
 
 impl Extend<Rgb> for ColorHistogram {
     fn extend<T: IntoIterator<Item = Rgb>>(&mut self, iter: T) {
-        for p in iter {
-            self.add_pixel(p);
+        self.count(iter);
+    }
+}
+
+/// The serialized shape of a [`ColorHistogram`]: all 768 bins in channel
+/// order and the pixel count. Deserialization rejects any other bin count.
+#[derive(Serialize, Deserialize)]
+struct RawColorHistogram {
+    bins: Vec<u32>,
+    pixel_count: u64,
+}
+
+// Written against the vendored serde stand-in's traits; with registry serde
+// these collapse to `#[serde(into = "RawColorHistogram", try_from =
+// "RawColorHistogram")]` on the struct (see vendor/README.md).
+impl Serialize for ColorHistogram {
+    fn to_value(&self) -> serde::Value {
+        RawColorHistogram {
+            bins: self.bins().to_vec(),
+            pixel_count: self.pixel_count,
         }
+        .to_value()
+    }
+}
+
+impl Deserialize for ColorHistogram {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let raw = RawColorHistogram::from_value(value)?;
+        ColorHistogram::from_parts(raw.bins, raw.pixel_count)
+            .map_err(|e| serde::Error::custom(e.to_string()))
     }
 }
 
@@ -391,5 +441,25 @@ mod tests {
         let json = serde_json::to_string(&h).unwrap();
         let back: ColorHistogram = serde_json::from_str(&json).unwrap();
         assert_eq!(h, back);
+    }
+
+    #[test]
+    fn serde_shape_is_the_flat_bin_list() {
+        let h = ColorHistogram::from_pixels([Rgb::new(1, 2, 3)]);
+        let json = serde_json::to_string(&h).unwrap();
+        let mut bins = vec![0; HISTOGRAM_BINS];
+        bins[1] = 1;
+        bins[BINS_PER_CHANNEL + 2] = 1;
+        bins[2 * BINS_PER_CHANNEL + 3] = 1;
+        let expected = format!(
+            "{{\"bins\":{},\"pixel_count\":1}}",
+            serde_json::to_string(&bins).unwrap()
+        );
+        assert_eq!(json, expected);
+        let short = format!(
+            "{{\"bins\":{},\"pixel_count\":1}}",
+            serde_json::to_string(&bins[1..]).unwrap()
+        );
+        assert!(serde_json::from_str::<ColorHistogram>(&short).is_err());
     }
 }

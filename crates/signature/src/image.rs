@@ -2,10 +2,10 @@
 //! pattern-input / display blocks.
 //!
 //! The paper's FPGA design exchanges binary signatures as 32 × 24 binary
-//! images (768 bits); the CPU-side tracker works on RGB frames and object
-//! silhouettes. These types are deliberately small — they exist so that the
-//! vision, dataset and FPGA crates share one representation, not to be a
-//! general imaging library.
+//! images (768 bits); the CPU-side tracker works on RGB frames and
+//! foreground masks. These types are deliberately small — they exist so
+//! that the vision, dataset and FPGA crates share one representation, not
+//! to be a general imaging library.
 
 use std::ops::Range;
 
@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::bitvec::BinaryVector;
 use crate::error::SignatureError;
-use crate::histogram::ColorHistogram;
 
 /// Width of the binary-image framing of a signature (paper §V-A: 32 × 24).
 pub const SIGNATURE_WIDTH: usize = 32;
@@ -169,6 +168,11 @@ impl RgbImage {
         &self.pixels
     }
 
+    /// The pixels of row `y`, or `None` past the bottom.
+    pub fn row(&self, y: usize) -> Option<&[Rgb]> {
+        (y < self.height).then(|| &self.pixels[y * self.width..(y + 1) * self.width])
+    }
+
     /// Iterator over `(x, y, colour)` triples in row-major order.
     pub fn enumerate_pixels(&self) -> impl Iterator<Item = (usize, usize, Rgb)> + '_ {
         let width = self.width;
@@ -176,33 +180,6 @@ impl RgbImage {
             .iter()
             .enumerate()
             .map(move |(i, &p)| (i % width, i / width, p))
-    }
-
-    /// Builds the colour histogram of the pixels selected by `mask`.
-    ///
-    /// This is the histogram-of-silhouette operation of paper §III-A: only
-    /// pixels where the mask is set contribute.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SignatureError::DimensionMismatch`] if the mask dimensions
-    /// differ from the image dimensions.
-    pub fn masked_histogram(&self, mask: &Silhouette) -> Result<ColorHistogram, SignatureError> {
-        if mask.width() != self.width || mask.height() != self.height {
-            return Err(SignatureError::DimensionMismatch {
-                width: mask.width(),
-                height: mask.height(),
-                pixels: self.pixels.len(),
-            });
-        }
-        // Only the silhouette's runs are visited, so the cost follows the
-        // object's area rather than the frame's. The range also bounds the
-        // runs by the pixel buffer, whatever a deserialized mask holds.
-        let mut hist = ColorHistogram::new();
-        for run in mask.as_mask().as_vector().one_runs(0..self.pixels.len()) {
-            hist.extend(self.pixels[run].iter().copied());
-        }
-        Ok(hist)
     }
 }
 
@@ -318,19 +295,6 @@ impl BinaryImage {
         }
     }
 
-    /// The maximal runs of set pixels in row `y`, as half-open `x` ranges
-    /// from left to right; empty for a row past the bottom.
-    pub fn row_runs(&self, y: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        let (row, end) = if y < self.height {
-            (y * self.width, (y + 1) * self.width)
-        } else {
-            (0, 0)
-        };
-        self.bits
-            .one_runs(row..end)
-            .map(move |run| run.start - row..run.end - row)
-    }
-
     /// Number of set (foreground) pixels.
     pub fn count_ones(&self) -> usize {
         self.bits.count_ones()
@@ -361,63 +325,6 @@ impl BinaryImage {
             out.push('\n');
         }
         out
-    }
-}
-
-/// A silhouette: the foreground mask of one segmented object, in full-frame
-/// coordinates.
-///
-/// This is a semantic alias for [`BinaryImage`] kept as a newtype so that
-/// masks and signature framings cannot be confused.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Silhouette(BinaryImage);
-
-impl Silhouette {
-    /// Creates an empty (all-background) silhouette.
-    pub fn new(width: usize, height: usize) -> Self {
-        Silhouette(BinaryImage::new(width, height))
-    }
-
-    /// Wraps a binary mask as a silhouette.
-    pub fn from_mask(mask: BinaryImage) -> Self {
-        Silhouette(mask)
-    }
-
-    /// Silhouette width in pixels.
-    pub fn width(&self) -> usize {
-        self.0.width()
-    }
-
-    /// Silhouette height in pixels.
-    pub fn height(&self) -> usize {
-        self.0.height()
-    }
-
-    /// Returns the mask bit at `(x, y)`, or `None` when out of bounds.
-    pub fn get(&self, x: usize, y: usize) -> Option<bool> {
-        self.0.get(x, y)
-    }
-
-    /// Marks the pixel at `(x, y)` as foreground.
-    pub fn mark(&mut self, x: usize, y: usize) {
-        self.0.set(x, y, true);
-    }
-
-    /// Marks the pixels `x` of row `y` as foreground; see
-    /// [`BinaryImage::set_run`].
-    pub fn mark_run(&mut self, y: usize, x: Range<usize>) {
-        self.0.set_run(y, x);
-    }
-
-    /// Number of foreground pixels — the object's area. The paper filters
-    /// objects with fewer than 768 pixels as noise.
-    pub fn area(&self) -> usize {
-        self.0.count_ones()
-    }
-
-    /// Access to the underlying binary mask.
-    pub fn as_mask(&self) -> &BinaryImage {
-        &self.0
     }
 }
 
@@ -479,23 +386,14 @@ mod tests {
     }
 
     #[test]
-    fn masked_histogram_counts_only_masked_pixels() {
-        let mut img = RgbImage::filled(4, 4, Rgb::new(50, 60, 70));
-        img.set(0, 0, Rgb::new(200, 0, 0));
-        let mut mask = Silhouette::new(4, 4);
-        mask.mark(0, 0);
-        mask.mark(1, 1);
-        let hist = img.masked_histogram(&mask).unwrap();
-        assert_eq!(hist.pixel_count(), 2);
-        assert_eq!(hist.red()[200], 1);
-        assert_eq!(hist.red()[50], 1);
-    }
-
-    #[test]
-    fn masked_histogram_rejects_dimension_mismatch() {
-        let img = RgbImage::new(4, 4);
-        let mask = Silhouette::new(3, 4);
-        assert!(img.masked_histogram(&mask).is_err());
+    fn rows_are_slices_of_the_pixel_buffer() {
+        let mut img = RgbImage::new(3, 2);
+        img.set(2, 1, Rgb::WHITE);
+        assert_eq!(img.row(0), Some(&[Rgb::BLACK; 3][..]));
+        assert_eq!(img.row(1), Some(&[Rgb::BLACK, Rgb::BLACK, Rgb::WHITE][..]));
+        assert_eq!(img.row(2), None);
+        assert_eq!(img.row(usize::MAX), None);
+        assert_eq!(RgbImage::new(0, 2).row(1), Some(&[][..]));
     }
 
     #[test]
@@ -534,6 +432,13 @@ mod tests {
         assert_eq!(img.to_ascii(), "#..\n..#\n");
     }
 
+    /// The columns set in row `y`.
+    fn set_columns(img: &BinaryImage, y: usize) -> Vec<usize> {
+        (0..img.width())
+            .filter(|&x| img.get(x, y) == Some(true))
+            .collect()
+    }
+
     #[test]
     fn set_run_crosses_word_boundaries() {
         // Row 0 of a 100-wide image spans words 0 and 1; row 1 starts
@@ -542,11 +447,8 @@ mod tests {
         img.set_run(0, 60..70);
         img.set_run(1, 20..100);
         assert_eq!(img.count_ones(), 90);
-        assert_eq!(img.row_runs(0).collect::<Vec<_>>(), vec![60..70]);
-        assert_eq!(img.row_runs(1).collect::<Vec<_>>(), vec![20..100]);
-        assert_eq!(img.get(59, 0), Some(false));
-        assert_eq!(img.get(69, 0), Some(true));
-        assert_eq!(img.get(99, 1), Some(true));
+        assert_eq!(set_columns(&img, 0), (60..70).collect::<Vec<_>>());
+        assert_eq!(set_columns(&img, 1), (20..100).collect::<Vec<_>>());
         assert_eq!(img.get(0, 2), Some(false), "the run stops at its row end");
     }
 
@@ -556,20 +458,19 @@ mod tests {
         img.set_run(0, 60..1000);
         img.set_run(1, 70..80);
         assert_eq!(img.count_ones(), 5);
-        assert_eq!(img.row_runs(0).collect::<Vec<_>>(), vec![60..65]);
-        assert_eq!(img.row_runs(1).count(), 0);
+        assert_eq!(set_columns(&img, 0), (60..65).collect::<Vec<_>>());
+        assert!(set_columns(&img, 1).is_empty());
     }
 
     #[test]
     fn out_of_range_rows_are_ignored() {
-        let mut s = Silhouette::new(8, 4);
-        s.mark_run(4, 0..8);
-        s.mark_run(usize::MAX, 0..8);
-        assert_eq!(s.area(), 0);
-        s.mark_run(3, 2..5);
-        assert_eq!(s.area(), 3);
-        assert_eq!(s.as_mask().row_runs(9).count(), 0);
-        assert_eq!(s.as_mask().row_runs(3).collect::<Vec<_>>(), vec![2..5]);
+        let mut img = BinaryImage::new(8, 4);
+        img.set_run(4, 0..8);
+        img.set_run(usize::MAX, 0..8);
+        assert_eq!(img.count_ones(), 0);
+        img.set_run(3, 2..5);
+        assert_eq!(img.count_ones(), 3);
+        assert_eq!(set_columns(&img, 3), vec![2, 3, 4]);
     }
 
     #[test]
@@ -586,19 +487,6 @@ mod tests {
         let short = BinaryImage::from_row_major_words(10, 7, vec![1 << 13]);
         assert_eq!(short.count_ones(), 1);
         assert_eq!(short.get(3, 1), Some(true));
-    }
-
-    #[test]
-    fn silhouette_area_counts_marks() {
-        let mut s = Silhouette::new(10, 10);
-        assert_eq!(s.area(), 0);
-        for i in 0..10 {
-            s.mark(i, i);
-        }
-        assert_eq!(s.area(), 10);
-        assert_eq!(s.get(3, 3), Some(true));
-        assert_eq!(s.get(3, 4), Some(false));
-        assert_eq!(s.as_mask().count_ones(), 10);
     }
 
     #[test]

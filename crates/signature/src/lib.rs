@@ -15,9 +15,9 @@
 //! * [`ColorHistogram`] — a 768-bin RGB colour histogram (256 bins per
 //!   channel) and its conversion to a binary signature by thresholding at the
 //!   mean bin value (paper Eq. 1–2, Fig. 2).
-//! * [`RgbImage`], [`BinaryImage`], [`Silhouette`] — minimal image containers
-//!   used by the synthetic surveillance substrate and by the FPGA pattern
-//!   input block (which consumes the signature as a 32×24 binary image).
+//! * [`RgbImage`], [`BinaryImage`] — minimal image containers used by the
+//!   synthetic surveillance substrate and by the FPGA pattern input block
+//!   (which consumes the signature as a 32×24 binary image).
 //!
 //! ## Quick example
 //!
@@ -55,7 +55,7 @@ pub use bernoulli::{draw_broadcast_masks, gate_word, BroadcastMasks, CoinThresho
 pub use bitvec::BinaryVector;
 pub use error::SignatureError;
 pub use histogram::{ColorHistogram, BINS_PER_CHANNEL, HISTOGRAM_BINS};
-pub use image::{BinaryImage, Rgb, RgbImage, Silhouette, SIGNATURE_HEIGHT, SIGNATURE_WIDTH};
+pub use image::{BinaryImage, Rgb, RgbImage, SIGNATURE_HEIGHT, SIGNATURE_WIDTH};
 pub use lanes::{
     active_dispatch, force_dispatch, segment_background, segment_background_with,
     validate_env_dispatch, Dispatch, DispatchEnvError, LineAlignedRow, UnavailableDispatch,

@@ -1,14 +1,14 @@
-//! Blob extraction: from labelled components to per-object silhouettes,
+//! Blob extraction: from labelled components to per-object row runs,
 //! bounding boxes, histograms and binary signatures.
 //!
 //! The paper filters "objects with less than 768 pixels" as noise (§IV),
 //! which conveniently also guarantees θ ≥ 1 in Eq. 1. [`MIN_OBJECT_PIXELS`]
 //! encodes that constant and [`Blob::is_noise`] applies it.
 
-use bsom_signature::{BinaryVector, ColorHistogram, RgbImage, Silhouette};
+use bsom_signature::{BinaryVector, ColorHistogram, RgbImage};
 use serde::{Deserialize, Serialize};
 
-use crate::connected::ComponentLabels;
+use crate::connected::{ComponentLabels, RowRun};
 
 /// Minimum number of silhouette pixels for a detection to count as a real
 /// object (paper §IV).
@@ -63,8 +63,12 @@ pub struct Blob {
     pub bbox: BoundingBox,
     /// Centroid of the silhouette pixels (not of the bounding box).
     pub centroid: (f64, f64),
-    /// The full-frame silhouette mask.
-    pub silhouette: Silhouette,
+    /// Width and height of the mask the blob was found in; only frames of
+    /// this size have the blob's pixels.
+    pub frame_size: (usize, usize),
+    /// The silhouette as its maximal row runs, in row-major order and
+    /// frame coordinates.
+    pub runs: Vec<RowRun>,
 }
 
 impl Blob {
@@ -74,15 +78,25 @@ impl Blob {
     }
 
     /// Builds the colour histogram of the blob's pixels in the given frame
-    /// (paper §III-A), or `None` when the frame size does not match the
-    /// silhouette.
+    /// (paper §III-A), one run's pixels at a time, so the cost follows the
+    /// object's area rather than the frame's. `None` when the frame size
+    /// differs from [`frame_size`](Self::frame_size) or a run leaves the
+    /// frame (a deserialized blob can hold any runs).
     pub fn histogram(&self, frame: &RgbImage) -> Option<ColorHistogram> {
-        frame.masked_histogram(&self.silhouette).ok()
+        if (frame.width(), frame.height()) != self.frame_size {
+            return None;
+        }
+        let mut histogram = ColorHistogram::new();
+        for run in &self.runs {
+            let pixels = frame.row(run.y)?.get(run.columns())?;
+            histogram.extend(pixels.iter().copied());
+        }
+        Some(histogram)
     }
 
     /// Extracts the blob's 768-bit binary signature from the given frame
-    /// (histogram → mean threshold → bits), or `None` when the frame size
-    /// does not match.
+    /// (histogram → mean threshold → bits), or `None` when
+    /// [`histogram`](Self::histogram) is.
     pub fn signature(&self, frame: &RgbImage) -> Option<BinaryVector> {
         self.histogram(frame).map(|h| h.to_signature())
     }
@@ -95,34 +109,33 @@ impl Blob {
 /// the tests sometimes want the raw blobs).
 ///
 /// Everything is accumulated per run: area and bounding box from the run's
-/// ends, the centroid from exact integer coordinate sums, and the silhouette
-/// a word range at a time.
+/// ends, the centroid from exact integer coordinate sums. A second pass
+/// hands each blob its runs, in a buffer allocated at their exact count.
 pub fn extract_blobs(labels: &ComponentLabels) -> Vec<Blob> {
+    #[derive(Clone)]
     struct Accumulator {
         area: usize,
         bbox: BoundingBox,
         sum_x: u64,
         sum_y: u64,
-        silhouette: Silhouette,
+        runs: usize,
     }
-    let mut accs: Vec<Accumulator> = (0..labels.component_count())
-        .map(|_| Accumulator {
-            area: 0,
-            bbox: BoundingBox {
-                min_x: usize::MAX,
-                min_y: usize::MAX,
-                max_x: 0,
-                max_y: 0,
-            },
-            sum_x: 0,
-            sum_y: 0,
-            silhouette: Silhouette::new(labels.width(), labels.height()),
-        })
-        .collect();
-
-    for run in labels.runs() {
-        let acc = &mut accs[run.component as usize - 1];
-        let (len, first, last) = (run.x.len(), run.x.start, run.x.end - 1);
+    let empty = Accumulator {
+        area: 0,
+        bbox: BoundingBox {
+            min_x: usize::MAX,
+            min_y: usize::MAX,
+            max_x: 0,
+            max_y: 0,
+        },
+        sum_x: 0,
+        sum_y: 0,
+        runs: 0,
+    };
+    let mut accs = vec![empty; labels.component_count()];
+    for (run, &component) in labels.runs() {
+        let acc = &mut accs[component as usize - 1];
+        let (len, first, last) = (run.columns().len(), run.x_start, run.x_end - 1);
         acc.area += len;
         acc.bbox.min_x = acc.bbox.min_x.min(first);
         acc.bbox.min_y = acc.bbox.min_y.min(run.y);
@@ -131,10 +144,11 @@ pub fn extract_blobs(labels: &ComponentLabels) -> Vec<Blob> {
         // first + (first + 1) + … + last; one of the two factors is even.
         acc.sum_x += ((first + last) * len / 2) as u64;
         acc.sum_y += (run.y * len) as u64;
-        acc.silhouette.mark_run(run.y, run.x.clone());
+        acc.runs += 1;
     }
 
-    accs.into_iter()
+    let mut blobs: Vec<Blob> = accs
+        .into_iter()
         .zip(1..)
         .map(|(a, component)| Blob {
             component,
@@ -147,9 +161,14 @@ pub fn extract_blobs(labels: &ComponentLabels) -> Vec<Blob> {
                 a.sum_x as f64 / a.area as f64,
                 a.sum_y as f64 / a.area as f64,
             ),
-            silhouette: a.silhouette,
+            frame_size: (labels.width(), labels.height()),
+            runs: Vec::with_capacity(a.runs),
         })
-        .collect()
+        .collect();
+    for (run, &component) in labels.runs() {
+        blobs[component as usize - 1].runs.push(*run);
+    }
+    blobs
 }
 
 #[cfg(test)]
@@ -195,7 +214,14 @@ mod tests {
         assert_eq!(first.bbox.min_x, 0);
         assert_eq!(first.bbox.max_x, 1);
         assert_eq!(first.centroid, (0.5, 0.5));
-        assert_eq!(first.silhouette.area(), 4);
+        assert_eq!(
+            first.runs,
+            [0, 1].map(|y| RowRun {
+                y,
+                x_start: 0,
+                x_end: 2
+            })
+        );
         let second = &blobs[1];
         assert_eq!(second.area, 3);
         assert_eq!(second.bbox.min_y, 3);
@@ -256,5 +282,31 @@ mod tests {
         let frame = RgbImage::new(5, 5);
         assert!(blobs[0].histogram(&frame).is_none());
         assert!(blobs[0].signature(&frame).is_none());
+    }
+
+    #[test]
+    fn deserialized_blob_with_runs_outside_the_frame_has_no_histogram() {
+        let blob = extract_blobs(&label_components(&mask_from_rows(&["##..", "...."]))).remove(0);
+        let frame = RgbImage::new(4, 2);
+        let outside = [
+            (2, 0, 1),
+            (usize::MAX, 0, 1),
+            (1, 3, 5),
+            (1, 0, usize::MAX),
+            (0, 3, 1),
+            (0, usize::MAX, usize::MAX),
+        ];
+        for (y, x_start, x_end) in outside {
+            let mut bad = blob.clone();
+            bad.runs.push(RowRun { y, x_start, x_end });
+            let json = serde_json::to_string(&bad).expect("a blob serialises");
+            let back: Blob = serde_json::from_str(&json).expect("any runs deserialise");
+            assert_eq!(back, bad);
+            assert_eq!(back.histogram(&frame), None, "run {y}: {x_start}..{x_end}");
+        }
+        let json = serde_json::to_string(&blob).expect("a blob serialises");
+        let back: Blob = serde_json::from_str(&json).expect("the blob deserialises");
+        assert_eq!(back.histogram(&frame), blob.histogram(&frame));
+        assert_eq!(back.histogram(&frame).map(|h| h.pixel_count()), Some(2));
     }
 }

@@ -16,10 +16,12 @@
 //! * [`background`] — running-average background subtraction over `f64`
 //!   estimate planes, producing per-frame foreground masks written 64 pixels
 //!   to a packed word by the dispatched `segment_background` kernel.
-//! * [`connected`] — run-based connected-components labelling: row runs
-//!   found a word at a time, joined by union–find over the runs.
+//! * [`connected`] — run-based connected-components labelling: every row
+//!   run found in one pass over the mask's words, joined by union–find to
+//!   the runs above it as it is found.
 //! * [`blob`] — blob extraction from the runs, bounding boxes, the paper's
-//!   < 768-pixel noise filter, and silhouette/histogram extraction.
+//!   < 768-pixel noise filter, and each blob's histogram straight from its
+//!   runs.
 //!
 //! Every stage works on whole mask words or runs, and is held bit-identical
 //! to the per-pixel front end it replaced by the oracle suite in
@@ -66,7 +68,7 @@ pub mod tracker;
 
 pub use background::{BackgroundConfig, BackgroundModel};
 pub use blob::{Blob, BoundingBox, MIN_OBJECT_PIXELS};
-pub use connected::{label_components, ComponentLabels};
+pub use connected::{label_components, ComponentLabels, RowRun};
 pub use pipeline::{ObjectObservation, SurveillancePipeline};
 pub use scene::{PersonModel, SceneConfig, SceneFrame, SceneSimulator};
 pub use tracker::{Track, TrackId, Tracker, TrackerConfig};

@@ -126,9 +126,11 @@ impl SurveillancePipeline {
     ///
     /// The pipeline itself is stateful (background model, tracker), so frames
     /// are consumed sequentially; the value of the batch form is downstream —
-    /// `bsom_engine::Recognizer::process_frames` feeds the flattened
-    /// signatures of a whole batch through its sharded winner search in one
-    /// go.
+    /// `bsom_engine::Recognizer::process_frames` classifies the flattened
+    /// signatures of a whole batch in one call. The few signatures of a
+    /// short batch run their winner search on the calling thread; only a
+    /// batch whose work exceeds `bsom_engine::INLINE_CLASSIFY_MAX_NEURON_WORDS`
+    /// is sharded across the worker pool.
     pub fn process_frames(&mut self, frames: &[RgbImage]) -> Vec<Vec<ObjectObservation>> {
         frames.iter().map(|f| self.process_frame(f)).collect()
     }

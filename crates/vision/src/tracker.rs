@@ -181,7 +181,6 @@ impl Tracker {
 mod tests {
     use super::*;
     use crate::blob::BoundingBox;
-    use bsom_signature::Silhouette;
 
     fn blob_at(x: f64, y: f64) -> Blob {
         Blob {
@@ -194,7 +193,8 @@ mod tests {
                 max_y: y as usize + 10,
             },
             centroid: (x, y),
-            silhouette: Silhouette::new(1, 1),
+            frame_size: (0, 0),
+            runs: Vec::new(),
         }
     }
 

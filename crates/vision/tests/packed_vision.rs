@@ -2,11 +2,12 @@
 //!
 //! The `reference` module keeps the per-pixel front end: background
 //! differencing one pixel at a time, two-pass union–find labelling over a
-//! per-pixel label buffer, per-pixel blob accumulation, a per-pixel masked
-//! histogram and bit-by-bit mean thresholding. The packed stages must
+//! per-pixel label buffer, per-pixel blob accumulation (each blob's runs
+//! grown a pixel at a time), a per-pixel histogram of each component's
+//! pixels and bit-by-bit mean thresholding. The packed stages must
 //! reproduce it exactly — the label at every pixel, component numbering and
-//! sizes, every `Blob` field (centroid bits included), histograms and
-//! signatures, masks and background estimates — on widths whose rows
+//! sizes, every `Blob` field (runs and centroid bits included), histograms
+//! and signatures, masks and background estimates — on widths whose rows
 //! straddle 64-bit words, on edge-case masks, and on whole scene clips
 //! through `SurveillancePipeline::process_frame`. Segmentation and the scene
 //! clips run under every kernel dispatch the machine offers.
@@ -55,10 +56,12 @@ impl Drop for Forced {
 
 /// The per-pixel front end, kept as the oracle.
 mod reference {
-    use bsom_signature::{BinaryImage, BinaryVector, ColorHistogram, Rgb, RgbImage, Silhouette};
+    use bsom_signature::{
+        BinaryImage, BinaryVector, ColorHistogram, Rgb, RgbImage, BINS_PER_CHANNEL, HISTOGRAM_BINS,
+    };
     use bsom_vision::blob::{Blob, BoundingBox};
     use bsom_vision::pipeline::ObjectObservation;
-    use bsom_vision::{BackgroundConfig, Tracker, TrackerConfig};
+    use bsom_vision::{BackgroundConfig, RowRun, Tracker, TrackerConfig};
     use serde::Serialize;
 
     /// The per-pixel running-average model. Its fields mirror
@@ -294,7 +297,8 @@ mod reference {
         }
     }
 
-    /// Per-pixel blob accumulation with f64 coordinate sums.
+    /// Per-pixel blob accumulation with f64 coordinate sums; a pixel
+    /// extends its blob's last run when it is the next one along that row.
     pub fn extract_blobs(labels: &Labels) -> Vec<Blob> {
         let count = labels.component_count;
         if count == 0 {
@@ -308,7 +312,7 @@ mod reference {
             max_y: usize,
             sum_x: f64,
             sum_y: f64,
-            silhouette: Silhouette,
+            runs: Vec<RowRun>,
         }
         let mut accs: Vec<Accumulator> = (0..count)
             .map(|_| Accumulator {
@@ -319,7 +323,7 @@ mod reference {
                 max_y: 0,
                 sum_x: 0.0,
                 sum_y: 0.0,
-                silhouette: Silhouette::new(labels.width, labels.height),
+                runs: Vec::new(),
             })
             .collect();
 
@@ -337,7 +341,14 @@ mod reference {
                 acc.max_y = acc.max_y.max(y);
                 acc.sum_x += x as f64;
                 acc.sum_y += y as f64;
-                acc.silhouette.mark(x, y);
+                match acc.runs.last_mut() {
+                    Some(run) if run.y == y && run.x_end == x => run.x_end += 1,
+                    _ => acc.runs.push(RowRun {
+                        y,
+                        x_start: x,
+                        x_end: x + 1,
+                    }),
+                }
             }
         }
 
@@ -354,23 +365,31 @@ mod reference {
                     max_y: a.max_y,
                 },
                 centroid: (a.sum_x / a.area as f64, a.sum_y / a.area as f64),
-                silhouette: a.silhouette,
+                frame_size: (labels.width, labels.height),
+                runs: a.runs,
             })
             .collect()
     }
 
-    /// Per-pixel histogram of the pixels under `mask`.
-    pub fn masked_histogram(image: &RgbImage, mask: &Silhouette) -> Option<ColorHistogram> {
-        if mask.width() != image.width() || mask.height() != image.height() {
+    /// Per-pixel histogram of the pixels labelled `component`, counted
+    /// into plain bins.
+    pub fn component_histogram(
+        image: &RgbImage,
+        labels: &Labels,
+        component: u32,
+    ) -> Option<ColorHistogram> {
+        if labels.width != image.width() || labels.height != image.height() {
             return None;
         }
-        let mut hist = ColorHistogram::new();
+        let mut bins = vec![0u32; HISTOGRAM_BINS];
         for (x, y, colour) in image.enumerate_pixels() {
-            if mask.get(x, y).unwrap_or(false) {
-                hist.add_pixel(colour);
+            if labels.labels[y * labels.width + x] == component {
+                bins[usize::from(colour.r)] += 1;
+                bins[BINS_PER_CHANNEL + usize::from(colour.g)] += 1;
+                bins[2 * BINS_PER_CHANNEL + usize::from(colour.b)] += 1;
             }
         }
-        Some(hist)
+        ColorHistogram::from_bins(bins).ok()
     }
 
     /// Eq. 2 one bin at a time: `1` where `bin >= θ`.
@@ -408,7 +427,7 @@ mod reference {
                 .into_iter()
                 .filter_map(|(track, blob_index)| {
                     let blob = &blobs[blob_index];
-                    let histogram = masked_histogram(frame, &blob.silhouette)?;
+                    let histogram = component_histogram(frame, &labels, blob.component)?;
                     let signature = signature(&histogram);
                     Some(ObjectObservation {
                         track,
@@ -514,9 +533,9 @@ fn assert_front_end_matches(mask: &BinaryImage, frame_seed: u64) {
         let histogram = blob.histogram(&frame);
         assert_eq!(
             histogram,
-            reference::masked_histogram(&frame, &blob.silhouette)
+            reference::component_histogram(&frame, &reference, blob.component)
         );
-        let histogram = histogram.expect("the frame matches the silhouette");
+        let histogram = histogram.expect("the frame has the mask's size");
         assert_eq!(histogram.to_signature(), reference::signature(&histogram));
         assert_eq!(blob.signature(&frame), Some(histogram.to_signature()));
     }
@@ -589,6 +608,124 @@ fn u_and_w_shapes_match() {
         assert_front_end_matches(&w, 7);
         assert_eq!(label_components(&u).component_count(), 1);
         assert_eq!(label_components(&w).component_count(), 1);
+    }
+}
+
+/// Widths whose rows are one word, a word and a half, and two and a half
+/// words: the word scan's row and word edges fall together, alternate, or
+/// land inside rows.
+const EDGE_WIDTHS: [usize; 3] = [64, 96, 160];
+
+#[test]
+fn run_across_a_word_edge_inside_a_row_matches() {
+    for width in EDGE_WIDTHS {
+        let height = 4;
+        let mut mask = BinaryImage::new(width, height);
+        let mut crossings = 0;
+        for y in 0..height {
+            // Every word edge strictly inside row y gets a run of six
+            // pixels, three on either side.
+            for edge in (y * width + 1..(y + 1) * width).filter(|i| i % 64 == 0) {
+                let x = edge - y * width;
+                mask.set_run(y, x - 3..x + 3);
+                crossings += 1;
+            }
+        }
+        // Only the 64-wide rows have no word edge inside them.
+        assert_eq!(crossings > 0, width != 64, "width {width}");
+        assert_front_end_matches(&mask, 11);
+        let labels = label_components(&mask);
+        let blobs = extract_blobs(&labels);
+        assert!(blobs
+            .iter()
+            .flat_map(|b| &b.runs)
+            .all(|r| r.x_end - r.x_start == 6));
+        assert_eq!(blobs.iter().map(|b| b.runs.len()).sum::<usize>(), crossings);
+    }
+}
+
+#[test]
+fn row_edge_inside_a_word_with_pixels_on_both_sides_matches() {
+    for width in EDGE_WIDTHS {
+        let height = 5;
+        // The last two pixels of a row and the first two of the next are
+        // one run of the bit stream, which the scan must cut at the row
+        // edge; the halves do not touch under 8-connectivity. Rows 1 and 3
+        // start mid-word at widths 96 and 160, every row at a word edge at
+        // width 64.
+        let mut mask = BinaryImage::new(width, height);
+        for y in 1..height {
+            mask.set_run(y - 1, width - 2..width);
+            mask.set_run(y, 0..2);
+        }
+        assert_front_end_matches(&mask, 12);
+        let labels = label_components(&mask);
+        assert_eq!(labels.component_count(), 2, "width {width}");
+        assert_eq!(labels.label(width - 1, 0), 1);
+        assert_eq!(labels.label(0, 1), 2);
+        // Whole rows between two partial ones: one stream run over three
+        // rows, cut into three row runs of one component.
+        let mut band = BinaryImage::new(width, height);
+        band.set_run(1, width - 5..width);
+        band.set_run(2, 0..width);
+        band.set_run(3, 0..7);
+        assert_front_end_matches(&band, 13);
+        let blobs = extract_blobs(&label_components(&band));
+        assert_eq!(blobs.len(), 1);
+        assert_eq!(blobs[0].runs.len(), 3);
+        assert_eq!(blobs[0].area, width + 12);
+    }
+}
+
+#[test]
+fn run_filling_a_whole_word_matches() {
+    for width in EDGE_WIDTHS {
+        let height = 4;
+        let pixels = width * height;
+        for word in 0..pixels / 64 {
+            // Exactly one word set, then the same word inside a longer run
+            // that starts and ends in the words around it.
+            let mut exact = BinaryImage::new(width, height);
+            let mut wider = BinaryImage::new(width, height);
+            for i in word * 64..(word + 1) * 64 {
+                exact.set(i % width, i / width, true);
+            }
+            for i in (word * 64).saturating_sub(5)..((word + 1) * 64 + 5).min(pixels) {
+                wider.set(i % width, i / width, true);
+            }
+            assert_eq!(exact.as_vector().as_words()[word], u64::MAX);
+            assert_front_end_matches(&exact, 14);
+            assert_front_end_matches(&wider, 15);
+            let runs: usize = extract_blobs(&label_components(&exact))
+                .iter()
+                .map(|b| b.runs.len())
+                .sum();
+            let rows = (word * 64 / width..=(word * 64 + 63) / width).count();
+            assert_eq!(runs, rows, "width {width}, word {word}");
+        }
+    }
+}
+
+#[test]
+fn last_pixel_of_a_ragged_image_matches() {
+    // 64 × 5 fills its last word; 96 × 3 and 160 × 3 end 32 bits into it.
+    for (width, height) in [(64, 5), (96, 3), (160, 3)] {
+        let mut last = BinaryImage::new(width, height);
+        last.set(width - 1, height - 1, true);
+        assert_front_end_matches(&last, 16);
+        let labels = label_components(&last);
+        assert_eq!(labels.component_count(), 1);
+        assert_eq!(labels.label(width - 1, height - 1), 1);
+        // The same pixel at the end of a run, and of a run that began on
+        // the row before.
+        let mut tail = BinaryImage::new(width, height);
+        tail.set_run(height - 1, width - 40..width);
+        assert_front_end_matches(&tail, 17);
+        let mut wrap = BinaryImage::new(width, height);
+        wrap.set_run(height - 2, width - 3..width);
+        wrap.set_run(height - 1, 0..width);
+        assert_front_end_matches(&wrap, 18);
+        assert_eq!(label_components(&wrap).component_count(), 1);
     }
 }
 
@@ -756,7 +893,11 @@ fn scene_clip_matches_the_reference_seed_201() {
 fn full_frame_rectangles_match() {
     let mask = generated_mask(160, 120, 5, 77);
     let blobs: Vec<Blob> = extract_blobs(&label_components(&mask));
-    let area: usize = blobs.iter().map(|b| b.silhouette.area()).sum();
+    let area: usize = blobs
+        .iter()
+        .flat_map(|b| &b.runs)
+        .map(|run| run.columns().len())
+        .sum();
     assert_eq!(area, mask.count_ones());
     assert_front_end_matches(&mask, 8);
 }
