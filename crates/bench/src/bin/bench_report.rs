@@ -11,9 +11,9 @@
 //! throughput and crash-safe checkpoint write/restore
 //! throughput at the 1024-neuron × 768-bit scale target) and
 //! `BENCH_serve.json` (the TCP serving front-end: wire throughput vs
-//! in-process on large batches, and the work-conserving micro-batching
-//! scheduler vs batch-of-one dispatch on a small-request mix, measured
-//! against a live server with a concurrently publishing trainer) and
+//! in-process on large batches, and requests/s on a pipelined
+//! single-signature mix, measured against a live server with a
+//! concurrently publishing trainer) and
 //! `BENCH_registry.json` (the multi-tenant facade: registry feed+tick
 //! steps/s vs a bare trainer, facade classify throughput, and the
 //! evict+reload spill round-trip rate across a 64-tenant fleet) and
@@ -141,8 +141,7 @@ struct LargeMapBenchReport {
 /// The `BENCH_serve.json` document: the TCP serving front-end measured
 /// against a live loopback server while a trainer publishes snapshots
 /// concurrently — large-batch wire throughput vs the same-shape in-process
-/// `classify_batch`, and the work-conserving micro-batching scheduler vs
-/// batch-of-one dispatch on a singleton-request mix.
+/// `classify_batch`, and requests/s on a pipelined singleton-request mix.
 #[derive(Debug, Serialize, Deserialize)]
 struct ServeBenchDocument {
     /// `"smoke"` or `"full"` — the serve legs clamp their windows to a
@@ -549,16 +548,13 @@ fn main() -> ExitCode {
         });
         println!(
             "serve large-batch: in-process {:.0} sigs/s, over the wire {:.0} sigs/s \
-             (ratio {:.2}); small mix: batch-of-one {:.0} req/s, micro-batched {:.0} req/s \
-             (speedup {:.2}x, mean batch {:.1} sigs, p99 {:.2} ms)",
+             (ratio {:.2}); small mix: {:.0} req/s (p50 {:.3} ms, p99 {:.2} ms)",
             serve.large.inprocess_signatures_per_second,
             serve.large.serve.signatures_per_second,
             serve.large.serve_over_inprocess,
-            serve.small.batch1.requests_per_second,
-            serve.small.microbatch.requests_per_second,
-            serve.small.speedup_microbatch_over_batch1,
-            serve.small.mean_batch_signatures,
-            serve.small.microbatch.latency.p99_ms,
+            serve.small.serve.requests_per_second,
+            serve.small.serve.latency.p50_ms,
+            serve.small.serve.latency.p99_ms,
         );
         ServeBenchDocument {
             mode: mode.to_string(),
@@ -832,9 +828,9 @@ fn main() -> ExitCode {
         if let Some((serve_report, serve_baseline)) = &serve_pair {
             figures.extend([
                 // The serving front-end: wire throughput on large batches and
-                // what greedy micro-batching buys on a singleton mix. Only
-                // bigger-is-better figures are gated; latencies are recorded in
-                // the document but too machine-sensitive to fail CI on.
+                // on a singleton mix. Only bigger-is-better figures are gated;
+                // latencies are recorded in the document but too
+                // machine-sensitive to fail CI on.
                 CheckedFigure {
                     name: "serve.large signatures/s",
                     baseline: serve_baseline.comparison.large.serve.signatures_per_second,
@@ -846,21 +842,9 @@ fn main() -> ExitCode {
                     fresh: serve_report.comparison.large.serve_over_inprocess,
                 },
                 CheckedFigure {
-                    name: "serve.small.microbatch requests/s",
-                    baseline: serve_baseline
-                        .comparison
-                        .small
-                        .microbatch
-                        .requests_per_second,
-                    fresh: serve_report.comparison.small.microbatch.requests_per_second,
-                },
-                CheckedFigure {
-                    name: "serve.small microbatch/batch1 speedup",
-                    baseline: serve_baseline
-                        .comparison
-                        .small
-                        .speedup_microbatch_over_batch1,
-                    fresh: serve_report.comparison.small.speedup_microbatch_over_batch1,
+                    name: "serve.small requests/s",
+                    baseline: serve_baseline.comparison.small.serve.requests_per_second,
+                    fresh: serve_report.comparison.small.serve.requests_per_second,
                 },
             ]);
         }

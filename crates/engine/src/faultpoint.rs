@@ -11,8 +11,8 @@
 //! | `trainer.feed`       | inside [`Trainer::try_feed`]'s `catch_unwind`, before the train step |
 //! | `checkpoint.write`   | between the temp-file write and the atomic rename  |
 //! | `checkpoint.read`    | on entry of a checkpoint load                      |
-//! | `service.drain`      | in `bsom-serve`'s graceful drain, after new work stops and before the in-flight flush |
-//! | `scheduler.dispatch` | inside `bsom-serve`'s scheduler `catch_unwind`, before a coalesced batch's classify |
+//! | `service.drain`      | in `bsom-serve`'s graceful drain, after new work stops and before it waits for the classifies already running |
+//! | `server.classify`    | inside a `bsom-serve` connection thread's `catch_unwind`, before a request's classify (either backend) |
 //! | `registry.evict`     | after a tenant's spill checkpoint is written, before its in-memory state is dropped |
 //! | `registry.reload`    | on entry of an evicted tenant's reload, before the spill file is read |
 //!

@@ -653,16 +653,6 @@ impl ServiceCore {
         self.pool.health_with(self.workers)
     }
 
-    /// `(queue_depth, queue_capacity)` from atomics only — no lock, no
-    /// `last_panic` clone — cheap enough for a scheduler to sample on every
-    /// dispatch decision.
-    fn queue_pressure(&self) -> (usize, usize) {
-        (
-            self.pool.shared.queue_depth.load(Ordering::SeqCst),
-            self.pool.queue_capacity,
-        )
-    }
-
     /// Computes verdicts for `range` on the calling thread — the whole
     /// batch when its work is at most [`INLINE_CLASSIFY_MAX_NEURON_WORDS`],
     /// and the fallback when a shard's worker panicked or its reply was
@@ -1119,14 +1109,6 @@ impl SomService {
         self.core.workers
     }
 
-    /// `(queue_depth, queue_capacity)` of the bounded job queue, read from
-    /// atomics only — the cheap health probe serving front-ends sample per
-    /// request, where the full [`health`](Self::health) report would take a
-    /// lock for `last_panic`.
-    pub fn queue_pressure(&self) -> (usize, usize) {
-        self.core.queue_pressure()
-    }
-
     /// Classifies a batch against one **pinned** snapshot (no refresh) —
     /// the frozen-serving path for A/B comparisons across versions and for
     /// frozen oracles built with [`from_parts`](Self::from_parts). Inline
@@ -1528,13 +1510,6 @@ impl Recognizer {
     /// Version of the snapshot this recognizer currently serves from.
     pub fn version(&self) -> u64 {
         self.current.version()
-    }
-
-    /// `(queue_depth, queue_capacity)` of the shared pool's bounded job
-    /// queue — see [`SomService::queue_pressure`]. Lets a batching scheduler
-    /// that holds only a `Recognizer` adapt to pool pressure.
-    pub fn queue_pressure(&self) -> (usize, usize) {
-        self.core.queue_pressure()
     }
 
     /// Picks up the latest published snapshot if it is newer than the held

@@ -9,14 +9,11 @@
 //!   the socket versus the *same* workload driven in-process through a
 //!   `Recognizer` in the same run, on the same machine, with the same
 //!   concurrent trainer. The tracked ratio `serve_over_inprocess` is the
-//!   whole front-end's overhead budget — frames, checksums, scheduler,
-//!   thread hops.
+//!   whole front-end's overhead budget — frames, checksums, thread hops.
 //! * **Small requests** on the paper-default map: single-signature requests
-//!   pipelined against (a) a scheduler pinned to batch-of-one dispatch and
-//!   (b) the work-conserving micro-batching scheduler, which coalesces the
-//!   requests that queue up during each dispatch. The tracked ratio
-//!   `speedup_microbatch_over_batch1` is what coalescing buys, and the p99
-//!   recorded next to it shows the latency price.
+//!   pipelined over several connections, each request one engine batch on
+//!   its connection's thread. The tracked figure is the requests per second
+//!   this sustains, with its latency percentiles beside it.
 //!
 //! Latency percentiles ride along in the report for the open-loop `loadgen`
 //! binary and CI to read, but only throughput figures are regression-gated:
@@ -36,7 +33,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::loadgen::{self, ArrivalMode, LatencySummary, LoadgenConfig};
-use crate::scheduler::SchedulerConfig;
 use crate::server::{ServeConfig, Server};
 
 /// Knobs for one serve-bench run.
@@ -96,23 +92,19 @@ pub struct LargeBatchFigures {
     pub serve_over_inprocess: f64,
 }
 
-/// The micro-batching comparison on single-signature requests.
+/// Single-signature requests over several pipelined connections.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SmallMixFigures {
     /// Neurons in the served map.
     pub neurons: usize,
     /// Bits per signature.
     pub vector_len: usize,
+    /// Parallel connections.
+    pub connections: usize,
     /// Pipelined single-signature requests per connection.
     pub in_flight_per_connection: usize,
-    /// The batch-of-one control leg.
-    pub batch1: ServeLeg,
-    /// The greedy micro-batching leg (the default scheduler).
-    pub microbatch: ServeLeg,
-    /// Mean signatures per dispatched batch on the micro-batching leg.
-    pub mean_batch_signatures: f64,
-    /// `microbatch.requests_per_second / batch1.requests_per_second`.
-    pub speedup_microbatch_over_batch1: f64,
+    /// The workload over loopback TCP.
+    pub serve: ServeLeg,
 }
 
 /// Everything `BENCH_serve.json` tracks.
@@ -120,7 +112,7 @@ pub struct SmallMixFigures {
 pub struct ServeBenchReport {
     /// The large-batch comparison.
     pub large: LargeBatchFigures,
-    /// The small-request comparison.
+    /// The small-request figures.
     pub small: SmallMixFigures,
     /// Snapshot versions the concurrent trainer published across the legs —
     /// proof the service was actually training while being measured.
@@ -303,40 +295,15 @@ pub fn measure_serve(config: &ServeBenchConfig) -> ServeBenchReport {
     let version_before = service.version();
     let (stop, trainer_thread) = spawn_trainer(trainer, corpus);
 
-    // Control: dispatch every request alone.
-    let batch1_server = Server::bind(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        ServeConfig {
-            scheduler: SchedulerConfig::batch_of_one(),
-            ..ServeConfig::default()
-        },
-        None,
-    )
-    .expect("binding the batch-of-one server");
-    let report = closed_loadgen(
-        batch1_server.local_addr(),
-        connections,
-        in_flight,
-        1,
-        vector_len,
-        seed ^ 0xB1,
-        window,
-    );
-    let batch1 = ServeLeg::from_report(&report);
-    batch1_server.drain();
-    batch1_server.join();
-
-    // Greedy micro-batching (the default scheduler), same offered pressure.
-    let micro_server = Server::bind(
+    let server = Server::bind(
         Arc::clone(&service),
         "127.0.0.1:0",
         ServeConfig::default(),
         None,
     )
-    .expect("binding the micro-batching server");
+    .expect("binding the small-request server");
     let report = closed_loadgen(
-        micro_server.local_addr(),
+        server.local_addr(),
         connections,
         in_flight,
         1,
@@ -344,25 +311,18 @@ pub fn measure_serve(config: &ServeBenchConfig) -> ServeBenchReport {
         seed ^ 0xB2,
         window,
     );
-    let microbatch = ServeLeg::from_report(&report);
-    let scheduler = micro_server.scheduler_snapshot();
-    micro_server.drain();
-    micro_server.join();
+    let serve = ServeLeg::from_report(&report);
+    server.drain();
+    server.join();
     stop.store(true, Ordering::Relaxed);
     let _ = trainer_thread.join();
     let small_published = service.version() - version_before;
-
-    let mean_batch_signatures =
-        scheduler.signatures_dispatched as f64 / (scheduler.batches_dispatched.max(1)) as f64;
     let small = SmallMixFigures {
         neurons,
         vector_len,
+        connections,
         in_flight_per_connection: in_flight,
-        speedup_microbatch_over_batch1: microbatch.requests_per_second
-            / batch1.requests_per_second.max(1e-9),
-        batch1,
-        microbatch,
-        mean_batch_signatures,
+        serve,
     };
 
     ServeBenchReport {

@@ -27,7 +27,6 @@ use std::time::Duration;
 
 use bsom_engine::{EngineConfig, MapRegistry, RegistryConfig};
 use bsom_serve::bench::{bench_service, synthetic_corpus};
-use bsom_serve::scheduler::SchedulerConfig;
 use bsom_serve::server::{DrainHook, ServeConfig, Server};
 use bsom_som::{BSom, BSomConfig, TrainSchedule};
 use rand::rngs::StdRng;
@@ -41,9 +40,6 @@ struct Args {
     vector_len: usize,
     labels: usize,
     seed: u64,
-    max_batch_signatures: usize,
-    queue_capacity: usize,
-    batch_of_one: bool,
     tenants: usize,
     max_resident: usize,
     spill_dir: Option<String>,
@@ -60,9 +56,6 @@ impl Args {
             vector_len: 768,
             labels: 4,
             seed: 42,
-            max_batch_signatures: 256,
-            queue_capacity: 1024,
-            batch_of_one: false,
             tenants: 0,
             max_resident: 0,
             spill_dir: None,
@@ -73,7 +66,6 @@ impl Args {
 
 const USAGE: &str = "usage: bsom-serve [--addr HOST:PORT] [--addr-file PATH] \
 [--checkpoint PATH] [--neurons N] [--vector-len BITS] [--labels N] [--seed N] \
-[--max-batch SIGS] [--queue-capacity N] [--batch-of-one] \
 [--tenants N] [--max-resident N] [--spill-dir PATH] [--tick-budget STEPS]";
 
 fn parse_args() -> Result<Args, String> {
@@ -92,9 +84,6 @@ fn parse_args() -> Result<Args, String> {
             "--vector-len" => args.vector_len = parse(&value("--vector-len")?)?,
             "--labels" => args.labels = parse(&value("--labels")?)?,
             "--seed" => args.seed = parse(&value("--seed")?)?,
-            "--max-batch" => args.max_batch_signatures = parse(&value("--max-batch")?)?,
-            "--queue-capacity" => args.queue_capacity = parse(&value("--queue-capacity")?)?,
-            "--batch-of-one" => args.batch_of_one = true,
             "--tenants" => args.tenants = parse(&value("--tenants")?)?,
             "--max-resident" => args.max_resident = parse(&value("--max-resident")?)?,
             "--spill-dir" => args.spill_dir = Some(value("--spill-dir")?),
@@ -287,21 +276,10 @@ fn main() -> ExitCode {
         }
     });
 
-    let scheduler = if args.batch_of_one {
-        SchedulerConfig::batch_of_one()
-    } else {
-        SchedulerConfig {
-            max_batch_signatures: args.max_batch_signatures,
-            queue_capacity: args.queue_capacity,
-        }
-    };
     let server = match Server::bind(
         service,
         args.addr.as_str(),
-        ServeConfig {
-            scheduler,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
         Some(drain_hook),
     ) {
         Ok(server) => server,

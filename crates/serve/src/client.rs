@@ -3,8 +3,9 @@
 //! [`ServeClient`] is the simple request/response handle; splitting it with
 //! [`ServeClient::split`] gives independently owned send/receive halves so a
 //! load generator can pipeline — many requests in flight on one connection,
-//! which is exactly the traffic shape the server's micro-batching scheduler
-//! coalesces.
+//! answered in order. The server reads a connection's next request only
+//! after answering the last, so a deep pipeline reads on one half while it
+//! writes on the other.
 
 use std::error::Error;
 use std::fmt;

@@ -9,13 +9,11 @@
 //!   frame format (the checkpoint frames' sibling). Malformed input is
 //!   rejected as a typed [`WireError`], never a panic —
 //!   proptested by `tests/wire_corruption.rs`.
-//! * [`scheduler`] — the work-conserving micro-batching scheduler: it
-//!   dispatches as soon as it holds a request, small requests that queue up
-//!   during a dispatch coalesce into the next `classify_batch`, and
-//!   two-stage admission control surfaces as typed `Overloaded` responses.
-//! * [`server`] — the `std::net` listener, per-connection reader/writer
-//!   threads (responses strictly in request order, so clients may
-//!   pipeline), the wire health endpoint, and graceful drain with an
+//! * [`server`] — the `std::net` listener, one thread per connection that
+//!   reads a request, classifies it as one engine batch and writes the
+//!   response (responses strictly in request order, so clients may
+//!   pipeline; a full engine queue surfaces as a typed `Overloaded`
+//!   response), the wire health endpoint, and graceful drain with an
 //!   optional checkpoint hook. [`Server::bind_registry`] fronts a whole
 //!   [`MapRegistry`](bsom_engine::MapRegistry) — format-2 frames address
 //!   tenants by id, format-1 frames keep working against the default
@@ -35,13 +33,9 @@
 pub mod bench;
 pub mod client;
 pub mod loadgen;
-pub mod scheduler;
 pub mod server;
 pub mod wire;
 
 pub use client::{ClientError, ServeClient};
-pub use scheduler::{
-    BatchClassify, BatchReply, ClassifyJob, MicroBatcher, SchedulerConfig, SchedulerSnapshot,
-};
-pub use server::{DrainHook, ServeConfig, Server};
+pub use server::{DrainHook, SchedulerSnapshot, ServeConfig, Server};
 pub use wire::{DrainSummary, ErrorCode, WireError, WireHealth, WireMessage};

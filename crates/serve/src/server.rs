@@ -1,68 +1,71 @@
-//! The TCP front-end: listener, per-connection reader/writer threads, and
-//! graceful drain.
+//! The TCP front-end: listener, one thread per connection, and graceful
+//! drain.
 //!
 //! Thread topology (all plain `std::net` + `std::thread`, no async runtime):
 //!
 //! * one **accept** thread polls a non-blocking listener so it can also
 //!   observe the draining flag;
-//! * each connection gets a **reader** thread (decodes frames, submits
-//!   classify jobs to the shared [`MicroBatcher`]) and a **writer** thread
-//!   (serializes responses strictly in request order — what makes client
-//!   pipelining safe, and pipelining is what gives the scheduler something
-//!   to coalesce);
-//! * the scheduler thread itself, owned by [`MicroBatcher`].
+//! * each connection gets **one thread** that reads a frame, answers it and
+//!   writes the response before it reads the next, so responses leave in
+//!   request order and clients may pipeline. A classify runs on that thread,
+//!   through the connection's own [`Recognizer`] or through
+//!   [`MapRegistry::classify`], inside `catch_unwind`. The thread flushes
+//!   its writer only when its reader holds no further whole request, so the
+//!   responses to a pipelined burst leave in few syscalls.
 //!
 //! A graceful drain — triggered over the wire by
 //! [`WireMessage::DrainRequest`] or locally by [`Server::drain`] — stops
-//! accepting connections, rejects new classify requests with a typed
-//! [`ErrorCode::Draining`] response, flushes every request already admitted
-//! (passing the `service.drain` failpoint first, so the fault suite can
-//! panic a worker mid-flush), runs the optional drain hook (the `bsom-serve`
-//! binary uses it to [`write_checkpoint`]) and only then reports a
-//! [`DrainSummary`].
+//! accepting connections, rejects new classify and train requests with a
+//! typed [`ErrorCode::Draining`] response, waits until every classify
+//! already running on another connection has been answered (passing the
+//! `service.drain` failpoint first, so the fault suite can panic a worker
+//! mid-flush), runs the optional drain hook (the `bsom-serve` binary uses
+//! it to [`write_checkpoint`]) and only then reports a [`DrainSummary`].
 //!
 //! [`write_checkpoint`]: bsom_engine::Trainer::write_checkpoint
 
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
 use std::{fmt, io};
 
-use bsom_engine::{faultpoint, EngineError, MapRegistry, SomService, TenantId};
+use bsom_engine::{faultpoint, EngineError, MapRegistry, Recognizer, SomService, TenantId};
+use bsom_signature::BinaryVector;
 use bsom_som::ObjectLabel;
 
-use crate::scheduler::{BatchReply, ClassifyJob, MicroBatcher, SchedulerConfig, SchedulerSnapshot};
-use crate::wire::{self, DrainSummary, ErrorCode, WireHealth, WireMessage};
+use crate::wire::{
+    self, DrainSummary, ErrorCode, WireHealth, WireMessage, WIRE_CHECKSUM_LEN, WIRE_HEADER_LEN,
+};
 
 /// Runs after the in-flight flush of a graceful drain; returns whether it
 /// wrote a checkpoint ([`DrainSummary::checkpoint_written`]).
 pub type DrainHook = Box<dyn FnOnce() -> bool + Send>;
 
-/// Server tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// The micro-batching scheduler's configuration.
-    pub scheduler: SchedulerConfig,
-    /// `TCP_NODELAY` on accepted connections. Defaults to `true`: the
-    /// scheduler does its own batching, Nagle would only stack delays.
-    pub nodelay: bool,
-    /// Most responses a connection may have queued or in flight; a client
-    /// pipelining past this is backpressured at the socket.
-    pub max_pipelined: usize,
-}
+/// Server settings. There are none: every accepted connection gets
+/// `TCP_NODELAY` and one thread. [`Server::bind`] keeps the parameter so a
+/// setting can return without breaking callers.
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct ServeConfig {}
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            scheduler: SchedulerConfig::default(),
-            nodelay: true,
-            max_pipelined: 1024,
-        }
-    }
+/// A point-in-time copy of the server's classify counters, summed over
+/// every connection. (The name is older than the connection loop; the
+/// benchmark's serve workload reads it.)
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedulerSnapshot {
+    /// Classify requests sent to the engine, one engine batch each.
+    pub batches_dispatched: u64,
+    /// Signatures of the classifies that returned predictions.
+    pub signatures_dispatched: u64,
+    /// Classify requests answered with a typed `Overloaded` response.
+    pub requests_shed: u64,
+    /// Always 0: nothing waits on a clock.
+    pub delay_micros: u64,
 }
 
 /// How often the accept loop re-checks the draining flag.
@@ -72,45 +75,53 @@ fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A response slot in a connection's ordered writer queue.
-enum Pending {
-    /// Already resolved (health, drain, errors, admission sheds).
-    Ready(WireMessage),
-    /// A classify job still in the scheduler; the writer blocks here, which
-    /// is exactly what keeps responses in request order.
-    Wait(Receiver<BatchReply>),
-}
-
 /// What the front-end serves: one map, or many behind a registry.
 enum Backend {
-    /// The classic single-map path: classify requests flow through the
-    /// micro-batching scheduler; tenant-addressed and train frames are
-    /// rejected typed.
-    Single {
-        service: Arc<SomService>,
-        batcher: MicroBatcher,
-    },
+    /// The classic single-map path: each connection classifies through its
+    /// own [`Recognizer`]; tenant-addressed and train frames are rejected
+    /// typed.
+    Single(Arc<SomService>),
     /// The multi-tenant path: classify requests route to
     /// [`MapRegistry::classify`] per tenant (a frame without a tenant id
     /// goes to `default_tenant`), train frames feed the tenant's pending
     /// queue, and a tenant-addressed drain flushes just that tenant.
-    /// Classification runs inline on the connection's reader thread —
-    /// cross-tenant batches cannot coalesce, so there is no scheduler.
     Registry {
         registry: Arc<MapRegistry>,
         default_tenant: TenantId,
     },
 }
 
+/// The live connections, keyed by id. Each entry is a handle on the socket
+/// (so [`Server::join`] can half-close it) and the connection's thread; the
+/// thread removes its own entry when it exits.
+#[derive(Default)]
+struct Connections {
+    next_id: u64,
+    live: HashMap<u64, (TcpStream, JoinHandle<()>)>,
+}
+
+/// Monotonic classify counters, updated by every connection thread.
+#[derive(Default)]
+struct Counters {
+    batches: AtomicU64,
+    signatures: AtomicU64,
+    shed: AtomicU64,
+}
+
 struct ServerShared {
     backend: Backend,
-    config: ServeConfig,
     draining: AtomicBool,
+    /// Classifies admitted and not yet answered. Admission checks
+    /// `draining` under this lock, so once a drain has flipped the flag no
+    /// classify starts and the count only falls.
+    running: Mutex<u64>,
+    /// Signalled when `running` reaches 0.
+    idle: Condvar,
+    counters: Counters,
     drain_done: Mutex<Option<DrainSummary>>,
     drain_cv: Condvar,
     drain_hook: Mutex<Option<DrainHook>>,
-    conns: Mutex<Vec<TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    conns: Mutex<Connections>,
 }
 
 impl fmt::Debug for ServerShared {
@@ -121,9 +132,54 @@ impl fmt::Debug for ServerShared {
     }
 }
 
+impl ServerShared {
+    /// Admits one classify unless the server is draining.
+    fn admit(&self) -> bool {
+        let mut running = lock_recovering(&self.running);
+        if self.draining.load(Ordering::SeqCst) {
+            return false;
+        }
+        *running += 1;
+        true
+    }
+
+    /// Marks an admitted classify as answered.
+    fn finish(&self) {
+        let mut running = lock_recovering(&self.running);
+        *running -= 1;
+        if *running == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    fn snapshot(&self) -> SchedulerSnapshot {
+        SchedulerSnapshot {
+            batches_dispatched: self.counters.batches.load(Ordering::Relaxed),
+            signatures_dispatched: self.counters.signatures.load(Ordering::Relaxed),
+            requests_shed: self.counters.shed.load(Ordering::Relaxed),
+            delay_micros: 0,
+        }
+    }
+
+    /// Blocks until a drain has completed and returns its summary.
+    fn wait_for_summary(&self) -> DrainSummary {
+        let mut done = lock_recovering(&self.drain_done);
+        loop {
+            if let Some(summary) = done.as_ref() {
+                return summary.clone();
+            }
+            done = self
+                .drain_cv
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// A running serving front-end. Dropping the handle closes the listener and
-/// every connection (after in-flight batches resolve); use
-/// [`drain`](Self::drain) + [`join`](Self::join) for the graceful path.
+/// every connection (after the requests each has already read are
+/// answered); use [`drain`](Self::drain) + [`join`](Self::join) for the
+/// graceful path.
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<ServerShared>,
@@ -142,16 +198,10 @@ impl Server {
     pub fn bind(
         service: Arc<SomService>,
         addr: impl ToSocketAddrs,
-        config: ServeConfig,
+        _config: ServeConfig,
         drain_hook: Option<DrainHook>,
     ) -> io::Result<Server> {
-        let batcher = MicroBatcher::new(service.recognizer(), config.scheduler.clone())?;
-        Self::bind_backend(
-            Backend::Single { service, batcher },
-            addr,
-            config,
-            drain_hook,
-        )
+        Self::bind_backend(Backend::Single(service), addr, drain_hook)
     }
 
     /// Binds `addr` and serves every tenant of `registry`. Frames without a
@@ -167,20 +217,19 @@ impl Server {
         registry: Arc<MapRegistry>,
         default_tenant: impl Into<TenantId>,
         addr: impl ToSocketAddrs,
-        config: ServeConfig,
+        _config: ServeConfig,
         drain_hook: Option<DrainHook>,
     ) -> io::Result<Server> {
         let backend = Backend::Registry {
             registry,
             default_tenant: default_tenant.into(),
         };
-        Self::bind_backend(backend, addr, config, drain_hook)
+        Self::bind_backend(backend, addr, drain_hook)
     }
 
     fn bind_backend(
         backend: Backend,
         addr: impl ToSocketAddrs,
-        config: ServeConfig,
         drain_hook: Option<DrainHook>,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
@@ -188,13 +237,14 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(ServerShared {
             backend,
-            config,
             draining: AtomicBool::new(false),
+            running: Mutex::new(0),
+            idle: Condvar::new(),
+            counters: Counters::default(),
             drain_done: Mutex::new(None),
             drain_cv: Condvar::new(),
             drain_hook: Mutex::new(drain_hook),
-            conns: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
+            conns: Mutex::new(Connections::default()),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = Builder::new()
@@ -218,39 +268,26 @@ impl Server {
         build_health(&self.shared)
     }
 
-    /// The scheduler's counters. A registry-backed server has no scheduler
-    /// (cross-tenant batches cannot coalesce) and reports all zeros.
+    /// The classify counters of every connection, for either backend.
     pub fn scheduler_snapshot(&self) -> SchedulerSnapshot {
-        match &self.shared.backend {
-            Backend::Single { batcher, .. } => batcher.snapshot(),
-            Backend::Registry { .. } => SchedulerSnapshot::default(),
-        }
+        self.shared.snapshot()
     }
 
-    /// Drains gracefully: stop accepting, flush admitted requests, run the
-    /// drain hook. Idempotent — concurrent callers all get the one summary.
+    /// Drains gracefully: stop accepting, wait for running classifies, run
+    /// the drain hook. Idempotent — concurrent callers all get the one
+    /// summary.
     pub fn drain(&self) -> DrainSummary {
         begin_drain(&self.shared)
     }
 
     /// Blocks until a drain (wire- or locally-triggered) has completed.
     pub fn wait_until_drained(&self) -> DrainSummary {
-        let mut done = lock_recovering(&self.shared.drain_done);
-        loop {
-            if let Some(summary) = done.as_ref() {
-                return summary.clone();
-            }
-            done = self
-                .shared
-                .drain_cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.shared.wait_for_summary()
     }
 
     /// Closes the server: joins the accept loop, lets every connection
-    /// writer finish its queued responses, then joins the connection
-    /// threads. Call after [`drain`](Self::drain) for a graceful exit.
+    /// answer what it has already read, then joins the connection threads.
+    /// Call after [`drain`](Self::drain) for a graceful exit.
     pub fn join(mut self) {
         self.close();
     }
@@ -265,14 +302,17 @@ impl Server {
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
         }
-        // Half-close every connection: readers see EOF and exit, writers
-        // first flush whatever responses are still queued, then exit.
-        for conn in lock_recovering(&self.shared.conns).drain(..) {
-            let _ = conn.shutdown(Shutdown::Read);
+        // Half-close every live connection: its thread answers what it has
+        // already read, sees EOF, flushes and exits.
+        let live: Vec<(TcpStream, JoinHandle<()>)> = lock_recovering(&self.shared.conns)
+            .live
+            .drain()
+            .map(|(_, conn)| conn)
+            .collect();
+        for (stream, _) in &live {
+            let _ = stream.shutdown(Shutdown::Read);
         }
-        let threads: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *lock_recovering(&self.shared.conn_threads));
-        for thread in threads {
+        for (_, thread) in live {
             let _ = thread.join();
         }
     }
@@ -315,40 +355,38 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
 
 fn spawn_connection(shared: &Arc<ServerShared>, stream: TcpStream) -> io::Result<()> {
     stream.set_nonblocking(false)?;
-    if shared.config.nodelay {
-        stream.set_nodelay(true)?;
-    }
-    let read_half = stream.try_clone()?;
-    let write_half = stream.try_clone()?;
-    lock_recovering(&shared.conns).push(stream);
-    let (out_tx, out_rx) = mpsc::sync_channel::<Pending>(shared.config.max_pipelined.max(1));
-    let reader_shared = Arc::clone(shared);
-    let reader = Builder::new()
-        .name("bsom-serve-conn-reader".to_string())
-        .spawn(move || read_loop(read_half, reader_shared, out_tx))?;
-    let writer = Builder::new()
-        .name("bsom-serve-conn-writer".to_string())
-        .spawn(move || write_loop(write_half, out_rx))?;
-    let mut threads = lock_recovering(&shared.conn_threads);
-    threads.push(reader);
-    threads.push(writer);
+    stream.set_nodelay(true)?;
+    let handle = stream.try_clone()?;
+    // Held across the spawn, so the thread's own removal at exit always
+    // finds the entry inserted below.
+    let mut conns = lock_recovering(&shared.conns);
+    let id = conns.next_id;
+    conns.next_id += 1;
+    let thread_shared = Arc::clone(shared);
+    let thread = Builder::new()
+        .name("bsom-serve-conn".to_string())
+        .spawn(move || {
+            Connection::new(&thread_shared).serve(&stream);
+            // Release this connection's descriptor and thread handle now,
+            // not when the server closes.
+            lock_recovering(&thread_shared.conns).live.remove(&id);
+        })?;
+    conns.live.insert(id, (handle, thread));
     Ok(())
 }
 
 fn build_health(shared: &ServerShared) -> WireHealth {
-    let (service, scheduler, snapshot_version) = match &shared.backend {
-        Backend::Single { service, batcher } => {
-            (service.health(), batcher.snapshot(), service.version())
-        }
+    let (service, snapshot_version) = match &shared.backend {
+        Backend::Single(service) => (service.health(), service.version()),
         Backend::Registry {
             registry,
             default_tenant,
         } => (
             registry.health(),
-            SchedulerSnapshot::default(),
             registry.version(default_tenant.clone()).unwrap_or(0),
         ),
     };
+    let counters = shared.snapshot();
     WireHealth {
         snapshot_version,
         workers_configured: service.workers_configured as u64,
@@ -357,12 +395,12 @@ fn build_health(shared: &ServerShared) -> WireHealth {
         engine_queue_capacity: service.queue_capacity as u64,
         worker_panics: service.worker_panics,
         worker_respawns: service.worker_respawns,
-        scheduler_pending: scheduler.pending as u64,
-        scheduler_capacity: scheduler.queue_capacity as u64,
-        batches_dispatched: scheduler.batches_dispatched,
-        requests_coalesced: scheduler.requests_coalesced,
-        signatures_dispatched: scheduler.signatures_dispatched,
-        requests_shed: scheduler.requests_shed,
+        scheduler_pending: 0,
+        scheduler_capacity: 0,
+        batches_dispatched: counters.batches_dispatched,
+        requests_coalesced: 0,
+        signatures_dispatched: counters.signatures_dispatched,
+        requests_shed: counters.requests_shed,
         coalesce_delay_micros: 0,
         draining: shared.draining.load(Ordering::SeqCst),
         last_panic: service.last_panic,
@@ -372,25 +410,28 @@ fn build_health(shared: &ServerShared) -> WireHealth {
 /// The one drain path. First caller executes it; everyone else blocks until
 /// the summary exists.
 fn begin_drain(shared: &ServerShared) -> DrainSummary {
-    if shared.draining.swap(true, Ordering::SeqCst) {
-        // Someone else is draining (or already drained): wait for the
-        // summary.
-        let mut done = lock_recovering(&shared.drain_done);
-        loop {
-            if let Some(summary) = done.as_ref() {
-                return summary.clone();
-            }
-            done = shared
-                .drain_cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
+    let waited_for = {
+        let running = lock_recovering(&shared.running);
+        if shared.draining.swap(true, Ordering::SeqCst) {
+            // Someone else is draining (or already drained).
+            drop(running);
+            return shared.wait_for_summary();
         }
-    }
-    // New classify requests are now rejected and the accept loop is on its
-    // way out; everything already admitted flushes below.
+        *running
+    };
+    // New classify and train requests are now rejected and the accept loop
+    // is on its way out; the classifies already running finish below.
     faultpoint::hit("service.drain");
+    let mut running = lock_recovering(&shared.running);
+    while *running > 0 {
+        running = shared
+            .idle
+            .wait(running)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(running);
     let (requests_flushed, final_version) = match &shared.backend {
-        Backend::Single { service, batcher } => (batcher.drain(), service.version()),
+        Backend::Single(service) => (waited_for, service.version()),
         Backend::Registry {
             registry,
             default_tenant,
@@ -436,15 +477,16 @@ fn engine_error_response(error: EngineError) -> WireMessage {
             queue_capacity: queue_capacity as u64,
         },
         EngineError::UnknownTenant { .. } | EngineError::DuplicateTenant { .. } => {
-            WireMessage::ErrorResponse {
-                code: ErrorCode::Malformed,
-                message: error.to_string(),
-            }
+            error_response(ErrorCode::Malformed, error.to_string())
         }
-        other => WireMessage::ErrorResponse {
-            code: ErrorCode::Internal,
-            message: other.to_string(),
-        },
+        other => error_response(ErrorCode::Internal, other.to_string()),
+    }
+}
+
+fn error_response(code: ErrorCode, message: impl Into<String>) -> WireMessage {
+    WireMessage::ErrorResponse {
+        code,
+        message: message.into(),
     }
 }
 
@@ -455,246 +497,224 @@ fn resolve_tenant(tenant: Option<String>, default_tenant: &TenantId) -> TenantId
         .unwrap_or_else(|| default_tenant.clone())
 }
 
-fn read_loop(stream: TcpStream, shared: Arc<ServerShared>, out: SyncSender<Pending>) {
-    let mut reader = BufReader::new(stream);
-    loop {
-        match wire::read_message(&mut reader) {
-            Ok(None) => return, // clean EOF
-            Ok(Some(WireMessage::ClassifyRequest { tenant, signatures })) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    let rejected = Pending::Ready(WireMessage::ErrorResponse {
-                        code: ErrorCode::Draining,
-                        message: "server is draining; no new classify requests".to_string(),
-                    });
-                    if out.send(rejected).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                let pending = match &shared.backend {
-                    Backend::Single { batcher, .. } => {
-                        if tenant.is_some() {
-                            Pending::Ready(WireMessage::ErrorResponse {
-                                code: ErrorCode::Malformed,
-                                message: "this server fronts a single map; tenant \
-                                          addressing needs a registry server"
-                                    .to_string(),
-                            })
-                        } else {
-                            let (reply_tx, reply_rx) = mpsc::channel();
-                            let job = ClassifyJob {
-                                signatures,
-                                reply: reply_tx,
-                            };
-                            match batcher.submit(job) {
-                                Ok(()) => Pending::Wait(reply_rx),
-                                Err(_job) => {
-                                    // Admission control: the scheduler's
-                                    // bounded queue is full. Same typed
-                                    // response the engine queue produces.
-                                    let scheduler = batcher.snapshot();
-                                    Pending::Ready(WireMessage::OverloadedResponse {
-                                        queue_depth: scheduler.pending as u64,
-                                        queue_capacity: scheduler.queue_capacity as u64,
-                                    })
-                                }
-                            }
-                        }
-                    }
-                    Backend::Registry {
-                        registry,
-                        default_tenant,
-                    } => {
-                        let id = resolve_tenant(tenant, default_tenant);
-                        Pending::Ready(match registry.classify(id, signatures) {
-                            Ok(predictions) => WireMessage::ClassifyResponse { predictions },
-                            Err(error) => engine_error_response(error),
-                        })
-                    }
-                };
-                if out.send(pending).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(WireMessage::TrainRequest { tenant, examples })) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    let rejected = Pending::Ready(WireMessage::ErrorResponse {
-                        code: ErrorCode::Draining,
-                        message: "server is draining; no new train requests".to_string(),
-                    });
-                    if out.send(rejected).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                let response = match &shared.backend {
-                    Backend::Single { .. } => WireMessage::ErrorResponse {
-                        code: ErrorCode::Malformed,
-                        message: "this server fronts a single map; training over the \
-                                  wire needs a registry server"
-                            .to_string(),
-                    },
-                    Backend::Registry {
-                        registry,
-                        default_tenant,
-                    } => {
-                        let id = resolve_tenant(tenant, default_tenant);
-                        let mut accepted = 0u64;
-                        let mut failure = None;
-                        for (signature, label) in &examples {
-                            let label = ObjectLabel::new(*label as usize);
-                            match registry.feed(id.clone(), signature, label) {
-                                Ok(()) => accepted += 1,
-                                Err(error) => {
-                                    failure = Some(error);
-                                    break;
-                                }
-                            }
-                        }
-                        match failure {
-                            None => WireMessage::TrainResponse { accepted },
-                            Some(error) => engine_error_response(error),
-                        }
-                    }
-                };
-                if out.send(Pending::Ready(response)).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(WireMessage::HealthRequest)) => {
-                let health =
-                    Pending::Ready(WireMessage::HealthResponse(Box::new(build_health(&shared))));
-                if out.send(health).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(WireMessage::DrainRequest { tenant })) => {
-                let response = match (&shared.backend, tenant) {
-                    (Backend::Single { .. }, Some(_)) => WireMessage::ErrorResponse {
-                        code: ErrorCode::Malformed,
-                        message: "this server fronts a single map; tenant drains need \
-                                  a registry server"
-                            .to_string(),
-                    },
-                    (
-                        Backend::Registry {
-                            registry,
-                            default_tenant: _,
-                        },
-                        Some(tenant),
-                    ) => {
-                        // A tenant drain flushes just that tenant's pending
-                        // queue — the server keeps running.
-                        match registry.drain_tenant(tenant) {
-                            Ok((steps_flushed, final_version)) => {
-                                WireMessage::DrainResponse(DrainSummary {
-                                    requests_flushed: steps_flushed,
-                                    checkpoint_written: false,
-                                    final_version,
-                                })
-                            }
-                            Err(error) => engine_error_response(error),
-                        }
-                    }
-                    // Blocks until the flush + hook finish; the response is
-                    // queued *behind* this connection's earlier classify
-                    // responses, so the requester sees its own verdicts
-                    // first.
-                    (_, None) => WireMessage::DrainResponse(begin_drain(&shared)),
-                };
-                if out.send(Pending::Ready(response)).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(_)) => {
-                // A response kind from a client is a protocol violation.
-                let _ = out.send(Pending::Ready(WireMessage::ErrorResponse {
-                    code: ErrorCode::Malformed,
-                    message: "clients must send request frames".to_string(),
-                }));
-                return;
-            }
-            Err(error) => {
-                // Typed rejection, then hang up: after a framing error the
-                // stream position is unreliable.
-                let _ = out.send(Pending::Ready(WireMessage::ErrorResponse {
-                    code: ErrorCode::Malformed,
-                    message: error.to_string(),
-                }));
-                return;
-            }
-        }
-    }
+/// Whether `buffered` starts with a whole frame, so reading it will not
+/// block. The header ends with the payload length, a `u64` LE.
+fn holds_frame(buffered: &[u8]) -> bool {
+    let Some(length) = buffered.get(WIRE_HEADER_LEN - 8..WIRE_HEADER_LEN) else {
+        return false;
+    };
+    let mut declared = [0u8; 8];
+    declared.copy_from_slice(length);
+    let available = (buffered.len() - WIRE_HEADER_LEN) as u64;
+    available >= u64::from_le_bytes(declared).saturating_add(WIRE_CHECKSUM_LEN as u64)
 }
 
-fn reply_to_message(reply: Result<BatchReply, mpsc::RecvError>) -> WireMessage {
-    match reply {
-        Ok(BatchReply::Predictions(predictions)) => WireMessage::ClassifyResponse { predictions },
-        Ok(BatchReply::Overloaded {
-            queue_depth,
-            queue_capacity,
-        }) => WireMessage::OverloadedResponse {
-            queue_depth,
-            queue_capacity,
-        },
-        Ok(BatchReply::Failed(message)) => WireMessage::ErrorResponse {
-            code: ErrorCode::Internal,
-            message,
-        },
-        Err(_) => WireMessage::ErrorResponse {
-            code: ErrorCode::Internal,
-            message: "the scheduler dropped the reply".to_string(),
-        },
-    }
+/// What one connection classifies through.
+enum Classifier<'a> {
+    /// The connection's own handle on the single map.
+    Single(Recognizer),
+    /// The shared registry.
+    Registry {
+        registry: &'a MapRegistry,
+        default_tenant: &'a TenantId,
+    },
 }
 
-/// Flushes are coalesced: the writer only flushes when it is about to
-/// block (on the pending queue or on an unresolved batch reply), so the
-/// responses of one coalesced batch — which all resolve at the same
-/// instant — go out in a single syscall instead of one per response.
-fn write_loop(stream: TcpStream, queue: Receiver<Pending>) {
-    let mut writer = BufWriter::new(stream);
-    let mut carried: Option<Pending> = None;
-    loop {
-        let pending = match carried.take() {
-            Some(pending) => pending,
-            None => {
-                if writer.flush().is_err() {
-                    return;
-                }
-                match queue.recv() {
-                    Ok(pending) => pending,
-                    Err(_) => break,
-                }
-            }
-        };
-        let message = match pending {
-            Pending::Ready(message) => message,
-            Pending::Wait(reply) => match reply.try_recv() {
-                Ok(resolved) => reply_to_message(Ok(resolved)),
-                Err(mpsc::TryRecvError::Empty) => {
-                    // The batch is still collecting: get everything written
-                    // so far onto the wire before waiting on it.
-                    if writer.flush().is_err() {
-                        return;
-                    }
-                    reply_to_message(reply.recv())
-                }
-                Err(mpsc::TryRecvError::Disconnected) => reply_to_message(Err(mpsc::RecvError)),
+/// One connection's request loop.
+struct Connection<'a> {
+    shared: &'a ServerShared,
+    classifier: Classifier<'a>,
+}
+
+impl<'a> Connection<'a> {
+    fn new(shared: &'a ServerShared) -> Self {
+        let classifier = match &shared.backend {
+            Backend::Single(service) => Classifier::Single(service.recognizer()),
+            Backend::Registry {
+                registry,
+                default_tenant,
+            } => Classifier::Registry {
+                registry,
+                default_tenant,
             },
         };
-        if wire::write_message(&mut writer, &message).is_err() {
-            return;
+        Connection { shared, classifier }
+    }
+
+    /// Reads a frame, answers it, writes the response; repeats until EOF, a
+    /// write failure or a request that ends the connection.
+    fn serve(&mut self, stream: &TcpStream) {
+        let mut reader = BufReader::new(stream);
+        let mut writer = BufWriter::new(stream);
+        loop {
+            // About to block on the socket: get every answer so far out.
+            if !holds_frame(reader.buffer()) && writer.flush().is_err() {
+                return;
+            }
+            let (response, hang_up) = match wire::read_message(&mut reader) {
+                Ok(None) => break, // clean EOF
+                Ok(Some(request)) => self.respond(request),
+                // After a framing error the stream position is unreliable:
+                // typed rejection, then hang up.
+                Err(error) => (
+                    error_response(ErrorCode::Malformed, error.to_string()),
+                    true,
+                ),
+            };
+            if wire::write_message(&mut writer, &response).is_err() {
+                return;
+            }
+            if hang_up {
+                break;
+            }
         }
-        match queue.try_recv() {
-            Ok(pending) => carried = Some(pending),
-            Err(mpsc::TryRecvError::Empty) => {}
-            Err(mpsc::TryRecvError::Disconnected) => break,
+        let _ = writer.flush();
+        let _ = stream.shutdown(Shutdown::Write);
+    }
+
+    /// The response to one request, and whether to hang up after it.
+    fn respond(&mut self, request: WireMessage) -> (WireMessage, bool) {
+        let response = match request {
+            WireMessage::ClassifyRequest { tenant, signatures } => {
+                if self.shared.admit() {
+                    let response = self.classify(tenant, signatures);
+                    self.shared.finish();
+                    response
+                } else {
+                    error_response(
+                        ErrorCode::Draining,
+                        "server is draining; no new classify requests",
+                    )
+                }
+            }
+            WireMessage::TrainRequest { tenant, examples } => self.train(tenant, &examples),
+            WireMessage::HealthRequest => {
+                WireMessage::HealthResponse(Box::new(build_health(self.shared)))
+            }
+            WireMessage::DrainRequest { tenant } => self.drain(tenant),
+            // A response kind from a client is a protocol violation.
+            _ => {
+                return (
+                    error_response(ErrorCode::Malformed, "clients must send request frames"),
+                    true,
+                )
+            }
+        };
+        (response, false)
+    }
+
+    /// Classifies one admitted request as one engine batch.
+    fn classify(&mut self, tenant: Option<String>, signatures: Vec<BinaryVector>) -> WireMessage {
+        if tenant.is_some() && matches!(self.classifier, Classifier::Single(_)) {
+            return error_response(
+                ErrorCode::Malformed,
+                "this server fronts a single map; tenant addressing needs a registry server",
+            );
+        }
+        let count = signatures.len() as u64;
+        // A batch within the engine's inline limit runs on this thread:
+        // contain a panic here, or one bad request would take the
+        // connection down.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            faultpoint::hit("server.classify");
+            match &mut self.classifier {
+                Classifier::Single(recognizer) => recognizer.try_classify_batch(signatures),
+                Classifier::Registry {
+                    registry,
+                    default_tenant,
+                } => registry.classify(resolve_tenant(tenant, default_tenant), signatures),
+            }
+        }));
+        // Count before answering, so a client holding its answer sees it
+        // counted.
+        let counters = &self.shared.counters;
+        counters.batches.fetch_add(1, Ordering::Relaxed);
+        match outcome {
+            Ok(Ok(predictions)) => {
+                counters.signatures.fetch_add(count, Ordering::Relaxed);
+                WireMessage::ClassifyResponse { predictions }
+            }
+            Ok(Err(error)) => {
+                if matches!(error, EngineError::Overloaded { .. }) {
+                    counters.shed.fetch_add(1, Ordering::Relaxed);
+                }
+                engine_error_response(error)
+            }
+            // The panic hook has already reported the payload.
+            Err(_) => error_response(ErrorCode::Internal, "the classify call panicked"),
         }
     }
-    // Queue closed: the reader is done and everything queued was written.
-    let _ = writer.flush();
-    if let Ok(stream) = writer.into_inner() {
-        let _ = stream.shutdown(Shutdown::Write);
+
+    fn train(&self, tenant: Option<String>, examples: &[(BinaryVector, u64)]) -> WireMessage {
+        if self.shared.draining.load(Ordering::SeqCst) {
+            return error_response(
+                ErrorCode::Draining,
+                "server is draining; no new train requests",
+            );
+        }
+        let Backend::Registry {
+            registry,
+            default_tenant,
+        } = &self.shared.backend
+        else {
+            return error_response(
+                ErrorCode::Malformed,
+                "this server fronts a single map; training over the wire needs a registry \
+                 server",
+            );
+        };
+        let id = resolve_tenant(tenant, default_tenant);
+        let mut accepted = 0u64;
+        for (signature, label) in examples {
+            let label = ObjectLabel::new(*label as usize);
+            if let Err(error) = registry.feed(id.clone(), signature, label) {
+                return engine_error_response(error);
+            }
+            accepted += 1;
+        }
+        WireMessage::TrainResponse { accepted }
+    }
+
+    fn drain(&self, tenant: Option<String>) -> WireMessage {
+        match (&self.shared.backend, tenant) {
+            (Backend::Single(_), Some(_)) => error_response(
+                ErrorCode::Malformed,
+                "this server fronts a single map; tenant drains need a registry server",
+            ),
+            // A tenant drain flushes just that tenant's pending queue — the
+            // server keeps running.
+            (Backend::Registry { registry, .. }, Some(tenant)) => {
+                match registry.drain_tenant(tenant) {
+                    Ok((steps_flushed, final_version)) => {
+                        WireMessage::DrainResponse(DrainSummary {
+                            requests_flushed: steps_flushed,
+                            checkpoint_written: false,
+                            final_version,
+                        })
+                    }
+                    Err(error) => engine_error_response(error),
+                }
+            }
+            // Blocks until the running classifies and the hook finish; this
+            // connection's earlier answers precede the summary on the wire.
+            (_, None) => WireMessage::DrainResponse(begin_drain(self.shared)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn holds_frame_needs_the_whole_declared_frame() {
+        let frame = wire::encode_message(&WireMessage::HealthRequest);
+        assert!(holds_frame(&frame));
+        for cut in 0..frame.len() {
+            assert!(!holds_frame(&frame[..cut]), "a {cut}-byte prefix");
+        }
+        let mut two = frame.clone();
+        two.extend_from_slice(&frame[..5]);
+        assert!(holds_frame(&two), "a whole frame followed by a partial one");
     }
 }

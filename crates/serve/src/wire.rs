@@ -272,7 +272,9 @@ impl fmt::Display for ErrorCode {
 }
 
 /// The health report served over the wire: the engine's `ServiceHealth`
-/// counters plus the scheduler's own gauges.
+/// counters plus the server's classify counters. Four fields of a former
+/// scheduler always read 0; the layout keeps them so health frames stay
+/// byte-identical.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WireHealth {
     /// Version of the snapshot currently served.
@@ -289,15 +291,15 @@ pub struct WireHealth {
     pub worker_panics: u64,
     /// Workers the supervisor respawned.
     pub worker_respawns: u64,
-    /// Requests waiting in the scheduler's pending queue.
+    /// Always 0: the server keeps no request queue.
     pub scheduler_pending: u64,
-    /// Capacity of the scheduler's pending queue.
+    /// Always 0: the server keeps no request queue.
     pub scheduler_capacity: u64,
-    /// Coalesced batches dispatched so far.
+    /// Classify requests sent to the engine, one engine batch each.
     pub batches_dispatched: u64,
-    /// Requests that rode in a batch with at least one other request.
+    /// Always 0: requests are not coalesced.
     pub requests_coalesced: u64,
-    /// Signatures dispatched through the scheduler.
+    /// Signatures of the classifies that returned predictions.
     pub signatures_dispatched: u64,
     /// Requests shed with an `Overloaded` response.
     pub requests_shed: u64,
@@ -312,7 +314,8 @@ pub struct WireHealth {
 /// What a graceful drain accomplished.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DrainSummary {
-    /// Classify requests flushed out of the scheduler during the drain.
+    /// On a single map, the running classifies the drain waited for; on a
+    /// registry, the training steps it flushed.
     pub requests_flushed: u64,
     /// Whether the drain hook wrote a checkpoint before exit.
     pub checkpoint_written: bool,

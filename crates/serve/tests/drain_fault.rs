@@ -2,12 +2,12 @@
 //! fault-injection`).
 //!
 //! The contract under test is the drain promise from DESIGN.md: once a
-//! request is **accepted**, a graceful drain delivers its complete,
-//! bit-identical response — even when an engine worker panics in the middle
-//! of the drain's in-flight flush, and even though the supervisor is
-//! respawning the worker while the flush runs. The `scheduler.dispatch`
-//! failpoint wedges or panics the scheduler thread itself, which is how the
-//! suite queues requests behind a dispatch over the wire.
+//! classify is **admitted**, a graceful drain waits for its complete,
+//! bit-identical response — even when an engine worker panics while the
+//! drain waits, and even though the supervisor is respawning the worker
+//! meanwhile. The `server.classify` failpoint panics a connection thread
+//! inside its classify, and `worker.job` parks engine workers, which is how
+//! the suite holds a classify in flight and fills the engine's job queue.
 //!
 //! The failpoint registry is process-global, so every test takes
 //! [`harness`] — the same serialize-and-reset idiom as `bsom-engine`'s
@@ -19,19 +19,22 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bsom_engine::faultpoint::{arm_panic, arm_sleep, hit_count, reset};
-use bsom_engine::{EngineConfig, SomService, INLINE_CLASSIFY_MAX_NEURON_WORDS};
+use bsom_engine::{
+    EngineConfig, MapRegistry, RegistryConfig, SomService, Trainer,
+    INLINE_CLASSIFY_MAX_NEURON_WORDS,
+};
 use bsom_serve::bench::{bench_service, synthetic_corpus};
-use bsom_serve::client::{RecvHalf, SendHalf};
 use bsom_serve::wire::{ErrorCode, WireMessage};
-use bsom_serve::{ClientError, SchedulerConfig, ServeClient, ServeConfig, Server};
+use bsom_serve::{ClientError, ServeClient, ServeConfig, Server};
 use bsom_signature::BinaryVector;
-use bsom_som::{BSom, BSomConfig, Prediction, TrainSchedule};
+use bsom_som::{BSom, BSomConfig, ObjectLabel, TrainSchedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const VECTOR_LEN: usize = 256;
 /// 64-bit word rows per signature.
 const WORDS: usize = VECTOR_LEN.div_ceil(64);
+const NEURONS: usize = 24;
 
 /// Serializes the suite around the process-global failpoint registry and
 /// guarantees a clean registry on both entry and exit (even when the test
@@ -53,12 +56,6 @@ impl Drop for HarnessGuard {
     }
 }
 
-/// How long a wedged dispatch stalls. Only a bound on the run time: each
-/// step that must happen during the stall is awaited on a counter, and the
-/// exact batch counts asserted afterwards fail loudly if the stall ever ran
-/// out first.
-const WEDGE: Duration = Duration::from_secs(2);
-
 /// Polls `done` until it holds; panics after a generous bound.
 fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -68,132 +65,142 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// Sends `signature` as a wedge request and returns once its dispatch is
-/// stalled on the `scheduler.dispatch` failpoint, off the pending queue.
-fn send_wedge(send: &mut SendHalf, signature: &BinaryVector) {
-    let base = hit_count("scheduler.dispatch");
-    arm_sleep("scheduler.dispatch", base, WEDGE);
-    send.send_classify(std::slice::from_ref(signature))
-        .expect("wedge send");
-    wait_until("the wedge dispatch starts", || {
-        hit_count("scheduler.dispatch") > base
-    });
+/// A frozen train-while-serve map (the trainer is held but never fed) with
+/// its own worker pool and job-queue capacity.
+fn frozen_service(
+    corpus: &[(BinaryVector, ObjectLabel)],
+    workers: usize,
+    queue_capacity: usize,
+) -> (Arc<SomService>, Trainer) {
+    let som = BSom::new(
+        BSomConfig::new(NEURONS, VECTOR_LEN),
+        &mut StdRng::seed_from_u64(7),
+    );
+    let (service, trainer) = SomService::train_while_serve(
+        som,
+        TrainSchedule::new(usize::MAX),
+        corpus,
+        EngineConfig::with_workers(workers).with_queue_capacity(queue_capacity),
+    );
+    (Arc::new(service), trainer)
 }
 
-/// Reads `count` single-signature classify responses.
-fn singleton_answers(recv: &mut RecvHalf, count: usize) -> Vec<Prediction> {
-    (0..count)
-        .map(|_| match recv.recv().expect("response").expect("not EOF") {
-            WireMessage::ClassifyResponse { predictions } => {
-                assert_eq!(predictions.len(), 1);
-                predictions[0]
-            }
-            other => panic!("expected classify response, got {other:?}"),
-        })
+/// `corpus` cycled into one batch just over the engine's inline limit on
+/// a `NEURONS`-neuron map, so every classify of it goes to the worker pool.
+fn pool_batch(corpus: &[(BinaryVector, ObjectLabel)]) -> Vec<BinaryVector> {
+    let len = INLINE_CLASSIFY_MAX_NEURON_WORDS / (NEURONS * WORDS) + 1;
+    corpus
+        .iter()
+        .cycle()
+        .take(len)
+        .map(|(signature, _)| signature.clone())
         .collect()
 }
 
-#[test]
-fn pipelined_singletons_coalesce_into_one_engine_batch_over_the_wire() {
-    let _harness = harness();
-    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
-    let (service, _trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
-    let mut recognizer = service.recognizer();
-    let signatures: Vec<BinaryVector> = corpus.iter().take(16).map(|(v, _)| v.clone()).collect();
-    let direct = recognizer.classify_batch(signatures.clone());
-    let server =
-        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
-
-    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
-        .expect("connect")
-        .split();
-    send_wedge(&mut send, &corpus[20].0);
-    for signature in &signatures {
-        send.send_classify(std::slice::from_ref(signature))
-            .expect("pipelined send");
-    }
-    wait_until("the reader admits every singleton", || {
-        server.scheduler_snapshot().submitted == 17
-    });
-
-    // Responses come back in request order and match the direct batch.
-    let answers = singleton_answers(&mut recv, 17);
-    assert_eq!(answers[1..], direct[..]);
-    let stats = server.scheduler_snapshot();
-    assert_eq!(stats.requests_dispatched, 17);
-    assert_eq!(
-        stats.batches_dispatched, 2,
-        "16 singletons queued behind the wedge must coalesce into one engine batch: {stats:?}"
-    );
-    assert_eq!(stats.requests_coalesced, 16, "all 16 shared the batch");
-    server.join();
-}
-
-#[test]
-fn a_scheduler_thread_panic_fails_its_batch_and_serving_continues() {
-    let _harness = harness();
-    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
-    let (service, _trainer) = bench_service(24, VECTOR_LEN, 7, &corpus);
-    let server =
-        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
-    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
-
-    // A single-signature batch is within the inline limit, so it is
-    // classified on the scheduler thread itself.
-    arm_panic("scheduler.dispatch", hit_count("scheduler.dispatch"));
-    match client.classify(std::slice::from_ref(&corpus[0].0)) {
+/// Asserts that a classify on `client` is answered `Internal` while the
+/// `server.classify` failpoint panics, and that the same connection then
+/// answers its next request.
+fn panic_then_serve(client: &mut ServeClient, signatures: &[BinaryVector]) {
+    arm_panic("server.classify", hit_count("server.classify"));
+    match client.classify(&signatures[..1]) {
         Err(ClientError::Rejected { code, .. }) => assert_eq!(code, ErrorCode::Internal),
         other => panic!("expected an internal error, got {other:?}"),
     }
     let answer = client
-        .classify(std::slice::from_ref(&corpus[1].0))
-        .expect("the next request is served");
-    assert_eq!(answer.len(), 1);
+        .classify(&signatures[1..3])
+        .expect("the same connection serves its next request");
+    assert_eq!(answer.len(), 2);
+}
+
+#[test]
+fn a_classify_panic_answers_internal_and_the_connection_keeps_serving() {
+    let _harness = harness();
+    let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
+    let signatures: Vec<BinaryVector> = corpus.iter().map(|(v, _)| v.clone()).collect();
+
+    // Single map: a small batch is within the inline limit, so it is
+    // classified on the connection's own thread.
+    let (service, _trainer) = bench_service(NEURONS, VECTOR_LEN, 7, &corpus);
+    let server =
+        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    panic_then_serve(&mut client, &signatures);
     let stats = server.scheduler_snapshot();
+    assert_eq!(stats.batches_dispatched, 2, "the panicked classify counts");
+    assert_eq!(stats.signatures_dispatched, 2, "only the answered one");
     assert_eq!(stats.requests_shed, 0);
-    assert_eq!(stats.requests_dispatched, 2);
     assert_eq!(server.drain().requests_flushed, 0);
+    server.join();
+
+    // Registry: the same containment on the other backend.
+    let registry = Arc::new(MapRegistry::new(RegistryConfig::new(
+        EngineConfig::with_workers(2),
+    )));
+    let som = BSom::new(
+        BSomConfig::new(NEURONS, VECTOR_LEN),
+        &mut StdRng::seed_from_u64(7),
+    );
+    registry
+        .create_tenant("tenant-0", som, TrainSchedule::new(usize::MAX), &corpus)
+        .expect("create the default tenant");
+    let server = Server::bind_registry(
+        Arc::clone(&registry),
+        "tenant-0",
+        "127.0.0.1:0",
+        ServeConfig::default(),
+        None,
+    )
+    .expect("bind loopback");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    panic_then_serve(&mut client, &signatures);
+    assert_eq!(server.scheduler_snapshot().batches_dispatched, 2);
+    assert_eq!(
+        hit_count("server.classify"),
+        4,
+        "two classifies per backend"
+    );
     server.join();
 }
 
 #[test]
-fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
+fn worker_panic_mid_drain_still_answers_the_running_classify_bit_identically() {
     let _harness = harness();
     let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
-    // Wide enough that the one coalesced batch of every corpus request is
-    // over the inline limit, so the flush runs on the worker pool, while a
-    // single-signature wedge request stays inline on the scheduler thread.
-    let neurons = INLINE_CLASSIFY_MAX_NEURON_WORDS / (corpus.len() * WORDS) + 1;
-    let (service, _trainer) = bench_service(neurons, VECTOR_LEN, 7, &corpus);
-    let snapshot = service.snapshot();
-    let expected: Vec<Prediction> = corpus
-        .iter()
-        .map(|(v, _)| service.classify_pinned(&snapshot, std::slice::from_ref(v))[0])
-        .collect();
-    let server =
-        Server::bind(service, "127.0.0.1:0", ServeConfig::default(), None).expect("bind loopback");
+    // One worker, so one parked job holds the whole pool, and a pool-sized
+    // request is exactly one shard.
+    let (service, _trainer) = frozen_service(&corpus, 1, 4);
+    let request = pool_batch(&corpus);
+    let expected = service.classify_pinned(&service.snapshot(), request.clone());
+    let server = Server::bind(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        ServeConfig::default(),
+        None,
+    )
+    .expect("bind loopback");
 
-    // The wedge parks the scheduler inside a dispatch, so every pipelined
-    // request queues behind it and the drain's flush — not normal
-    // dispatch — is what answers them.
+    // Park the worker on an in-process classify's job, then send the wire
+    // request: its shard queues behind the parked one, so the classify is
+    // admitted and running when the drain starts. The worker panics on
+    // that shard — after the stall, so while the drain waits.
+    let base = hit_count("worker.job");
+    arm_sleep("worker.job", base, Duration::from_secs(2));
+    arm_panic("worker.job", base + 1);
+    let parked = {
+        let mut recognizer = service.recognizer();
+        let batch = request.clone();
+        std::thread::spawn(move || recognizer.classify_batch(batch))
+    };
+    wait_until("the worker is parked", || hit_count("worker.job") > base);
     let (mut send, mut recv) = ServeClient::connect(server.local_addr())
         .expect("connect")
         .split();
-    send_wedge(&mut send, &corpus[0].0);
-    for (signature, _) in &corpus {
-        send.send_classify(std::slice::from_ref(signature))
-            .expect("pipelined send");
-    }
-    // Let the reader thread admit everything into the scheduler before the
-    // drain flips the accepting flag.
-    wait_until("the reader admits every request", || {
-        server.scheduler_snapshot().submitted as usize == corpus.len() + 1
+    send.send_classify(&request).expect("send");
+    wait_until("the request's shard is queued", || {
+        service.health().queue_depth == 1
     });
+    assert_eq!(hit_count("worker.job"), base + 1, "the panic has not fired");
 
-    // Arm the engine worker to panic on its very next job: with every
-    // request queued behind the wedge, that next job IS the drain's
-    // in-flight flush — the panic lands mid-drain.
-    arm_panic("worker.job", hit_count("worker.job"));
     let summary = server.drain();
     assert_eq!(
         hit_count("service.drain"),
@@ -201,17 +208,24 @@ fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
         "the drain window failpoint marks exactly one drain"
     );
     assert_eq!(
-        summary.requests_flushed as usize,
-        corpus.len() + 1,
-        "the drain flushes the wedge and every request behind it"
+        hit_count("worker.job"),
+        base + 2,
+        "the panic fired on the request's shard"
     );
-    assert_eq!(server.scheduler_snapshot().batches_dispatched, 2);
+    assert_eq!(summary.requests_flushed, 1, "the drain waited for it");
+    // Counted before the classify is released, so the drain returned only
+    // after the request's answer existed.
+    let stats = server.scheduler_snapshot();
+    assert_eq!(stats.batches_dispatched, 1);
+    assert_eq!(stats.signatures_dispatched, request.len() as u64);
 
-    // Every accepted request gets its full response, bit-identical to the
-    // pinned in-process answers — the worker panic was contained.
-    let answers = singleton_answers(&mut recv, corpus.len() + 1);
-    assert_eq!(answers[0], expected[0], "the wedge");
-    assert_eq!(answers[1..], expected[..]);
+    // The answer is complete and bit-identical to the pinned in-process
+    // one: the collector recomputed the lost shard inline.
+    match recv.recv().expect("response").expect("not EOF") {
+        WireMessage::ClassifyResponse { predictions } => assert_eq!(predictions, expected),
+        other => panic!("expected a classify response, got {other:?}"),
+    }
+    assert_eq!(parked.join().expect("the parked classify"), expected);
 
     // The supervisor records the panic and respawns the worker on its own
     // thread; give it a bounded moment to notice.
@@ -234,73 +248,78 @@ fn worker_panic_mid_drain_still_flushes_accepted_requests_bit_identically() {
 #[test]
 fn engine_saturation_surfaces_as_wire_overload_then_recovers() {
     let _harness = harness();
+    const WORKERS: usize = 2;
+    const ENGINE_QUEUE: usize = 2;
+    const CONNECTIONS: usize = 8;
     let corpus = synthetic_corpus(VECTOR_LEN, 4, 16, 12, 7);
-    let neurons = 24;
-    let (service, _trainer) = bench_service(neurons, VECTOR_LEN, 7, &corpus);
-    // Batch-of-one keeps the scheduler transparent: each request becomes
-    // one engine batch. Each request carries enough signatures to be over
-    // the inline limit, so it goes to the worker pool; parking a worker
-    // via the worker.job failpoint then stalls dispatch, the scheduler's
-    // bounded queue fills behind it, and the typed Overloaded shed must
-    // travel all the way back out over the wire.
-    let per_request = INLINE_CLASSIFY_MAX_NEURON_WORDS / (neurons * WORDS) + 1;
-    let request: Vec<_> = corpus
-        .iter()
-        .cycle()
-        .take(per_request)
-        .map(|(signature, _)| signature.clone())
-        .collect();
+    let (service, _trainer) = frozen_service(&corpus, WORKERS, ENGINE_QUEUE);
+    let request = pool_batch(&corpus);
     let server = Server::bind(
-        service,
+        Arc::clone(&service),
         "127.0.0.1:0",
-        ServeConfig {
-            scheduler: SchedulerConfig {
-                queue_capacity: 8,
-                ..SchedulerConfig::batch_of_one()
-            },
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
         None,
     )
     .expect("bind loopback");
 
+    // Park both workers on the first request's shards, then send one
+    // request from each of the other connections at once: together they
+    // ask for more shards than the engine queue holds, and each connection
+    // thread classifies its own, so the typed Overloaded shed must travel
+    // back out over the wire on some of them.
     let base = hit_count("worker.job");
-    arm_sleep("worker.job", base, Duration::from_millis(400));
-    let (mut send, mut recv) = ServeClient::connect(server.local_addr())
-        .expect("connect")
-        .split();
-    let burst = 64usize;
-    for _ in 0..burst {
-        send.send_classify(&request).expect("burst send");
+    for worker in 0..WORKERS as u64 {
+        arm_sleep("worker.job", base + worker, Duration::from_millis(400));
     }
+    let mut clients: Vec<_> = (0..CONNECTIONS)
+        .map(|_| {
+            ServeClient::connect(server.local_addr())
+                .expect("connect")
+                .split()
+        })
+        .collect();
+    clients[0].0.send_classify(&request).expect("send");
+    wait_until("both workers are parked", || {
+        hit_count("worker.job") >= base + WORKERS as u64
+    });
+    for (send, _) in &mut clients[1..] {
+        send.send_classify(&request).expect("send");
+    }
+    let engine_capacity = service.health().queue_capacity as u64;
+    assert_eq!(engine_capacity, ENGINE_QUEUE as u64);
     let mut ok = 0usize;
     let mut overloaded = 0usize;
-    for _ in 0..burst {
+    for (_, recv) in &mut clients {
         match recv.recv().expect("response").expect("not EOF") {
-            WireMessage::ClassifyResponse { .. } => ok += 1,
+            WireMessage::ClassifyResponse { predictions } => {
+                assert_eq!(predictions.len(), request.len());
+                ok += 1;
+            }
             WireMessage::OverloadedResponse { queue_capacity, .. } => {
-                assert!(queue_capacity > 0);
+                assert_eq!(queue_capacity, engine_capacity);
                 overloaded += 1;
             }
             other => panic!("unexpected response {other:?}"),
         }
     }
-    assert_eq!(ok + overloaded, burst);
+    assert_eq!(ok + overloaded, CONNECTIONS);
+    assert!(ok >= 1, "the parked request is answered");
     assert!(
-        overloaded > 0,
-        "a parked worker behind a 64-request burst must shed something"
+        overloaded >= 1,
+        "{} requests behind two parked workers and a {ENGINE_QUEUE}-job queue must shed",
+        CONNECTIONS - 1
     );
-    assert!(
-        hit_count("worker.job") > base,
-        "the burst must reach the worker pool"
-    );
+    assert_eq!(server.scheduler_snapshot().requests_shed, overloaded as u64);
+    assert_eq!(server.health().requests_shed, overloaded as u64);
 
-    // Load subsided and the sleep expired: the service answers again.
-    let mut client = ServeClient::connect(server.local_addr()).expect("reconnect");
-    let recovered = client
-        .classify(std::slice::from_ref(&corpus[0].0))
-        .expect("post-overload classify succeeds");
-    assert_eq!(recovered.len(), 1);
+    // Load subsided and the stall expired: every connection answers again.
+    for (send, recv) in &mut clients {
+        send.send_classify(&request[..1]).expect("send");
+        match recv.recv().expect("response").expect("not EOF") {
+            WireMessage::ClassifyResponse { predictions } => assert_eq!(predictions.len(), 1),
+            other => panic!("expected a classify response, got {other:?}"),
+        }
+    }
     assert_eq!(hit_count("service.drain"), 0);
     server.join();
 }
@@ -335,13 +354,7 @@ fn full_engine_job_queue_sheds_a_wire_classify_with_the_engine_capacity() {
     let server = Server::bind(
         Arc::clone(&service),
         "127.0.0.1:0",
-        ServeConfig {
-            scheduler: SchedulerConfig {
-                queue_capacity: 8,
-                ..SchedulerConfig::batch_of_one()
-            },
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
         None,
     )
     .expect("bind loopback");
@@ -367,8 +380,8 @@ fn full_engine_job_queue_sheds_a_wire_classify_with_the_engine_capacity() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // The scheduler's queue is empty, so the shed comes from the engine:
-    // the wire response carries the engine's capacity, not the scheduler's.
+    // The shed comes from the engine: the wire response carries the
+    // engine's capacity.
     let (mut send, mut recv) = ServeClient::connect(server.local_addr())
         .expect("connect")
         .split();
@@ -378,7 +391,6 @@ fn full_engine_job_queue_sheds_a_wire_classify_with_the_engine_capacity() {
     match recv.recv().expect("response").expect("not EOF") {
         WireMessage::OverloadedResponse { queue_capacity, .. } => {
             assert_eq!(queue_capacity, engine_capacity);
-            assert_ne!(queue_capacity, server.health().scheduler_capacity);
         }
         other => panic!("expected an overload shed, got {other:?}"),
     }

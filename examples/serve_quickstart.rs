@@ -1,21 +1,22 @@
 //! The serving front-end, end to end, in one process: a train-while-serve
 //! `SomService` behind the TCP wire protocol, a client classifying over a
-//! real socket, and the overload path exercised on purpose.
+//! real socket, and a pipelined burst answered in order.
 //!
 //! The walk-through:
 //!
 //! 1. build a small labelled corpus and start a `SomService` seeded with it;
-//! 2. bind a `Server` on a loopback port 0 (the scheduler dispatches as soon
-//!    as it holds a request and coalesces whatever queued up meanwhile);
+//! 2. bind a `Server` on a loopback port 0 (each connection gets one thread
+//!    that answers its requests in order, each as one engine batch);
 //! 3. keep training: feed more labelled signatures and publish a snapshot —
 //!    the served map moves *while the server is up*;
 //! 4. classify over the wire and check the answers against the in-process
 //!    `Recognizer` on the same snapshot — bit-identical, not approximately
 //!    equal;
-//! 5. hammer a deliberately tiny scheduler queue with pipelined requests
-//!    until admission control sheds load (typed `Overloaded` responses, not
-//!    dropped connections), and read the health endpoint before and after;
-//! 6. show the service recovered, then drain gracefully.
+//! 5. pipeline a burst of requests on one connection, reading while
+//!    sending, and read the health endpoint before and after (a full engine
+//!    queue would answer a request with a typed `Overloaded` response, not
+//!    a dropped connection);
+//! 6. classify once more, then drain gracefully.
 //!
 //! Run with:
 //!
@@ -27,7 +28,7 @@ use std::net::SocketAddr;
 
 use bsom_repro::prelude::*;
 use bsom_repro::serve::wire::WireMessage;
-use bsom_repro::serve::{ClientError, SchedulerConfig, ServeClient, ServeConfig, Server};
+use bsom_repro::serve::{ServeClient, ServeConfig, Server};
 use bsom_repro::som::{Prediction, TrainSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,19 +70,11 @@ fn main() {
     let service = std::sync::Arc::new(service);
     let mut recognizer = service.recognizer();
 
-    // 2. Bind the wire front-end. A tiny pending queue makes step 5's
-    //    overload reachable with a few hundred pipelined requests; a real
-    //    deployment would keep the default 1024.
+    // 2. Bind the wire front-end.
     let server = Server::bind(
         std::sync::Arc::clone(&service),
         "127.0.0.1:0",
-        ServeConfig {
-            scheduler: SchedulerConfig {
-                queue_capacity: 4,
-                ..SchedulerConfig::default()
-            },
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
         None,
     )
     .expect("bind a loopback port");
@@ -117,58 +110,48 @@ fn main() {
 
     let health = client.health().expect("health");
     println!(
-        "health before overload: snapshot v{}, {}/{} workers, scheduler queue {}/{}, shed so far {}",
+        "health before the burst: snapshot v{}, {}/{} workers, {} classify batches so far",
         health.snapshot_version,
         health.workers_alive,
         health.workers_configured,
-        health.scheduler_pending,
-        health.scheduler_capacity,
-        health.requests_shed
-    );
-
-    // 5. The overload hammer: pipeline far more work than the queue admits.
-    //    Shed requests come back as typed Overloaded responses on the same
-    //    connection, in order — no disconnects, no silent drops.
-    let burst: Vec<BinaryVector> = probes.iter().cycle().take(48).cloned().collect();
-    let (mut send, mut recv) = ServeClient::connect(addr).expect("connect").split();
-    let requests = 400usize;
-    for _ in 0..requests {
-        send.send_classify(&burst).expect("pipelined send");
-    }
-    let (mut ok, mut shed) = (0usize, 0usize);
-    for _ in 0..requests {
-        match recv.recv().expect("response").expect("not EOF") {
-            WireMessage::ClassifyResponse { .. } => ok += 1,
-            WireMessage::OverloadedResponse { .. } => shed += 1,
-            other => panic!("unexpected response: {other:?}"),
-        }
-    }
-    println!("overload hammer: {ok} served, {shed} shed with a typed Overloaded response");
-
-    let health = client.health().expect("health");
-    println!(
-        "health after overload: scheduler queue {}/{}, shed total {}, {} requests coalesced into {} batches",
-        health.scheduler_pending,
-        health.scheduler_capacity,
-        health.requests_shed,
-        health.requests_coalesced,
         health.batches_dispatched
     );
 
-    // 6. Load has subsided: the very next classify succeeds — overload is a
-    //    state, not a death. Then drain gracefully and shut down.
-    match client.classify(&probes) {
-        Ok(recovered) => {
-            assert_eq!(recovered, direct);
-            println!("recovery classify succeeded on the first try");
+    // 5. A pipelined burst: one thread sends every request while this one
+    //    reads the answers, which come back in request order on the same
+    //    connection. The connection thread answers one request at a time,
+    //    so a client that sent without reading would be bounded by the
+    //    socket buffers alone.
+    let burst: Vec<BinaryVector> = probes.iter().cycle().take(48).cloned().collect();
+    let (mut send, mut recv) = ServeClient::connect(addr).expect("connect").split();
+    let requests = 400usize;
+    let (mut ok, mut shed) = (0usize, 0usize);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for _ in 0..requests {
+                send.send_classify(&burst).expect("pipelined send");
+            }
+        });
+        for _ in 0..requests {
+            match recv.recv().expect("response").expect("not EOF") {
+                WireMessage::ClassifyResponse { .. } => ok += 1,
+                WireMessage::OverloadedResponse { .. } => shed += 1,
+                other => panic!("unexpected response: {other:?}"),
+            }
         }
-        Err(ClientError::Overloaded { .. }) => {
-            println!("still overloaded right after the burst (tight timing) — retrying");
-            let recovered = client.classify(&probes).expect("second try succeeds");
-            assert_eq!(recovered, direct);
-        }
-        Err(error) => panic!("recovery classify failed: {error}"),
-    }
+    });
+    println!("pipelined burst: {ok} served, {shed} shed with a typed Overloaded response");
+
+    let health = client.health().expect("health");
+    println!(
+        "health after the burst: {} classify batches, {} signatures, shed total {}",
+        health.batches_dispatched, health.signatures_dispatched, health.requests_shed
+    );
+
+    // 6. The first connection still answers bit-identically; then drain
+    //    gracefully and shut down.
+    let again = client.classify(&probes).expect("classify after the burst");
+    assert_eq!(again, direct);
 
     let summary = client.drain().expect("drain");
     server.join();

@@ -21,8 +21,8 @@
 //!   `Trainer` publishes while `Recognizer`s classify batches sharded across
 //!   a worker pool.
 //! * [`serve`] — the TCP serving front-end: a length-prefixed checksummed
-//!   wire format, a work-conserving micro-batching scheduler over the engine, a
-//!   graceful-drain server (`bsom-serve` binary) and an open-loop load
+//!   wire format, a graceful-drain server that answers each request on its
+//!   connection's thread (`bsom-serve` binary) and an open-loop load
 //!   generator (`loadgen` binary).
 //!
 //! ## Quickstart
@@ -68,7 +68,7 @@ pub mod prelude {
         ServiceHealth, SomService, TenantId, Trainer,
     };
     pub use bsom_fpga::{FpgaBSom, FpgaConfig, ResourceReport};
-    pub use bsom_serve::{SchedulerConfig, ServeClient, ServeConfig, Server};
+    pub use bsom_serve::{ServeClient, ServeConfig, Server};
     pub use bsom_signature::{BinaryVector, ColorHistogram, Rgb, TriStateVector, Trit};
     pub use bsom_som::{
         evaluate, BSom, BSomConfig, CSom, CSomConfig, LabelledSom, ObjectLabel, PackedLayer,
