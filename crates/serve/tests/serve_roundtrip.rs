@@ -44,10 +44,15 @@ fn wire_classification_matches_in_process_bit_for_bit() {
     assert!(over_wire
         .iter()
         .any(|p| matches!(p, Prediction::Known { .. })));
+    server.join();
+}
 
-    // Pipelined: 64 single-signature requests sent before any answer is
-    // read come back in request order, each the direct batch's verdict,
-    // and each is one engine batch.
+#[test]
+fn pipelined_singletons_come_back_in_order_one_engine_batch_each() {
+    // 64 single-signature requests sent before any answer is read come back
+    // in request order, each the direct batch's verdict, and each is one
+    // engine batch.
+    let (server, mut recognizer, _trainer) = frozen_server();
     let signatures = probes(64, 13);
     let direct = recognizer.classify_batch(signatures.clone());
     let before = server.scheduler_snapshot();
