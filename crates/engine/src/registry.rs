@@ -9,8 +9,9 @@
 //!
 //! * **Slab-packed tenant table.** Tenants live in a `Vec<Option<TenantSlot>>`
 //!   with a free list, indexed by a [`TenantId`] → slot map, so create/remove
-//!   churn reuses slots instead of reallocating, and the round-robin scheduler
-//!   walks a dense array.
+//!   churn reuses slots instead of reallocating. A ready set keeps the slots
+//!   whose queues hold examples, in slot order, so the round-robin scheduler
+//!   visits only tenants with work, however many are idle or spilled.
 //! * **One shared worker pool.** Every classify [`Job`](crate::service) in
 //!   the engine carries the `Arc<PackedLayer>` it must search, so a single
 //!   supervised pool serves *every* tenant's snapshots — N tenants cost N
@@ -18,7 +19,8 @@
 //! * **Fair round-robin training.** Clients enqueue labelled examples with
 //!   [`feed`](MapRegistry::feed); [`train_tick`](MapRegistry::train_tick)
 //!   spreads a per-tick step budget across all tenants with pending work, one
-//!   step per tenant per rotation, resuming each tick where the last stopped.
+//!   step per tenant per rotation, resuming each tick at the slot after the
+//!   last one that stepped.
 //!   Every tenant that trained is published at tick end, which establishes
 //!   the invariant the eviction path relies on: **outside a tick, a tenant's
 //!   trainer state equals its published snapshot.**
@@ -36,7 +38,7 @@
 //!   file via [`replace_trainer`](MapRegistry::replace_trainer), which
 //!   rebuilds the trainer's map from the last published snapshot.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -173,6 +175,15 @@ impl TenantSlot {
     fn is_resident(&self) -> bool {
         matches!(self.state, TenantState::Resident { .. })
     }
+
+    /// The published version: the live service's, or the one kept at
+    /// eviction (reload republishes at exactly that version).
+    fn version(&self) -> u64 {
+        match &self.state {
+            TenantState::Resident { service, .. } => service.version(),
+            TenantState::Evicted { version } => *version,
+        }
+    }
 }
 
 /// Everything behind the registry's one mutex.
@@ -184,6 +195,10 @@ struct RegistryInner {
     /// slot becomes or stops being resident so the ceiling check reads it
     /// instead of walking the slab.
     resident: usize,
+    /// Occupied slots whose pending queue is non-empty, in slot order: the
+    /// only slots a [`MapRegistry::train_tick`] rotation visits. Kept
+    /// wherever a queue fills or empties (feed, tick step, drain, remove).
+    ready: BTreeSet<usize>,
     /// Slot index the next [`MapRegistry::train_tick`] rotation starts at.
     rr_cursor: usize,
     /// Logical LRU clock, bumped on every touch.
@@ -227,6 +242,17 @@ impl RegistryInner {
             .flatten()
             .filter(|slot| slot.is_resident())
             .count()
+    }
+
+    /// The ready set by a walk over the slab, for debug asserts.
+    fn recount_ready(&self) -> BTreeSet<usize> {
+        (0..self.slots.len())
+            .filter(|&index| {
+                self.slots[index]
+                    .as_ref()
+                    .is_some_and(|slot| !slot.pending.is_empty())
+            })
+            .collect()
     }
 }
 
@@ -354,6 +380,7 @@ impl MapRegistry {
                 free: Vec::new(),
                 index: HashMap::new(),
                 resident: 0,
+                ready: BTreeSet::new(),
                 rr_cursor: 0,
                 clock: 0,
                 created_total: 0,
@@ -446,6 +473,7 @@ impl MapRegistry {
             .take()
             .expect("indexed slots are occupied");
         inner.resident -= usize::from(slot.is_resident());
+        inner.ready.remove(&index);
         inner.index.remove(&id);
         inner.free.push(index);
         drop(inner);
@@ -479,6 +507,7 @@ impl MapRegistry {
             .slot_mut(index)
             .pending
             .push_back((signature.clone(), label));
+        inner.ready.insert(index);
         Ok(())
     }
 
@@ -546,10 +575,7 @@ impl MapRegistry {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
-        Ok(match &inner.slot_mut(index).state {
-            TenantState::Resident { service, .. } => service.version(),
-            TenantState::Evicted { version } => *version,
-        })
+        Ok(inner.slot_mut(index).version())
     }
 
     /// A clone of the tenant's map in its current training state (reloading
@@ -658,12 +684,15 @@ impl MapRegistry {
     }
 
     /// Runs up to `step_budget` training steps, spread fairly across every
-    /// tenant with queued examples: one step per tenant per rotation,
-    /// starting each tick at the slot after the one the previous tick
-    /// stopped at. Evicted tenants with pending work are reloaded
-    /// transparently. Every tenant that trained is published at tick end
-    /// (plus any mid-tick publishes its own
-    /// [`EngineConfig::publish_every_steps`] cadence fired), then the
+    /// tenant with queued examples: one step per tenant per rotation. Each
+    /// rotation visits only the ready set (the slots with queued work), in
+    /// slot order from the cursor to the end of the slab and wrapping back,
+    /// so idle and spilled tenants cost the tick nothing. When the budget
+    /// runs out the cursor moves to the slot after the last step, where the
+    /// next tick starts; when the queues drain first it stays put. Evicted
+    /// tenants with pending work are reloaded transparently. Every tenant
+    /// that trained is published at tick end (plus any mid-tick publishes
+    /// its own [`EngineConfig::publish_every_steps`] cadence fired), then the
     /// residency ceiling is enforced by evicting the least-recently-touched
     /// tenants.
     ///
@@ -673,6 +702,7 @@ impl MapRegistry {
     pub fn train_tick(&self, step_budget: u64) -> TickReport {
         let mut report = TickReport::default();
         let mut inner = lock_recovering(&self.inner);
+        debug_assert_eq!(inner.ready, inner.recount_ready());
         inner.ticks_total += 1;
         let reloads_at_start = inner.reloads_total;
         let evictions_at_start = inner.evictions_total;
@@ -680,30 +710,27 @@ impl MapRegistry {
         if slot_count == 0 || step_budget == 0 {
             return report;
         }
-        // Indices of tenants that trained this tick (publish at tick end)
-        // and of tenants that errored (skipped for the rest of the tick).
+        // Indices of tenants that trained this tick (publish at tick end).
         let mut trained: Vec<usize> = Vec::new();
-        let mut failed: Vec<usize> = Vec::new();
+        // The first rotation: every ready slot, from the cursor round to the
+        // slot before it. Only this tick's own steps empty a queue, so each
+        // later rotation is the tenants that stepped in the one before and
+        // still have work, in the same order; a tenant that errored drops
+        // out for the rest of the tick.
+        let cursor = inner.rr_cursor;
+        let mut rotation: Vec<usize> = inner
+            .ready
+            .range(cursor..)
+            .chain(inner.ready.range(..cursor))
+            .copied()
+            .collect();
         let mut budget = step_budget;
-        'tick: loop {
-            let mut progressed = false;
-            for offset in 0..slot_count {
-                if budget == 0 {
-                    // Resume the interrupted rotation here next tick.
-                    inner.rr_cursor = (inner.rr_cursor + offset) % slot_count;
-                    break 'tick;
-                }
-                let index = (inner.rr_cursor + offset) % slot_count;
-                let Some(slot) = inner.slots[index].as_ref() else {
-                    continue;
-                };
-                if slot.pending.is_empty() || failed.contains(&index) {
-                    continue;
-                }
+        'tick: while !rotation.is_empty() {
+            let mut next = Vec::with_capacity(rotation.len());
+            for index in rotation {
                 if let Err(error) = self.ensure_resident(&mut inner, index) {
                     let id = inner.slot_mut(index).id.clone();
                     report.failures.push((id, error));
-                    failed.push(index);
                     continue;
                 }
                 inner.touch(index);
@@ -711,11 +738,16 @@ impl MapRegistry {
                 let (signature, label) = slot
                     .pending
                     .pop_front()
-                    .expect("pending checked non-empty above");
+                    .expect("ready slots have queued examples");
+                let more = !slot.pending.is_empty();
                 let TenantState::Resident { trainer, .. } = &mut slot.state else {
                     unreachable!("ensure_resident leaves the slot resident");
                 };
-                match trainer.try_feed(&signature, label) {
+                let stepped = trainer.try_feed(&signature, label);
+                if !more {
+                    inner.ready.remove(&index);
+                }
+                match stepped {
                     Ok(_) => {
                         budget -= 1;
                         report.steps += 1;
@@ -723,7 +755,14 @@ impl MapRegistry {
                         if !trained.contains(&index) {
                             trained.push(index);
                         }
-                        progressed = true;
+                        if budget == 0 {
+                            // Resume the interrupted rotation here next tick.
+                            inner.rr_cursor = (index + 1) % slot_count;
+                            break 'tick;
+                        }
+                        if more {
+                            next.push(index);
+                        }
                     }
                     Err(error) => {
                         // The example is consumed either way: a wrong-length
@@ -732,13 +771,10 @@ impl MapRegistry {
                         // path discards.
                         let id = inner.slot_mut(index).id.clone();
                         report.failures.push((id, error));
-                        failed.push(index);
                     }
                 }
             }
-            if !progressed {
-                break;
-            }
+            rotation = next;
         }
         // Publish every tenant that moved: the invariant that makes
         // eviction version-transparent (trainer state == published snapshot
@@ -762,32 +798,50 @@ impl MapRegistry {
     /// Flushes **all** of one tenant's queued examples through its trainer
     /// (ignoring any tick budget), publishes, and returns
     /// `(steps_flushed, final_version)` — the tenant-scoped graceful drain
-    /// the serve layer maps `DrainRequest{tenant}` onto.
+    /// the serve layer maps `DrainRequest{tenant}` onto. A tenant with
+    /// nothing queued answers `(0, version)` as it stands: an evicted one
+    /// stays on disk, so draining a whole fleet reloads only the tenants
+    /// that have work.
     ///
     /// # Errors
     ///
     /// [`EngineError::UnknownTenant`]; [`EngineError::Checkpoint`] on a
     /// failed reload; the first training error (the remaining queue is
-    /// preserved).
+    /// preserved, and the steps before it are published unless the trainer
+    /// poisoned itself).
     pub fn drain_tenant(&self, id: impl Into<TenantId>) -> Result<(u64, u64), EngineError> {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
+        let slot = inner.slot_mut(index);
+        if slot.pending.is_empty() {
+            return Ok((0, slot.version()));
+        }
         self.ensure_resident(&mut inner, index)?;
         let slot = inner.slot_mut(index);
         let TenantState::Resident { trainer, service } = &mut slot.state else {
             unreachable!("ensure_resident leaves the slot resident");
         };
         let mut steps = 0u64;
+        let mut flushed = Ok(());
         while let Some((signature, label)) = slot.pending.pop_front() {
-            match trainer.try_feed(&signature, label) {
-                Ok(_) => steps += 1,
-                Err(error) => return Err(error),
+            if let Err(error) = trainer.try_feed(&signature, label) {
+                flushed = Err(error);
+                break;
             }
+            steps += 1;
         }
-        trainer.publish_if_dirty();
+        // Outside a tick the trainer must equal its snapshot, failed step or
+        // not; a poisoned map may be torn and is never published.
+        if !trainer.is_poisoned() {
+            trainer.publish_if_dirty();
+        }
         let version = service.version();
+        if slot.pending.is_empty() {
+            inner.ready.remove(&index);
+        }
+        flushed?;
         inner.steps_total += steps;
         Ok((steps, version))
     }
@@ -938,6 +992,7 @@ impl MapRegistry {
         inner: &mut RegistryInner,
     ) -> Result<(), (TenantId, EngineError)> {
         debug_assert_eq!(inner.resident, inner.recount_resident());
+        debug_assert_eq!(inner.ready, inner.recount_ready());
         let max = self.config.max_resident;
         if max == 0 {
             return Ok(());
@@ -1253,5 +1308,65 @@ mod tests {
         assert_eq!(version, 2, "v1 at create + the drain publish");
         assert_eq!(registry.version("t").unwrap(), 2);
         assert_eq!(registry.stats().pending_steps, 0);
+    }
+
+    #[test]
+    fn a_drain_that_fails_publishes_the_steps_before_the_failure() {
+        let mut r = rng();
+        let dir = temp_dir("drain-failure");
+        let registry = MapRegistry::new(
+            RegistryConfig::new(EngineConfig::with_workers(1)).with_spill_dir(&dir),
+        );
+        let som = BSom::new(BSomConfig::new(4, 64), &mut r);
+        registry
+            .create_tenant("t", som, TrainSchedule::new(100), &[])
+            .unwrap();
+        let good = BinaryVector::random(64, &mut r);
+        let wrong = BinaryVector::random(32, &mut r);
+        for signature in [&good, &good, &wrong, &good] {
+            registry.feed("t", signature, ObjectLabel::new(1)).unwrap();
+        }
+        assert!(matches!(
+            registry.drain_tenant("t"),
+            Err(EngineError::Som(_))
+        ));
+        assert_eq!(registry.version("t").unwrap(), 2, "the two steps published");
+        assert_eq!(registry.stats().pending_steps, 1, "the rest is kept");
+        // The trainer equals its snapshot again, so the tenant can spill and
+        // come back at the same version.
+        let trained = registry.tenant_som("t").unwrap();
+        registry.evict("t").unwrap();
+        assert_eq!(registry.tenant_som("t").unwrap(), trained);
+        assert_eq!(registry.version("t").unwrap(), 2);
+        assert_eq!(registry.drain_tenant("t").unwrap(), (1, 3));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn draining_tenants_with_empty_queues_reloads_nothing() {
+        let mut r = rng();
+        let dir = temp_dir("drain-idle");
+        let registry = MapRegistry::new(
+            RegistryConfig::new(EngineConfig::with_workers(1))
+                .with_max_resident(4)
+                .with_spill_dir(&dir),
+        );
+        for i in 0u64..8 {
+            let som = BSom::new(BSomConfig::new(4, 64), &mut r);
+            registry
+                .create_tenant(i, som, TrainSchedule::new(10), &[])
+                .unwrap();
+        }
+        let before = registry.stats();
+        assert_eq!((before.evicted, before.reloads_total), (4, 0));
+        for i in 0u64..8 {
+            let version = registry.version(i).unwrap();
+            assert_eq!(registry.drain_tenant(i).unwrap(), (0, version));
+        }
+        let after = registry.stats();
+        assert_eq!(after.reloads_total, 0, "no spill file was read");
+        assert_eq!(after.evicted, 4, "the spilled tenants stay on disk");
+        assert_eq!(after.evictions_total, before.evictions_total);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -7,7 +7,7 @@
 //! operations, mirroring the bitwise nature of the FPGA datapath.
 
 use std::fmt;
-use std::ops::{BitAnd, BitOr, BitXor, Not, Range};
+use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -281,25 +281,6 @@ impl BinaryVector {
         v
     }
 
-    /// Sets every bit in `range` to one, a word at a time. The range is
-    /// clipped to the vector's length, so a range past the end sets nothing
-    /// beyond it.
-    pub(crate) fn set_ones(&mut self, range: Range<usize>) {
-        let end = range.end.min(self.len);
-        let mut start = range.start;
-        while start < end {
-            let offset = start % WORD_BITS;
-            let span = (end - start).min(WORD_BITS - offset);
-            let ones = if span == WORD_BITS {
-                u64::MAX
-            } else {
-                ((1u64 << span) - 1) << offset
-            };
-            self.words[start / WORD_BITS] |= ones;
-            start += span;
-        }
-    }
-
     /// Mutable access to the packed words for the in-crate word-parallel
     /// update kernels. Callers must keep every bit beyond `len` zero — the
     /// invariant [`as_words`](Self::as_words) documents; `crate`-private so
@@ -510,17 +491,15 @@ mod tests {
     }
 
     #[test]
-    fn set_ones_fills_across_word_boundaries_and_clips() {
+    fn set_fills_across_word_boundaries() {
         let mut v = BinaryVector::zeros(200);
-        v.set_ones(60..130);
+        (60..130).for_each(|i| v.set(i, true));
         assert_eq!(v.count_ones(), 70);
         assert!(!v.bit(59) && v.bit(60) && v.bit(64) && v.bit(129) && !v.bit(130));
-        v.set_ones(190..500);
+        assert_eq!(v.as_words()[..3], [u64::MAX << 60, u64::MAX, 0b11]);
+        (190..200).for_each(|i| v.set(i, true));
         assert_eq!(v.count_ones(), 80);
-        assert_eq!(v.as_words()[3] >> 8, 0, "tail bits stay clear");
-        v.set_ones(300..400);
-        v.set_ones(10..10);
-        assert_eq!(v.count_ones(), 80);
+        assert_eq!(v.as_words()[3], 0xFF, "tail bits stay clear");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! that the vision, dataset and FPGA crates share one representation, not
 //! to be a general imaging library.
 
-use std::ops::Range;
-
 use serde::{Deserialize, Serialize};
 
 use crate::bitvec::BinaryVector;
@@ -284,17 +282,6 @@ impl BinaryImage {
         }
     }
 
-    /// Sets the pixels `x` of row `y`, a word at a time. The run is clipped
-    /// at the row end and a row past the bottom is ignored, like
-    /// [`set`](Self::set).
-    pub fn set_run(&mut self, y: usize, x: Range<usize>) {
-        if y < self.height {
-            let row = y * self.width;
-            self.bits
-                .set_ones(row + x.start.min(self.width)..row + x.end.min(self.width));
-        }
-    }
-
     /// Number of set (foreground) pixels.
     pub fn count_ones(&self) -> usize {
         self.bits.count_ones()
@@ -331,6 +318,7 @@ impl BinaryImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     #[test]
     fn rgb_constructors_and_conversion() {
@@ -439,13 +427,20 @@ mod tests {
             .collect()
     }
 
+    /// Sets pixels `xs` of row `y` one at a time.
+    fn set_row(img: &mut BinaryImage, y: usize, xs: Range<usize>) {
+        for x in xs {
+            img.set(x, y, true);
+        }
+    }
+
     #[test]
-    fn set_run_crosses_word_boundaries() {
+    fn set_pixels_cross_word_boundaries() {
         // Row 0 of a 100-wide image spans words 0 and 1; row 1 starts
         // inside word 1 and crosses into word 3.
         let mut img = BinaryImage::new(100, 3);
-        img.set_run(0, 60..70);
-        img.set_run(1, 20..100);
+        set_row(&mut img, 0, 60..70);
+        set_row(&mut img, 1, 20..100);
         assert_eq!(img.count_ones(), 90);
         assert_eq!(set_columns(&img, 0), (60..70).collect::<Vec<_>>());
         assert_eq!(set_columns(&img, 1), (20..100).collect::<Vec<_>>());
@@ -453,10 +448,12 @@ mod tests {
     }
 
     #[test]
-    fn set_run_is_clipped_at_the_row_end() {
+    fn set_past_the_row_end_does_not_wrap() {
+        // Row 0's pixels 65.. would be row 1's bits if `set` did not check
+        // the width.
         let mut img = BinaryImage::new(65, 2);
-        img.set_run(0, 60..1000);
-        img.set_run(1, 70..80);
+        set_row(&mut img, 0, 60..1000);
+        set_row(&mut img, 1, 70..80);
         assert_eq!(img.count_ones(), 5);
         assert_eq!(set_columns(&img, 0), (60..65).collect::<Vec<_>>());
         assert!(set_columns(&img, 1).is_empty());
@@ -465,10 +462,10 @@ mod tests {
     #[test]
     fn out_of_range_rows_are_ignored() {
         let mut img = BinaryImage::new(8, 4);
-        img.set_run(4, 0..8);
-        img.set_run(usize::MAX, 0..8);
+        set_row(&mut img, 4, 0..8);
+        set_row(&mut img, usize::MAX, 0..8);
         assert_eq!(img.count_ones(), 0);
-        img.set_run(3, 2..5);
+        set_row(&mut img, 3, 2..5);
         assert_eq!(img.count_ones(), 3);
         assert_eq!(set_columns(&img, 3), vec![2, 3, 4]);
     }
@@ -481,7 +478,7 @@ mod tests {
         assert_eq!(img.as_vector().as_words(), &[u64::MAX, 0b11_1111]);
         let mut expected = BinaryImage::new(10, 7);
         for y in 0..7 {
-            expected.set_run(y, 0..10);
+            set_row(&mut expected, y, 0..10);
         }
         assert_eq!(img, expected);
         let short = BinaryImage::from_row_major_words(10, 7, vec![1 << 13]);

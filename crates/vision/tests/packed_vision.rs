@@ -450,6 +450,14 @@ fn random_image(width: usize, height: usize, rng: &mut StdRng) -> RgbImage {
     RgbImage::from_pixels(width, height, pixels).expect("buffer matches the size")
 }
 
+/// Sets pixels `xs` of row `y` one at a time; pixels past the row end are
+/// ignored, as `BinaryImage::set` ignores them.
+fn set_run(mask: &mut BinaryImage, y: usize, xs: std::ops::Range<usize>) {
+    for x in xs {
+        mask.set(x, y, true);
+    }
+}
+
 fn mask_from_rows(rows: &[&str]) -> BinaryImage {
     let width = rows.first().map_or(0, |r| r.len());
     let mut mask = BinaryImage::new(width, rows.len());
@@ -549,7 +557,7 @@ fn empty_and_full_masks_match_at_every_width() {
             assert_front_end_matches(&empty, 1);
             let mut full = BinaryImage::new(width, height);
             for y in 0..height {
-                full.set_run(y, 0..width);
+                set_run(&mut full, y, 0..width);
             }
             assert_front_end_matches(&full, 2);
             assert_eq!(label_components(&full).component_count(), 1);
@@ -570,8 +578,8 @@ fn diagonal_chains_match_at_every_width() {
         for y in 0..height {
             down.set((y * 7) % width, y, true);
             up.set(width - 1 - (y * 3) % width, y, true);
-            zigzag.set_run(y, (y % 2) * 2..(y % 2) * 2 + 1);
-            zigzag.set_run(y, width / 2 + (y % 2)..width / 2 + (y % 2) + 1);
+            set_run(&mut zigzag, y, (y % 2) * 2..(y % 2) * 2 + 1);
+            set_run(&mut zigzag, y, width / 2 + (y % 2)..width / 2 + (y % 2) + 1);
         }
         for mask in [&down, &up, &zigzag] {
             assert_front_end_matches(mask, 4);
@@ -595,15 +603,15 @@ fn u_and_w_shapes_match() {
         let mut u = BinaryImage::new(width, 6);
         let mut w = BinaryImage::new(width, 6);
         for y in 0..5 {
-            u.set_run(y, 0..3);
-            u.set_run(y, width - 3..width);
+            set_run(&mut u, y, 0..3);
+            set_run(&mut u, y, width - 3..width);
             for arm in 0..5 {
                 let x = arm * (width - 1) / 4;
-                w.set_run(y, x..x + 1);
+                set_run(&mut w, y, x..x + 1);
             }
         }
-        u.set_run(5, 0..width);
-        w.set_run(5, 0..width);
+        set_run(&mut u, 5, 0..width);
+        set_run(&mut w, 5, 0..width);
         assert_front_end_matches(&u, 6);
         assert_front_end_matches(&w, 7);
         assert_eq!(label_components(&u).component_count(), 1);
@@ -627,7 +635,7 @@ fn run_across_a_word_edge_inside_a_row_matches() {
             // pixels, three on either side.
             for edge in (y * width + 1..(y + 1) * width).filter(|i| i % 64 == 0) {
                 let x = edge - y * width;
-                mask.set_run(y, x - 3..x + 3);
+                set_run(&mut mask, y, x - 3..x + 3);
                 crossings += 1;
             }
         }
@@ -655,8 +663,8 @@ fn row_edge_inside_a_word_with_pixels_on_both_sides_matches() {
         // width 64.
         let mut mask = BinaryImage::new(width, height);
         for y in 1..height {
-            mask.set_run(y - 1, width - 2..width);
-            mask.set_run(y, 0..2);
+            set_run(&mut mask, y - 1, width - 2..width);
+            set_run(&mut mask, y, 0..2);
         }
         assert_front_end_matches(&mask, 12);
         let labels = label_components(&mask);
@@ -666,9 +674,9 @@ fn row_edge_inside_a_word_with_pixels_on_both_sides_matches() {
         // Whole rows between two partial ones: one stream run over three
         // rows, cut into three row runs of one component.
         let mut band = BinaryImage::new(width, height);
-        band.set_run(1, width - 5..width);
-        band.set_run(2, 0..width);
-        band.set_run(3, 0..7);
+        set_run(&mut band, 1, width - 5..width);
+        set_run(&mut band, 2, 0..width);
+        set_run(&mut band, 3, 0..7);
         assert_front_end_matches(&band, 13);
         let blobs = extract_blobs(&label_components(&band));
         assert_eq!(blobs.len(), 1);
@@ -719,11 +727,11 @@ fn last_pixel_of_a_ragged_image_matches() {
         // The same pixel at the end of a run, and of a run that began on
         // the row before.
         let mut tail = BinaryImage::new(width, height);
-        tail.set_run(height - 1, width - 40..width);
+        set_run(&mut tail, height - 1, width - 40..width);
         assert_front_end_matches(&tail, 17);
         let mut wrap = BinaryImage::new(width, height);
-        wrap.set_run(height - 2, width - 3..width);
-        wrap.set_run(height - 1, 0..width);
+        set_run(&mut wrap, height - 2, width - 3..width);
+        set_run(&mut wrap, height - 1, 0..width);
         assert_front_end_matches(&wrap, 18);
         assert_eq!(label_components(&wrap).component_count(), 1);
     }
