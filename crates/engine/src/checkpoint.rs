@@ -1,6 +1,8 @@
 //! Crash-safe checkpoints and process-lifetime spill frames: a
-//! length-prefixed, checksummed frame around the full training state,
-//! committed by temp-file + atomic rename.
+//! length-prefixed, checksummed frame around the published snapshot version
+//! and the trainer's whole state (the crate's one `TrainerState`, which the
+//! [`Trainer`](crate::Trainer) trains in place and the codec encodes and
+//! decodes as it is), committed by temp-file + atomic rename.
 //!
 //! ## Frame format (DESIGN.md §"Fault model and recovery")
 //!
@@ -67,7 +69,7 @@ use bsom_som::{
 use serde::{Deserialize, Serialize};
 
 use crate::frame::{LeReader, LeWriter, ReadError};
-use crate::service::DecayedLabelStats;
+use crate::service::{DecayedLabelStats, TrainerState};
 use crate::throughput::{measure, MeasuredThroughput};
 use crate::EngineConfig;
 
@@ -210,48 +212,6 @@ pub struct CheckpointInfo {
     pub version: u64,
 }
 
-/// The training state a frame encodes, borrowed from the trainer — encoding
-/// never clones the map.
-pub(crate) struct TrainingState<'a> {
-    /// Latest published snapshot version at write time.
-    pub(crate) service_version: u64,
-    /// The map: configuration, plane words and RNG position.
-    pub(crate) som: &'a BSom,
-    /// The trainer's schedule.
-    pub(crate) schedule: &'a TrainSchedule,
-    /// Epochs of the schedule completed.
-    pub(crate) epochs_run: usize,
-    /// Feed steps completed.
-    pub(crate) steps_run: u64,
-    /// Feed steps since the last publish (continues the publish cadence).
-    pub(crate) steps_since_publish: u64,
-    /// The service construction config.
-    pub(crate) config: &'a EngineConfig,
-    /// Per-neuron decayed win statistics, one entry per neuron.
-    pub(crate) stats: &'a [DecayedLabelStats],
-}
-
-/// The training state a frame decodes to: everything needed to continue
-/// training bit-identically and rebuild the same service.
-pub(crate) struct CheckpointDoc {
-    /// Latest published snapshot version at write time.
-    pub(crate) service_version: u64,
-    /// The map, rebuilt through [`BSom::from_state`].
-    pub(crate) som: BSom,
-    /// The trainer's schedule.
-    pub(crate) schedule: TrainSchedule,
-    /// Epochs of the schedule completed.
-    pub(crate) epochs_run: usize,
-    /// Feed steps completed.
-    pub(crate) steps_run: u64,
-    /// Feed steps since the last publish.
-    pub(crate) steps_since_publish: u64,
-    /// The service construction config.
-    pub(crate) config: EngineConfig,
-    /// Per-neuron decayed win statistics, one entry per neuron.
-    pub(crate) stats: Vec<DecayedLabelStats>,
-}
-
 /// Whether a frame write waits for the disk before its rename.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Durability {
@@ -300,9 +260,10 @@ fn write_option(writer: &mut LeWriter, value: Option<u64>) {
     }
 }
 
-/// Encodes `state` as one complete format-2 frame.
-pub(crate) fn encode_frame(state: &TrainingState<'_>) -> Vec<u8> {
-    let som = state.som;
+/// Encodes the published `version` and the trainer's `state` as one
+/// complete format-2 frame.
+pub(crate) fn encode_frame(version: u64, state: &TrainerState) -> Vec<u8> {
+    let som = &state.som;
     let config = som.config();
     let plane_bytes = som.neuron_count() * config.vector_len.div_ceil(64) * 16;
     let mut writer = frame_writer(plane_bytes + 256 + state.stats.len() * 32);
@@ -333,7 +294,7 @@ pub(crate) fn encode_frame(state: &TrainingState<'_>) -> Vec<u8> {
     }
     writer.u64(som.rng_state());
 
-    let schedule = state.schedule;
+    let schedule = &state.schedule;
     writer.u64(schedule.iterations as u64);
     let (tag, radius) = match schedule.neighbourhood {
         NeighbourhoodSchedule::Quartered { max_radius } => (0, max_radius),
@@ -345,19 +306,19 @@ pub(crate) fn encode_frame(state: &TrainingState<'_>) -> Vec<u8> {
     writer.f64(schedule.initial_learning_rate);
     writer.f64(schedule.final_learning_rate);
 
-    writer.u64(state.service_version);
+    writer.u64(version);
     writer.u64(state.epochs_run as u64);
     writer.u64(state.steps_run);
     writer.u64(state.steps_since_publish);
 
-    let engine = state.config;
+    let engine = &state.config;
     writer.u64(engine.workers as u64);
     write_option(&mut writer, engine.unknown_threshold.map(f64::to_bits));
     write_option(&mut writer, engine.publish_every_steps);
     write_option(&mut writer, engine.label_decay.map(f64::to_bits));
     write_option(&mut writer, engine.queue_capacity.map(|c| c as u64));
 
-    for stat in state.stats {
+    for stat in &state.stats {
         writer.u64(stat.last_step);
         writer.u64(stat.wins.len() as u64);
         for (label, weight) in &stat.wins {
@@ -435,8 +396,9 @@ fn read_plane(
         .map_err(|error| invalid(format!("neuron {neuron} {plane} plane: {error}")))
 }
 
-/// Decodes and validates a format-2 payload.
-fn decode_payload(payload: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
+/// Decodes and validates a format-2 payload into the published version and
+/// the trainer's state.
+fn decode_payload(payload: &[u8]) -> Result<(u64, TrainerState), CheckpointError> {
     let mut reader = LeReader::new(payload);
 
     let neurons = usize_field(reader.u64()?, "neuron count")?;
@@ -490,7 +452,7 @@ fn decode_payload(payload: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
         final_learning_rate: reader.f64()?,
     };
 
-    let service_version = reader.u64()?;
+    let version = reader.u64()?;
     let epochs_run = usize_field(reader.u64()?, "epochs run")?;
     let steps_run = reader.u64()?;
     let steps_since_publish = reader.u64()?;
@@ -533,8 +495,7 @@ fn decode_payload(payload: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
     }
     reader.finish()?;
 
-    Ok(CheckpointDoc {
-        service_version,
+    let state = TrainerState {
         som,
         schedule,
         epochs_run,
@@ -542,7 +503,8 @@ fn decode_payload(payload: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
         steps_since_publish,
         config,
         stats,
-    })
+    };
+    Ok((version, state))
 }
 
 /// The invariants the [`EngineConfig`] builders assert, checked on a stored
@@ -563,18 +525,20 @@ fn validate_config(config: &EngineConfig) -> Result<(), CheckpointError> {
 }
 
 /// Validates a whole frame and decodes its payload.
-pub(crate) fn decode_frame(bytes: &[u8]) -> Result<CheckpointDoc, CheckpointError> {
+pub(crate) fn decode_frame(bytes: &[u8]) -> Result<(u64, TrainerState), CheckpointError> {
     decode_payload(unframe(bytes)?)
 }
 
-/// Frames `state` and commits it to `path` atomically: write `<path>.tmp`
-/// → `sync_all` (for [`Durability::Synced`] only) → rename over `path`.
+/// Frames `version` and `state` and commits them to `path` atomically:
+/// write `<path>.tmp` → `sync_all` (for [`Durability::Synced`] only) →
+/// rename over `path`.
 pub(crate) fn write(
     path: &Path,
-    state: &TrainingState<'_>,
+    version: u64,
+    state: &TrainerState,
     durability: Durability,
 ) -> Result<CheckpointInfo, CheckpointError> {
-    let frame = encode_frame(state);
+    let frame = encode_frame(version, state);
     let file_name = path
         .file_name()
         .ok_or_else(|| CheckpointError::Io {
@@ -596,12 +560,13 @@ pub(crate) fn write(
     std::fs::rename(&tmp_path, path).map_err(CheckpointError::io)?;
     Ok(CheckpointInfo {
         bytes: frame.len() as u64,
-        version: state.service_version,
+        version,
     })
 }
 
-/// Reads, unframes, decodes and validates the frame at `path`.
-pub(crate) fn read(path: &Path) -> Result<CheckpointDoc, CheckpointError> {
+/// Reads, unframes, decodes and validates the frame at `path`: the
+/// published version it records and the trainer's state.
+pub(crate) fn read(path: &Path) -> Result<(u64, TrainerState), CheckpointError> {
     crate::faultpoint::hit("checkpoint.read");
     let bytes = std::fs::read(path).map_err(CheckpointError::io)?;
     decode_frame(&bytes)
@@ -790,20 +755,20 @@ mod tests {
             0x9E37_79B9_7F4A_7C15,
         )
         .unwrap();
-        let stats = [DecayedLabelStats {
+        let stats = vec![DecayedLabelStats {
             wins: BTreeMap::from([(ObjectLabel::new(3), 1.0)]),
             last_step: 0,
         }];
-        encode_frame(&TrainingState {
-            service_version: 1,
-            som: &som,
-            schedule: &TrainSchedule::new(10),
+        let state = TrainerState {
+            som,
+            schedule: TrainSchedule::new(10),
             epochs_run: 0,
             steps_run: 1,
             steps_since_publish: 0,
-            config: &EngineConfig::with_workers(1),
-            stats: &stats,
-        })
+            config: EngineConfig::with_workers(1),
+            stats,
+        };
+        encode_frame(1, &state)
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -848,9 +813,10 @@ mod tests {
             crate::frame::fnv1a64(&frame[..frame.len() - CHECKPOINT_CHECKSUM_LEN]),
             0x90b1_00d2_cd7e_0450
         );
-        let doc = decode_frame(&frame).expect("the worked example decodes");
-        assert_eq!(doc.som.neurons()[0].to_trit_string(), "1");
-        assert_eq!(doc.stats[0].majority_label(), Some(ObjectLabel::new(3)));
+        let (version, state) = decode_frame(&frame).expect("the worked example decodes");
+        assert_eq!(version, 1);
+        assert_eq!(state.som.neurons()[0].to_trit_string(), "1");
+        assert_eq!(state.stats[0].majority_label(), Some(ObjectLabel::new(3)));
     }
 
     fn arbitrary_state(
@@ -929,38 +895,28 @@ mod tests {
             let (som, schedule, config, stats) =
                 arbitrary_state(seed, neurons, vector_len, tags, empty_wins);
             let clocks: (u64, usize, u64, u64) = (seed >> 3, (seed % 977) as usize, seed >> 7, seed % 13);
-            let state = TrainingState {
-                service_version: clocks.0,
-                som: &som,
-                schedule: &schedule,
+            let state = TrainerState {
+                som,
+                schedule,
                 epochs_run: clocks.1,
                 steps_run: clocks.2,
                 steps_since_publish: clocks.3,
-                config: &config,
-                stats: &stats,
+                config,
+                stats,
             };
-            let frame = encode_frame(&state);
-            let doc = decode_frame(&frame).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(&doc.som, &som);
-            prop_assert_eq!(doc.som.dont_care_counts(), som.dont_care_counts());
-            prop_assert_eq!(doc.som.packed_layer(), som.packed_layer());
-            prop_assert_eq!(doc.schedule, schedule);
+            let frame = encode_frame(clocks.0, &state);
+            let (version, doc) = decode_frame(&frame).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(&doc.som, &state.som);
+            prop_assert_eq!(doc.som.dont_care_counts(), state.som.dont_care_counts());
+            prop_assert_eq!(doc.som.packed_layer(), state.som.packed_layer());
+            prop_assert_eq!(doc.schedule, state.schedule);
             prop_assert_eq!(
-                (doc.service_version, doc.epochs_run, doc.steps_run, doc.steps_since_publish),
+                (version, doc.epochs_run, doc.steps_run, doc.steps_since_publish),
                 clocks
             );
-            prop_assert_eq!(doc.config, config);
-            prop_assert_eq!(&doc.stats, &stats);
-            let again = encode_frame(&TrainingState {
-                service_version: doc.service_version,
-                som: &doc.som,
-                schedule: &doc.schedule,
-                epochs_run: doc.epochs_run,
-                steps_run: doc.steps_run,
-                steps_since_publish: doc.steps_since_publish,
-                config: &doc.config,
-                stats: &doc.stats,
-            });
+            prop_assert_eq!(doc.config, state.config);
+            prop_assert_eq!(&doc.stats, &state.stats);
+            let again = encode_frame(version, &doc);
             prop_assert!(again == frame, "re-encoding must reproduce the frame");
         }
     }

@@ -21,9 +21,16 @@
 //!   spreads a per-tick step budget across all tenants with pending work, one
 //!   step per tenant per rotation, resuming each tick at the slot after the
 //!   last one that stepped.
-//!   Every tenant that trained is published at tick end, which establishes
-//!   the invariant the eviction path relies on: **outside a tick, a tenant's
-//!   trainer state equals its published snapshot.**
+//!   Every tenant that trained is published at tick end, unless its trainer
+//!   poisoned itself (its map may be torn, so nothing of it is published),
+//!   which establishes the invariant the eviction path relies on:
+//!   **outside a tick, the trainer state of every tenant that is not
+//!   poisoned equals its published snapshot.**
+//! * **A tenant is its trainer.** A resident tenant holds only its
+//!   [`Trainer`], whose service handle answers classifies and whose version
+//!   and snapshot are the tenant's; one accessor, which reloads an evicted
+//!   tenant first, hands every entry point that needs the trainer in memory
+//!   its `&mut Trainer`.
 //! * **LRU eviction to disk.** Cold tenants spill to the validating
 //!   checkpoint frames of [`Trainer::write_checkpoint`] — written and
 //!   renamed into place but not `fsync`ed, since only this registry, in this
@@ -47,8 +54,7 @@ use bsom_som::{BSom, ObjectLabel, Prediction, TrainSchedule};
 
 use crate::checkpoint;
 use crate::service::{
-    lock_recovering, resolve_queue_capacity, resolve_workers, ServiceHealth, SomService,
-    SomSnapshot, Trainer, WorkerPool,
+    lock_recovering, ServiceHealth, SomSnapshot, Trainer, TrainerState, WorkerPool,
 };
 use crate::{EngineConfig, EngineError};
 
@@ -143,13 +149,10 @@ impl RegistryConfig {
 
 /// Where a tenant's state currently lives.
 enum TenantState {
-    /// In memory: a live service/trainer pair over the shared pool. The
-    /// trainer is boxed so an evicted slot shrinks to its version — the
+    /// In memory: a live trainer over the shared pool, whose snapshots the
+    /// tenant serves. Boxed so an evicted slot shrinks to its version — the
     /// slab stays dense when most of "thousands of tenants" are cold.
-    Resident {
-        service: Arc<SomService>,
-        trainer: Box<Trainer>,
-    },
+    Resident(Box<Trainer>),
     /// Spilled to the slot's checkpoint file; reloaded on next touch.
     /// `version` is the published version at eviction, which the spill
     /// frame records too.
@@ -173,14 +176,14 @@ struct TenantSlot {
 
 impl TenantSlot {
     fn is_resident(&self) -> bool {
-        matches!(self.state, TenantState::Resident { .. })
+        matches!(self.state, TenantState::Resident(_))
     }
 
-    /// The published version: the live service's, or the one kept at
+    /// The published version: the live trainer's, or the one kept at
     /// eviction (reload republishes at exactly that version).
     fn version(&self) -> u64 {
         match &self.state {
-            TenantState::Resident { service, .. } => service.version(),
+            TenantState::Resident(trainer) => trainer.version(),
             TenantState::Evicted { version } => *version,
         }
     }
@@ -333,7 +336,6 @@ pub struct TickReport {
 /// ```
 pub struct MapRegistry {
     pool: Arc<WorkerPool>,
-    workers: usize,
     config: RegistryConfig,
     inner: Mutex<RegistryInner>,
 }
@@ -344,7 +346,7 @@ impl std::fmt::Debug for MapRegistry {
         f.debug_struct("MapRegistry")
             .field("tenants", &stats.tenants)
             .field("resident", &stats.resident)
-            .field("workers", &self.workers)
+            .field("workers", &self.pool.health().workers_configured)
             .field("max_resident", &self.config.max_resident)
             .finish()
     }
@@ -365,15 +367,8 @@ impl MapRegistry {
             config.max_resident == 0 || config.spill_dir.is_some(),
             "RegistryConfig::max_resident needs a spill_dir to evict into"
         );
-        if let Err(error) = bsom_signature::validate_env_dispatch() {
-            panic!("{error}");
-        }
-        let workers = resolve_workers(config.engine.workers);
-        let queue_capacity = resolve_queue_capacity(config.engine.queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
         MapRegistry {
-            pool,
-            workers,
+            pool: Arc::new(WorkerPool::for_config(&config.engine)),
             config,
             inner: Mutex::new(RegistryInner {
                 slots: Vec::new(),
@@ -392,11 +387,13 @@ impl MapRegistry {
         }
     }
 
-    /// Registers a new tenant: opens a train-while-serve pair over the
-    /// shared pool, exactly like [`SomService::train_while_serve`] (snapshot
-    /// v1 published from the map as given, labelled by a win pass over
+    /// Registers a new tenant: starts a trainer over the shared pool,
+    /// exactly like [`SomService::train_while_serve`] (snapshot v1
+    /// published from the map as given, labelled by a win pass over
     /// `seed_data`). May evict the least-recently-touched tenant when the
     /// residency ceiling is hit.
+    ///
+    /// [`SomService::train_while_serve`]: crate::SomService::train_while_serve
     ///
     /// # Errors
     ///
@@ -417,14 +414,8 @@ impl MapRegistry {
                 tenant: id.as_str().to_string(),
             });
         }
-        let (service, trainer) = SomService::pair_train_while_serve_on(
-            som,
-            schedule,
-            seed_data,
-            self.config.engine,
-            Arc::clone(&self.pool),
-            self.workers,
-        );
+        let state = TrainerState::fresh(som, schedule, seed_data, self.config.engine);
+        let trainer = Trainer::start(state, 1, Arc::clone(&self.pool));
         inner.created_total += 1;
         let seq = inner.created_total;
         let spill_path = self
@@ -434,10 +425,7 @@ impl MapRegistry {
             .map(|dir| dir.join(format!("tenant-{seq}.bsomckpt")));
         let slot = TenantSlot {
             id: id.clone(),
-            state: TenantState::Resident {
-                service: Arc::new(service),
-                trainer: Box::new(trainer),
-            },
+            state: TenantState::Resident(Box::new(trainer)),
             pending: VecDeque::new(),
             last_touch: 0,
             spill_path,
@@ -455,8 +443,8 @@ impl MapRegistry {
         inner.index.insert(id, index);
         inner.resident += 1;
         inner.touch(index);
-        self.enforce_residency(&mut inner)?;
-        Ok(())
+        self.enforce_residency(&mut inner)
+            .map_err(|(_, error)| error)
     }
 
     /// Removes a tenant, dropping its in-memory state, queued examples and
@@ -534,18 +522,16 @@ impl MapRegistry {
             let mut inner = lock_recovering(&self.inner);
             let index = inner.index_of(&id)?;
             inner.touch(index);
-            self.ensure_resident(&mut inner, index)?;
-            let TenantState::Resident { service, .. } = &inner.slot_mut(index).state else {
-                unreachable!("ensure_resident leaves the slot resident");
-            };
-            (Arc::clone(service), service.snapshot())
+            let service = self.resident(&mut inner, index)?.service();
+            let snapshot = service.snapshot();
+            (service, snapshot)
         };
         Ok(service.classify_pinned(&snapshot, signatures))
     }
 
     /// The tenant's latest published snapshot (reloading it if evicted) —
     /// gives serving threads a pinned, immutable view exactly like
-    /// [`SomService::snapshot`].
+    /// [`SomService::snapshot`](crate::SomService::snapshot).
     ///
     /// # Errors
     ///
@@ -556,11 +542,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
-        self.ensure_resident(&mut inner, index)?;
-        let TenantState::Resident { service, .. } = &inner.slot_mut(index).state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        Ok(service.snapshot())
+        Ok(self.resident(&mut inner, index)?.service().snapshot())
     }
 
     /// The tenant's latest published snapshot version. An evicted tenant
@@ -592,11 +574,7 @@ impl MapRegistry {
         let id = id.into();
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
-        self.ensure_resident(&mut inner, index)?;
-        let TenantState::Resident { trainer, .. } = &inner.slot_mut(index).state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        Ok(trainer.som().clone())
+        Ok(self.resident(&mut inner, index)?.som().clone())
     }
 
     /// `true` once the tenant's trainer poisoned itself on a panicked
@@ -613,7 +591,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         match &inner.slot_mut(index).state {
-            TenantState::Resident { trainer, .. } => Ok(trainer.is_poisoned()),
+            TenantState::Resident(trainer) => Ok(trainer.is_poisoned()),
             TenantState::Evicted { .. } => Ok(false),
         }
     }
@@ -633,11 +611,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
-        self.ensure_resident(&mut inner, index)?;
-        let TenantState::Resident { trainer, .. } = &mut inner.slot_mut(index).state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        trainer.reset_from_snapshot()
+        self.resident(&mut inner, index)?.reset_from_snapshot()
     }
 
     /// Explicitly evicts a tenant to its spill checkpoint. The in-memory
@@ -680,7 +654,7 @@ impl MapRegistry {
         let mut inner = lock_recovering(&self.inner);
         let index = inner.index_of(&id)?;
         inner.touch(index);
-        self.ensure_resident(&mut inner, index)
+        self.resident(&mut inner, index).map(|_| ())
     }
 
     /// Runs up to `step_budget` training steps, spread fairly across every
@@ -692,7 +666,8 @@ impl MapRegistry {
     /// next tick starts; when the queues drain first it stays put. Evicted
     /// tenants with pending work are reloaded transparently. Every tenant
     /// that trained is published at tick end (plus any mid-tick publishes
-    /// its own [`EngineConfig::publish_every_steps`] cadence fired), then the
+    /// its own [`EngineConfig::publish_every_steps`] cadence fired), except
+    /// one whose trainer poisoned itself during the tick, then the
     /// residency ceiling is enforced by evicting the least-recently-touched
     /// tenants.
     ///
@@ -728,7 +703,9 @@ impl MapRegistry {
         'tick: while !rotation.is_empty() {
             let mut next = Vec::with_capacity(rotation.len());
             for index in rotation {
-                if let Err(error) = self.ensure_resident(&mut inner, index) {
+                // Reload first: a tenant that cannot come back keeps its
+                // queue.
+                if let Err(error) = self.resident(&mut inner, index) {
                     let id = inner.slot_mut(index).id.clone();
                     report.failures.push((id, error));
                     continue;
@@ -740,13 +717,13 @@ impl MapRegistry {
                     .pop_front()
                     .expect("ready slots have queued examples");
                 let more = !slot.pending.is_empty();
-                let TenantState::Resident { trainer, .. } = &mut slot.state else {
-                    unreachable!("ensure_resident leaves the slot resident");
-                };
-                let stepped = trainer.try_feed(&signature, label);
                 if !more {
                     inner.ready.remove(&index);
                 }
+                // Resident now, so this only looks the trainer up.
+                let stepped = self
+                    .resident(&mut inner, index)
+                    .and_then(|trainer| trainer.try_feed(&signature, label));
                 match stepped {
                     Ok(_) => {
                         budget -= 1;
@@ -778,15 +755,17 @@ impl MapRegistry {
         }
         // Publish every tenant that moved: the invariant that makes
         // eviction version-transparent (trainer state == published snapshot
-        // outside a tick).
+        // outside a tick). A trainer that poisoned itself on a later step
+        // may hold a torn map, so nothing of it is published.
         for &index in &trained {
-            let TenantState::Resident { trainer, .. } = &mut inner.slot_mut(index).state else {
-                continue; // unreachable in practice: trained tenants are resident
-            };
-            trainer.publish_if_dirty();
+            if let TenantState::Resident(trainer) = &mut inner.slot_mut(index).state {
+                if !trainer.is_poisoned() {
+                    trainer.publish_if_dirty();
+                }
+            }
         }
         report.tenants_trained = trained.len();
-        if let Err((id, error)) = self.enforce_residency_attributed(&mut inner) {
+        if let Err((id, error)) = self.enforce_residency(&mut inner) {
             // The tenant that failed to spill stays resident and servable.
             report.failures.push((id, error));
         }
@@ -818,30 +797,32 @@ impl MapRegistry {
         if slot.pending.is_empty() {
             return Ok((0, slot.version()));
         }
-        self.ensure_resident(&mut inner, index)?;
-        let slot = inner.slot_mut(index);
-        let TenantState::Resident { trainer, service } = &mut slot.state else {
-            unreachable!("ensure_resident leaves the slot resident");
-        };
-        let mut steps = 0u64;
-        let mut flushed = Ok(());
-        while let Some((signature, label)) = slot.pending.pop_front() {
-            if let Err(error) = trainer.try_feed(&signature, label) {
-                flushed = Err(error);
-                break;
+        // Whatever does not train (all of it, if the reload fails) goes
+        // back to the slot's queue below.
+        let mut pending = std::mem::take(&mut slot.pending);
+        let flushed = self.resident(&mut inner, index).and_then(|trainer| {
+            let mut steps = 0u64;
+            let mut stepped = Ok(());
+            while let Some((signature, label)) = pending.pop_front() {
+                if let Err(error) = trainer.try_feed(&signature, label) {
+                    stepped = Err(error);
+                    break;
+                }
+                steps += 1;
             }
-            steps += 1;
-        }
-        // Outside a tick the trainer must equal its snapshot, failed step or
-        // not; a poisoned map may be torn and is never published.
-        if !trainer.is_poisoned() {
-            trainer.publish_if_dirty();
-        }
-        let version = service.version();
-        if slot.pending.is_empty() {
+            // Outside a tick the trainer must equal its snapshot, failed
+            // step or not; a poisoned map may be torn and is never
+            // published.
+            if !trainer.is_poisoned() {
+                trainer.publish_if_dirty();
+            }
+            stepped.map(|()| (steps, trainer.version()))
+        });
+        if pending.is_empty() {
             inner.ready.remove(&index);
         }
-        flushed?;
+        inner.slot_mut(index).pending = pending;
+        let (steps, version) = flushed?;
         inner.steps_total += steps;
         Ok((steps, version))
     }
@@ -868,10 +849,10 @@ impl MapRegistry {
     }
 
     /// Supervision counters of the one shared worker pool (see
-    /// [`SomService::health`] — the registry's tenants all report through
-    /// this single pool).
+    /// [`SomService::health`](crate::SomService::health) — the registry's
+    /// tenants all report through this single pool).
     pub fn health(&self) -> ServiceHealth {
-        self.pool.health_with(self.workers)
+        self.pool.health()
     }
 
     /// Number of registered tenants.
@@ -906,46 +887,48 @@ impl MapRegistry {
         lock_recovering(&self.inner).index.keys().cloned().collect()
     }
 
-    /// Reloads `index` if evicted; no-op when resident. On failure the slot
-    /// stays `Evicted` and the error is typed — the registry never poisons.
-    fn ensure_resident(&self, inner: &mut RegistryInner, index: usize) -> Result<(), EngineError> {
+    /// The trainer of tenant `index`, reloaded from its spill frame first
+    /// if the tenant is evicted — the one way the facade reaches a trainer
+    /// it needs in memory. On failure the slot stays `Evicted` and the error
+    /// is typed — the registry never poisons.
+    fn resident<'a>(
+        &self,
+        inner: &'a mut RegistryInner,
+        index: usize,
+    ) -> Result<&'a mut Trainer, EngineError> {
         let slot = inner.slot_mut(index);
-        let TenantState::Evicted { version: evicted } = slot.state else {
-            return Ok(());
-        };
-        crate::faultpoint::hit("registry.reload");
-        let path = slot
-            .spill_path
-            .clone()
-            .ok_or(EngineError::SpillUnconfigured)?;
-        let doc = checkpoint::read(&path)?;
-        // Republished at *exactly* the checkpointed version (not +1 like the
-        // public crash-recovery resume): the spill checkpoint was written
-        // under the publish-at-tick-end invariant, so the checkpointed layer
-        // IS the snapshot clients were already being served — the eviction
-        // round trip must not masquerade as new state.
-        let version = doc.service_version;
-        debug_assert_eq!(
-            version, evicted,
-            "a spill frame records the version its slot was evicted at"
-        );
-        let (service, trainer) =
-            SomService::pair_from_doc_on(doc, version, Arc::clone(&self.pool), self.workers);
-        let slot = inner.slot_mut(index);
-        slot.state = TenantState::Resident {
-            service: Arc::new(service),
-            trainer: Box::new(trainer),
-        };
-        inner.resident += 1;
-        inner.reloads_total += 1;
-        Ok(())
+        if let TenantState::Evicted { version: evicted } = slot.state {
+            crate::faultpoint::hit("registry.reload");
+            let path = slot
+                .spill_path
+                .as_ref()
+                .ok_or(EngineError::SpillUnconfigured)?;
+            let (version, state) = checkpoint::read(path)?;
+            // Republished at *exactly* the spilled version (not +1 like the
+            // public crash-recovery resume): the spill frame was written
+            // under the publish-at-tick-end invariant, so its layer IS the
+            // snapshot clients were already being served — the eviction
+            // round trip must not masquerade as new state.
+            debug_assert_eq!(
+                version, evicted,
+                "a spill frame records the version its slot was evicted at"
+            );
+            let trainer = Trainer::start(state, version, Arc::clone(&self.pool));
+            slot.state = TenantState::Resident(Box::new(trainer));
+            inner.resident += 1;
+            inner.reloads_total += 1;
+        }
+        match &mut inner.slot_mut(index).state {
+            TenantState::Resident(trainer) => Ok(trainer),
+            TenantState::Evicted { .. } => unreachable!("a reload leaves the slot resident"),
+        }
     }
 
     /// Spills slot `index` to disk. See [`evict`](Self::evict) for the
     /// ordering guarantees.
     fn evict_slot(&self, inner: &mut RegistryInner, index: usize) -> Result<(), EngineError> {
         let slot = inner.slot_mut(index);
-        let TenantState::Resident { trainer, service } = &slot.state else {
+        let TenantState::Resident(trainer) = &slot.state else {
             return Ok(()); // already on disk
         };
         if trainer.is_poisoned() {
@@ -958,12 +941,12 @@ impl MapRegistry {
         );
         let path = slot
             .spill_path
-            .clone()
+            .as_ref()
             .ok_or(EngineError::SpillUnconfigured)?;
         // Under the publish-at-tick-end invariant asserted above, this is
         // the version the spill frame records.
-        let version = service.version();
-        trainer.write_spill(&path)?;
+        let version = trainer.version();
+        trainer.write_spill(path)?;
         // A panic here (the `registry.evict` failpoint) unwinds with the
         // spill frame in place but the tenant still resident — it stays
         // servable from memory, and the stale spill file is simply
@@ -976,21 +959,13 @@ impl MapRegistry {
     }
 
     /// Evicts least-recently-touched tenants until the resident count is
-    /// within [`RegistryConfig::max_resident`]. Poisoned tenants are never
-    /// auto-evicted (their maps may be torn); they count against the ceiling
-    /// until recovered. Within the ceiling this reads the kept count and
-    /// walks nothing; over it, one walk over the slab finds each victim.
-    fn enforce_residency(&self, inner: &mut RegistryInner) -> Result<(), EngineError> {
-        self.enforce_residency_attributed(inner)
-            .map_err(|(_, error)| error)
-    }
-
-    /// [`enforce_residency`](Self::enforce_residency), reporting *which*
-    /// tenant failed to spill — for [`TickReport::failures`].
-    fn enforce_residency_attributed(
-        &self,
-        inner: &mut RegistryInner,
-    ) -> Result<(), (TenantId, EngineError)> {
+    /// within [`RegistryConfig::max_resident`], naming the tenant that failed
+    /// to spill on an error (for [`TickReport::failures`]). Poisoned tenants
+    /// are never auto-evicted (their maps may be torn); they count against
+    /// the ceiling until recovered. Within the ceiling this reads the kept
+    /// count and walks nothing; over it, one walk over the slab finds each
+    /// victim.
+    fn enforce_residency(&self, inner: &mut RegistryInner) -> Result<(), (TenantId, EngineError)> {
         debug_assert_eq!(inner.resident, inner.recount_resident());
         debug_assert_eq!(inner.ready, inner.recount_ready());
         let max = self.config.max_resident;
@@ -1001,7 +976,7 @@ impl MapRegistry {
             let mut coldest: Option<(u64, usize)> = None;
             for (index, slot) in inner.slots.iter().enumerate() {
                 let Some(slot) = slot else { continue };
-                let TenantState::Resident { trainer, .. } = &slot.state else {
+                let TenantState::Resident(trainer) = &slot.state else {
                     continue;
                 };
                 if trainer.is_poisoned() {

@@ -28,6 +28,18 @@
 //! Snapshots are immutable once published (`Arc<SomSnapshot>`), so a batch
 //! in flight can never observe a torn layer: it either runs entirely on
 //! version `N` or entirely on version `N+1`.
+//!
+//! Each thing is declared and built in one place. A trainer's state (the
+//! map, schedule, step clocks, [`EngineConfig`] and per-neuron win
+//! statistics) is one crate-private `TrainerState`: the [`Trainer`] holds
+//! it, and a checkpoint or registry spill frame is the published version
+//! plus that state. Every worker pool comes from one constructor, which
+//! resolves the worker count and queue capacity and validates
+//! `BSOM_DISPATCH`. Every trainer starts the same way: it publishes its
+//! state's map and majority labels as the first snapshot — version 1 when
+//! fresh, the checkpointed version + 1 on
+//! [`resume_from_checkpoint`](SomService::resume_from_checkpoint), the
+//! spilled version itself on a registry reload.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -46,9 +58,7 @@ use bsom_som::{
 };
 use bsom_vision::pipeline::SurveillancePipeline;
 
-use crate::checkpoint::{
-    self, CheckpointDoc, CheckpointError, CheckpointInfo, Durability, TrainingState,
-};
+use crate::checkpoint::{self, CheckpointError, CheckpointInfo, Durability};
 use crate::{EngineConfig, EngineError, RecognizedObject, TrainReport};
 
 /// Locks a mutex, recovering the data from a poisoned lock.
@@ -72,24 +82,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "panic payload was not a string".to_string()
     }
-}
-
-/// Resolves [`EngineConfig::workers`]: 0 means one worker per available
-/// hardware thread.
-pub(crate) fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        workers
-    }
-}
-
-/// Resolves [`EngineConfig::queue_capacity`]: `None` means four queued jobs
-/// per worker, floored at 16.
-pub(crate) fn resolve_queue_capacity(queue_capacity: Option<usize>, workers: usize) -> usize {
-    queue_capacity.unwrap_or_else(|| (workers * 4).max(16))
 }
 
 /// The most work, in neuron-words, that a classify batch may carry and still
@@ -361,11 +353,36 @@ pub(crate) struct WorkerPool {
     exit_tx: Option<Sender<ExitEvent>>,
     supervisor: Option<JoinHandle<()>>,
     shared: Arc<PoolShared>,
+    /// Worker threads the pool keeps alive (respawning panicked ones).
+    workers: usize,
     queue_capacity: usize,
 }
 
 impl WorkerPool {
-    pub(crate) fn spawn(workers: usize, queue_capacity: usize) -> Self {
+    /// The one construction path for a pool, shared by every service and
+    /// the registry. Resolves [`EngineConfig::workers`] (0 means one worker
+    /// per available hardware thread) and [`EngineConfig::queue_capacity`]
+    /// (`None` means four queued jobs per worker, floored at 16), then
+    /// spawns the workers and their supervisor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `BSOM_DISPATCH` environment variable names an unknown
+    /// or unavailable kernel dispatch — validated **here**, eagerly, so a
+    /// misconfigured deployment fails at startup on the constructing thread
+    /// with a clear message instead of panicking at the first kernel call
+    /// deep inside a worker.
+    pub(crate) fn for_config(config: &EngineConfig) -> Self {
+        if let Err(error) = bsom_signature::validate_env_dispatch() {
+            panic!("{error}");
+        }
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers => workers,
+        };
+        let queue_capacity = config
+            .queue_capacity
+            .unwrap_or_else(|| (workers * 4).max(16));
         let (job_tx, job_rx) = mpsc::sync_channel::<Job>(queue_capacity);
         let (exit_tx, exit_rx) = mpsc::channel::<ExitEvent>();
         let shared = Arc::new(PoolShared {
@@ -395,6 +412,7 @@ impl WorkerPool {
             exit_tx: Some(exit_tx),
             supervisor: Some(supervisor),
             shared,
+            workers,
             queue_capacity,
         }
     }
@@ -419,12 +437,12 @@ impl WorkerPool {
         }
     }
 
-    /// The pool's supervision counters as a [`ServiceHealth`], reported
-    /// against the given configured worker count. Shared by
-    /// [`ServiceCore::health`] and the registry's aggregate health view.
-    pub(crate) fn health_with(&self, workers_configured: usize) -> ServiceHealth {
+    /// The pool's supervision counters as a [`ServiceHealth`]: what
+    /// [`SomService::health`] and the registry's aggregate health view
+    /// report.
+    pub(crate) fn health(&self) -> ServiceHealth {
         ServiceHealth {
-            workers_configured,
+            workers_configured: self.workers,
             workers_alive: self.shared.workers_alive.load(Ordering::SeqCst),
             queue_depth: self.shared.queue_depth.load(Ordering::SeqCst),
             queue_capacity: self.queue_capacity,
@@ -611,7 +629,6 @@ struct ServiceCore {
     /// over one supervised pool; a standalone service simply holds the only
     /// reference.
     pool: Arc<WorkerPool>,
-    workers: usize,
 }
 
 impl ServiceCore {
@@ -646,11 +663,6 @@ impl ServiceCore {
         });
         self.version.store(version, Ordering::Release);
         version
-    }
-
-    /// The current supervision/queue counters.
-    fn health(&self) -> ServiceHealth {
-        self.pool.health_with(self.workers)
     }
 
     /// Computes verdicts for `range` on the calling thread — the whole
@@ -725,7 +737,7 @@ impl ServiceCore {
         admission: Admission,
     ) -> Result<Vec<Prediction>, EngineError> {
         let total = batch.len();
-        let shard_len = total.div_ceil(self.workers);
+        let shard_len = total.div_ceil(self.pool.workers);
         let (reply_tx, reply_rx) = mpsc::channel::<Shard>();
         // Ranges submitted to the pool whose replies are still owed.
         let mut outstanding: Vec<Range<usize>> = Vec::new();
@@ -826,7 +838,7 @@ impl std::fmt::Debug for SomService {
             .field("version", &snapshot.version())
             .field("neurons", &snapshot.layer().neuron_count())
             .field("vector_len", &snapshot.layer().vector_len())
-            .field("workers", &self.core.workers)
+            .field("workers", &self.core.pool.workers)
             .finish()
     }
 }
@@ -834,14 +846,19 @@ impl std::fmt::Debug for SomService {
 impl SomService {
     /// Serves a frozen, already-trained classifier: snapshot v1 is published
     /// at construction and never replaced (nothing holds a [`Trainer`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the `BSOM_DISPATCH` environment variable names an unknown
+    /// or unavailable kernel dispatch, like every constructor here: the
+    /// worker pool validates it where it is made.
     pub fn serve(classifier: &LabelledSom<BSom>, config: EngineConfig) -> Self {
-        Self::build(
+        Self::start(
+            Arc::new(WorkerPool::for_config(&config)),
+            1,
             classifier.map().packed_layer().clone(),
             classifier.neuron_labels().to_vec(),
             config.unknown_threshold.or(classifier.unknown_threshold()),
-            config.workers,
-            config.queue_capacity,
-            1,
         )
     }
 
@@ -863,68 +880,39 @@ impl SomService {
         unknown_threshold: Option<f64>,
         workers: usize,
     ) -> Self {
-        Self::build(layer, labels, unknown_threshold, workers, None, 1)
-    }
-
-    /// The one construction path for a **standalone** service: resolves the
-    /// worker count and queue capacity, spawns a dedicated pool, and
-    /// delegates to [`build_on`](Self::build_on).
-    fn build(
-        layer: PackedLayer,
-        labels: Vec<Option<ObjectLabel>>,
-        unknown_threshold: Option<f64>,
-        workers: usize,
-        queue_capacity: Option<usize>,
-        initial_version: u64,
-    ) -> Self {
-        let workers = resolve_workers(workers);
-        let queue_capacity = resolve_queue_capacity(queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
-        Self::build_on(
+        Self::start(
+            Arc::new(WorkerPool::for_config(&EngineConfig::with_workers(workers))),
+            1,
             layer,
             labels,
             unknown_threshold,
-            initial_version,
-            pool,
-            workers,
         )
     }
 
-    /// Builds a service over an **existing** worker pool: validates the
-    /// kernel dispatch eagerly and publishes the initial snapshot as
-    /// `initial_version` (1 for fresh services, the checkpointed version + 1
-    /// on [`resume_from_checkpoint`], the checkpointed version *exactly* on
-    /// a registry reload — see `registry.rs` for why the distinction keeps
-    /// evict→reload version-transparent).
-    ///
-    /// [`resume_from_checkpoint`]: SomService::resume_from_checkpoint
-    pub(crate) fn build_on(
+    /// The one construction path for a service, standalone or a trainer's:
+    /// publishes `layer` with its labels as snapshot `version` over `pool`.
+    fn start(
+        pool: Arc<WorkerPool>,
+        version: u64,
         layer: PackedLayer,
         labels: Vec<Option<ObjectLabel>>,
         unknown_threshold: Option<f64>,
-        initial_version: u64,
-        pool: Arc<WorkerPool>,
-        workers: usize,
     ) -> Self {
         assert_eq!(
             labels.len(),
             layer.neuron_count(),
             "one label slot per neuron"
         );
-        if let Err(error) = bsom_signature::validate_env_dispatch() {
-            panic!("{error}");
-        }
         let snapshot = Arc::new(SomSnapshot {
-            version: initial_version,
+            version,
             layer: Arc::new(layer),
             labels,
             unknown_threshold,
         });
         let core = Arc::new(ServiceCore {
             latest: Mutex::new(snapshot),
-            version: AtomicU64::new(initial_version),
+            version: AtomicU64::new(version),
             pool,
-            workers,
         });
         SomService { core }
     }
@@ -936,63 +924,21 @@ impl SomService {
     ///
     /// Recognizers created before or after training starts are equivalent:
     /// each serves whatever snapshot is newest at its next batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unusable `BSOM_DISPATCH`, as [`serve`](Self::serve)
+    /// does.
     pub fn train_while_serve(
         som: BSom,
         schedule: TrainSchedule,
         seed_data: &[(BinaryVector, ObjectLabel)],
         config: EngineConfig,
     ) -> (Self, Trainer) {
-        let workers = resolve_workers(config.workers);
-        let queue_capacity = resolve_queue_capacity(config.queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
-        Self::pair_train_while_serve_on(som, schedule, seed_data, config, pool, workers)
-    }
-
-    /// [`train_while_serve`](Self::train_while_serve) over an existing
-    /// worker pool — the registry's tenant-construction path. `workers` must
-    /// already be resolved (non-zero).
-    pub(crate) fn pair_train_while_serve_on(
-        som: BSom,
-        schedule: TrainSchedule,
-        seed_data: &[(BinaryVector, ObjectLabel)],
-        config: EngineConfig,
-        pool: Arc<WorkerPool>,
-        workers: usize,
-    ) -> (Self, Trainer) {
-        let mut stats = vec![DecayedLabelStats::default(); som.neuron_count()];
-        for (signature, label) in seed_data {
-            if let Ok(winner) = som.winner(signature) {
-                // Seed wins share feed-step 0: no decay separates them.
-                stats[winner.index].record_win(*label, 0, config.label_decay);
-            }
-        }
-        let labels = stats
-            .iter()
-            .map(DecayedLabelStats::majority_label)
-            .collect();
-        let service = Self::build_on(
-            som.packed_layer().clone(),
-            labels,
-            config.unknown_threshold,
-            1,
-            pool,
-            workers,
-        );
-        let trainer = Trainer {
-            core: Arc::clone(&service.core),
-            som,
-            schedule,
-            epochs_run: 0,
-            steps_run: 0,
-            steps_since_publish: 0,
-            publish_every_steps: config.publish_every_steps,
-            stats,
-            label_decay: config.label_decay,
-            unknown_threshold: config.unknown_threshold,
-            config,
-            poisoned: false,
-        };
-        (service, trainer)
+        let pool = Arc::new(WorkerPool::for_config(&config));
+        let state = TrainerState::fresh(som, schedule, seed_data, config);
+        let trainer = Trainer::start(state, 1, pool);
+        (trainer.service(), trainer)
     }
 
     /// Restores a train-while-serve pair from a checkpoint written by
@@ -1013,76 +959,24 @@ impl SomService {
     /// Any [`CheckpointError`]: unreadable file, bad magic/format, torn or
     /// bit-flipped frame (checksum mismatch), or a payload that fails the
     /// decoder's validation ([`CheckpointError::Invalid`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unusable `BSOM_DISPATCH`, as [`serve`](Self::serve)
+    /// does.
     pub fn resume_from_checkpoint(
         path: impl AsRef<Path>,
     ) -> Result<(Self, Trainer), CheckpointError> {
-        let doc = checkpoint::read(path.as_ref())?;
-        let initial_version = doc.service_version + 1;
-        let workers = resolve_workers(doc.config.workers);
-        let queue_capacity = resolve_queue_capacity(doc.config.queue_capacity, workers);
-        let pool = Arc::new(WorkerPool::spawn(workers, queue_capacity));
-        Ok(Self::pair_from_doc_on(doc, initial_version, pool, workers))
-    }
-
-    /// Rebuilds a service/trainer pair from a decoded [`CheckpointDoc`]
-    /// over an existing pool, publishing the restored state as exactly
-    /// `initial_version`.
-    ///
-    /// The public [`resume_from_checkpoint`](Self::resume_from_checkpoint)
-    /// passes `doc.service_version + 1` (a restart is visible as a version
-    /// bump); the registry's evict→reload path passes `doc.service_version`
-    /// unchanged, because there the checkpointed layer **is** the published
-    /// snapshot (trainers are published at every tick end before they can be
-    /// evicted) and the round-trip must be invisible to clients.
-    pub(crate) fn pair_from_doc_on(
-        doc: CheckpointDoc,
-        initial_version: u64,
-        pool: Arc<WorkerPool>,
-        workers: usize,
-    ) -> (Self, Trainer) {
-        let CheckpointDoc {
-            service_version: _,
-            som,
-            schedule,
-            epochs_run,
-            steps_run,
-            steps_since_publish,
-            config,
-            stats,
-        } = doc;
-        let labels = stats
-            .iter()
-            .map(DecayedLabelStats::majority_label)
-            .collect();
-        let service = Self::build_on(
-            som.packed_layer().clone(),
-            labels,
-            config.unknown_threshold,
-            initial_version,
-            pool,
-            workers,
-        );
-        let trainer = Trainer {
-            core: Arc::clone(&service.core),
-            som,
-            schedule,
-            epochs_run,
-            steps_run,
-            steps_since_publish,
-            publish_every_steps: config.publish_every_steps,
-            stats,
-            label_decay: config.label_decay,
-            unknown_threshold: config.unknown_threshold,
-            config,
-            poisoned: false,
-        };
-        (service, trainer)
+        let (version, state) = checkpoint::read(path.as_ref())?;
+        let pool = Arc::new(WorkerPool::for_config(&state.config));
+        let trainer = Trainer::start(state, version + 1, pool);
+        Ok((trainer.service(), trainer))
     }
 
     /// A point-in-time view of the supervision state: workers alive vs
     /// configured, bounded-queue depth, and the panic/respawn counters.
     pub fn health(&self) -> ServiceHealth {
-        self.core.health()
+        self.core.pool.health()
     }
 
     /// A new recognizer handle, pinned to the latest snapshot until its next
@@ -1106,7 +1000,7 @@ impl SomService {
 
     /// Number of worker threads in the shared pool.
     pub fn worker_count(&self) -> usize {
-        self.core.workers
+        self.core.pool.workers
     }
 
     /// Classifies a batch against one **pinned** snapshot (no refresh) —
@@ -1145,6 +1039,64 @@ impl SomService {
     }
 }
 
+/// A trainer's whole state, declared once: what a [`Trainer`] trains, what a
+/// checkpoint or spill frame holds beside the published version, and what
+/// [`Trainer::start`] publishes from.
+pub(crate) struct TrainerState {
+    /// The map: configuration, plane words and RNG position.
+    pub(crate) som: BSom,
+    /// The schedule the training time follows.
+    pub(crate) schedule: TrainSchedule,
+    /// Epochs of the schedule completed.
+    pub(crate) epochs_run: usize,
+    /// Feed steps completed.
+    pub(crate) steps_run: u64,
+    /// Feed steps since the last publish (continues the publish cadence).
+    pub(crate) steps_since_publish: u64,
+    /// The full construction config: the publish cadence, label decay and
+    /// unknown threshold the trainer applies, and the pool a resume builds.
+    pub(crate) config: EngineConfig,
+    /// Per-neuron decayed win statistics, one entry per neuron.
+    pub(crate) stats: Vec<DecayedLabelStats>,
+}
+
+impl TrainerState {
+    /// A trainer's state before its first step: `som` as given, labelled by
+    /// a win pass over `seed_data` (whose wins share feed step 0, so no
+    /// decay separates them).
+    pub(crate) fn fresh(
+        som: BSom,
+        schedule: TrainSchedule,
+        seed_data: &[(BinaryVector, ObjectLabel)],
+        config: EngineConfig,
+    ) -> Self {
+        let mut stats = vec![DecayedLabelStats::default(); som.neuron_count()];
+        for (signature, label) in seed_data {
+            if let Ok(winner) = som.winner(signature) {
+                stats[winner.index].record_win(*label, 0, config.label_decay);
+            }
+        }
+        TrainerState {
+            som,
+            schedule,
+            epochs_run: 0,
+            steps_run: 0,
+            steps_since_publish: 0,
+            config,
+            stats,
+        }
+    }
+
+    /// Every neuron's current majority label: the label table a publish
+    /// serves.
+    fn labels(&self) -> Vec<Option<ObjectLabel>> {
+        self.stats
+            .iter()
+            .map(DecayedLabelStats::majority_label)
+            .collect()
+    }
+}
+
 /// The training handle: owns the [`BSom`], feeds it labelled signatures, and
 /// publishes serving snapshots. Exactly one trainer exists per
 /// train-while-serve service.
@@ -1160,18 +1112,7 @@ impl SomService {
 /// [`reset_label_stats`](Trainer::reset_label_stats) required.
 pub struct Trainer {
     core: Arc<ServiceCore>,
-    som: BSom,
-    schedule: TrainSchedule,
-    epochs_run: usize,
-    steps_run: u64,
-    steps_since_publish: u64,
-    publish_every_steps: Option<u64>,
-    stats: Vec<DecayedLabelStats>,
-    label_decay: Option<f64>,
-    unknown_threshold: Option<f64>,
-    /// The full construction config, persisted into checkpoints so
-    /// [`SomService::resume_from_checkpoint`] rebuilds the same service.
-    config: EngineConfig,
+    state: TrainerState,
     /// Set when a [`try_feed`](Trainer::try_feed) step panicked: the map may
     /// hold a half-applied update, so this trainer refuses further training.
     poisoned: bool,
@@ -1180,35 +1121,67 @@ pub struct Trainer {
 impl std::fmt::Debug for Trainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trainer")
-            .field("epochs_run", &self.epochs_run)
-            .field("steps_run", &self.steps_run)
-            .field(
-                "published_version",
-                &self.core.version.load(Ordering::Acquire),
-            )
+            .field("epochs_run", &self.state.epochs_run)
+            .field("steps_run", &self.state.steps_run)
+            .field("published_version", &self.version())
             .finish()
     }
 }
 
 impl Trainer {
+    /// The one construction path for a trainer: publishes the state's map
+    /// and majority labels as snapshot `version` over `pool`. That is
+    /// version 1 for a fresh trainer, the checkpointed version + 1 on
+    /// [`SomService::resume_from_checkpoint`] (a restart is visible as a
+    /// version bump), and the spilled version *exactly* on a registry
+    /// reload, where the spilled map **is** the snapshot clients were
+    /// served, so the evict→reload round trip stays invisible to them.
+    pub(crate) fn start(state: TrainerState, version: u64, pool: Arc<WorkerPool>) -> Self {
+        let service = SomService::start(
+            pool,
+            version,
+            state.som.packed_layer().clone(),
+            state.labels(),
+            state.config.unknown_threshold,
+        );
+        Trainer {
+            core: service.core,
+            state,
+            poisoned: false,
+        }
+    }
+
+    /// A service handle over this trainer's snapshots: what it publishes is
+    /// what the handle serves.
+    pub(crate) fn service(&self) -> SomService {
+        SomService {
+            core: Arc::clone(&self.core),
+        }
+    }
+
+    /// Version of the latest snapshot this trainer published.
+    pub(crate) fn version(&self) -> u64 {
+        self.core.version.load(Ordering::Acquire)
+    }
+
     /// The map in its current training state.
     pub fn som(&self) -> &BSom {
-        &self.som
+        &self.state.som
     }
 
     /// The schedule the training time follows.
     pub fn schedule(&self) -> &TrainSchedule {
-        &self.schedule
+        &self.state.schedule
     }
 
     /// Epochs of the schedule completed so far.
     pub fn epochs_run(&self) -> usize {
-        self.epochs_run
+        self.state.epochs_run
     }
 
     /// Training steps (pattern presentations) completed so far.
     pub fn steps_run(&self) -> u64 {
-        self.steps_run
+        self.state.steps_run
     }
 
     /// One labelled training step at the schedule's current epoch: winner
@@ -1225,18 +1198,11 @@ impl Trainer {
         signature: &BinaryVector,
         label: ObjectLabel,
     ) -> Result<Winner, SomError> {
-        let winner = self
+        let state = &mut self.state;
+        let winner = state
             .som
-            .train_step(signature, self.epochs_run, &self.schedule)?;
-        self.stats[winner.index].record_win(label, self.steps_run, self.label_decay);
-        self.steps_run += 1;
-        self.steps_since_publish += 1;
-        if let Some(every) = self.publish_every_steps {
-            if self.steps_since_publish >= every {
-                self.publish();
-            }
-        }
-        Ok(winner)
+            .train_step(signature, state.epochs_run, &state.schedule)?;
+        Ok(self.record_step(winner, label))
     }
 
     /// [`feed`](Self::feed) with the training step wrapped in
@@ -1261,29 +1227,39 @@ impl Trainer {
         if self.poisoned {
             return Err(EngineError::TrainerPoisoned);
         }
+        let state = &mut self.state;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             crate::faultpoint::hit("trainer.feed");
-            self.som
-                .train_step(signature, self.epochs_run, &self.schedule)
+            state
+                .som
+                .train_step(signature, state.epochs_run, &state.schedule)
         }));
-        let winner = match outcome {
-            Ok(result) => result?,
+        match outcome {
+            Ok(result) => Ok(self.record_step(result?, label)),
             Err(payload) => {
                 self.poisoned = true;
-                return Err(EngineError::TrainerPanicked {
+                Err(EngineError::TrainerPanicked {
                     message: panic_message(payload.as_ref()),
-                });
+                })
             }
-        };
-        self.stats[winner.index].record_win(label, self.steps_run, self.label_decay);
-        self.steps_run += 1;
-        self.steps_since_publish += 1;
-        if let Some(every) = self.publish_every_steps {
-            if self.steps_since_publish >= every {
+        }
+    }
+
+    /// The tail of every completed step, [`feed`](Self::feed) or
+    /// [`try_feed`](Self::try_feed): the win, the step clocks and the
+    /// cadence publish.
+    fn record_step(&mut self, winner: Winner, label: ObjectLabel) -> Winner {
+        let state = &mut self.state;
+        let decay = state.config.label_decay;
+        state.stats[winner.index].record_win(label, state.steps_run, decay);
+        state.steps_run += 1;
+        state.steps_since_publish += 1;
+        if let Some(every) = state.config.publish_every_steps {
+            if state.steps_since_publish >= every {
                 self.publish();
             }
         }
-        Ok(winner)
+        winner
     }
 
     /// `true` once a [`try_feed`](Self::try_feed) step panicked; the trainer
@@ -1321,11 +1297,11 @@ impl Trainer {
         let weights = (0..layer.neuron_count()).map(|i| layer.neuron(i)).collect();
         // `from_weights` resets the update probabilities and neighbour rule
         // to the defaults; re-apply the map's own configuration.
-        let config = *self.som.config();
-        self.som = BSom::from_weights(weights)?
+        let config = *self.state.som.config();
+        self.state.som = BSom::from_weights(weights)?
             .with_neighbour_rule(config.neighbour_rule)
             .with_update_probabilities(config.relax_probability, config.commit_probability);
-        self.steps_since_publish = 0;
+        self.state.steps_since_publish = 0;
         self.poisoned = false;
         Ok(())
     }
@@ -1352,7 +1328,12 @@ impl Trainer {
         &self,
         path: impl AsRef<Path>,
     ) -> Result<CheckpointInfo, CheckpointError> {
-        checkpoint::write(path.as_ref(), &self.training_state(), Durability::Synced)
+        checkpoint::write(
+            path.as_ref(),
+            self.version(),
+            &self.state,
+            Durability::Synced,
+        )
     }
 
     /// Writes the same frame as [`write_checkpoint`](Self::write_checkpoint)
@@ -1362,28 +1343,19 @@ impl Trainer {
     /// a power loss: spill files are read back only by the registry that
     /// wrote them.
     pub(crate) fn write_spill(&self, path: &Path) -> Result<CheckpointInfo, CheckpointError> {
-        checkpoint::write(path, &self.training_state(), Durability::ProcessLifetime)
-    }
-
-    /// The full training state, borrowed — what a checkpoint frame encodes.
-    fn training_state(&self) -> TrainingState<'_> {
-        TrainingState {
-            service_version: self.core.version.load(Ordering::Acquire),
-            som: &self.som,
-            schedule: &self.schedule,
-            epochs_run: self.epochs_run,
-            steps_run: self.steps_run,
-            steps_since_publish: self.steps_since_publish,
-            config: &self.config,
-            stats: &self.stats,
-        }
+        checkpoint::write(
+            path,
+            self.version(),
+            &self.state,
+            Durability::ProcessLifetime,
+        )
     }
 
     /// Advances the schedule to the next epoch and publishes — the epoch
     /// boundary for callers that stream through [`feed`](Self::feed) rather
     /// than training from a fixed dataset.
     pub fn advance_epoch(&mut self) -> u64 {
-        self.epochs_run += 1;
+        self.state.epochs_run += 1;
         self.publish()
     }
 
@@ -1409,7 +1381,7 @@ impl Trainer {
             return Err(SomError::EmptyTrainingSet);
         }
         let start = std::time::Instant::now();
-        let steps_before = self.steps_run;
+        let steps_before = self.state.steps_run;
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..epochs {
             crate::train::fresh_shuffled_order(&mut order, rng);
@@ -1417,10 +1389,10 @@ impl Trainer {
                 let (signature, label) = &data[idx];
                 self.feed(signature, *label)?;
             }
-            self.epochs_run += 1;
+            self.state.epochs_run += 1;
             self.publish();
         }
-        let steps = self.steps_run - steps_before;
+        let steps = self.state.steps_run - steps_before;
         let seconds = start.elapsed().as_secs_f64();
         Ok(TrainReport {
             epochs,
@@ -1437,16 +1409,11 @@ impl Trainer {
     /// recognizers mid-batch are untouched and pick the new version up on
     /// their next batch.
     pub fn publish(&mut self) -> u64 {
-        self.steps_since_publish = 0;
-        let labels = self
-            .stats
-            .iter()
-            .map(DecayedLabelStats::majority_label)
-            .collect();
+        self.state.steps_since_publish = 0;
         self.core.publish(
-            Arc::new(self.som.packed_layer().clone()),
-            labels,
-            self.unknown_threshold,
+            Arc::new(self.state.som.packed_layer().clone()),
+            self.state.labels(),
+            self.state.config.unknown_threshold,
         )
     }
 
@@ -1454,13 +1421,13 @@ impl Trainer {
     /// exactly the trainer's current state. The registry's tick scheduler
     /// uses this to publish only tenants that actually moved.
     pub(crate) fn steps_since_publish(&self) -> u64 {
-        self.steps_since_publish
+        self.state.steps_since_publish
     }
 
     /// [`publish`](Self::publish) only when steps were fed since the last
     /// publish; returns the new version, or `None` when already clean.
     pub(crate) fn publish_if_dirty(&mut self) -> Option<u64> {
-        if self.steps_since_publish == 0 {
+        if self.state.steps_since_publish == 0 {
             None
         } else {
             Some(self.publish())
@@ -1472,7 +1439,7 @@ impl Trainer {
     /// reset, replay a recent window through [`feed`](Self::feed), publish.
     /// (With decay configured the statistics fade on their own.)
     pub fn reset_label_stats(&mut self) {
-        for stat in &mut self.stats {
+        for stat in &mut self.state.stats {
             stat.clear();
         }
     }
@@ -1480,7 +1447,7 @@ impl Trainer {
     /// Gives the trained map back, consuming the trainer. The service keeps
     /// serving its last published snapshot.
     pub fn into_som(self) -> BSom {
-        self.som
+        self.state.som
     }
 }
 

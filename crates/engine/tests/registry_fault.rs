@@ -15,7 +15,9 @@
 //!   ([`EngineError::TrainerPoisoned`]) while its snapshot keeps serving,
 //!   eviction of the poisoned tenant is refused, and
 //!   [`MapRegistry::replace_trainer`] (the
-//!   [`Trainer::reset_from_snapshot`] path) recovers it in place.
+//!   [`Trainer::reset_from_snapshot`] path) recovers it in place;
+//! * a panic on a later step of a tick, after the tenant already trained in
+//!   it, publishes nothing of the poisoned trainer at tick end.
 //!
 //! Same process-global failpoint registry as `fault_injection.rs`, same
 //! [`harness`] serialization; CI runs this binary with `--test-threads=1`.
@@ -329,4 +331,44 @@ fn replace_trainer_on_a_healthy_tenant_resumes_from_the_snapshot() {
     let report = registry.train_tick(u64::MAX);
     assert!(report.failures.is_empty(), "{report:?}");
     assert_eq!(report.steps, 8);
+}
+
+/// A panic on a tenant's second step of a tick publishes nothing of it. The
+/// first step made the tenant one the tick publishes at its end, but by then
+/// its trainer is poisoned and its map may be torn, so the tenant keeps
+/// serving the snapshot it had before the tick, and `replace_trainer`
+/// rebuilds the map from exactly that snapshot.
+#[test]
+fn a_panic_later_in_a_tick_publishes_nothing_of_the_poisoned_tenant() {
+    let _harness = harness();
+    let dir = temp_dir("poison-later");
+    let registry = trained_registry(&dir, false);
+    let version_before = registry.version("t").unwrap();
+    let served_before = registry.snapshot("t").unwrap();
+
+    for (signature, label) in &training_stream(0xBAD5, 2) {
+        registry.feed("t", signature, *label).unwrap();
+    }
+    // The first step trains; the second panics.
+    arm_panic("trainer.feed", hit_count("trainer.feed") + 1);
+    let report = registry.train_tick(u64::MAX);
+    assert_eq!(report.steps, 1, "{report:?}");
+    assert_eq!(report.failures.len(), 1, "{report:?}");
+    assert!(matches!(
+        report.failures[0].1,
+        EngineError::TrainerPanicked { .. }
+    ));
+    assert!(registry.is_poisoned("t").unwrap());
+
+    // Nothing of the poisoned trainer reached the served snapshot.
+    assert_eq!(registry.version("t").unwrap(), version_before);
+    let served = registry.snapshot("t").unwrap();
+    assert_eq!(served.layer(), served_before.layer());
+
+    // Recovery rebuilds the map from that snapshot.
+    registry.replace_trainer("t").unwrap();
+    assert_eq!(
+        registry.tenant_som("t").unwrap().packed_layer(),
+        served.layer()
+    );
 }
